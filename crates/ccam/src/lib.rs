@@ -64,6 +64,7 @@ pub mod machine;
 pub(crate) mod native;
 pub mod opt;
 pub mod portable;
+pub mod relocate;
 pub mod seg;
 pub mod value;
 pub mod wire;

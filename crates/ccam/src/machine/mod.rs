@@ -837,6 +837,13 @@ impl Machine {
         self.state.stats
     }
 
+    /// Replaces the accumulated statistics, so a machine can continue
+    /// the account of another (a session copied from a prelude image
+    /// reports the image's statistics from its first instruction on).
+    pub fn set_stats(&mut self, stats: Stats) {
+        self.state.stats = stats;
+    }
+
     /// Enables or disables per-opcode step counting (surfaced through
     /// [`Stats::opcodes`]). Enabling zeroes any previous counts.
     pub fn set_count_opcodes(&mut self, on: bool) {

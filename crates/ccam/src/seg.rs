@@ -219,6 +219,34 @@ impl CodeSeg {
         }
     }
 
+    /// Fills this empty segment with a block-for-block copy of `from`:
+    /// the instruction vector (each instruction passed through `instr`,
+    /// which re-points embedded values), the block table, and the
+    /// opt/fuse/tier memo tables, so every [`BlockId`] of `from` names
+    /// the same code here and the copy starts at the same tiers. Native
+    /// lowerings are redone from the copied instructions rather than
+    /// shared, because a lowered op may capture a value that holds a
+    /// segment handle.
+    pub(crate) fn fill_from(&self, from: &CodeSeg, instr: impl FnMut(&Instr) -> Instr) {
+        debug_assert!(self.num_blocks() == 0, "fill_from targets an empty segment");
+        let src = &from.0;
+        *self.0.instrs.borrow_mut() = src.instrs.borrow().iter().map(instr).collect();
+        self.0.blocks.borrow_mut().clone_from(&src.blocks.borrow());
+        self.0
+            .opt_memo
+            .borrow_mut()
+            .clone_from(&src.opt_memo.borrow());
+        self.0
+            .fuse_memo
+            .borrow_mut()
+            .clone_from(&src.fuse_memo.borrow());
+        self.0.tier.borrow_mut().clone_from(&src.tier.borrow());
+        let lowered: Vec<u32> = src.native_memo.borrow().keys().copied().collect();
+        for b in lowered {
+            crate::native::lowered(self, BlockId(b));
+        }
+    }
+
     /// The peephole memo (source block → optimized block), shared by all
     /// handles to this segment.
     pub(crate) fn opt_memo_get(&self, b: BlockId) -> Option<BlockId> {
@@ -291,7 +319,7 @@ impl CodeSeg {
 
     /// The tier `b` runs at when executed directly (0 for blocks the
     /// controller never touched).
-    pub(crate) fn tier_level(&self, b: BlockId) -> u8 {
+    pub fn tier_level(&self, b: BlockId) -> u8 {
         self.0
             .tier
             .borrow()

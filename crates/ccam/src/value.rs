@@ -113,6 +113,18 @@ impl Arena {
         &self.seg
     }
 
+    /// A copy of this arena freezing into `seg`, its staged instructions
+    /// passed through `instr`. The freeze cache carries over: its block
+    /// ids stay valid when `seg` is a block-for-block copy of this
+    /// arena's segment (or the segment itself).
+    pub(crate) fn relocated(&self, seg: CodeSeg, instr: impl FnMut(&Instr) -> Instr) -> Rc<Arena> {
+        Rc::new(Arena {
+            staging: RefCell::new(self.staging.borrow().iter().map(instr).collect()),
+            seg,
+            cache: RefCell::new(*self.cache.borrow()),
+        })
+    }
+
     /// Appends one instruction. Cached freezes of shorter contents stay
     /// valid as snapshots and are invalidated here only in the sense that
     /// the next freeze sees a longer arena and rebuilds.

@@ -55,7 +55,7 @@ fn run_file(path: Option<&String>, check_only: bool) -> Result<(), Box<dyn std::
     }
     let outcomes = session.run(&src)?;
     for w in session.take_warnings() {
-        eprintln!("warning: {}", w.render(&src));
+        eprintln!("{}", w.render(&src));
     }
     for o in &outcomes {
         match &o.name {
@@ -125,7 +125,7 @@ fn repl() -> Result<(), Box<dyn std::error::Error>> {
         match session.run(input) {
             Ok(outcomes) => {
                 for w in session.take_warnings() {
-                    println!("warning: {}", w.message);
+                    println!("{}", w.render(input));
                 }
                 for o in outcomes {
                     let name = o.name.unwrap_or_else(|| "it".to_string());

@@ -3,7 +3,7 @@
 //! per-declaration reduction-step accounting (the measurement surface of
 //! the paper's Table 1).
 
-use crate::artifact::CompiledFilter;
+use crate::artifact::{machine_for, CompiledFilter};
 use crate::error::Error;
 use crate::fingerprint::Fnv1a;
 use crate::prelude::PRELUDE;
@@ -11,6 +11,7 @@ use crate::render::render_machine;
 use ccam::instr::{validate, Instr};
 use ccam::machine::{Machine, Stats, TierPolicy, Trace};
 use ccam::portable::PortableValue;
+use ccam::relocate::Relocation;
 use ccam::seg::CodeSeg;
 use ccam::value::Value;
 use mlbox_compile::compile::{compile_decl, compile_expr, DeclEffect};
@@ -20,9 +21,10 @@ use mlbox_ir::data::DataEnv;
 use mlbox_ir::elab::Elab;
 use mlbox_syntax::parser::{parse_expr, parse_program};
 use mlbox_types::check::{Checker, TypeCtx};
+use std::cell::RefCell;
 
 /// Configuration for a [`Session`].
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SessionOptions {
     /// Load the prelude (`eval`, lists, option, tables). Default: true.
     pub prelude: bool,
@@ -254,6 +256,16 @@ pub struct Session {
     options: SessionOptions,
 }
 
+/// Prelude images kept per thread: sessions are `Rc` graphs, so an
+/// image can only be copied on the thread that built it. A handful of
+/// option values covers every real caller; beyond that the oldest image
+/// is dropped (and rebuilt if asked for again).
+const MAX_PRELUDE_IMAGES: usize = 16;
+
+thread_local! {
+    static PRELUDE_IMAGES: RefCell<Vec<Session>> = const { RefCell::new(Vec::new()) };
+}
+
 impl Session {
     /// A session with the default options (prelude loaded, type checking
     /// on, no fuel limit).
@@ -267,6 +279,12 @@ impl Session {
 
     /// A session with explicit options.
     ///
+    /// With `options.prelude` set, the session is a fresh copy of this
+    /// thread's prelude image for exactly these options (DESIGN.md §16):
+    /// the prelude is compiled and run once per thread and options value,
+    /// and every later session starts from a block-for-block copy of the
+    /// resulting state instead of compiling it again.
+    ///
     /// # Errors
     ///
     /// Returns an error if the prelude fails to load.
@@ -278,21 +296,33 @@ impl Session {
                     .to_string(),
             ));
         }
-        let mut machine = match options.fuel {
-            Some(f) => Machine::with_fuel(f),
-            None => Machine::new(),
-        };
-        machine.set_optimize(options.optimize);
-        machine.set_count_opcodes(options.count_opcodes);
-        machine.set_fuse(options.fuse);
-        machine.set_native(options.native);
-        if let Some(policy) = options.adaptive {
-            // Step charges stay in the baseline cost model the compiler
-            // targets: pair-spine units unless accesses compile to
-            // indexed/flat `acc` paths.
-            let spine_units = !(options.indexed_env || options.flat_env);
-            machine.set_tier_policy(Some(policy), spine_units);
+        if !options.prelude {
+            return Ok(Session::bare(options));
         }
+        let copy = PRELUDE_IMAGES.with(|images| {
+            images
+                .borrow()
+                .iter()
+                .find(|image| image.options == options)
+                .map(Session::duplicate)
+        });
+        if let Some(s) = copy {
+            return Ok(s);
+        }
+        let image = Session::prelude_image(options)?;
+        let s = image.duplicate();
+        PRELUDE_IMAGES.with(|images| {
+            let mut images = images.borrow_mut();
+            if images.len() == MAX_PRELUDE_IMAGES {
+                images.remove(0);
+            }
+            images.push(image);
+        });
+        Ok(s)
+    }
+
+    /// A session with nothing loaded.
+    fn bare(options: SessionOptions) -> Session {
         let env_mode = if options.flat_env {
             EnvMode::Flat
         } else if options.indexed_env {
@@ -300,19 +330,57 @@ impl Session {
         } else {
             EnvMode::PairSpine
         };
-        let mut s = Session {
+        Session {
             elab: Elab::new(),
             checker: Checker::new(),
             ctx: Ctx::root_with(env_mode),
             env: Value::Unit,
-            machine,
+            machine: machine_for(&options),
             seg: CodeSeg::new(),
-            options: options.clone(),
-        };
-        if options.prelude {
-            s.run(PRELUDE)?;
+            options,
         }
-        Ok(s)
+    }
+
+    /// The prelude image for `options`: a bare session that has run
+    /// [`PRELUDE`] — the one place the prelude is ever compiled. The
+    /// image itself never runs again; sessions are [`duplicate`]s of it.
+    ///
+    /// [`duplicate`]: Session::duplicate
+    fn prelude_image(options: SessionOptions) -> Result<Session, Error> {
+        let mut image = Session::bare(SessionOptions {
+            prelude: false,
+            ..options.clone()
+        });
+        image.run(PRELUDE)?;
+        // The prelude's own match warnings (`nth` is partial) are not
+        // the user's: drop them so no session ever reports them.
+        image.elab.warnings.clear();
+        assert!(
+            image.checker.is_closed(),
+            "prelude schemes must be closed for copies to share them"
+        );
+        image.options = options;
+        Ok(image)
+    }
+
+    /// A copy of this session sharing no mutable state with it: the
+    /// segment is copied block-for-block, the environment is rebuilt over
+    /// the copy, and the machine starts with this session's statistics.
+    /// The front-end state is cloned; the checker's schemes are shared,
+    /// which [`Session::prelude_image`] checked is sound.
+    fn duplicate(&self) -> Session {
+        let mut relocation = Relocation::duplicate(&self.seg);
+        let mut machine = machine_for(&self.options);
+        machine.set_stats(self.machine.stats());
+        Session {
+            elab: self.elab.clone(),
+            checker: self.checker.clone(),
+            ctx: self.ctx.clone(),
+            env: relocation.value(&self.env),
+            machine,
+            seg: relocation.seg().clone(),
+            options: self.options.clone(),
+        }
     }
 
     /// The datatype environment (for rendering values externally).
@@ -323,6 +391,12 @@ impl Session {
     /// The options this session was built with.
     pub fn options(&self) -> &SessionOptions {
         &self.options
+    }
+
+    /// The code segment every declaration of this session compiles into
+    /// and every generator freezes into (for disassembly and inspection).
+    pub fn code_segment(&self) -> &CodeSeg {
+        &self.seg
     }
 
     /// Total machine statistics accumulated over the session.
@@ -627,6 +701,25 @@ mod tests {
         let out = s.eval_expr("eval (lift 42)").unwrap();
         assert_eq!(out.value, "42");
         assert_eq!(out.ty, "int");
+    }
+
+    #[test]
+    fn prelude_warnings_never_reach_the_user() {
+        use mlbox_syntax::diag::Severity;
+        use mlbox_syntax::span::Span;
+        let mut s = Session::new().unwrap();
+        assert!(
+            s.take_warnings().is_empty(),
+            "nth's partial match stays in the prelude"
+        );
+        s.run("val x = 1\nfun hd l = case l of a :: r => a")
+            .unwrap();
+        let w = s.take_warnings();
+        assert_eq!(w.len(), 1, "{w:?}");
+        assert_eq!(w[0].severity, Severity::Warning);
+        assert_eq!(w[0].message, "match is not exhaustive");
+        assert_eq!(w[0].span, Span::new(21, 42), "the user's own span");
+        assert!(Session::new().unwrap().take_warnings().is_empty());
     }
 
     #[test]

@@ -80,7 +80,7 @@ pub struct TypeAbbrev {
 
 /// The elaboration context. Persistent across declarations so a session
 /// can elaborate a program incrementally.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct Elab {
     /// Fresh-name supply (shared with later phases via `&mut`).
     pub names: NameGen,
@@ -776,14 +776,14 @@ impl Elab {
         let spats: Vec<SPat> = pats.iter().map(|p| exhaustive::simplify(p, self)).collect();
         let report = exhaustive::analyze(&spats, &self.data);
         if report.non_exhaustive {
-            self.warnings.push(Diagnostic::new(
+            self.warnings.push(Diagnostic::warning(
                 Phase::Elaborate,
                 format!("{what} is not exhaustive"),
                 span,
             ));
         }
         for i in report.redundant {
-            self.warnings.push(Diagnostic::new(
+            self.warnings.push(Diagnostic::warning(
                 Phase::Elaborate,
                 format!("{what} arm {} is redundant (it can never match)", i + 1),
                 pats[i].span,

@@ -58,7 +58,7 @@ impl fmt::Display for Name {
 }
 
 /// A generator of fresh [`Name`]s.
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct NameGen {
     next: u32,
 }

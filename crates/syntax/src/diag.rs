@@ -32,14 +32,35 @@ impl fmt::Display for Phase {
     }
 }
 
-/// A single error with a source location.
+/// Whether a diagnostic stops the pipeline or only informs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum Severity {
+    /// The program is rejected.
+    Error,
+    /// The program is accepted; something in it is suspect (a
+    /// non-exhaustive or redundant match).
+    Warning,
+}
+
+impl fmt::Display for Severity {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(match self {
+            Severity::Error => "error",
+            Severity::Warning => "warning",
+        })
+    }
+}
+
+/// A single error or warning with a source location.
 ///
 /// Messages follow the Rust API guidelines: lowercase, no trailing
 /// punctuation.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Diagnostic {
-    /// Phase that raised the error.
+    /// Phase that raised the diagnostic.
     pub phase: Phase,
+    /// Error or warning.
+    pub severity: Severity,
     /// Primary message.
     pub message: String,
     /// Location of the offending source text.
@@ -49,13 +70,22 @@ pub struct Diagnostic {
 }
 
 impl Diagnostic {
-    /// A new diagnostic in `phase` at `span`.
+    /// A new error in `phase` at `span`.
     pub fn new(phase: Phase, message: impl Into<String>, span: Span) -> Self {
         Diagnostic {
             phase,
+            severity: Severity::Error,
             message: message.into(),
             span,
             notes: Vec::new(),
+        }
+    }
+
+    /// A new warning in `phase` at `span`.
+    pub fn warning(phase: Phase, message: impl Into<String>, span: Span) -> Self {
+        Diagnostic {
+            severity: Severity::Warning,
+            ..Diagnostic::new(phase, message, span)
         }
     }
 
@@ -69,7 +99,10 @@ impl Diagnostic {
     /// information and the offending line underlined.
     pub fn render(&self, src: &str) -> String {
         let lc = line_col(src, self.span.start);
-        let mut out = format!("{} error at {}: {}", self.phase, lc, self.message);
+        let mut out = format!(
+            "{} {} at {}: {}",
+            self.phase, self.severity, lc, self.message
+        );
         // Show the offending line.
         if let Some(line_text) = src.lines().nth(lc.line as usize - 1) {
             out.push('\n');
@@ -101,8 +134,8 @@ impl fmt::Display for Diagnostic {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "{} error: {} (at {})",
-            self.phase, self.message, self.span
+            "{} {}: {} (at {})",
+            self.phase, self.severity, self.message, self.span
         )
     }
 }
@@ -128,6 +161,26 @@ mod tests {
         assert!(rendered.contains("2:1"), "{rendered}");
         assert!(rendered.contains("val y = 2"));
         assert!(rendered.contains('^'));
+    }
+
+    #[test]
+    fn warnings_render_without_the_word_error() {
+        let src = "val x = 1\nfun f l = case l of a :: r => a";
+        let d = Diagnostic::warning(
+            Phase::Elaborate,
+            "match is not exhaustive",
+            Span::new(20, 41),
+        );
+        assert_eq!(
+            d.render(src),
+            "elaborate warning at 2:11: match is not exhaustive\n\
+             \x20 | fun f l = case l of a :: r => a\n\
+             \x20 |           ^^^^^^^^^^^^^^^^^^^^^"
+        );
+        assert_eq!(
+            d.to_string(),
+            "elaborate warning: match is not exhaustive (at 20..41)"
+        );
     }
 
     #[test]

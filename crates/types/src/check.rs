@@ -22,7 +22,11 @@ pub type Result<T> = std::result::Result<T, Diagnostic>;
 
 /// The persistent checker state (usable incrementally, one declaration at
 /// a time).
-#[derive(Debug, Default)]
+///
+/// A clone shares the `Rc`s of the schemes in scope. That is sound only
+/// while [`Checker::is_closed`] holds: a unification variable shared by
+/// two checkers could be solved by one behind the other's back.
+#[derive(Debug, Clone, Default)]
 pub struct Checker {
     gamma: Vec<(Name, Scheme)>,
     delta: Vec<(Name, Scheme)>,
@@ -42,6 +46,15 @@ impl Checker {
     /// A fresh checker with empty contexts.
     pub fn new() -> Checker {
         Checker::default()
+    }
+
+    /// Whether no scheme in scope mentions a unification variable: each
+    /// is fully generalized, or monomorphic over closed types.
+    pub fn is_closed(&self) -> bool {
+        self.gamma
+            .iter()
+            .chain(&self.delta)
+            .all(|(_, s)| s.is_closed())
     }
 
     fn err(&self, msg: impl Into<String>, span: Span) -> Diagnostic {

@@ -69,10 +69,25 @@ impl Scheme {
     pub fn mono(t: Type) -> Scheme {
         Scheme { params: 0, body: t }
     }
+
+    /// Whether the body mentions no unification variable, so the scheme
+    /// is immutable and its `Rc`s can be shared between checkers.
+    pub(crate) fn is_closed(&self) -> bool {
+        fn closed(t: &Type) -> bool {
+            match t {
+                Type::Var(_) => false,
+                Type::Int | Type::Bool | Type::Str | Type::Unit | Type::Param(_) => true,
+                Type::Arrow(a, b) => closed(a) && closed(b),
+                Type::Box(i) | Type::Ref(i) | Type::Array(i) => closed(i),
+                Type::Tuple(parts) | Type::Data(_, parts) => parts.iter().all(closed),
+            }
+        }
+        closed(&self.body)
+    }
 }
 
 /// Fresh-variable supply and level tracking.
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct TvGen {
     next: u32,
     level: u32,
