@@ -444,8 +444,9 @@ enum Dispatch {
     Step(StepFn),
     /// Control transfer or segment mutator: these push frames or freeze
     /// arena contents into a segment, so the loop clones the single
-    /// instruction, releases the borrow, saves the pc, and re-resolves
-    /// the top frame after.
+    /// instruction, releases the borrow, saves the pc (or pops the frame
+    /// when the transfer ends its block), and re-resolves the top frame
+    /// after.
     Transfer(TransferFn),
 }
 
@@ -899,7 +900,9 @@ impl Machine {
     /// Per-instruction accounting, identical across the interpreted and
     /// native tiers: the opcode-pair profile chain, the bounded trace,
     /// the step and per-opcode counters, and the fuel check — with a
-    /// step that exhausts the budget counted but not executed.
+    /// step that exhausts the budget counted but not executed. Runs only
+    /// when [`Machine::observed`]; otherwise both tiers just
+    /// [`count_step`](Machine::count_step).
     ///
     /// `step_charge` is how many steps this dispatch counts as: 1
     /// normally, its baseline-unit cost under an adaptive policy (so a
@@ -951,12 +954,9 @@ impl Machine {
                 exhausted = Some(fuel);
             }
         }
-        self.state.stats.steps += charge;
+        self.count_step(charge, tier);
         if let Some(counts) = &mut self.state.stats.opcodes {
             counts.0[opcode] += charge;
-        }
-        if self.adaptive.is_some() {
-            self.state.stats.tier_steps[tier] += charge;
         }
         match exhausted {
             Some(fuel) => Err(MachineError::OutOfFuel { fuel }),
@@ -964,7 +964,44 @@ impl Machine {
         }
     }
 
+    /// Counts one dispatch: `charge` steps (1, or its baseline-unit cost
+    /// under an adaptive policy), attributed to `tier` when the tier
+    /// controller is on.
+    #[inline]
+    fn count_step(&mut self, charge: u64, tier: usize) {
+        self.state.stats.steps += charge;
+        if self.adaptive.is_some() {
+            self.state.stats.tier_steps[tier] += charge;
+        }
+    }
+
+    /// Whether anything observes individual steps: a trace, the pair
+    /// profile, a fuel budget, or per-opcode counts. When nothing does,
+    /// counting the step is all [`Machine::account`] would do, so both
+    /// tiers skip it. No step or transfer function touches this
+    /// configuration, so it is decided once per run (DESIGN.md §13.6).
+    fn observed(&self) -> bool {
+        self.trace.is_some()
+            || self.pair_profile.is_some()
+            || self.state.fuel.is_some()
+            || self.state.stats.opcodes.is_some()
+    }
+
+    /// Saves the running frame's `pc` before a transfer leaves its block,
+    /// or pops the frame when the transfer is the block's last
+    /// instruction (`pc == len`): a tail transfer's frame has nothing
+    /// left to run, and keeping it until the callee returns would grow
+    /// the control stack on every iteration of a tail-recursive loop.
+    fn leave_for_transfer(&mut self, pc: usize, len: usize) {
+        if pc == len {
+            self.control.pop();
+        } else {
+            self.control.last_mut().expect("frame present mid-block").pc = pc;
+        }
+    }
+
     fn steps_loop(&mut self) -> Result<Value, MachineError> {
+        let observed = self.observed();
         'frames: loop {
             // Resolve the top frame once: clone the segment handle (one
             // Rc bump per frame activation, not per step), look up the
@@ -992,7 +1029,7 @@ impl Machine {
             let (start, len) = seg.block_bounds(block);
             if self.native || tier == 2 {
                 let lowered = native::lowered(&seg, block);
-                self.run_native_block(&seg, block, &lowered, pc, tier)?;
+                self.run_native_block(&seg, block, &lowered, pc, tier, observed)?;
                 continue 'frames;
             }
             let instrs = seg.borrow_instrs();
@@ -1005,28 +1042,31 @@ impl Machine {
                 let instr = &instrs[start + pc];
                 pc += 1;
                 let opcode = instr.opcode();
-                let fuel = fuel_cost(instr);
                 let charge = match charge_mode {
                     None => 1,
-                    Some(true) => fuel,
+                    Some(true) => fuel_cost(instr),
                     Some(false) => indexed_charge(opcode),
                 };
-                self.account(
-                    block,
-                    pc - 1,
-                    opcode,
-                    instr.mnemonic(),
-                    fuel,
-                    charge,
-                    tier,
-                    &mut prev_op,
-                )?;
+                if observed {
+                    self.account(
+                        block,
+                        pc - 1,
+                        opcode,
+                        instr.mnemonic(),
+                        fuel_cost(instr),
+                        charge,
+                        tier,
+                        &mut prev_op,
+                    )?;
+                } else {
+                    self.count_step(charge, tier);
+                }
                 match &DISPATCH[opcode] {
                     Dispatch::Step(step) => step(&mut self.state, &seg, instr)?,
                     Dispatch::Transfer(run) => {
                         let owned = instr.clone();
                         drop(instrs);
-                        self.control.last_mut().expect("frame present mid-block").pc = pc;
+                        self.leave_for_transfer(pc, len);
                         run(self, &seg, &owned)?;
                         self.state.note_stack_depth();
                         continue 'frames;
@@ -1043,8 +1083,9 @@ impl Machine {
     /// Runs one activation of a thread-coded block, from `pc` to the next
     /// control transfer or the block's end. Accounting is byte-for-byte
     /// the interpreter's ([`Machine::account`] with the op's pre-computed
-    /// opcode, mnemonic, and fuel charge), so steps, traces, profiles,
-    /// and fuel exhaust identically in both tiers.
+    /// opcode, mnemonic, and fuel charge, under the same run-wide
+    /// `observed` flag), so steps, traces, profiles, and fuel exhaust
+    /// identically in both tiers.
     fn run_native_block(
         &mut self,
         seg: &CodeSeg,
@@ -1052,6 +1093,7 @@ impl Machine {
         code: &native::NativeBlock,
         mut pc: usize,
         tier: usize,
+        observed: bool,
     ) -> Result<(), MachineError> {
         let mut prev_op: Option<usize> = None;
         let charge_mode = self.adaptive.map(|a| a.spine_units);
@@ -1062,23 +1104,28 @@ impl Machine {
                 Some(true) => op.fuel,
                 Some(false) => indexed_charge(op.opcode),
             };
-            self.account(
-                block,
-                pc - 1,
-                op.opcode,
-                op.mnemonic,
-                op.fuel,
-                charge,
-                tier,
-                &mut prev_op,
-            )?;
+            if observed {
+                self.account(
+                    block,
+                    pc - 1,
+                    op.opcode,
+                    op.mnemonic,
+                    op.fuel,
+                    charge,
+                    tier,
+                    &mut prev_op,
+                )?;
+            } else {
+                self.count_step(charge, tier);
+            }
             match &op.run {
                 native::NativeRun::Step(step) => step(&mut self.state, seg)?,
                 native::NativeRun::Transfer(instr) => {
                     // Transfers are statically known at lowering time, so
-                    // the pc is saved before the op runs — the frame the
-                    // transfer pushes must not receive it.
-                    self.control.last_mut().expect("frame present mid-block").pc = pc;
+                    // the pc is saved (or the finished frame popped)
+                    // before the op runs — the frame the transfer pushes
+                    // must not receive it.
+                    self.leave_for_transfer(pc, code.ops.len());
                     match &DISPATCH[op.opcode] {
                         Dispatch::Transfer(run) => run(self, seg, instr)?,
                         Dispatch::Step(_) => unreachable!("step op lowered as transfer"),

@@ -283,11 +283,10 @@ fn merge_inserts_cur() {
     assert!(matches!(&outer.freeze().to_vec()[0], Instr::Cur(_)));
 }
 
-#[test]
-fn recclos_supports_recursion() {
-    // f n = if n = 0 then 0 else f (n - 1); apply to 5 → 0.
-    // Body env after app: ((env0, f), n).
-    let seg = CodeSeg::new();
+/// `f n = if n = 0 then 0 else f (n - 1)` applied to `n`, in `seg`: a
+/// tail-recursive countdown whose `branch` and `app` each end their
+/// block. Body env after app: ((env0, f), n).
+fn countdown(seg: &CodeSeg, n: i64) -> Vec<Instr> {
     let then_b = seg.add_block(vec![Instr::Quote(Value::Int(0))]);
     let else_b = seg.add_block(vec![
         // f (n - 1): build (f, n-1), app.
@@ -320,17 +319,46 @@ fn recclos_supports_recursion() {
         Instr::ConsPair, // (fullenv, bool)
         Instr::Branch(then_b, else_b),
     ]);
-    let prog = seg.entry(vec![
+    vec![
         Instr::RecClos(Rc::new(vec![body])),
         Instr::Snd, // the closure
         Instr::Push,
         Instr::Swap,
-        Instr::Quote(Value::Int(5)),
+        Instr::Quote(Value::Int(n)),
         Instr::ConsPair,
         Instr::App,
-    ]);
+    ]
+}
+
+#[test]
+fn recclos_supports_recursion() {
+    let seg = CodeSeg::new();
+    let prog = seg.entry(countdown(&seg, 5));
     let out = Machine::new().run(prog, Value::Unit).unwrap();
     assert!(matches!(out, Value::Int(0)));
+}
+
+#[test]
+fn tail_transfers_do_not_grow_the_control_stack() {
+    // A transfer that ends its block pops the finished frame instead of
+    // leaving it to be popped after the callee returns, so a tail loop
+    // runs in constant control space — observed or not, in both tiers.
+    for native in [false, true] {
+        for fuel in [None, Some(u64::MAX)] {
+            let seg = CodeSeg::new();
+            let prog = seg.entry(countdown(&seg, 100_000));
+            let mut m = Machine::new();
+            m.state.fuel = fuel;
+            m.set_native(native);
+            let out = m.run(prog, Value::Unit).unwrap();
+            assert!(matches!(out, Value::Int(0)));
+            assert!(
+                m.control.capacity() < 8,
+                "native {native}, fuel {fuel:?}: control stack grew to {}",
+                m.control.capacity()
+            );
+        }
+    }
 }
 
 #[test]
@@ -1139,6 +1167,107 @@ fn native_tier_reports_errors_like_the_interpreter() {
         m.run(entry(vec![Instr::Fst]), Value::Int(3)).unwrap_err()
     };
     assert_eq!(err(false), err(true));
+}
+
+// --- Unobserved vs observed accounting ---
+
+/// A program touching every counter an unobserved run still reports:
+/// output, a fused opcode, an arena with emitted code, two `call`s of one
+/// generator (a freeze and a freeze hit), and a tail-recursive loop.
+fn observer_program() -> CodeRef {
+    let a = Arena::new();
+    for _ in 0..4 {
+        a.push(Instr::Push);
+        a.push(Instr::Quote(Value::Int(2)));
+        a.push(Instr::ConsPair);
+        a.push(Instr::Prim(PrimOp::Add));
+    }
+    let gen = Value::pair(Value::Int(1), Value::Arena(a));
+    let seg = CodeSeg::new();
+    let mut code = vec![
+        Instr::Quote(Value::str("go")),
+        Instr::Prim(PrimOp::Print),
+        Instr::PushQuote(Value::Int(4)),
+        Instr::ConsPair,
+        Instr::Quote(Value::Int(7)),
+        Instr::Push,
+        Instr::NewArena,
+        Instr::ConsPair,
+        Instr::LiftV,
+        Instr::Emit(Box::new(Instr::Fst)),
+        Instr::Quote(gen.clone()),
+        Instr::Call,
+        Instr::Quote(gen),
+        Instr::Call,
+    ];
+    code.extend(countdown(&seg, 50));
+    seg.entry(code)
+}
+
+/// A named way of turning one observer on.
+type Observer = (&'static str, fn(&mut Machine));
+
+#[test]
+fn observers_do_not_change_what_a_run_reports() {
+    let observers: [Observer; 5] = [
+        ("none", |_| {}),
+        ("opcodes", |m| m.set_count_opcodes(true)),
+        ("fuel", |m| m.state.fuel = Some(u64::MAX)),
+        ("trace", |m| m.set_trace(1 << 20)),
+        ("pairs", |m| m.set_profile_pairs(true)),
+    ];
+    // Both tiers, and the tier controller (which counts steps in
+    // baseline units on either path) promoting from the first
+    // activation. A trace suppresses promotion, so it is left out there.
+    let configs = [
+        (false, None),
+        (true, None),
+        (false, Some(tier_policy(0, false))),
+        (false, Some(tier_policy(0, true))),
+    ];
+    for (native, policy) in configs {
+        let label = format!("native {native}, policy {policy:?}");
+        let mut reports = Vec::new();
+        for (name, enable) in observers {
+            if policy.is_some() && name == "trace" {
+                continue;
+            }
+            let mut m = Machine::new();
+            m.set_native(native);
+            m.set_tier_policy(policy, true);
+            enable(&mut m);
+            assert_eq!(m.observed(), name != "none", "{name}");
+            let out = m.run(observer_program(), Value::Unit).unwrap();
+            let stats = m.stats();
+            if let Some(counts) = stats.opcodes {
+                assert_eq!(counts.0.iter().sum::<u64>(), stats.steps, "{label}");
+            }
+            if let Some(trace) = m.trace() {
+                assert_eq!(trace.entries.len() as u64, stats.steps, "{label}");
+            }
+            reports.push((
+                name,
+                out.to_string(),
+                m.output().to_string(),
+                Stats {
+                    opcodes: None,
+                    ..stats
+                },
+            ));
+        }
+        let (_, out, output, stats) = &reports[0];
+        assert_eq!(out, "0");
+        assert_eq!(output, "go");
+        assert!(stats.emitted > 0 && stats.arenas > 0 && stats.fused > 0);
+        assert_eq!((stats.calls, stats.freezes, stats.freeze_hits), (2, 1, 1));
+        if policy.is_some() {
+            assert!(stats.promotions > 0, "{label}");
+            assert_eq!(stats.tier_steps.iter().sum::<u64>(), stats.steps);
+        }
+        for (name, o, p, st) in &reports[1..] {
+            assert_eq!((o, p, st), (out, output, stats), "{name}, {label}");
+        }
+    }
 }
 
 // --- Adaptive tier controller ---

@@ -1,10 +1,11 @@
 //! The control-transfer and segment-mutating instructions: application,
 //! branching, `call`, and the merge family. These push control frames or
 //! freeze arena contents into a segment, so the dispatch loop must not
-//! run them under its instruction borrow — it saves the pc, releases the
-//! borrow, and calls one of these with the whole [`Machine`] (control
-//! stack and freeze cache included). `seg` is always the segment of the
-//! frame the instruction came from: block operands are relative to it.
+//! run them under its instruction borrow — it saves the pc (or pops the
+//! frame, when the transfer ends its block), releases the borrow, and
+//! calls one of these with the whole [`Machine`] (control stack and
+//! freeze cache included). `seg` is always the segment of the frame the
+//! instruction came from: block operands are relative to it.
 
 use super::state::mismatch;
 use super::{Machine, MachineError};

@@ -43,7 +43,8 @@ pub(crate) enum NativeRun {
     Step(NativeStep),
     /// Control transfer or segment mutator: dispatch the pre-cloned
     /// instruction through the machine's transfer table. Statically known
-    /// at lowering time, so the runner saves the pc before executing it.
+    /// at lowering time, so the runner saves the pc (or pops the finished
+    /// frame) before executing it.
     Transfer(Instr),
 }
 
