@@ -7,8 +7,8 @@
 //! table1             # the Table 1 reproduction
 //! table1 --json      # the same rows as JSON, plus an indexed-env
 //!                    # comparison column, fused-mode, flat-env, and
-//!                    # native-tier sections (rows_fused, rows_flat_env,
-//!                    # rows_native), and freeze-cache counters
+//!                    # tiered sections (rows_fused, rows_flat_env,
+//!                    # rows_tiered), and freeze-cache counters
 //! table1 --profile-pairs # dynamic opcode-pair histogram of the Table 1
 //!                    # workloads (the superinstruction selection data)
 //! table1 sweep-poly  # polynomial-degree sweep (E6)
@@ -218,7 +218,7 @@ fn deep_env(json: bool) {
 
 /// §4.2 ablation: the emission-time optimizer ("a more sophisticated
 /// specialization system might ... eliminate the instruction altogether
-/// if either [operand] is 0") on the Table 1 workloads.
+/// if either \[operand\] is 0") on the Table 1 workloads.
 fn optimize_ablation() {
     use mlbox::{Session, SessionOptions};
     let measure = |optimize: bool| {
@@ -293,24 +293,16 @@ fn table1(json: bool) {
             fuse: true,
             ..SessionOptions::default()
         };
-        let native_options = SessionOptions {
-            native: true,
-            ..SessionOptions::default()
-        };
         let (fused_rows, _) = table1_rows(&fuse_options);
         let (flat_rows, _) = table1_rows(&SessionOptions {
             flat_env: true,
             ..SessionOptions::default()
         });
-        let (native_rows, _) = table1_rows(&native_options);
         let (tiered_rows, tiered_stats) =
             mlbox_bench::table1_rows_tiered(mlbox::TierPolicy::default());
         let mut dispatch = mlbox_bench::dispatch_throughput(2_000).expect("dispatch");
         dispatch.extend(
             mlbox_bench::dispatch_throughput_with(2_000, &fuse_options).expect("fused dispatch"),
-        );
-        dispatch.extend(
-            mlbox_bench::dispatch_throughput_with(2_000, &native_options).expect("native dispatch"),
         );
         println!(
             "{}",
@@ -319,7 +311,6 @@ fn table1(json: bool) {
                 &rows,
                 &fused_rows,
                 &flat_rows,
-                &native_rows,
                 &tiered_rows,
                 &stats,
                 Some(&tiered_stats),

@@ -226,12 +226,7 @@ pub fn dispatch_throughput_with(
 ) -> Result<Vec<DispatchRow>, Error> {
     /// One filter run: returns (verdict, reduction steps).
     type FilterRun<'a> = &'a mut dyn FnMut(&mut FilterHarness) -> Result<(i64, u64), Error>;
-    let suffix = match (options.fuse, options.native) {
-        (true, true) => " (fused, native)",
-        (true, false) => " (fused)",
-        (false, true) => " (native)",
-        (false, false) => "",
-    };
+    let suffix = if options.fuse { " (fused)" } else { "" };
     let mut h = FilterHarness::with_options(&telnet_filter(), options.clone())?;
     let mut packets = PacketGen::new(1998);
     let telnet = packets.telnet(32);
@@ -269,10 +264,8 @@ pub fn dispatch_throughput_with(
 /// *not* `steps_indexed` — so line-oriented golden diffs of the two mode
 /// columns stay independent. `flat` rows (the same computations under
 /// `SessionOptions::flat_env`) likewise render as their own
-/// `rows_flat_env` array keyed `steps_flat_env`, and `native` rows (the
-/// same computations through the thread-coded tier,
-/// `SessionOptions::native`) as `rows_native` keyed `steps_native`,
-/// keeping all four lockfile greps line-disjoint. `tiered` rows (the
+/// `rows_flat_env` array keyed `steps_flat_env`, keeping all three
+/// lockfile greps line-disjoint. `tiered` rows (the
 /// same computations under the adaptive profile, which
 /// [`table1_rows_tiered`] asserts count plain-profile steps) render as
 /// `rows_tiered` keyed `steps_tiered`, with the controller's counters in
@@ -286,7 +279,6 @@ pub fn render_json(
     rows: &[Row],
     fused: &[Row],
     flat: &[Row],
-    native: &[Row],
     tiered: &[Row],
     machine: &ccam::machine::Stats,
     tiered_stats: Option<&ccam::machine::Stats>,
@@ -346,19 +338,6 @@ pub fn render_json(
         }
         out.push_str("  ]");
     }
-    if !native.is_empty() {
-        out.push_str(",\n  \"rows_native\": [\n");
-        for (i, r) in native.iter().enumerate() {
-            out.push_str(&format!(
-                "    {{\"label\": \"{}\", \"steps_native\": {}, \"emitted\": {}}}{}\n",
-                esc(&r.label),
-                r.steps,
-                r.emitted,
-                if i + 1 < native.len() { "," } else { "" }
-            ));
-        }
-        out.push_str("  ]");
-    }
     if !tiered.is_empty() {
         out.push_str(",\n  \"rows_tiered\": [\n");
         for (i, r) in tiered.iter().enumerate() {
@@ -374,8 +353,8 @@ pub fn render_json(
     }
     if let Some(ts) = tiered_stats {
         out.push_str(&format!(
-            ",\n  \"tier_controller\": {{\"promotions\": {}, \"refreezes\": {}, \"tier_steps\": [{}, {}, {}]}}",
-            ts.promotions, ts.refreezes, ts.tier_steps[0], ts.tier_steps[1], ts.tier_steps[2]
+            ",\n  \"tier_controller\": {{\"promotions\": {}, \"refreezes\": {}, \"tier_steps\": [{}, {}]}}",
+            ts.promotions, ts.refreezes, ts.tier_steps[0], ts.tier_steps[1]
         ));
     }
     out.push_str(&format!(
@@ -402,17 +381,9 @@ pub fn render_json(
 }
 
 /// A session preloaded with the paper's interpretive polynomial program
-/// (`evalPoly` and `polyl` — §3.1); the staging declarations are *not*
-/// yet run so their cost can be measured.
-///
-/// # Errors
-///
-/// Propagates any pipeline error.
-pub fn poly_session() -> Result<Session, Error> {
-    poly_session_with(SessionOptions::default())
-}
-
-/// [`poly_session`] with explicit session options (e.g. `indexed_env`).
+/// (`evalPoly` and `polyl` — §3.1) under `options` (e.g. `indexed_env`);
+/// the staging declarations are *not* yet run so their cost can be
+/// measured.
 ///
 /// # Errors
 ///
@@ -506,27 +477,6 @@ pub fn deep_env_program(depth: usize) -> String {
         }
     }
     s.push_str(&format!("in v0 + v{} end", depth - 1));
-    s
-}
-
-/// An access-heavy variant of the deep-environment workload, packaged as
-/// a reusable function so a benchmark can compile it once and measure
-/// only environment accesses: `sweep` builds a `depth`-deep `let` nest
-/// over its argument and then reads the *outermost* binding `reads`
-/// times. Per call, pair-spine mode pays `reads × depth` `fst`
-/// dispatches, indexed mode pays `reads` single-dispatch `acc`s that
-/// each still walk `depth` pair nodes, and flat mode answers each read
-/// with one bounds-checked slot load.
-pub fn deep_access_program(depth: usize, reads: usize) -> String {
-    assert!(depth >= 1, "need at least one binding");
-    assert!(reads >= 1, "need at least one read");
-    let mut s = String::from("fun sweep u = let val v0 = u\n");
-    for i in 1..depth {
-        s.push_str(&format!("val v{i} = v{} + 1\n", i - 1));
-    }
-    s.push_str("in ");
-    s.push_str(&vec!["v0"; reads].join(" + "));
-    s.push_str(" end");
     s
 }
 
@@ -645,7 +595,7 @@ mod tests {
             steps: 123,
             ..Default::default()
         };
-        let j = render_json("Table 1", &rows, &[], &[], &[], &[], &stats, None, &[]);
+        let j = render_json("Table 1", &rows, &[], &[], &[], &stats, None, &[]);
         assert!(j.contains("\"freezes\": 3"), "{j}");
         assert!(j.contains("\"freeze_hits\": 7"), "{j}");
         assert!(j.contains("\"paper\": null"), "{j}");
@@ -653,13 +603,12 @@ mod tests {
         assert!(!j.contains("dispatch"), "empty dispatch is omitted: {j}");
         assert!(!j.contains("rows_fused"), "empty fused is omitted: {j}");
         assert!(!j.contains("rows_flat_env"), "empty flat is omitted: {j}");
-        assert!(!j.contains("rows_native"), "empty native is omitted: {j}");
         let d = DispatchRow {
             label: "d".into(),
             steps: 2_000,
             nanos: 1_000_000,
         };
-        let j = render_json("Table 1", &rows, &[], &[], &[], &[], &stats, None, &[d]);
+        let j = render_json("Table 1", &rows, &[], &[], &[], &stats, None, &[d]);
         assert!(j.contains("\"steps_per_sec\": 2000000"), "{j}");
     }
 
@@ -684,7 +633,7 @@ mod tests {
     fn json_rendering_includes_indexed_comparison() {
         let rows = vec![Row::with_paper("r", 100, 0, 90).with_indexed(60)];
         let stats = ccam::machine::Stats::default();
-        let j = render_json("t", &rows, &[], &[], &[], &[], &stats, None, &[]);
+        let j = render_json("t", &rows, &[], &[], &[], &stats, None, &[]);
         assert!(j.contains("\"steps_indexed\": 60"), "{j}");
     }
 
@@ -692,13 +641,12 @@ mod tests {
     fn json_fused_rows_never_share_lines_with_the_mode_columns() {
         // The CI golden diff greps `"steps_indexed"|"freeze_cache"` for
         // the default/indexed pin, `"steps_fused"` for the fused pin,
-        // `"steps_flat_env"` for the flat pin, and `"steps_native"` for
-        // the native pin: the four line sets must be pairwise disjoint
-        // so each lockfile diff sees only its own column.
+        // and `"steps_flat_env"` for the flat pin: the three line sets
+        // must be pairwise disjoint so each lockfile diff sees only its
+        // own column.
         let rows = vec![Row::with_paper("r", 100, 0, 90).with_indexed(60)];
         let fused = vec![Row::new("r", 80, 0)];
         let flat = vec![Row::new("r", 60, 0)];
-        let native = vec![Row::new("r", 100, 0)];
         let tiered = vec![Row::new("r", 100, 0)];
         let stats = ccam::machine::Stats::default();
         let j = render_json(
@@ -706,7 +654,6 @@ mod tests {
             &rows,
             &fused,
             &flat,
-            &native,
             &tiered,
             &stats,
             Some(&stats),
@@ -714,14 +661,12 @@ mod tests {
         );
         assert!(j.contains("\"rows_fused\""), "{j}");
         assert!(j.contains("\"rows_flat_env\""), "{j}");
-        assert!(j.contains("\"rows_native\""), "{j}");
         assert!(j.contains("\"rows_tiered\""), "{j}");
         assert!(j.contains("\"tier_controller\""), "{j}");
         for line in j.lines() {
             if line.contains("\"steps_fused\"") {
                 assert!(!line.contains("\"steps_indexed\""), "{line}");
                 assert!(!line.contains("\"steps_flat_env\""), "{line}");
-                assert!(!line.contains("\"steps_native\""), "{line}");
                 assert!(!line.contains("\"freeze_cache\""), "{line}");
                 assert_eq!(
                     line.trim().trim_end_matches(','),
@@ -731,29 +676,16 @@ mod tests {
             if line.contains("\"steps_flat_env\"") {
                 assert!(!line.contains("\"steps_indexed\""), "{line}");
                 assert!(!line.contains("\"steps_fused\""), "{line}");
-                assert!(!line.contains("\"steps_native\""), "{line}");
                 assert!(!line.contains("\"freeze_cache\""), "{line}");
                 assert_eq!(
                     line.trim().trim_end_matches(','),
                     "{\"label\": \"r\", \"steps_flat_env\": 60, \"emitted\": 0}"
                 );
             }
-            if line.contains("\"steps_native\"") {
-                assert!(!line.contains("\"steps_indexed\""), "{line}");
-                assert!(!line.contains("\"steps_fused\""), "{line}");
-                assert!(!line.contains("\"steps_flat_env\""), "{line}");
-                assert!(!line.contains("\"steps_tiered\""), "{line}");
-                assert!(!line.contains("\"freeze_cache\""), "{line}");
-                assert_eq!(
-                    line.trim().trim_end_matches(','),
-                    "{\"label\": \"r\", \"steps_native\": 100, \"emitted\": 0}"
-                );
-            }
             if line.contains("\"steps_tiered\"") {
                 assert!(!line.contains("\"steps_indexed\""), "{line}");
                 assert!(!line.contains("\"steps_fused\""), "{line}");
                 assert!(!line.contains("\"steps_flat_env\""), "{line}");
-                assert!(!line.contains("\"steps_native\""), "{line}");
                 assert!(!line.contains("\"freeze_cache\""), "{line}");
                 assert_eq!(
                     line.trim().trim_end_matches(','),
@@ -782,6 +714,21 @@ mod tests {
         let spine_gap = deep_env_steps(2 * depth, &spine_opts).unwrap() - spine;
         let indexed_gap = deep_env_steps(2 * depth, &indexed_opts).unwrap() - indexed;
         assert!(indexed_gap < spine_gap, "{indexed_gap} vs {spine_gap}");
+    }
+
+    /// An access-heavy variant of the deep-environment workload, packaged
+    /// as a function so it compiles once and each call measures only
+    /// environment accesses: `sweep` builds a `depth`-deep `let` nest over
+    /// its argument and then reads the *outermost* binding `reads` times.
+    fn deep_access_program(depth: usize, reads: usize) -> String {
+        let mut s = String::from("fun sweep u = let val v0 = u\n");
+        for i in 1..depth {
+            s.push_str(&format!("val v{i} = v{} + 1\n", i - 1));
+        }
+        s.push_str("in ");
+        s.push_str(&vec!["v0"; reads].join(" + "));
+        s.push_str(" end");
+        s
     }
 
     #[test]

@@ -15,7 +15,6 @@ use mlbox_bench::table1_rows;
 const GOLDEN: &str = include_str!("../../../tests/golden/table1_steps.json");
 const GOLDEN_FUSED: &str = include_str!("../../../tests/golden/table1_steps_fused.json");
 const GOLDEN_FLAT: &str = include_str!("../../../tests/golden/table1_steps_flat_env.json");
-const GOLDEN_NATIVE: &str = include_str!("../../../tests/golden/table1_steps_native.json");
 
 /// Pulls `"key": <u64>` out of a JSON-ish line. Hand-rolled — the
 /// workspace carries no JSON dependency, and the lockfile's layout is
@@ -180,52 +179,6 @@ fn fused_table1_step_counts_match_their_own_lockfile_and_beat_default() {
             "`{glabel}`: fusion must never add steps ({} > {})",
             frow.steps,
             row.steps
-        );
-    }
-}
-
-#[test]
-fn native_table1_step_counts_match_their_own_lockfile_and_equal_interpreted() {
-    let golden: Vec<(&str, u64, u64)> = GOLDEN_NATIVE
-        .lines()
-        .filter(|l| l.contains("\"label\""))
-        .map(|l| {
-            (
-                label(l).expect("label"),
-                field(l, "steps_native").expect("steps_native"),
-                field(l, "emitted").expect("emitted"),
-            )
-        })
-        .collect();
-    assert_eq!(golden.len(), 10, "Table 1 has ten rows");
-
-    let (rows, _) = table1_rows(&SessionOptions::default());
-    let (native_rows, _) = table1_rows(&SessionOptions {
-        native: true,
-        ..SessionOptions::default()
-    });
-    assert_eq!(native_rows.len(), golden.len());
-    for ((nrow, row), (glabel, gsteps, gemitted)) in native_rows
-        .iter()
-        .zip(&rows)
-        .enumerate()
-        .map(|(i, r)| (r, golden[i]))
-    {
-        assert_eq!(nrow.label, glabel);
-        assert_eq!(
-            nrow.steps, gsteps,
-            "`{glabel}`: native-tier steps drifted from the lockfile"
-        );
-        assert_eq!(
-            nrow.emitted, gemitted,
-            "`{glabel}`: native-tier emitted count drifted from the lockfile"
-        );
-        // The native tier is a dispatch strategy, not a cost model: it
-        // must replay the interpreted column step for step. Any drift
-        // means a lowered closure diverged from its step function.
-        assert_eq!(
-            nrow.steps, row.steps,
-            "`{glabel}`: native steps diverged from interpreted steps"
         );
     }
 }

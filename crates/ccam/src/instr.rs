@@ -9,7 +9,7 @@
 //!
 //! Instructions are **flat**: nested code (`cur` bodies, branch arms,
 //! switch arms, recursive groups) is referenced by [`BlockId`] into the
-//! containing [`CodeSeg`](crate::seg::CodeSeg) rather than owned as a
+//! containing [`CodeSeg`] rather than owned as a
 //! nested vector, so an instruction is meaningful only relative to its
 //! segment (DESIGN.md §10).
 

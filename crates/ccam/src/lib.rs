@@ -61,7 +61,6 @@
 pub mod disasm;
 pub mod instr;
 pub mod machine;
-pub(crate) mod native;
 pub mod opt;
 pub mod portable;
 pub mod relocate;

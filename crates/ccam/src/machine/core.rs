@@ -5,9 +5,7 @@
 //! and the primitives.
 //!
 //! Every function takes the operands **already decoded** from the
-//! instruction, so the same template serves the interpreter's dispatch
-//! table (which decodes per step) and the thread-coded native tier
-//! (which decodes once at lowering time, see `crate::native`). None of
+//! instruction; the dispatch table's wrappers decode them. None of
 //! these appends to a segment's instruction vector or touches the
 //! control stack, so the interpreter may run them under its block
 //! borrow.

@@ -14,16 +14,12 @@
 //! # Backend layer
 //!
 //! Each opcode's semantics is a standalone step function over a shared
-//! [`state::MachineState`], grouped by family: [`core`] (CAM ops,
-//! constants, staging, primitives), [`env`] (environment projections and
-//! `env_cons`), [`fused`] (straight-line superinstructions), and
-//! [`transfer`] (control transfers over the whole machine). The
+//! `state::MachineState`, grouped by family: `core` (CAM ops,
+//! constants, staging, primitives), `env` (environment projections and
+//! `env_cons`), `fused` (straight-line superinstructions), and
+//! `transfer` (control transfers over the whole machine). The
 //! interpreter is a table-driven dispatcher over those functions
-//! ([`DISPATCH`], indexed by [`Instr::opcode`]); the thread-coded native
-//! tier ([`crate::native`], enabled by [`Machine::set_native`]) lowers a
-//! block once into pre-decoded closures over the *same* step functions,
-//! so the two tiers cannot drift semantically and step counts, fuel, and
-//! traces are identical by construction.
+//! (`DISPATCH`, indexed by [`Instr::opcode`]).
 
 pub(crate) mod core;
 pub(crate) mod env;
@@ -35,7 +31,6 @@ pub(crate) mod transfer;
 mod tests;
 
 use crate::instr::{Instr, OPCODE_COUNT, OPCODE_NAMES};
-use crate::native;
 use crate::seg::{BlockId, CodeRef, CodeSeg, TierProbe};
 use crate::value::{Arena, Value};
 use state::MachineState;
@@ -172,9 +167,9 @@ pub struct Stats {
     /// valid; the new rendering starts cold.
     pub refreezes: u64,
     /// Baseline reduction steps executed at each tier under an adaptive
-    /// policy (0 cold, 1 fused, 2 fused + native). Sums to `steps` when
-    /// the controller is enabled; all zero otherwise.
-    pub tier_steps: [u64; 3],
+    /// policy (0 cold, 1 fused). Sums to `steps` when the controller is
+    /// enabled; all zero otherwise.
+    pub tier_steps: [u64; 2],
     /// Per-opcode executed-step counts, when enabled by
     /// [`Machine::set_count_opcodes`].
     pub opcodes: Option<OpcodeCounts>,
@@ -200,7 +195,6 @@ impl Stats {
             tier_steps: [
                 self.tier_steps[0] - before.tier_steps[0],
                 self.tier_steps[1] - before.tier_steps[1],
-                self.tier_steps[2] - before.tier_steps[2],
             ],
             opcodes: match (&self.opcodes, &before.opcodes) {
                 (Some(after), Some(before)) => Some(after.delta_since(before)),
@@ -283,7 +277,6 @@ pub struct Machine {
     trace: Option<Trace>,
     optimize: bool,
     fuse: bool,
-    native: bool,
     /// The adaptive tier controller, when enabled by
     /// [`Machine::set_tier_policy`].
     adaptive: Option<Adaptive>,
@@ -296,9 +289,8 @@ pub struct Machine {
 
 /// The adaptive tier controller's policy knobs (ROADMAP item 4,
 /// DESIGN.md §15): how many activations a block runs cold before
-/// promotion, how many fusion rules its own profile may enable, and
-/// whether promoted blocks are also lowered to the native tier. One
-/// policy object replaces the eight hand-enumerated static flavors; the
+/// promotion and how many fusion rules its own profile may enable. One
+/// policy object replaces the hand-enumerated static flavors; the
 /// controller evaluates it per block, at run time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct TierPolicy {
@@ -308,18 +300,14 @@ pub struct TierPolicy {
     /// Maximum number of fusion rules enabled per promoted block, ranked
     /// by the block's own pair profile ([`crate::opt::select_rules`]).
     pub fuse_top_k: usize,
-    /// Whether promoted blocks are additionally lowered to the
-    /// thread-coded native tier (tier 2 instead of tier 1).
-    pub use_native: bool,
 }
 
 impl Default for TierPolicy {
-    /// Promote after 8 activations, every profitable rule, native on.
+    /// Promote after 8 activations, every profitable rule.
     fn default() -> Self {
         TierPolicy {
             promote_after: 8,
             fuse_top_k: crate::opt::FUSE_RULE_COUNT,
-            use_native: true,
         }
     }
 }
@@ -630,18 +618,8 @@ static DISPATCH: [Dispatch; OPCODE_COUNT] = [
     Dispatch::Step(s_env_cons),         // 30 env_cons
 ];
 
-/// Whether an opcode transfers control (or mutates segments) — i.e. must
-/// not run under the dispatch loop's instruction borrow. The native tier
-/// uses this to decide statically, at lowering time, where a block's
-/// straight-line runs end.
-pub(crate) fn is_transfer(opcode: usize) -> bool {
-    matches!(DISPATCH[opcode], Dispatch::Transfer(_))
-}
-
 /// The rendering applied when freezing an arena, per `(optimize, fuse)`
-/// combination (the low two bits of the freeze flavor). The native bit
-/// selects a distinct cache slot but the same rendering — lowering is
-/// memoized per frozen block, not re-rendered.
+/// combination (the freeze flavor).
 type FreezeRender = fn(&CodeSeg, &[Instr]) -> Vec<Instr>;
 
 fn render_plain(_seg: &CodeSeg, instrs: &[Instr]) -> Vec<Instr> {
@@ -653,8 +631,7 @@ fn render_optimize_fuse(seg: &CodeSeg, instrs: &[Instr]) -> Vec<Instr> {
     crate::opt::fuse(seg, &optimized)
 }
 
-/// Indexed by `flavor & 0b11` where the flavor is
-/// `optimize | fuse << 1 | native << 2`.
+/// Indexed by the flavor `optimize | fuse << 1`.
 const FREEZE_RENDERS: [FreezeRender; 4] = [
     render_plain,
     crate::opt::peephole,
@@ -677,7 +654,6 @@ impl Machine {
             trace: None,
             optimize: false,
             fuse: false,
-            native: false,
             adaptive: None,
             pair_profile: None,
         }
@@ -719,29 +695,12 @@ impl Machine {
         self.fuse
     }
 
-    /// Enables the thread-coded native tier (DESIGN.md §13): blocks are
-    /// lowered once into flat arrays of pre-decoded op closures
-    /// ([`crate::native`]) and dispatched without per-step instruction
-    /// decode. Frozen code is lowered eagerly at freeze time; everything
-    /// else on first execution, memoized per block. Identical semantics,
-    /// step counts, fuel accounting, traces, and profiles — only the
-    /// dispatch mechanism changes.
-    pub fn set_native(&mut self, on: bool) {
-        self.native = on;
-    }
-
-    /// Whether the thread-coded native tier is enabled.
-    pub fn native(&self) -> bool {
-        self.native
-    }
-
     /// Enables (`Some`) or disables (`None`) the adaptive tier
     /// controller. While enabled, every frame activation consults the
     /// executed block's per-segment counters: cold blocks run plainly,
     /// and a block whose activation count crosses
     /// [`TierPolicy::promote_after`] is re-rendered through
-    /// profile-selected fusion (and, under [`TierPolicy::use_native`],
-    /// native lowering) — a promotion that is invisible to every
+    /// profile-selected fusion — a promotion that is invisible to every
     /// observable: verdicts, step counts, fuel, and output are identical
     /// to the cold execution at every promotion point.
     ///
@@ -780,24 +739,23 @@ impl Machine {
         self.pair_profile.as_deref()
     }
 
-    /// The cache slot this machine's flags select in the 8-way
-    /// `(optimize × fuse × native)` freeze lattice.
+    /// The cache slot this machine's flags select in the 4-way
+    /// `(optimize × fuse)` freeze lattice.
     fn freeze_flavor(&self) -> usize {
-        usize::from(self.optimize) | usize::from(self.fuse) << 1 | usize::from(self.native) << 2
+        usize::from(self.optimize) | usize::from(self.fuse) << 1
     }
 
     /// Freezes an arena, applying the optimizer when enabled. Served from
     /// the arena's snapshot cache whenever the arena has not grown since
     /// the previous freeze of the same flavor, so specialize-once /
-    /// run-many programs pay for copying, optimization, and native
-    /// lowering once.
+    /// run-many programs pay for copying and optimization once.
     fn freeze(&mut self, arena: &Arena) -> CodeRef {
-        // One cache slot per (optimize, fuse, native) flavor, so machines
-        // with different flags sharing an arena never serve each other's
+        // One cache slot per (optimize, fuse) flavor, so machines with
+        // different flags sharing an arena never serve each other's
         // rendering.
         let flavor = self.freeze_flavor();
         let stale = arena.snapshot_len(flavor).is_some_and(|l| l != arena.len());
-        let (code, hit) = arena.freeze_slot(flavor, FREEZE_RENDERS[flavor & 0b11]);
+        let (code, hit) = arena.freeze_slot(flavor, FREEZE_RENDERS[flavor]);
         if hit {
             self.state.stats.freeze_hits += 1;
         } else {
@@ -809,11 +767,6 @@ impl Machine {
                 // replacement is a fresh block that starts cold.
                 self.state.stats.refreezes += 1;
             }
-        }
-        if self.native {
-            // Lower the frozen block now: run-many programs pay for the
-            // operand decode at freeze time, never on the run path.
-            native::lowered(&code.seg, code.block);
         }
         code
     }
@@ -897,19 +850,21 @@ impl Machine {
         result
     }
 
-    /// Per-instruction accounting, identical across the interpreted and
-    /// native tiers: the opcode-pair profile chain, the bounded trace,
-    /// the step and per-opcode counters, and the fuel check — with a
-    /// step that exhausts the budget counted but not executed. Runs only
-    /// when [`Machine::observed`]; otherwise both tiers just
-    /// [`count_step`](Machine::count_step).
+    /// Per-instruction accounting: the opcode-pair profile chain, the
+    /// bounded trace, the step and per-opcode counters, and the fuel
+    /// check — with a step that exhausts the budget counted but not
+    /// executed. Runs only when [`Machine::observed`]; otherwise the loop
+    /// just calls [`count_step`](Machine::count_step).
     ///
     /// `step_charge` is how many steps this dispatch counts as: 1
     /// normally, its baseline-unit cost under an adaptive policy (so a
     /// promoted block's fused dispatches report exactly the steps their
     /// cold rendering would have). `tier` attributes the charge in
     /// [`Stats::tier_steps`].
-    #[inline]
+    ///
+    /// Kept out of line: inlined into `steps_loop` it crowds
+    /// the unobserved path, which every benchmark workload runs.
+    #[inline(never)]
     #[allow(clippy::too_many_arguments)]
     fn account(
         &mut self,
@@ -977,8 +932,8 @@ impl Machine {
 
     /// Whether anything observes individual steps: a trace, the pair
     /// profile, a fuel budget, or per-opcode counts. When nothing does,
-    /// counting the step is all [`Machine::account`] would do, so both
-    /// tiers skip it. No step or transfer function touches this
+    /// counting the step is all [`Machine::account`] would do, so the
+    /// loop skips it. No step or transfer function touches this
     /// configuration, so it is decided once per run (DESIGN.md §13.6).
     fn observed(&self) -> bool {
         self.trace.is_some()
@@ -1027,11 +982,6 @@ impl Machine {
                 None => (block, 0),
             };
             let (start, len) = seg.block_bounds(block);
-            if self.native || tier == 2 {
-                let lowered = native::lowered(&seg, block);
-                self.run_native_block(&seg, block, &lowered, pc, tier, observed)?;
-                continue 'frames;
-            }
             let instrs = seg.borrow_instrs();
             // Opcode-pair chain for the dynamic profile: adjacency is
             // only meaningful within one straight-line run, so the chain
@@ -1080,67 +1030,6 @@ impl Machine {
         }
     }
 
-    /// Runs one activation of a thread-coded block, from `pc` to the next
-    /// control transfer or the block's end. Accounting is byte-for-byte
-    /// the interpreter's ([`Machine::account`] with the op's pre-computed
-    /// opcode, mnemonic, and fuel charge, under the same run-wide
-    /// `observed` flag), so steps, traces, profiles, and fuel exhaust
-    /// identically in both tiers.
-    fn run_native_block(
-        &mut self,
-        seg: &CodeSeg,
-        block: BlockId,
-        code: &native::NativeBlock,
-        mut pc: usize,
-        tier: usize,
-        observed: bool,
-    ) -> Result<(), MachineError> {
-        let mut prev_op: Option<usize> = None;
-        let charge_mode = self.adaptive.map(|a| a.spine_units);
-        while let Some(op) = code.ops.get(pc) {
-            pc += 1;
-            let charge = match charge_mode {
-                None => 1,
-                Some(true) => op.fuel,
-                Some(false) => indexed_charge(op.opcode),
-            };
-            if observed {
-                self.account(
-                    block,
-                    pc - 1,
-                    op.opcode,
-                    op.mnemonic,
-                    op.fuel,
-                    charge,
-                    tier,
-                    &mut prev_op,
-                )?;
-            } else {
-                self.count_step(charge, tier);
-            }
-            match &op.run {
-                native::NativeRun::Step(step) => step(&mut self.state, seg)?,
-                native::NativeRun::Transfer(instr) => {
-                    // Transfers are statically known at lowering time, so
-                    // the pc is saved (or the finished frame popped)
-                    // before the op runs — the frame the transfer pushes
-                    // must not receive it.
-                    self.leave_for_transfer(pc, code.ops.len());
-                    match &DISPATCH[op.opcode] {
-                        Dispatch::Transfer(run) => run(self, seg, instr)?,
-                        Dispatch::Step(_) => unreachable!("step op lowered as transfer"),
-                    }
-                    self.state.note_stack_depth();
-                    return Ok(());
-                }
-            }
-            self.state.note_stack_depth();
-        }
-        // Block exhausted: return to the caller's frame.
-        self.control.pop();
-        Ok(())
-    }
-
     /// The tier controller's frame-activation hook: counts one
     /// activation of `block`, redirects to its promoted rendering if one
     /// exists, and performs the promotion itself when the block's own
@@ -1181,8 +1070,7 @@ impl Machine {
         }
         // Promote: re-render the block's straight line from its own
         // profile — the static pair histogram of the instructions every
-        // activation executes, ranked by `fuse_top_k` — then optionally
-        // lower the result to the native tier.
+        // activation executes, ranked by `fuse_top_k`.
         let instrs = seg.block_to_vec(block);
         let mut sel = crate::opt::select_rules(&instrs, ad.policy.fuse_top_k);
         if !ad.spine_units {
@@ -1194,17 +1082,10 @@ impl Machine {
         }
         let (fused, changed) = crate::opt::fuse_selected(&instrs, &sel);
         let promoted = if changed { seg.add_block(fused) } else { block };
-        let level = if ad.policy.use_native {
-            native::lowered(seg, promoted);
-            2
-        } else if changed {
-            1
-        } else {
-            // Nothing to fuse and no native tier: record the decision
-            // (so it is not re-made every activation) but the block
-            // keeps running cold.
-            0
-        };
+        // With nothing to fuse the decision is still recorded (so it is
+        // not re-made every activation), but the block keeps running
+        // cold.
+        let level = u8::from(changed);
         seg.tier_promote(block, promoted, level);
         self.state.stats.promotions += 1;
         if promoted != block {

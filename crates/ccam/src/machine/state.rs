@@ -9,9 +9,8 @@ use std::rc::Rc;
 /// output buffer. Control (the frame stack) and the dispatch-policy flags
 /// stay on [`super::Machine`] — no straight-line opcode touches them — so
 /// the per-opcode step functions in [`super::core`], [`super::env`], and
-/// [`super::fused`] can be called both from the interpreter's dispatch
-/// table and from the thread-coded native tier (`crate::native`) without
-/// borrowing the whole machine.
+/// [`super::fused`] can be called from the interpreter's dispatch table
+/// without borrowing the whole machine.
 #[derive(Debug, Default)]
 pub(crate) struct MachineState {
     /// The value stack `S`.
@@ -25,7 +24,7 @@ pub(crate) struct MachineState {
     /// fused superinstruction counts one *step* but charges fuel for
     /// every component it replaced, so a fuel budget bounds the same
     /// amount of work in every execution mode (`indexed_env`, `fuse`,
-    /// flat environments, the native tier) — no dispatch encoding can be
+    /// flat environments, tier promotion) — no dispatch encoding can be
     /// used to smuggle extra work past a per-run limit.
     pub(crate) fuel_spent: u64,
     /// Everything `print` has written.

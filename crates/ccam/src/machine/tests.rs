@@ -70,7 +70,7 @@ fn dispatch_table_covers_every_opcode() {
                 | Instr::AccApp(_)
         );
         assert_eq!(
-            is_transfer(i.opcode()),
+            matches!(DISPATCH[i.opcode()], Dispatch::Transfer(_)),
             transfers,
             "{} dispatch kind",
             i.mnemonic()
@@ -342,22 +342,19 @@ fn recclos_supports_recursion() {
 fn tail_transfers_do_not_grow_the_control_stack() {
     // A transfer that ends its block pops the finished frame instead of
     // leaving it to be popped after the callee returns, so a tail loop
-    // runs in constant control space — observed or not, in both tiers.
-    for native in [false, true] {
-        for fuel in [None, Some(u64::MAX)] {
-            let seg = CodeSeg::new();
-            let prog = seg.entry(countdown(&seg, 100_000));
-            let mut m = Machine::new();
-            m.state.fuel = fuel;
-            m.set_native(native);
-            let out = m.run(prog, Value::Unit).unwrap();
-            assert!(matches!(out, Value::Int(0)));
-            assert!(
-                m.control.capacity() < 8,
-                "native {native}, fuel {fuel:?}: control stack grew to {}",
-                m.control.capacity()
-            );
-        }
+    // runs in constant control space, observed or not.
+    for fuel in [None, Some(u64::MAX)] {
+        let seg = CodeSeg::new();
+        let prog = seg.entry(countdown(&seg, 100_000));
+        let mut m = Machine::new();
+        m.state.fuel = fuel;
+        let out = m.run(prog, Value::Unit).unwrap();
+        assert!(matches!(out, Value::Int(0)));
+        assert!(
+            m.control.capacity() < 8,
+            "fuel {fuel:?}: control stack grew to {}",
+            m.control.capacity()
+        );
     }
 }
 
@@ -1051,124 +1048,6 @@ fn pair_profile_counts_adjacent_dispatches() {
     assert_eq!(total, 2, "n instructions -> n-1 adjacent pairs");
 }
 
-// ------------------------------------------------------------------
-// Thread-coded native tier (`Machine::set_native`).
-// ------------------------------------------------------------------
-
-/// An RTCG workload exercising both static and frozen code: a generator
-/// that emits an add chain, called three times.
-fn rtcg_program() -> (CodeRef, Value) {
-    let a = Arena::new();
-    for _ in 0..8 {
-        a.push(Instr::Push);
-        a.push(Instr::Quote(Value::Int(2)));
-        a.push(Instr::ConsPair);
-        a.push(Instr::Prim(PrimOp::Add));
-    }
-    let gen = Value::pair(Value::Int(1), Value::Arena(a));
-    let prog = entry(vec![
-        Instr::Call,
-        Instr::Quote(gen.clone()),
-        Instr::Call,
-        Instr::Quote(gen.clone()),
-        Instr::Call,
-    ]);
-    (prog, gen)
-}
-
-#[test]
-fn native_tier_agrees_with_the_interpreter() {
-    let (prog, gen) = rtcg_program();
-    let mut interp = Machine::new();
-    let v1 = interp.run(prog.clone(), gen.clone()).unwrap();
-    let mut native = Machine::new();
-    native.set_native(true);
-    let v2 = native.run(prog, gen).unwrap();
-    assert_eq!(v1.to_string(), v2.to_string());
-    assert_eq!(
-        interp.stats().steps,
-        native.stats().steps,
-        "same reduction steps in both tiers"
-    );
-    assert_eq!(interp.stats().emitted, native.stats().emitted);
-    assert_eq!(interp.stats().calls, native.stats().calls);
-}
-
-#[test]
-fn native_tier_traces_and_counts_like_the_interpreter() {
-    // Fresh program per machine: the two tiers freeze through different
-    // cache slots, so sharing one arena would give the second machine's
-    // frozen code a later block number (same contents, different id).
-    let (prog, gen) = rtcg_program();
-    let mut interp = Machine::new();
-    interp.set_trace(64);
-    interp.set_count_opcodes(true);
-    interp.run(prog, gen).unwrap();
-    let (prog, gen) = rtcg_program();
-    let mut native = Machine::new();
-    native.set_native(true);
-    native.set_trace(64);
-    native.set_count_opcodes(true);
-    native.run(prog, gen).unwrap();
-    assert_eq!(
-        interp.trace().unwrap().entries,
-        native.trace().unwrap().entries,
-        "identical (block, pc, mnemonic) trace"
-    );
-    assert_eq!(interp.stats().opcodes, native.stats().opcodes);
-}
-
-#[test]
-fn native_tier_exhausts_fuel_on_the_same_step() {
-    let (prog, gen) = rtcg_program();
-    // Find the interpreter's total fuel, then check every budget around
-    // the boundary agrees across tiers.
-    let mut probe = Machine::new();
-    probe.run(prog.clone(), gen.clone()).unwrap();
-    let total = probe.stats().steps; // all ops here charge fuel 1
-    for budget in [total - 1, total, total + 1] {
-        let mut interp = Machine::with_fuel(budget);
-        let r1 = interp.run(prog.clone(), gen.clone());
-        let mut native = Machine::with_fuel(budget);
-        native.set_native(true);
-        let r2 = native.run(prog.clone(), gen.clone());
-        assert_eq!(r1.is_err(), r2.is_err(), "budget {budget}");
-    }
-}
-
-#[test]
-fn native_freeze_lowers_eagerly_and_hits_its_own_cache_slot() {
-    let a = Arena::new();
-    a.push(Instr::Quote(Value::Int(9)));
-    let gen = Value::pair(Value::Unit, Value::Arena(a));
-    let prog = entry(vec![
-        Instr::Quote(gen.clone()),
-        Instr::Call,
-        Instr::Quote(gen.clone()),
-        Instr::Call,
-    ]);
-    let mut native = Machine::new();
-    native.set_native(true);
-    let out = native.run(prog.clone(), Value::Unit).unwrap();
-    assert!(matches!(out, Value::Int(9)));
-    assert_eq!(native.stats().freezes, 1, "second call hits the cache");
-    assert_eq!(native.stats().freeze_hits, 1);
-    // A plain machine sharing the arena freezes into its own slot.
-    let mut plain = Machine::new();
-    plain.run(prog, Value::Unit).unwrap();
-    assert_eq!(plain.stats().freezes, 1, "native slot does not leak");
-}
-
-#[test]
-fn native_tier_reports_errors_like_the_interpreter() {
-    let err = |native: bool| {
-        let mut m = Machine::new();
-        m.set_native(native);
-        m.run(entry(vec![Instr::Fst]), Value::Int(3)).unwrap_err()
-    };
-    assert_eq!(err(false), err(true));
-}
-
 // --- Unobserved vs observed accounting ---
 
 /// A program touching every counter an unobserved run still reports:
@@ -1216,24 +1095,17 @@ fn observers_do_not_change_what_a_run_reports() {
         ("trace", |m| m.set_trace(1 << 20)),
         ("pairs", |m| m.set_profile_pairs(true)),
     ];
-    // Both tiers, and the tier controller (which counts steps in
-    // baseline units on either path) promoting from the first
-    // activation. A trace suppresses promotion, so it is left out there.
-    let configs = [
-        (false, None),
-        (true, None),
-        (false, Some(tier_policy(0, false))),
-        (false, Some(tier_policy(0, true))),
-    ];
-    for (native, policy) in configs {
-        let label = format!("native {native}, policy {policy:?}");
+    // Plain, and the tier controller (which counts steps in baseline
+    // units on either path) promoting from the first activation. A trace
+    // suppresses promotion, so it is left out there.
+    for policy in [None, Some(tier_policy(0))] {
+        let label = format!("policy {policy:?}");
         let mut reports = Vec::new();
         for (name, enable) in observers {
             if policy.is_some() && name == "trace" {
                 continue;
             }
             let mut m = Machine::new();
-            m.set_native(native);
             m.set_tier_policy(policy, true);
             enable(&mut m);
             assert_eq!(m.observed(), name != "none", "{name}");
@@ -1272,11 +1144,10 @@ fn observers_do_not_change_what_a_run_reports() {
 
 // --- Adaptive tier controller ---
 
-fn tier_policy(promote_after: u64, use_native: bool) -> TierPolicy {
+fn tier_policy(promote_after: u64) -> TierPolicy {
     TierPolicy {
         promote_after,
         fuse_top_k: crate::opt::FUSE_RULE_COUNT,
-        use_native,
     }
 }
 
@@ -1308,7 +1179,7 @@ fn adaptive_promotion_is_invisible_in_steps_and_verdicts() {
     let (code, input) = apply_program();
     let mut plain = Machine::new();
     let mut tiered = Machine::new();
-    tiered.set_tier_policy(Some(tier_policy(2, true)), true);
+    tiered.set_tier_policy(Some(tier_policy(2)), true);
     for round in 0..6 {
         let before_p = plain.stats();
         let before_t = tiered.stats();
@@ -1328,10 +1199,7 @@ fn adaptive_promotion_is_invisible_in_steps_and_verdicts() {
         stats.steps,
         "tier steps partition the total"
     );
-    assert!(
-        stats.tier_steps[2] > 0,
-        "hot rounds ran on the native tier: {stats:?}"
-    );
+    assert!(stats.tier_steps[1] > 0, "hot rounds ran fused: {stats:?}");
     assert!(stats.tier_steps[0] > 0, "cold rounds ran interpreted");
 }
 
@@ -1341,7 +1209,7 @@ fn adaptive_promote_after_zero_promotes_before_first_execution() {
     let mut plain = Machine::new();
     let vp = plain.run(code.clone(), input.clone()).unwrap();
     let mut tiered = Machine::new();
-    tiered.set_tier_policy(Some(tier_policy(0, false)), true);
+    tiered.set_tier_policy(Some(tier_policy(0)), true);
     let vt = tiered.run(code.clone(), input.clone()).unwrap();
     assert_eq!(vp.to_string(), vt.to_string());
     assert_eq!(plain.stats().steps, tiered.stats().steps);
@@ -1365,7 +1233,7 @@ fn adaptive_fuel_exhaustion_matches_plain_at_every_budget() {
         let mut p = Machine::with_fuel(budget);
         let rp = p.run(code.clone(), input.clone());
         let mut t = Machine::with_fuel(budget);
-        t.set_tier_policy(Some(tier_policy(0, true)), true);
+        t.set_tier_policy(Some(tier_policy(0)), true);
         let rt = t.run(code.clone(), input.clone());
         assert_eq!(rp.is_err(), rt.is_err(), "budget {budget}");
         assert_eq!(
@@ -1397,7 +1265,7 @@ fn adaptive_matches_an_indexed_baseline_too() {
     let mut plain = Machine::new();
     let vp = plain.run(code.clone(), spine.clone()).unwrap();
     let mut tiered = Machine::new();
-    tiered.set_tier_policy(Some(tier_policy(0, true)), false);
+    tiered.set_tier_policy(Some(tier_policy(0)), false);
     let vt = tiered.run(code.clone(), spine.clone()).unwrap();
     assert_eq!(vp.to_string(), vt.to_string());
     assert_eq!(vp.to_string(), "7");
@@ -1409,7 +1277,7 @@ fn adaptive_matches_an_indexed_baseline_too() {
         let mut p = Machine::with_fuel(budget);
         let rp = p.run(code.clone(), spine.clone());
         let mut t = Machine::with_fuel(budget);
-        t.set_tier_policy(Some(tier_policy(0, true)), false);
+        t.set_tier_policy(Some(tier_policy(0)), false);
         let rt = t.run(code.clone(), spine.clone());
         assert_eq!(rp.is_err(), rt.is_err(), "budget {budget}");
         assert_eq!(p.stats().steps, t.stats().steps, "budget {budget}");
@@ -1424,7 +1292,7 @@ fn tracing_suppresses_promotion_and_observes_the_cold_rendering() {
     plain.run(code.clone(), input.clone()).unwrap();
     let want = plain.trace().unwrap().mnemonics();
     let mut tiered = Machine::new();
-    tiered.set_tier_policy(Some(tier_policy(0, true)), true);
+    tiered.set_tier_policy(Some(tier_policy(0)), true);
     tiered.set_trace(64);
     for _ in 0..3 {
         tiered.run(code.clone(), input.clone()).unwrap();
@@ -1447,7 +1315,7 @@ fn adaptive_promotes_generated_code_frozen_by_call() {
     let vp = plain.run(prog.clone(), Value::Unit).unwrap();
     let plain_steps = plain.stats().steps;
     let mut tiered = Machine::new();
-    tiered.set_tier_policy(Some(tier_policy(1, true)), true);
+    tiered.set_tier_policy(Some(tier_policy(1)), true);
     for round in 0..4 {
         let before = tiered.stats();
         let vt = tiered.run(prog.clone(), Value::Unit).unwrap();

@@ -140,7 +140,7 @@ pub const FUSE_RULE_NAMES: [&str; FUSE_RULE_COUNT] = [
     "acc_app",
 ];
 
-/// Which fusion rules a [`fuse_pass`] run may apply. The static `fuse`
+/// Which fusion rules a `fuse_pass` run may apply. The static `fuse`
 /// entry points enable everything; the adaptive tier controller derives
 /// a selection from a block's own pair profile ([`select_rules`]), so
 /// the fused-pair set is a parameter, not a global constant.

@@ -20,7 +20,7 @@
 //!   `ref` cells, arrays. Those are the escape hatches that must not leak
 //!   into a cross-thread artifact.
 //! - **hydration** ([`PortableValue::hydrate`], [`hydrate_code`]): the
-//!   inverse, rebuilding a machine-native segment inside whichever thread
+//!   inverse, rebuilding a machine segment inside whichever thread
 //!   wants to execute the code. Because the portable form is already flat
 //!   with index-based block references, hydration is a single pass that
 //!   copies the block table verbatim — portable block `i` becomes
@@ -601,7 +601,7 @@ impl PortableValue {
         self.uses_frames
     }
 
-    /// Rebuilds a machine-native value inside the calling thread: one
+    /// Rebuilds a machine value inside the calling thread: one
     /// fresh segment (the block table copies over verbatim), then the
     /// value graph. Sharing present at extraction time is restored.
     pub fn hydrate(&self) -> Value {
@@ -633,7 +633,7 @@ pub fn extract_code(c: &CodeRef) -> Result<PortableCode, ExtractError> {
     })
 }
 
-/// Rebuilds machine-native code inside the calling thread (one fresh
+/// Rebuilds machine code inside the calling thread (one fresh
 /// segment per call).
 pub fn hydrate_code(c: &PortableCode) -> CodeRef {
     let h = hydrate_seg(&c.seg);

@@ -45,8 +45,6 @@ struct SegInner {
     opt_memo: RefCell<HashMap<u32, u32>>,
     /// Fusion memo: source block → fused block (see `opt::fuse`).
     fuse_memo: RefCell<HashMap<u32, u32>>,
-    /// Thread-coded lowerings: block → its native tier (see `native`).
-    native_memo: RefCell<HashMap<u32, Rc<crate::native::NativeBlock>>>,
     /// Adaptive tier controller state, indexed by block id (block ids
     /// are dense, so a flat table makes the per-activation lookup an
     /// index instead of a hash). Entries only ever gain information:
@@ -64,7 +62,7 @@ pub(crate) struct TierState {
     /// May be the block itself when fusion found nothing to rewrite.
     pub promoted: Option<BlockId>,
     /// The tier this block runs at when executed directly
-    /// (0 cold, 1 fused, 2 fused + native-lowered).
+    /// (0 cold, 1 fused).
     pub level: u8,
 }
 
@@ -223,10 +221,7 @@ impl CodeSeg {
     /// the instruction vector (each instruction passed through `instr`,
     /// which re-points embedded values), the block table, and the
     /// opt/fuse/tier memo tables, so every [`BlockId`] of `from` names
-    /// the same code here and the copy starts at the same tiers. Native
-    /// lowerings are redone from the copied instructions rather than
-    /// shared, because a lowered op may capture a value that holds a
-    /// segment handle.
+    /// the same code here and the copy starts at the same tiers.
     pub(crate) fn fill_from(&self, from: &CodeSeg, instr: impl FnMut(&Instr) -> Instr) {
         debug_assert!(self.num_blocks() == 0, "fill_from targets an empty segment");
         let src = &from.0;
@@ -241,10 +236,6 @@ impl CodeSeg {
             .borrow_mut()
             .clone_from(&src.fuse_memo.borrow());
         self.0.tier.borrow_mut().clone_from(&src.tier.borrow());
-        let lowered: Vec<u32> = src.native_memo.borrow().keys().copied().collect();
-        for b in lowered {
-            crate::native::lowered(self, BlockId(b));
-        }
     }
 
     /// The peephole memo (source block → optimized block), shared by all
@@ -265,17 +256,6 @@ impl CodeSeg {
 
     pub(crate) fn fuse_memo_put(&self, from: BlockId, to: BlockId) {
         self.0.fuse_memo.borrow_mut().insert(from.0, to.0);
-    }
-
-    /// The thread-coded lowering memo (block → native tier), shared by
-    /// all handles to this segment. Blocks are immutable ranges, so a
-    /// cached lowering never goes stale.
-    pub(crate) fn native_memo_get(&self, b: BlockId) -> Option<Rc<crate::native::NativeBlock>> {
-        self.0.native_memo.borrow().get(&b.0).cloned()
-    }
-
-    pub(crate) fn native_memo_put(&self, b: BlockId, lowered: Rc<crate::native::NativeBlock>) {
-        self.0.native_memo.borrow_mut().insert(b.0, lowered);
     }
 
     /// The tier controller's per-activation probe, everything in one

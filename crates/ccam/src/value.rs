@@ -66,7 +66,7 @@ pub struct Frame {
 /// threads each arena linearly, so the sharing is unobservable.
 ///
 /// Freezing is cached: the arena remembers the last frozen block (one
-/// slot per machine flavor — the optimize × fuse × native lattice)
+/// slot per machine flavor — the optimize × fuse lattice)
 /// together with the staging length it covered.
 /// Instructions are only ever appended, so a length match proves the
 /// cached block is still the current contents, and re-freezing a finished
@@ -89,9 +89,9 @@ impl Default for Arena {
 }
 
 impl Arena {
-    /// One freeze-cache slot per machine flavor: the optimize × fuse ×
-    /// native bit lattice (`Machine::freeze_flavor`).
-    pub const FLAVOR_SLOTS: usize = 8;
+    /// One freeze-cache slot per machine flavor: the optimize × fuse bit
+    /// lattice (`Machine::freeze_flavor`).
+    pub const FLAVOR_SLOTS: usize = 4;
 
     /// A fresh empty arena freezing into its own new segment.
     pub fn new() -> Rc<Self> {
@@ -173,8 +173,8 @@ impl Arena {
     }
 
     /// Freezes through an explicit cache slot — one per machine flavor
-    /// (`Machine::freeze_flavor`: bit 0 optimize, bit 1 fuse, bit 2
-    /// native), so machines running with different flags never serve
+    /// (`Machine::freeze_flavor`: bit 0 optimize, bit 1 fuse), so
+    /// machines running with different flags never serve
     /// each other's rendering of the same arena.
     ///
     /// # Panics
@@ -301,7 +301,7 @@ impl Value {
     /// Extends an environment with one binding — the dynamics of
     /// `Instr::EnvCons`. A uniquely-owned frame grows in place; a shared
     /// frame (captured by some closure or the session) is either copied
-    /// while small (see [`Self::COMPACT_SLOTS`]) or linked to from a
+    /// while small (see `Self::COMPACT_SLOTS`) or linked to from a
     /// fresh frame; any other environment value becomes the `link` of a
     /// first frame. Frames are immutable as values, so every branch
     /// denotes the same extended environment.

@@ -152,7 +152,6 @@ pub fn machine_for(options: &SessionOptions) -> Machine {
     machine.set_optimize(options.optimize);
     machine.set_count_opcodes(options.count_opcodes);
     machine.set_fuse(options.fuse);
-    machine.set_native(options.native);
     if let Some(policy) = options.adaptive {
         // Step charges stay in the baseline cost model the compiler
         // targets: pair-spine units unless accesses compile to

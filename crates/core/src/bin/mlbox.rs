@@ -13,8 +13,8 @@ use std::io::{BufRead, Write};
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let result = match args.first().map(String::as_str) {
-        Some("run") => run_file(args.get(1), false),
-        Some("check") => run_file(args.get(1), true),
+        Some("run") => run_file(args.get(1)),
+        Some("check") => check_file(args.get(1)),
         Some("eval") => eval_expr(args.get(1)),
         Some("repl") | None => repl(),
         Some(other) => {
@@ -33,26 +33,31 @@ fn usage() {
     eprintln!("usage: mlbox [run FILE | check FILE | eval EXPR | repl]");
 }
 
-fn run_file(path: Option<&String>, check_only: bool) -> Result<(), Box<dyn std::error::Error>> {
+fn read_source(path: Option<&String>) -> Result<String, Box<dyn std::error::Error>> {
     let Some(path) = path else {
         usage();
         std::process::exit(2);
     };
-    let src = std::fs::read_to_string(path)?;
-    let mut session = Session::new()?;
-    if check_only {
-        // Type check by running with a tiny fuel? No — elaborate+check only:
-        // reuse the session but stop before running by checking each decl.
-        // The Session API always runs; for `check` we run with a fuel limit
-        // high enough for declarations but report only types.
-        let outcomes = session.run(&src)?;
-        for o in outcomes {
-            if let Some(name) = o.name {
-                println!("val {name} : {}", o.ty);
-            }
-        }
-        return Ok(());
+    Ok(std::fs::read_to_string(path)?)
+}
+
+fn check_file(path: Option<&String>) -> Result<(), Box<dyn std::error::Error>> {
+    let src = read_source(path)?;
+    let checked = Session::new()?.check(&src)?;
+    for w in &checked.warnings {
+        eprintln!("{}", w.render(&src));
     }
+    for (name, ty) in checked.decls {
+        if let Some(name) = name {
+            println!("val {name} : {ty}");
+        }
+    }
+    Ok(())
+}
+
+fn run_file(path: Option<&String>) -> Result<(), Box<dyn std::error::Error>> {
+    let src = read_source(path)?;
+    let mut session = Session::new()?;
     let outcomes = session.run(&src)?;
     for w in session.take_warnings() {
         eprintln!("{}", w.render(&src));

@@ -57,17 +57,15 @@ pub fn run_both(src: &str, with_prelude: bool) -> Result<BothResults, Error> {
 ///
 /// As for [`run_both`].
 pub fn run_both_with(src: &str, with_prelude: bool, mode: EnvMode) -> Result<BothResults, Error> {
-    run_both_full(src, with_prelude, mode, false, false)
+    run_both_full(src, with_prelude, mode, false)
 }
 
-/// [`run_both_with`] with superinstruction fusion and/or the
-/// thread-coded native tier optionally enabled on the CCAM side: with
-/// `fuse`, the compiled entry block is rewritten by [`ccam::opt::fuse`]
-/// and the machine freezes generated code through the fused slot,
-/// exactly as a fused [`Session`](crate::Session) would; with `native`,
-/// every block executes through pre-decoded op closures instead of the
-/// decode-and-match interpreter. Together with [`EnvMode`] this spans
-/// the full 3×2×2 execution-mode matrix the differential suite checks.
+/// [`run_both_with`] with superinstruction fusion optionally enabled on
+/// the CCAM side: with `fuse`, the compiled entry block is rewritten by
+/// [`ccam::opt::fuse`] and the machine freezes generated code through
+/// the fused slot, exactly as a fused [`Session`](crate::Session) would.
+/// Together with [`EnvMode`] this spans the full 3×2 execution-mode
+/// matrix the differential suite checks.
 ///
 /// # Errors
 ///
@@ -77,7 +75,6 @@ pub fn run_both_full(
     with_prelude: bool,
     mode: EnvMode,
     fuse: bool,
-    native: bool,
 ) -> Result<BothResults, Error> {
     let full = if with_prelude {
         format!("{PRELUDE};\n{src}")
@@ -115,7 +112,6 @@ pub fn run_both_full(
         code.block = ccam::opt::fuse_block(&code.seg, code.block);
         machine.set_fuse(true);
     }
-    machine.set_native(native);
     let m_val = machine.run(code, Value::Unit)?;
     // Interpreter.
     let mut interp = Interp::new();
@@ -287,21 +283,8 @@ eval (compPoly [1, 2, 3]) 10";
             "eval (code (fn x => x * 3)) 5",
         ] {
             for mode in [EnvMode::PairSpine, EnvMode::Indexed, EnvMode::Flat] {
-                let r = run_both_full(src, true, mode, true, false).unwrap();
+                let r = run_both_full(src, true, mode, true).unwrap();
                 assert!(r.agree(), "fused {mode:?} disagreement on {src}: {r:?}");
-            }
-        }
-    }
-
-    #[test]
-    fn backends_agree_in_native_mode() {
-        for src in [
-            "let val x = 4 in x * x end",
-            "eval (code (fn x => x * 3)) 5",
-        ] {
-            for mode in [EnvMode::PairSpine, EnvMode::Indexed, EnvMode::Flat] {
-                let r = run_both_full(src, true, mode, false, true).unwrap();
-                assert!(r.agree(), "native {mode:?} disagreement on {src}: {r:?}");
             }
         }
     }

@@ -65,7 +65,7 @@ pub use ccam::machine::TierPolicy;
 pub use error::Error;
 pub use mlbox_compile::ctx::EnvMode;
 pub use render::{render_eval, render_machine};
-pub use session::{ExecFlags, ExecProfile, Outcome, Session, SessionOptions};
+pub use session::{Checked, ExecFlags, ExecProfile, Outcome, Session, SessionOptions};
 
 /// Runs `f` on a thread with a large stack (the reference interpreter and
 /// the compiler recurse on the Rust stack; deeply staged or deeply nested

@@ -58,22 +58,14 @@ pub struct SessionOptions {
     /// Default: false, so Table 1's step counts stay the paper's cost
     /// model; turn on to measure dispatch-fused execution.
     pub fuse: bool,
-    /// Execute through the thread-coded native tier (DESIGN.md §13):
-    /// blocks are lowered once into flat arrays of pre-decoded op
-    /// closures — frozen generated code eagerly at freeze time, static
-    /// code on first activation — so the dispatch loop is an indirect
-    /// call per step instead of a decode-and-match. Observable semantics,
-    /// step counts, traces, and fuel accounting are identical to the
-    /// interpreter; only wall-clock changes. Default: false.
-    pub native: bool,
     /// Run under the adaptive tier controller (DESIGN.md §15): compile
     /// and freeze everything plainly (the Paper tier), count per-block
-    /// activations at run time, and promote hot blocks through
-    /// fuse→native using each block's own measured instruction mix.
+    /// activations at run time, and promote hot blocks to fused code
+    /// using each block's own measured instruction mix.
     /// Step counts, verdicts, traces, and fuel behave exactly as under
     /// the [`Paper`](ExecProfile::Paper) profile — promotion changes
     /// wall clock only. Mutually exclusive with the static
-    /// `optimize`/`fuse`/`native` flags ([`Session::with_options`]
+    /// `optimize`/`fuse` flags ([`Session::with_options`]
     /// rejects the combination). Default: `None` (static behavior).
     pub adaptive: Option<TierPolicy>,
 }
@@ -85,12 +77,12 @@ pub struct SessionOptions {
 /// [`SessionOptions::with_profile`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ExecProfile {
-    /// The paper's measured system: no optimizer, no fusion, no native
-    /// tier. The golden step-count lockfiles and the wire-format golden
-    /// artifact are pinned to this profile.
+    /// The paper's measured system: no optimizer, no fusion. The golden
+    /// step-count lockfiles and the wire-format golden artifact are
+    /// pinned to this profile.
     Paper,
-    /// One fixed point of the 2×2×2 `(optimize, fuse, native)` flavor
-    /// lattice, chosen up front for the whole session — the behavior of
+    /// One fixed point of the 2×2 `(optimize, fuse)` flavor lattice,
+    /// chosen up front for the whole session — the behavior of
     /// the pre-adaptive flag set.
     Static(ExecFlags),
     /// The run-time tier controller: every block starts on the Paper
@@ -106,8 +98,6 @@ pub struct ExecFlags {
     pub optimize: bool,
     /// Superinstruction fusion of static and frozen code.
     pub fuse: bool,
-    /// Thread-coded native execution.
-    pub native: bool,
 }
 
 impl Default for SessionOptions {
@@ -121,7 +111,6 @@ impl Default for SessionOptions {
             indexed_env: false,
             flat_env: false,
             fuse: false,
-            native: false,
             adaptive: None,
         }
     }
@@ -150,7 +139,10 @@ impl SessionOptions {
         h.write_bool(self.indexed_env);
         h.write_bool(self.flat_env);
         h.write_bool(self.fuse);
-        h.write_bool(self.native);
+        // The removed thread-coded tier's `native` flag, hashed as off:
+        // the golden artifact's header and every store key are
+        // fingerprints, so dropping the slot would change them all.
+        h.write_bool(false);
         // The adaptive policy is appended *after* every pre-existing
         // field, and only when present: Paper- and Static-profile
         // fingerprints — and therefore every golden lockfile and wire
@@ -160,7 +152,9 @@ impl SessionOptions {
             h.write_u8(1);
             h.write_u64(policy.promote_after);
             h.write_u64(policy.fuse_top_k as u64);
-            h.write_bool(policy.use_native);
+            // The removed `use_native` policy flag, hashed as off for the
+            // same reason.
+            h.write_bool(false);
         }
         h.finish()
     }
@@ -169,11 +163,10 @@ impl SessionOptions {
     pub fn profile(&self) -> ExecProfile {
         if let Some(policy) = self.adaptive {
             ExecProfile::Adaptive(policy)
-        } else if self.optimize || self.fuse || self.native {
+        } else if self.optimize || self.fuse {
             ExecProfile::Static(ExecFlags {
                 optimize: self.optimize,
                 fuse: self.fuse,
-                native: self.native,
             })
         } else {
             ExecProfile::Paper
@@ -193,14 +186,12 @@ impl SessionOptions {
     pub fn set_profile(&mut self, profile: ExecProfile) {
         self.optimize = false;
         self.fuse = false;
-        self.native = false;
         self.adaptive = None;
         match profile {
             ExecProfile::Paper => {}
             ExecProfile::Static(f) => {
                 self.optimize = f.optimize;
                 self.fuse = f.fuse;
-                self.native = f.native;
             }
             ExecProfile::Adaptive(policy) => self.adaptive = Some(policy),
         }
@@ -220,6 +211,16 @@ pub struct Outcome {
     pub raw: Value,
     /// Machine statistics for this declaration alone.
     pub stats: Stats,
+}
+
+/// What [`Session::check`] learned about a program without running it.
+#[derive(Debug, Clone)]
+pub struct Checked {
+    /// `(binding name, rendered principal type)` per core declaration,
+    /// in order (types are empty if type checking is off).
+    pub decls: Vec<(Option<String>, String)>,
+    /// Elaboration warnings (non-exhaustive and redundant matches).
+    pub warnings: Vec<mlbox_syntax::diag::Diagnostic>,
 }
 
 /// An incremental MLbox evaluation session backed by the CCAM.
@@ -289,9 +290,9 @@ impl Session {
     ///
     /// Returns an error if the prelude fails to load.
     pub fn with_options(options: SessionOptions) -> Result<Session, Error> {
-        if options.adaptive.is_some() && (options.optimize || options.fuse || options.native) {
+        if options.adaptive.is_some() && (options.optimize || options.fuse) {
             return Err(Error::Options(
-                "adaptive tiering replaces the static optimize/fuse/native flags; \
+                "adaptive tiering replaces the static optimize/fuse flags; \
                  clear them or drop the tier policy"
                     .to_string(),
             ));
@@ -491,6 +492,35 @@ impl Session {
         Ok(outcomes)
     }
 
+    /// Parses, elaborates, and type checks a program against the
+    /// session's bindings without compiling or running anything. The
+    /// declarations are checked in copies of the session's elaborator
+    /// and checker, so the session itself is unchanged: its type context
+    /// never gets ahead of the code it has compiled.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first static error.
+    pub fn check(&self, src: &str) -> Result<Checked, Error> {
+        let program = parse_program(src).map_err(|d| self.static_err(d, src))?;
+        let mut elab = self.elab.clone();
+        elab.warnings.clear();
+        let mut checker = self.checker.clone();
+        let mut decls = Vec::new();
+        for decl in &program.decls {
+            let core_decls = elab.elab_decl(decl).map_err(|d| self.static_err(d, src))?;
+            for cd in &core_decls {
+                let ty = type_of(cd, &elab, &mut checker, self.options.typecheck)
+                    .map_err(|d| self.static_err(d, src))?;
+                decls.push((decl_name(cd), ty));
+            }
+        }
+        Ok(Checked {
+            decls,
+            warnings: elab.warnings,
+        })
+    }
+
     /// Evaluates a single expression in the current session environment.
     ///
     /// # Errors
@@ -520,20 +550,8 @@ impl Session {
     }
 
     fn process_core_decl(&mut self, cd: &CoreDecl, src: &str) -> Result<Outcome, Error> {
-        // Type check.
-        let ty = if self.options.typecheck {
-            let tcx = TypeCtx {
-                data: &self.elab.data,
-                abbrevs: &self.elab.abbrevs,
-            };
-            let t = self
-                .checker
-                .check_decl(cd, tcx)
-                .map_err(|d| self.static_err(d, src))?;
-            self.checker.display_type(&t, &self.elab.data)
-        } else {
-            String::new()
-        };
+        let ty = type_of(cd, &self.elab, &mut self.checker, self.options.typecheck)
+            .map_err(|d| self.static_err(d, src))?;
         // Compile.
         let (code, new_ctx, effect) =
             compile_decl(cd, &self.ctx, &self.seg).map_err(|d| self.static_err(d, src))?;
@@ -681,6 +699,26 @@ impl Session {
     pub fn render(&self, v: &Value) -> String {
         render_machine(v, &self.elab.data)
     }
+}
+
+/// Type checks `cd` in `checker` (extending it with the declaration's
+/// bindings) and renders its principal type; the empty string when
+/// type checking is off.
+fn type_of(
+    cd: &CoreDecl,
+    elab: &Elab,
+    checker: &mut Checker,
+    typecheck: bool,
+) -> Result<String, mlbox_syntax::diag::Diagnostic> {
+    if !typecheck {
+        return Ok(String::new());
+    }
+    let tcx = TypeCtx {
+        data: &elab.data,
+        abbrevs: &elab.abbrevs,
+    };
+    let t = checker.check_decl(cd, tcx)?;
+    Ok(checker.display_type(&t, &elab.data))
 }
 
 fn decl_name(cd: &CoreDecl) -> Option<String> {
@@ -944,11 +982,8 @@ mod tests {
         let mut flat = base.clone();
         flat.flat_env = true;
         assert_ne!(fp(&base), fp(&flat), "flat_env must change the key");
-        let mut native = base.clone();
-        native.native = true;
-        assert_ne!(fp(&base), fp(&native), "native must change the key");
-        // The six non-default modes are also pairwise distinct.
-        let modes = [&optimize, &indexed, &counted, &fused, &flat, &native];
+        // The five non-default modes are also pairwise distinct.
+        let modes = [&optimize, &indexed, &counted, &fused, &flat];
         for (i, a) in modes.iter().enumerate() {
             for b in &modes[i + 1..] {
                 assert_ne!(fp(a), fp(b));
@@ -957,24 +992,24 @@ mod tests {
     }
 
     #[test]
-    fn native_tier_agrees_with_the_interpreter_end_to_end() {
-        let run_mode = |native: bool| {
-            let mut s = Session::with_options(SessionOptions {
-                native,
+    fn static_point_fingerprints_are_pinned() {
+        // Store keys and the golden artifact header are these values; the
+        // removed `native` slot still hashes as `false` so they did not
+        // move when the option went.
+        let pinned = [
+            ((false, false), 0x17ec_a866_e1c9_0687_u64),
+            ((true, false), 0x3b56_4433_f3d7_404e),
+            ((false, true), 0x17e9_4266_e1c6_235e),
+            ((true, true), 0x3b59_aa33_f3da_2377),
+        ];
+        for ((optimize, fuse), want) in pinned {
+            let o = SessionOptions {
+                optimize,
+                fuse,
                 ..SessionOptions::default()
-            })
-            .unwrap();
-            s.run("fun compPoly p = case p of nil => code (fn x => 0) | a :: p' => let cogen f = compPoly p' cogen a' = lift a in code (fn x => a' + (x * f x)) end\nval f = eval (compPoly [2, 4, 0, 2333])").unwrap();
-            let out = s.eval_expr("f 47").unwrap();
-            (out.value, out.stats.steps)
-        };
-        let (v_interp, s_interp) = run_mode(false);
-        let (v_native, s_native) = run_mode(true);
-        assert_eq!(v_interp, v_native);
-        assert_eq!(
-            s_interp, s_native,
-            "thread-coded execution must not change the step count"
-        );
+            };
+            assert_eq!(o.fingerprint(), want, "optimize {optimize}, fuse {fuse}");
+        }
     }
 
     #[test]
@@ -1040,7 +1075,6 @@ mod tests {
         assert_eq!(SessionOptions::default().profile(), ExecProfile::Paper);
         let fused = SessionOptions {
             fuse: true,
-            native: true,
             ..SessionOptions::default()
         };
         assert_eq!(
@@ -1048,7 +1082,6 @@ mod tests {
             ExecProfile::Static(ExecFlags {
                 optimize: false,
                 fuse: true,
-                native: true,
             })
         );
         let policy = TierPolicy::default();

@@ -81,6 +81,9 @@ pub enum WireError {
     Payload(ccam::wire::WireError),
     /// Input left over after the checksum trailer.
     TrailingBytes(usize),
+    /// The options section turns on an option this build no longer has
+    /// (its byte is still in the format, and must be 0).
+    RemovedOption(&'static str),
 }
 
 impl fmt::Display for WireError {
@@ -110,6 +113,11 @@ impl fmt::Display for WireError {
             WireError::TrailingBytes(n) => {
                 write!(f, "artifact has {n} trailing byte(s) after the checksum")
             }
+            WireError::RemovedOption(name) => write!(
+                f,
+                "artifact was built with `{name}`, an option this build no \
+                 longer has; rebuild it"
+            ),
         }
     }
 }
@@ -138,9 +146,10 @@ const FUEL_NONE: u8 = 0;
 /// Fuel-present marker, followed by the u64 budget.
 const FUEL_SOME: u8 = 1;
 /// Adaptive-profile marker opening the optional trailer: followed by
-/// `promote_after` (u64 LE), `fuse_top_k` (u64 LE), and `use_native`
-/// (bool byte). Static-profile artifacts write nothing after the nine
-/// original fields, so every pre-adaptive container stays byte-identical.
+/// `promote_after` (u64 LE), `fuse_top_k` (u64 LE), and the byte of the
+/// removed `use_native` policy flag. Static-profile artifacts write
+/// nothing after the nine original fields, so every pre-adaptive
+/// container stays byte-identical.
 const PROFILE_ADAPTIVE: u8 = 1;
 
 fn encode_options(out: &mut Vec<u8>, o: &SessionOptions) {
@@ -160,12 +169,14 @@ fn encode_options(out: &mut Vec<u8>, o: &SessionOptions) {
     out.push(u8::from(o.indexed_env));
     out.push(u8::from(o.flat_env));
     out.push(u8::from(o.fuse));
-    out.push(u8::from(o.native));
+    // The removed thread-coded tier's `native` flag: always off.
+    out.push(0);
     if let Some(policy) = o.adaptive {
         out.push(PROFILE_ADAPTIVE);
         out.extend_from_slice(&policy.promote_after.to_le_bytes());
         out.extend_from_slice(&(policy.fuse_top_k as u64).to_le_bytes());
-        out.push(u8::from(policy.use_native));
+        // The removed `use_native` policy flag: always off.
+        out.push(0);
     }
 }
 
@@ -189,6 +200,15 @@ impl<'a> OptionsReader<'a> {
             0 => Ok(false),
             1 => Ok(true),
             _ => Err(WireError::Corrupt("options boolean is neither 0 nor 1")),
+        }
+    }
+
+    /// The byte of an option this build no longer has: 0 decodes, 1
+    /// names the option in a typed error.
+    fn removed(&mut self, name: &'static str) -> Result<(), WireError> {
+        match self.bool()? {
+            false => Ok(()),
+            true => Err(WireError::RemovedOption(name)),
         }
     }
 
@@ -224,9 +244,9 @@ fn decode_options(bytes: &[u8]) -> Result<SessionOptions, WireError> {
         indexed_env: r.bool()?,
         flat_env: r.bool()?,
         fuse: r.bool()?,
-        native: r.bool()?,
         adaptive: None,
     };
+    r.removed("native")?;
     // Optional adaptive-profile trailer: absent in every artifact
     // written before (or without) the tier controller.
     if r.pos != bytes.len() {
@@ -237,8 +257,8 @@ fn decode_options(bytes: &[u8]) -> Result<SessionOptions, WireError> {
             promote_after: r.u64()?,
             fuse_top_k: usize::try_from(r.u64()?)
                 .map_err(|_| WireError::Corrupt("fuse_top_k does not fit a usize"))?,
-            use_native: r.bool()?,
         });
+        r.removed("use_native")?;
     }
     if r.pos != bytes.len() {
         return Err(WireError::Corrupt("options section has trailing bytes"));
@@ -571,7 +591,6 @@ mod tests {
             },
             SessionOptions {
                 flat_env: true,
-                native: true,
                 prelude: false,
                 typecheck: false,
                 ..SessionOptions::default()
@@ -584,7 +603,6 @@ mod tests {
                 adaptive: Some(TierPolicy {
                     promote_after: 0,
                     fuse_top_k: 3,
-                    use_native: false,
                 }),
                 flat_env: true,
                 fuel: Some(7),

@@ -1,9 +1,11 @@
 //! Pins what the `mlbox` binary prints for warnings: only the user's own
 //! (the prelude's partial `nth` never shows), labelled as warnings, and
 //! rendered against the user's source in both `mlbox run` and the REPL.
+//! Also pins that `mlbox check` type checks without running anything.
 
 use std::io::Write;
 use std::process::{Command, Output, Stdio};
+use std::time::{Duration, Instant};
 
 const PARTIAL: &str = "fun hd l = case l of a :: r => a";
 
@@ -26,10 +28,14 @@ fn mlbox(args: &[&str], stdin: &str) -> Output {
     out
 }
 
-fn run_file(name: &str, src: &str) -> Output {
+fn source_file(name: &str, src: &str) -> String {
     let path = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join(name);
     std::fs::write(&path, src).expect("source written");
-    mlbox(&["run", path.to_str().expect("utf-8 path")], "")
+    path.to_str().expect("utf-8 path").to_string()
+}
+
+fn run_file(name: &str, src: &str) -> Output {
+    mlbox(&["run", &source_file(name, src)], "")
 }
 
 fn text(bytes: &[u8]) -> &str {
@@ -78,4 +84,41 @@ fn repl_renders_only_the_user_warning() {
         "{stdout}"
     );
     assert!(!stdout.contains("error"), "{stdout}");
+}
+
+#[test]
+fn check_type_checks_without_running() {
+    // Running either program loops forever or fails at run time; checking
+    // must do neither. The child is killed if it overruns its deadline,
+    // so a `check` that runs the program fails here instead of hanging.
+    for (name, src) in [
+        (
+            "cli_check_loop.ml",
+            "fun loop n = if n < 0 then n else loop (n + 1)\nval x = loop 0\n",
+        ),
+        ("cli_check_div.ml", "val x = 1 div 0\n"),
+    ] {
+        let mut child = Command::new(env!("CARGO_BIN_EXE_mlbox"))
+            .args(["check", &source_file(name, src)])
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("mlbox starts");
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while child.try_wait().expect("child status").is_none() {
+            if Instant::now() > deadline {
+                child.kill().expect("child killed");
+                child.wait().expect("child reaped");
+                panic!("{name}: `mlbox check` ran past its 10 s deadline");
+            }
+            std::thread::sleep(Duration::from_millis(20));
+        }
+        let out = child.wait_with_output().expect("mlbox exits");
+        assert!(out.status.success(), "{name}: {out:?}");
+        assert!(
+            text(&out.stdout).contains("val x : int"),
+            "{name}: {}",
+            text(&out.stdout)
+        );
+    }
 }

@@ -1,8 +1,7 @@
 //! Turning on an observer — per-opcode counts or a fuel budget — changes
 //! nothing a session reports. The machine skips per-step accounting
 //! whenever nothing observes it (DESIGN.md §13.6); this pins that the
-//! skip is invisible over every Table 1 row and every §3 program, in
-//! both dispatch tiers.
+//! skip is invisible over every Table 1 row and every §3 program.
 
 use ccam::machine::Stats;
 use ccam::value::Value;
@@ -85,37 +84,31 @@ fn drive(options: SessionOptions) -> Vec<(String, String, Stats)> {
 
 #[test]
 fn observed_sessions_report_exactly_what_unobserved_ones_do() {
-    for native in [false, true] {
-        let base = SessionOptions {
-            native,
+    let plain = drive(SessionOptions::default());
+    assert!(plain.iter().any(|(_, out, _)| out == "6"), "print ran");
+    for observed in [
+        SessionOptions {
+            count_opcodes: true,
             ..SessionOptions::default()
-        };
-        let plain = drive(base.clone());
-        assert!(plain.iter().any(|(_, out, _)| out == "6"), "print ran");
-        for observed in [
-            SessionOptions {
-                count_opcodes: true,
-                ..base.clone()
-            },
-            SessionOptions {
-                fuel: Some(u64::MAX),
-                ..base.clone()
-            },
-        ] {
-            let label = format!("{observed:?}");
-            let got = drive(observed);
-            assert_eq!(got.len(), plain.len(), "{label}");
-            for ((what, out, stats), (want_what, want_out, want_stats)) in got.iter().zip(&plain) {
-                assert_eq!((what, out), (want_what, want_out), "{label}");
-                if let Some(counts) = stats.opcodes {
-                    assert_eq!(counts.0.iter().sum::<u64>(), stats.steps, "{label}: {what}");
-                }
-                let stats = Stats {
-                    opcodes: None,
-                    ..*stats
-                };
-                assert_eq!(&stats, want_stats, "{label}: {what}");
+        },
+        SessionOptions {
+            fuel: Some(u64::MAX),
+            ..SessionOptions::default()
+        },
+    ] {
+        let label = format!("{observed:?}");
+        let got = drive(observed);
+        assert_eq!(got.len(), plain.len(), "{label}");
+        for ((what, out, stats), (want_what, want_out, want_stats)) in got.iter().zip(&plain) {
+            assert_eq!((what, out), (want_what, want_out), "{label}");
+            if let Some(counts) = stats.opcodes {
+                assert_eq!(counts.0.iter().sum::<u64>(), stats.steps, "{label}: {what}");
             }
+            let stats = Stats {
+                opcodes: None,
+                ..*stats
+            };
+            assert_eq!(&stats, want_stats, "{label}: {what}");
         }
     }
 }

@@ -20,11 +20,10 @@ use mlbox_bpf::packet::PacketGen;
 /// values of each.
 fn lattice() -> Vec<SessionOptions> {
     let mut profiles = vec![ExecProfile::Paper];
-    for bits in 1..8u8 {
+    for bits in 1..4u8 {
         profiles.push(ExecProfile::Static(ExecFlags {
             optimize: bits & 1 != 0,
             fuse: bits & 2 != 0,
-            native: bits & 4 != 0,
         }));
     }
     for promote_after in [0, 1, 64] {

@@ -14,9 +14,13 @@
 //!
 //! CI runs the same diff as a workflow step, and the decode direction is
 //! pinned too: the golden *bytes* must still decode, hydrate, and
-//! compute 6² with the same reduction-step count.
+//! compute 6² with the same reduction-step count. The bytes of removed
+//! options stay in the format; an artifact that turns one on decodes to
+//! a typed error naming it.
 
-use mlbox::{CompiledFilter, Session};
+use mlbox::fingerprint::Fnv1a;
+use mlbox::wire::WireError;
+use mlbox::{CompiledFilter, Error, Session, SessionOptions, TierPolicy};
 
 const GOLDEN_HEX: &str = include_str!("../../../tests/golden/artifact_wire.hex");
 
@@ -79,4 +83,47 @@ fn golden_bytes_still_decode_and_run() {
     assert_eq!(value.to_string(), "36");
     assert_eq!(value.to_string(), fresh_value.to_string());
     assert_eq!(stats.steps, fresh_stats.steps);
+}
+
+/// Sets the last byte of the options section — the removed-option byte
+/// of both a static and an adaptive encoding — to 1, and recomputes the
+/// trailing checksum so the option, not the checksum, is what decode
+/// sees.
+fn turn_on_last_option_byte(mut bytes: Vec<u8>) -> Vec<u8> {
+    let options_len = u32::from_le_bytes(bytes[28..32].try_into().unwrap()) as usize;
+    let at = 32 + options_len - 1;
+    assert_eq!(bytes[at], 0, "removed options are written as 0");
+    bytes[at] = 1;
+    let content = bytes.len() - 8;
+    let mut h = Fnv1a::new();
+    h.write(&bytes[..content]);
+    bytes[content..].copy_from_slice(&h.finish().to_le_bytes());
+    bytes
+}
+
+#[test]
+fn artifacts_with_a_removed_option_on_decode_to_a_typed_error() {
+    let err =
+        CompiledFilter::from_wire_bytes(&turn_on_last_option_byte(golden_bytes())).unwrap_err();
+    assert!(
+        matches!(err, Error::Wire(WireError::RemovedOption("native"))),
+        "{err}"
+    );
+
+    let mut session = Session::with_options(SessionOptions {
+        adaptive: Some(TierPolicy::default()),
+        ..SessionOptions::default()
+    })
+    .unwrap();
+    session.run(GOLDEN_PROGRAM).unwrap();
+    let adaptive = session
+        .compile_to_artifact("codePower 2", 0x1998)
+        .unwrap()
+        .to_wire_bytes();
+    CompiledFilter::from_wire_bytes(&adaptive).unwrap();
+    let err = CompiledFilter::from_wire_bytes(&turn_on_last_option_byte(adaptive)).unwrap_err();
+    assert!(
+        matches!(err, Error::Wire(WireError::RemovedOption("use_native"))),
+        "{err}"
+    );
 }

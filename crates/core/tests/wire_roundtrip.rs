@@ -1,7 +1,7 @@
 //! Wire round-trips across the whole mode lattice.
 //!
 //! Every combination of environment representation (pair-spine /
-//! indexed / flat) × superinstruction fusion × native tier must
+//! indexed / flat) × superinstruction fusion must
 //! round-trip an artifact through the wire format and serve identically:
 //! same value, same reduction-step count, byte-identical re-encode. The
 //! frame-bearing / flat-env compatibility rule is checked at both ends
@@ -20,15 +20,12 @@ fn mode_lattice() -> Vec<SessionOptions> {
     let mut lattice = Vec::new();
     for env in 0..3 {
         for fuse in [false, true] {
-            for native in [false, true] {
-                lattice.push(SessionOptions {
-                    indexed_env: env == 1,
-                    flat_env: env == 2,
-                    fuse,
-                    native,
-                    ..SessionOptions::default()
-                });
-            }
+            lattice.push(SessionOptions {
+                indexed_env: env == 1,
+                flat_env: env == 2,
+                fuse,
+                ..SessionOptions::default()
+            });
         }
     }
     lattice

@@ -1,6 +1,6 @@
 //! Run-time values of the reference interpreter.
 //!
-//! The representation mirrors the CCAM's ([`ccam::value::Value`]-like
+//! The representation mirrors the CCAM's (`ccam::value::Value`-like
 //! pairs, identity-compared refs/arrays) so that rendered values compare
 //! textually across the two back ends in differential tests.
 

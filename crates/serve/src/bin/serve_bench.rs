@@ -9,7 +9,7 @@
 //! Usage:
 //!
 //! ```text
-//! serve-bench [--smoke] [--fuse] [--flat-env] [--native] [--persist]
+//! serve-bench [--smoke] [--fuse] [--flat-env] [--persist] [--tiered]
 //!             [--workers 1,2,4] [--batches 8,32] [--rounds N] [--tenants N]
 //! ```
 //!
@@ -27,12 +27,9 @@
 //! `--flat-env` does the same under `SessionOptions::flat_env`, so
 //! artifacts carry frame environments and the oracle checks flat-mode
 //! step counts.
-//! `--native` runs every worker (and the oracle) through the
-//! thread-coded native tier (`SessionOptions::native`); step counts are
-//! identical to the interpreter, only dispatch changes.
 //! `--tiered` runs the adaptive-tiering comparison instead: a mixed
 //! hot/cold multi-tenant workload served once per static flavor point
-//! (all 8 combinations of optimize × fuse × native) and once under the
+//! (all 4 combinations of optimize × fuse) and once under the
 //! adaptive profile (`SessionOptions::adaptive`), each against a fresh
 //! pool and cache so specialization cost is inside the measurement.
 //! Reps are interleaved round-robin and the comparison is paired per
@@ -76,7 +73,6 @@ fn parse_args() -> Config {
     let options = SessionOptions {
         fuse: args.iter().any(|a| a == "--fuse"),
         flat_env: args.iter().any(|a| a == "--flat-env"),
-        native: args.iter().any(|a| a == "--native"),
         ..SessionOptions::default()
     };
     let list = |flag: &str, default: Vec<usize>| -> Vec<usize> {
@@ -499,7 +495,6 @@ fn run_persist(config: &Config) {
     out.push_str(&format!("  \"smoke\": {},\n", config.smoke));
     out.push_str(&format!("  \"fuse\": {},\n", config.options.fuse));
     out.push_str(&format!("  \"flat_env\": {},\n", config.options.flat_env));
-    out.push_str(&format!("  \"native\": {},\n", config.options.native));
     out.push_str("  \"cold_start\": [\n");
     for (i, c) in cold.iter().enumerate() {
         out.push_str(&format!(
@@ -588,7 +583,7 @@ struct TieredPoint {
     elapsed_secs: f64,
     promotions: u64,
     refreezes: u64,
-    tier_occupancy: [u64; 3],
+    tier_occupancy: [u64; 2],
     cache_misses: u64,
 }
 
@@ -699,7 +694,7 @@ fn run_tiered_once(
     check_steps: bool,
 ) -> TieredPoint {
     let started = Instant::now();
-    // One worker: the nine points compare dispatch quality per core, and
+    // One worker: the points compare dispatch quality per core, and
     // a single lane keeps the measurement free of scheduler interleaving
     // (the worker-scaling story is the main sweep's job, not this one's).
     let pool = ServePool::new(PoolConfig {
@@ -760,27 +755,22 @@ fn run_tiered_once(
     }
 }
 
-/// The `--tiered` benchmark: all 8 static flavor points vs. the
+/// The `--tiered` benchmark: every static flavor point vs. the
 /// adaptive profile over the same mixed hot/cold workload, emitting
 /// `BENCH_serve_tiered.json`.
 fn run_tiered(config: &Config) {
     eprintln!("serve-bench: building tiered workload and plain oracle...");
     let (filters, jobs) = build_tiered_filters(config);
     let reps = 7;
-    let mut flavor_points: Vec<(String, SessionOptions, bool)> = (0..8u8)
+    let mut flavor_points: Vec<(String, SessionOptions, bool)> = (0..4u8)
         .map(|bits| {
             let options = SessionOptions {
                 optimize: bits & 1 != 0,
                 fuse: bits & 2 != 0,
-                native: bits & 4 != 0,
                 ..SessionOptions::default()
             };
             let mut name = String::from("static");
-            for (on, tag) in [
-                (options.optimize, "+opt"),
-                (options.fuse, "+fuse"),
-                (options.native, "+native"),
-            ] {
+            for (on, tag) in [(options.optimize, "+opt"), (options.fuse, "+fuse")] {
                 if on {
                     name.push_str(tag);
                 }
@@ -791,12 +781,8 @@ fn run_tiered(config: &Config) {
             (name, options, false)
         })
         .collect();
-    // The serving policy promotes hot blocks to the fused rendering but
-    // stops short of the native tier: thread-coded dispatch pays a
-    // per-activation entry cost that the short, call-heavy blocks of
-    // filter code never amortize, so tier 1 is the serving sweet spot
-    // (the machine-level dispatch benchmarks are where tier 2 pays off).
-    // The threshold sits above the activations a cold tenant's 4-packet
+    // The serving policy promotes hot blocks to the fused rendering. The
+    // threshold sits above the activations a cold tenant's 4-packet
     // burst produces: promoting those blocks would spend fuse-render
     // time on code that is about to go idle.
     flavor_points.push((
@@ -804,7 +790,6 @@ fn run_tiered(config: &Config) {
         SessionOptions {
             adaptive: Some(TierPolicy {
                 promote_after: 32,
-                use_native: false,
                 ..TierPolicy::default()
             }),
             ..SessionOptions::default()
@@ -812,7 +797,7 @@ fn run_tiered(config: &Config) {
         true,
     ));
 
-    // Reps are interleaved round-robin across the nine points (rather
+    // Reps are interleaved round-robin across the points (rather
     // than run back-to-back per point) so a transient load spike on the
     // host degrades at most one rep of each point instead of sinking
     // every rep of whichever point it happened to land on; best-of-N
@@ -853,7 +838,7 @@ fn run_tiered(config: &Config) {
         "the adaptive profile never promoted a block"
     );
     assert!(
-        adaptive.tier_occupancy[1] + adaptive.tier_occupancy[2] > 0,
+        adaptive.tier_occupancy[1] > 0,
         "promoted renderings never executed"
     );
     // The throughput comparison is paired: adaptive and each static
@@ -897,15 +882,14 @@ fn run_tiered(config: &Config) {
             .filter(|(a, s)| a < s)
             .count();
         out.push_str(&format!(
-            "    {{\"name\": \"{}\", \"optimize\": {}, \"fuse\": {}, \"native\": {}, \
+            "    {{\"name\": \"{}\", \"optimize\": {}, \"fuse\": {}, \
              \"adaptive\": {}, \"packets\": {}, \"elapsed_ms\": {}, \"packets_per_sec\": {}, \
              \"adaptive_round_wins\": {adaptive_wins}, \
-             \"promotions\": {}, \"refreezes\": {}, \"tier_steps\": [{}, {}, {}], \
+             \"promotions\": {}, \"refreezes\": {}, \"tier_steps\": [{}, {}], \
              \"cache_misses\": {}}}{}\n",
             p.name,
             p.options.optimize,
             p.options.fuse,
-            p.options.native,
             p.options.adaptive.is_some(),
             p.packets,
             json_f(p.elapsed_secs * 1e3),
@@ -914,7 +898,6 @@ fn run_tiered(config: &Config) {
             p.refreezes,
             p.tier_occupancy[0],
             p.tier_occupancy[1],
-            p.tier_occupancy[2],
             p.cache_misses,
             if i + 1 < points.len() { "," } else { "" }
         ));
@@ -925,8 +908,9 @@ fn run_tiered(config: &Config) {
     out.push_str("}\n");
     print!("{out}");
     eprintln!(
-        "serve-bench: tiered ok (adaptive {:.0} packets/sec beats all 8 static points)",
-        adaptive.packets_per_sec()
+        "serve-bench: tiered ok (adaptive {:.0} packets/sec beats all {} static points)",
+        adaptive.packets_per_sec(),
+        points.len() - 1
     );
 }
 
@@ -1014,7 +998,6 @@ fn main() {
     out.push_str(&format!("  \"smoke\": {},\n", config.smoke));
     out.push_str(&format!("  \"fuse\": {},\n", config.options.fuse));
     out.push_str(&format!("  \"flat_env\": {},\n", config.options.flat_env));
-    out.push_str(&format!("  \"native\": {},\n", config.options.native));
     out.push_str(&format!("  \"available_parallelism\": {parallelism},\n"));
     out.push_str("  \"filters\": [\n");
     for (i, w) in workloads.iter().enumerate() {

@@ -685,29 +685,6 @@ mod tests {
     }
 
     #[test]
-    fn native_and_interpreted_artifacts_never_alias() {
-        // A native artifact executes through the thread-coded tier; its
-        // instruction stream is identical to the interpreted one, but the
-        // machine each pool worker builds from the artifact's options
-        // must dispatch in the right tier. The options fingerprint keeps
-        // the two in separate cache entries.
-        let filter = telnet_filter();
-        let plain = SessionOptions::default();
-        let native = SessionOptions {
-            native: true,
-            ..SessionOptions::default()
-        };
-        assert_ne!(
-            CacheKey::new(&filter, &plain),
-            CacheKey::new(&filter, &native)
-        );
-        let cache = FilterCache::new(16);
-        cache.get_or_specialize(&filter, &plain).unwrap();
-        cache.get_or_specialize(&filter, &native).unwrap();
-        assert_eq!(cache.stats().misses, 2, "one specialization per mode");
-    }
-
-    #[test]
     fn failures_are_cached() {
         use mlbox_bpf::insn::Insn;
         let bad = vec![Insn::JeqK { k: 0, jt: 9, jf: 9 }];

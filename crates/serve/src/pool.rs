@@ -3,7 +3,7 @@
 //! Each worker thread owns a private [`Machine`] — CCAM values are
 //! `Rc`/`RefCell` graphs, so a shared machine behind a lock would
 //! serialize exactly the work the pool exists to parallelize. Workers
-//! drain [`BatchRequest`]s from one bounded channel (natural
+//! drain `BatchRequest`s from one bounded channel (natural
 //! backpressure: `submit` blocks when the queue is full; `try_submit`
 //! sheds with a typed reason instead), resolve the filter through the
 //! shared [`FilterCache`] (optionally backed by a disk
@@ -168,9 +168,9 @@ pub struct WorkerStats {
     /// arena grew between runs).
     pub refreezes: u64,
     /// Baseline reduction steps the worker's machine executed at each
-    /// tier (0 cold, 1 fused, 2 fused + native). Sums to `steps` under
-    /// an adaptive policy; all zero under static profiles.
-    pub tier_steps: [u64; 3],
+    /// tier (0 cold, 1 fused). Sums to `steps` under an adaptive
+    /// policy; all zero under static profiles.
+    pub tier_steps: [u64; 2],
 }
 
 /// The pool's final accounting, returned by [`ServePool::shutdown`].
@@ -209,9 +209,9 @@ impl PoolReport {
 
     /// Baseline steps executed at each tier across all workers — the
     /// pool's tier occupancy. Index 0 is the cold interpreter, 1 the
-    /// fused rendering, 2 fused + native.
-    pub fn tier_occupancy(&self) -> [u64; 3] {
-        let mut total = [0u64; 3];
+    /// fused rendering.
+    pub fn tier_occupancy(&self) -> [u64; 2] {
+        let mut total = [0u64; 2];
         for w in &self.workers {
             for (slot, steps) in total.iter_mut().zip(w.tier_steps) {
                 *slot += steps;
@@ -459,7 +459,7 @@ fn worker_loop(
         installs: 0,
         promotions: 0,
         refreezes: 0,
-        tier_steps: [0; 3],
+        tier_steps: [0; 2],
     };
     loop {
         // Hold the receiver lock only for the dequeue, not the work.
@@ -705,10 +705,7 @@ mod tests {
             report.total_steps(),
             "tier occupancy must partition the pool's steps"
         );
-        assert!(
-            occupancy[2] > 0,
-            "promoted blocks should run in the native tier"
-        );
+        assert!(occupancy[1] > 0, "promoted blocks should run fused");
     }
 
     #[test]

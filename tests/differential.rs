@@ -16,34 +16,31 @@ fn ml_int(n: i64) -> String {
     }
 }
 
-/// Asserts machine/interpreter agreement across the full 3×2×2
+/// Asserts machine/interpreter agreement across the full 3×2
 /// execution-mode matrix — environment access (pair-spine vs indexed vs
-/// flat frames) × superinstruction fusion (off vs on) × dispatch tier
-/// (interpreted vs thread-coded native) — and that all twelve compiled
-/// runs observe identical values and output. Returns the shared
+/// flat frames) × superinstruction fusion (off vs on) — and that all six
+/// compiled runs observe identical values and output. Returns the shared
 /// rendering.
 fn assert_agree_both_modes(src: &str) -> String {
     let mut baseline: Option<(String, String)> = None;
     for mode in [EnvMode::PairSpine, EnvMode::Indexed, EnvMode::Flat] {
         for fuse in [false, true] {
-            for native in [false, true] {
-                let r = run_both_full(src, true, mode, fuse, native).unwrap();
-                assert!(
-                    r.agree(),
-                    "{mode:?}/fuse={fuse}/native={native} disagreement on:\n{src}\n machine: {} (out {:?})\n interp:  {} (out {:?})",
-                    r.machine,
-                    r.machine_output,
-                    r.interp,
-                    r.interp_output
-                );
-                match &baseline {
-                    None => baseline = Some((r.machine, r.machine_output)),
-                    Some((v, o)) => assert_eq!(
-                        (v, o),
-                        (&r.machine, &r.machine_output),
-                        "execution modes disagree ({mode:?}, fuse={fuse}, native={native}) on:\n{src}"
-                    ),
-                }
+            let r = run_both_full(src, true, mode, fuse).unwrap();
+            assert!(
+                r.agree(),
+                "{mode:?}/fuse={fuse} disagreement on:\n{src}\n machine: {} (out {:?})\n interp:  {} (out {:?})",
+                r.machine,
+                r.machine_output,
+                r.interp,
+                r.interp_output
+            );
+            match &baseline {
+                None => baseline = Some((r.machine, r.machine_output)),
+                Some((v, o)) => assert_eq!(
+                    (v, o),
+                    (&r.machine, &r.machine_output),
+                    "execution modes disagree ({mode:?}, fuse={fuse}) on:\n{src}"
+                ),
             }
         }
     }
@@ -96,18 +93,16 @@ fn fuel_exhaustion_parity_across_all_modes() {
     // Fuel is charged in pair-spine units (`acc n` costs n+1, a fused
     // superinstruction the sum of its components, `env_cons` one cons),
     // so a budget must exhaust at exactly the same point in every
-    // execution mode — fusion, flat environments, or thread-coded
-    // dispatch can't smuggle extra work past a limit, nor make a budget
-    // spuriously tighter.
+    // execution mode — fusion or flat environments can't smuggle extra
+    // work past a limit, nor make a budget spuriously tighter.
     use mlbox::{Session, SessionOptions};
     let prog = "fun cp e = if e = 0 then code (fn b => 1)\n\
                 else let cogen p = cp (e - 1) in code (fn b => b * (p b)) end;\n\
                 eval (cp 6) 2";
-    let opts = |flat: bool, indexed: bool, fuse: bool, native: bool| SessionOptions {
+    let opts = |flat: bool, indexed: bool, fuse: bool| SessionOptions {
         indexed_env: indexed,
         flat_env: flat,
         fuse,
-        native,
         ..Default::default()
     };
     let runs_with = |o: &SessionOptions, fuel: u64| -> bool {
@@ -120,7 +115,7 @@ fn fuel_exhaustion_parity_across_all_modes() {
         }
     };
     // Bisect the default mode's minimal sufficient budget...
-    let base = opts(false, false, false, false);
+    let base = opts(false, false, false);
     let (mut lo, mut hi) = (1u64, 10_000_000u64);
     assert!(runs_with(&base, hi), "budget ceiling too small");
     while lo < hi {
@@ -135,17 +130,15 @@ fn fuel_exhaustion_parity_across_all_modes() {
     // ...and every mode combination must exhaust at exactly that point.
     for (flat, indexed) in [(false, false), (false, true), (true, false)] {
         for fuse in [false, true] {
-            for native in [false, true] {
-                let o = opts(flat, indexed, fuse, native);
-                assert!(
-                    runs_with(&o, minimal),
-                    "flat={flat} indexed={indexed} fuse={fuse} native={native} fails at the minimal budget {minimal}"
-                );
-                assert!(
-                    !runs_with(&o, minimal - 1),
-                    "flat={flat} indexed={indexed} fuse={fuse} native={native} succeeds below the minimal budget {minimal}"
-                );
-            }
+            let o = opts(flat, indexed, fuse);
+            assert!(
+                runs_with(&o, minimal),
+                "flat={flat} indexed={indexed} fuse={fuse} fails at the minimal budget {minimal}"
+            );
+            assert!(
+                !runs_with(&o, minimal - 1),
+                "flat={flat} indexed={indexed} fuse={fuse} succeeds below the minimal budget {minimal}"
+            );
         }
     }
 }

@@ -146,3 +146,63 @@ fn error_rendering_points_at_source() {
     assert!(msg.contains('^'), "{msg}");
     assert!(msg.contains("code (fn x => x + y)"), "{msg}");
 }
+
+#[test]
+fn metaocaml_one_liners_are_typed_statically() {
+    // MetaOCaml's "simple one-liners" test (ber-metaocaml test/simple.ml)
+    // rendered in MLbox: `.<e>.` is `code e`, `!.` is `eval`, and a splice
+    // `.<fun x -> .~e>.` is `let cogen u = e in code (fn x => u) end` — the
+    // escape runs first, at generation time, as it does in MetaOCaml.
+    // Quoting a generation-time value (MetaOCaml's implicit cross-stage
+    // persistence) is an explicit `lift`, and running code inside code
+    // needs `eval` itself lifted in. A `code` body is typed in its own
+    // context (Figure 2), so a generator never sees a variable bound
+    // inside the code it builds: every escape that mentions the bracket's
+    // `x` is refused before anything runs. MetaOCaml's type system
+    // catches only `tr4`; `tr3` and the anonymous one fail at run time.
+    let cases: [(&str, &str, Result<&str, &str>); 6] = [
+        (
+            "tr1 = .<fun x -> .~(!. .<.<1>.>.)>.",
+            "let cogen u = eval (code (code 1)) in code (fn x => u) end",
+            Ok("-> int) $"),
+        ),
+        (
+            "tr2 = .<fun x -> .~(let x = !. .<1>. in .<x>.)>.",
+            "let cogen u = let val y = eval (code 1) in lift y end in code (fn x => u) end",
+            Ok("-> int) $"),
+        ),
+        (
+            "tr5 = .<fun x -> !. .<1>.>.",
+            "let cogen ev = lift eval in code (fn x => ev (code 1)) end",
+            Ok("-> int) $"),
+        ),
+        (
+            "tr3 = .<fun x -> .~(let x = !. .<x>. in .<x>.)>.",
+            "let cogen u = let val y = eval (code x) in lift y end in code (fn x => u) end",
+            Err("`x`"),
+        ),
+        (
+            "tr4 = .<fun x -> .~(let x = !. x in .<x>.)>.",
+            "let cogen u = let val y = eval x in lift y end in code (fn x => u) end",
+            Err("`x`"),
+        ),
+        (
+            ".<fun x -> .~(!. .<x>.)>.",
+            "let cogen u = eval (code x) in code (fn x => u) end",
+            Err("`x`"),
+        ),
+    ];
+    let s = Session::new().unwrap();
+    for (metaocaml, src, want) in cases {
+        let got = s
+            .check(src)
+            .map(|c| c.decls.last().expect("one declaration").1.clone());
+        match (want, got) {
+            (Ok(shape), Ok(ty)) => assert!(ty.ends_with(shape), "{metaocaml}: {ty}"),
+            (Err(names), Err(err @ mlbox::Error::Static { .. })) => {
+                assert!(err.to_string().contains(names), "{metaocaml}: {err}");
+            }
+            (want, got) => panic!("{metaocaml}: want {want:?}, got {got:?}"),
+        }
+    }
+}
