@@ -152,53 +152,12 @@ fn visit_block(seg: &CodeSeg, b: BlockId, out: &mut BTreeMap<&'static str, usize
 fn visit(seg: &CodeSeg, i: &Instr, out: &mut BTreeMap<&'static str, usize>) {
     *out.entry(i.mnemonic()).or_insert(0) += 1;
     match i {
-        Instr::Cur(c) => visit_block(seg, *c, out),
-        Instr::Branch(a, b) => {
-            visit_block(seg, *a, out);
-            visit_block(seg, *b, out);
-        }
-        Instr::Switch(t) => {
-            for arm in &t.arms {
-                visit_block(seg, arm.code, out);
-            }
-            if let Some(d) = t.default {
-                visit_block(seg, d, out);
-            }
-        }
-        Instr::RecClos(bodies) => {
-            for b in bodies.iter() {
-                visit_block(seg, *b, out);
-            }
-        }
         Instr::Emit(inner) => visit(seg, inner, out),
-        // Exhaustive on purpose: a new instruction must declare whether
-        // it references code the census should descend into.
-        Instr::Id
-        | Instr::Fst
-        | Instr::Snd
-        | Instr::Acc(_)
-        | Instr::Push
-        | Instr::Swap
-        | Instr::ConsPair
-        | Instr::App
-        | Instr::Quote(_)
-        | Instr::LiftV
-        | Instr::NewArena
-        | Instr::Merge
-        | Instr::Call
-        | Instr::Pack(_)
-        | Instr::Prim(_)
-        | Instr::Fail(_)
-        | Instr::MergeBranch
-        | Instr::MergeSwitch(_)
-        | Instr::MergeRec(_)
-        | Instr::PushAcc(_)
-        | Instr::QuoteCons(_)
-        | Instr::SwapCons
-        | Instr::ConsApp
-        | Instr::AccApp(_)
-        | Instr::PushQuote(_)
-        | Instr::EnvCons => {}
+        _ => {
+            for b in i.block_refs() {
+                visit_block(seg, b, out);
+            }
+        }
     }
 }
 

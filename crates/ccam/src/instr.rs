@@ -292,71 +292,22 @@ impl Instr {
     pub fn mnemonic(&self) -> &'static str {
         OPCODE_NAMES[self.opcode()]
     }
-}
 
-/// Validation error for malformed code.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ValidateError {
-    /// What is wrong.
-    pub message: String,
-}
-
-impl fmt::Display for ValidateError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.message)
-    }
-}
-
-impl std::error::Error for ValidateError {}
-
-/// Checks the paper's structural invariant: **no nested emits** —
-/// `emit(emit(i))` must never occur, at any depth inside `Cur`/`Branch`/
-/// `Switch`/`RecClos` bodies (§4.2: "nested emits are not allowed on the
-/// CCAM"). Block references in `code` are resolved against `seg`.
-///
-/// # Errors
-///
-/// Returns a [`ValidateError`] locating the first nested emit.
-pub fn validate(seg: &CodeSeg, code: &[Instr]) -> Result<(), ValidateError> {
-    fn visit_block(seg: &CodeSeg, b: BlockId) -> Result<(), ValidateError> {
-        // Copy the block out so the segment is not borrowed across the
-        // recursion (validation is not a hot path).
-        for i in seg.block_to_vec(b) {
-            visit(seg, &i)?;
-        }
-        Ok(())
-    }
-    fn visit(seg: &CodeSeg, i: &Instr) -> Result<(), ValidateError> {
-        match i {
-            Instr::Emit(inner) => {
-                if matches!(**inner, Instr::Emit(_)) {
-                    return Err(ValidateError {
-                        message: "nested emit: emit(emit(_)) is not a legal CCAM instruction"
-                            .to_string(),
-                    });
-                }
-                visit(seg, inner)
-            }
-            Instr::Cur(c) => visit_block(seg, *c),
-            Instr::Branch(a, b) => {
-                visit_block(seg, *a)?;
-                visit_block(seg, *b)
-            }
-            Instr::Switch(table) => {
-                for arm in &table.arms {
-                    visit_block(seg, arm.code)?;
-                }
-                if let Some(d) = table.default {
-                    visit_block(seg, d)?;
-                }
-                Ok(())
-            }
-            Instr::RecClos(bodies) => {
-                for &b in bodies.iter() {
-                    visit_block(seg, b)?;
-                }
-                Ok(())
-            }
+    /// The blocks this instruction references, in operand order: a
+    /// branch's then-block before its else-block, switch arms before the
+    /// default. Looks through `emit` to the emitted instruction.
+    pub fn block_refs(&self) -> Vec<BlockId> {
+        match self {
+            Instr::Cur(b) => vec![*b],
+            Instr::Branch(t, e) => vec![*t, *e],
+            Instr::Switch(table) => table
+                .arms
+                .iter()
+                .map(|arm| arm.code)
+                .chain(table.default)
+                .collect(),
+            Instr::RecClos(bodies) => bodies.to_vec(),
+            Instr::Emit(inner) => inner.block_refs(),
             // Exhaustive on purpose: adding an instruction must force a
             // decision about whether it can carry nested code.
             Instr::Id
@@ -384,8 +335,52 @@ pub fn validate(seg: &CodeSeg, code: &[Instr]) -> Result<(), ValidateError> {
             | Instr::ConsApp
             | Instr::AccApp(_)
             | Instr::PushQuote(_)
-            | Instr::EnvCons => Ok(()),
+            | Instr::EnvCons => Vec::new(),
         }
+    }
+}
+
+/// Validation error for malformed code.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ValidateError {
+    /// What is wrong.
+    pub message: String,
+}
+
+impl fmt::Display for ValidateError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(&self.message)
+    }
+}
+
+impl std::error::Error for ValidateError {}
+
+/// Checks the paper's structural invariant: **no nested emits** —
+/// `emit(emit(i))` must never occur, at any depth inside `Cur`/`Branch`/
+/// `Switch`/`RecClos` bodies (§4.2: "nested emits are not allowed on the
+/// CCAM"). Block references in `code` are resolved against `seg`.
+///
+/// # Errors
+///
+/// Returns a [`ValidateError`] locating the first nested emit.
+pub fn validate(seg: &CodeSeg, code: &[Instr]) -> Result<(), ValidateError> {
+    fn visit(seg: &CodeSeg, i: &Instr) -> Result<(), ValidateError> {
+        if let Instr::Emit(inner) = i {
+            if matches!(**inner, Instr::Emit(_)) {
+                return Err(ValidateError {
+                    message: "nested emit: emit(emit(_)) is not a legal CCAM instruction"
+                        .to_string(),
+                });
+            }
+        }
+        // Copy each block out so the segment is not borrowed across the
+        // recursion (validation is not a hot path).
+        for b in i.block_refs() {
+            for i in seg.block_to_vec(b) {
+                visit(seg, &i)?;
+            }
+        }
+        Ok(())
     }
     for i in code {
         visit(seg, i)?;

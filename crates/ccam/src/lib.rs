@@ -25,6 +25,11 @@
 //! are `(segment, block, pc)` triples, so dispatch walks a contiguous
 //! slice with no per-step reference counting.
 //!
+//! Segments and values are single-threaded `Rc` graphs. Frozen code leaves
+//! its thread as bytes: [`wire::encode`] renders a value and every block it
+//! reaches, and [`wire::decode`] rebuilds them in a fresh segment on the
+//! thread (or in the process) that runs them.
+//!
 //! The simulator counts **reduction steps** (one per executed instruction),
 //! the measurement unit of the paper's Table 1, plus emitted-instruction,
 //! arena, and call counters.
@@ -62,7 +67,8 @@ pub mod disasm;
 pub mod instr;
 pub mod machine;
 pub mod opt;
-pub mod portable;
+#[cfg(test)]
+mod portable;
 pub mod relocate;
 pub mod seg;
 pub mod value;
@@ -70,7 +76,6 @@ pub mod wire;
 
 pub use instr::{Instr, PrimOp, SwitchArm, SwitchTable};
 pub use machine::{Machine, MachineError, Stats};
-pub use portable::{PortableCode, PortableInstr, PortableValue};
 pub use seg::{BlockId, CodeBuilder, CodeRef, CodeSeg};
 pub use value::{Arena, ConTag, Value};
-pub use wire::{decode_value, encode_value, WireError};
+pub use wire::WireError;

@@ -16,7 +16,7 @@ use crate::instr::{Instr, SwitchArm, SwitchTable};
 use std::cell::{Ref, RefCell};
 use std::collections::HashMap;
 use std::fmt;
-use std::rc::Rc;
+use std::rc::{Rc, Weak};
 
 /// An index into a segment's block table. Only meaningful relative to the
 /// [`CodeSeg`] it was issued by.
@@ -107,6 +107,31 @@ impl CodeSeg {
     /// A stable address for identity-keyed memo tables.
     pub fn addr(&self) -> usize {
         Rc::as_ptr(&self.0) as usize
+    }
+
+    /// A handle that does not keep the segment alive, for checking that
+    /// it was freed.
+    pub fn downgrade(&self) -> WeakSeg {
+        WeakSeg(Rc::downgrade(&self.0))
+    }
+
+    /// Installs a whole instruction vector and its block table,
+    /// `(start, len)` per block, in this empty segment.
+    pub(crate) fn install(&self, instrs: Vec<Instr>, blocks: Vec<(u32, u32)>) {
+        debug_assert!(self.num_blocks() == 0, "install targets an empty segment");
+        *self.0.instrs.borrow_mut() = instrs;
+        *self.0.blocks.borrow_mut() = blocks
+            .into_iter()
+            .map(|(start, len)| Block { start, len })
+            .collect();
+    }
+
+    /// Empties the segment, dropping every instruction (and the values
+    /// they embed). Issued [`BlockId`]s become dangling.
+    pub(crate) fn clear(&self) {
+        let instrs = std::mem::take(&mut *self.0.instrs.borrow_mut());
+        self.0.blocks.borrow_mut().clear();
+        drop(instrs);
     }
 
     /// Appends `instrs` as a new block at the segment tail and returns
@@ -305,6 +330,17 @@ impl CodeSeg {
             .borrow()
             .get(b.0 as usize)
             .map_or(0, |st| st.level)
+    }
+}
+
+/// A non-owning handle to a [`CodeSeg`] (see [`CodeSeg::downgrade`]).
+#[derive(Debug, Clone)]
+pub struct WeakSeg(Weak<SegInner>);
+
+impl WeakSeg {
+    /// The segment, if it is still alive.
+    pub fn upgrade(&self) -> Option<CodeSeg> {
+        self.0.upgrade().map(CodeSeg)
     }
 }
 

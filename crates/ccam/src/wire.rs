@@ -1,43 +1,50 @@
-//! Byte-level encoding of portable code and values.
+//! Byte-level encoding of frozen code and first-order values.
 //!
-//! [`crate::portable`] makes a frozen artifact *thread*-shareable; this
-//! module makes it *process*-shareable: a hand-rolled, deterministic,
-//! versionable byte rendering of a [`PortableValue`] — the portable
-//! segment (block table plus instruction stream) followed by the value
-//! graph — so specialized code can be written to disk, shipped across
-//! processes, and rebuilt without re-running the generator.
+//! The machine's run-time representation is deliberately single-threaded:
+//! code lives in an `Rc`-shared [`CodeSeg`], values share structure
+//! through `Rc`, and arenas/references/arrays carry `RefCell`s. A
+//! specialized program — the paper's *generate once, run many* artifact —
+//! leaves the thread (or process) that generated it as bytes: this
+//! module's hand-rolled, deterministic, versionable rendering of a
+//! [`Value`] graph and every code block it reaches. Bytes are
+//! `Send + Sync`; a thread that wants to run the code [`decode`]s them
+//! into a fresh segment and value graph of its own.
+//!
+//! A payload is the block table (every reachable block, numbered densely
+//! in the order a pre-order walk from the root first reaches it) followed
+//! by the root value. [`encode`] refuses anything whose semantics depend
+//! on shared mutation — arenas still under construction, `ref` cells,
+//! arrays — with an [`ExtractError`].
 //!
 //! This is the raw *payload* codec: no header, no checksum, no
 //! fingerprints. The framed artifact container (magic, format version,
 //! fingerprints, section lengths, trailing checksum) lives one layer up
 //! in `mlbox::wire`, which wraps these bytes; keeping the payload codec
 //! here keeps the instruction/value encodings next to the types they
-//! mirror, so adding an instruction without a wire rendering fails to
+//! render, so adding an instruction without a wire rendering fails to
 //! compile.
 //!
 //! Properties the codec guarantees:
 //!
-//! - **Determinism**: encoding is a pre-order walk of the value graph
-//!   and block table; no hash-map iteration order leaks into the bytes.
+//! - **Determinism**: no hash-map iteration order leaks into the bytes.
 //!   `encode(decode(bytes)) == bytes` for every accepted input.
 //! - **Sharing preservation**: shared nodes (pairs, frames, closures,
-//!   recursive groups) are encoded once and back-referenced by index,
-//!   so hydration after a decode restores exactly the sharing the
-//!   extraction saw — `instr_count` and step counts survive the disk.
+//!   recursive groups — keyed on `Rc` identity) are encoded once and
+//!   back-referenced by index, and a block reached twice is encoded once,
+//!   so a decode restores exactly the sharing the encoder saw: the
+//!   instruction count and step counts survive the disk.
 //! - **Totality of decode**: every read is bounds-checked, untrusted
 //!   counts never pre-allocate, block references are validated against
-//!   the block table, and nesting depth is capped
-//!   ([`MAX_DECODE_DEPTH`]) so a malicious input errors instead of
+//!   the block table, nested emits are refused, and nesting depth is
+//!   capped ([`MAX_DECODE_DEPTH`]) so a malicious input errors instead of
 //!   exhausting the stack. Decode never panics.
 
-use crate::instr::{MergeSwitchSpec, PrimOp};
-use crate::portable::{
-    PortableClosure, PortableFrame, PortableInstr, PortableRecGroup, PortableSegData,
-    PortableSwitchArm, PortableSwitchTable, PortableVal, PortableValue,
-};
-use std::collections::HashMap;
+use crate::instr::{Instr, MergeSwitchSpec, PrimOp, SwitchArm, SwitchTable};
+use crate::seg::{BlockId, CodeRef, CodeSeg};
+use crate::value::{Closure, Frame, RecGroup, Value};
+use std::collections::{HashMap, HashSet};
 use std::fmt;
-use std::sync::Arc;
+use std::rc::Rc;
 
 /// Decode-side cap on value/instruction nesting. Adversarial inputs can
 /// nest one level per byte; without a cap a few kilobytes of `pair` tags
@@ -60,7 +67,7 @@ pub enum WireError {
         remaining: usize,
     },
     /// A structurally invalid encoding (bad tag, dangling block or
-    /// back-reference, malformed UTF-8, …).
+    /// back-reference, nested emit, malformed UTF-8, …).
     Corrupt(&'static str),
     /// Value/instruction nesting exceeded [`MAX_DECODE_DEPTH`].
     TooDeep,
@@ -88,6 +95,42 @@ impl fmt::Display for WireError {
 }
 
 impl std::error::Error for WireError {}
+
+/// Why a value cannot be encoded: it (transitively) holds mutable shared
+/// state.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ExtractError {
+    /// The offending run-time representation ("code arena", "ref cell",
+    /// "array").
+    pub kind: &'static str,
+}
+
+impl fmt::Display for ExtractError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "value contains a {}, which is mutable shared state and cannot \
+             cross threads; only finished (frozen) code and first-order \
+             values are portable",
+            self.kind
+        )
+    }
+}
+
+impl std::error::Error for ExtractError {}
+
+/// What a payload holds, as its encoder or decoder counted it.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct PayloadInfo {
+    /// Instructions in the block table: every reachable instruction,
+    /// shared blocks counted once (the artifact-size metric).
+    pub instructions: usize,
+    /// Whether a contiguous environment frame occurs anywhere (value
+    /// graph or `quote` immediates). Frames only exist under the flat
+    /// environment mode, so a consumer in another mode must refuse the
+    /// payload; the decoder recomputes this, never trusting the producer.
+    pub uses_frames: bool,
+}
 
 // ---------------------------------------------------------------------
 // Primitive writers/readers. All integers are little-endian and
@@ -130,10 +173,6 @@ struct Reader<'a> {
 }
 
 impl<'a> Reader<'a> {
-    fn new(bytes: &'a [u8]) -> Self {
-        Reader { bytes, pos: 0 }
-    }
-
     fn remaining(&self) -> usize {
         self.bytes.len() - self.pos
     }
@@ -163,15 +202,15 @@ impl<'a> Reader<'a> {
     }
 
     fn u32(&mut self) -> Result<u32, WireError> {
-        let b = self.take(4)?;
-        Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
+        Ok(u32::from_le_bytes(
+            self.take(4)?.try_into().expect("4 bytes"),
+        ))
     }
 
     fn i64(&mut self) -> Result<i64, WireError> {
-        let b = self.take(8)?;
-        Ok(i64::from_le_bytes([
-            b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7],
-        ]))
+        Ok(i64::from_le_bytes(
+            self.take(8)?.try_into().expect("8 bytes"),
+        ))
     }
 
     fn str(&mut self) -> Result<&'a str, WireError> {
@@ -203,15 +242,6 @@ const TAG_BACKREF: u8 = 9;
 const GROUP_INLINE: u8 = 0;
 /// Inside `TAG_RECCLOSURE`: the group is a back-reference.
 const GROUP_BACKREF: u8 = 1;
-
-/// A decoded shared node, held in the back-reference table.
-#[derive(Clone)]
-enum Shared {
-    Pair(Arc<(PortableVal, PortableVal)>),
-    Frame(Arc<PortableFrame>),
-    Closure(Arc<PortableClosure>),
-    Group(Arc<PortableRecGroup>),
-}
 
 // ---------------------------------------------------------------------
 // PrimOp <-> byte. An explicit exhaustive table in both directions, so a
@@ -280,215 +310,219 @@ fn prim_from_byte(b: u8) -> Result<PrimOp, WireError> {
 }
 
 // ---------------------------------------------------------------------
-// Instruction opcodes on the wire reuse `Instr::opcode` numbering (the
-// dense index used by the per-opcode statistics tables and the
-// disassembler), so the hex dump of an artifact reads against the same
-// numbering every other tool prints.
-// ---------------------------------------------------------------------
-
-const OP_ID: u8 = 0;
-const OP_FST: u8 = 1;
-const OP_SND: u8 = 2;
-const OP_PUSH: u8 = 3;
-const OP_SWAP: u8 = 4;
-const OP_CONSPAIR: u8 = 5;
-const OP_APP: u8 = 6;
-const OP_QUOTE: u8 = 7;
-const OP_CUR: u8 = 8;
-const OP_EMIT: u8 = 9;
-const OP_LIFTV: u8 = 10;
-const OP_NEWARENA: u8 = 11;
-const OP_MERGE: u8 = 12;
-const OP_CALL: u8 = 13;
-const OP_BRANCH: u8 = 14;
-const OP_RECCLOS: u8 = 15;
-const OP_PACK: u8 = 16;
-const OP_SWITCH: u8 = 17;
-const OP_PRIM: u8 = 18;
-const OP_FAIL: u8 = 19;
-const OP_MERGEBRANCH: u8 = 20;
-const OP_MERGESWITCH: u8 = 21;
-const OP_MERGEREC: u8 = 22;
-const OP_ACC: u8 = 23;
-const OP_PUSHACC: u8 = 24;
-const OP_QUOTECONS: u8 = 25;
-const OP_SWAPCONS: u8 = 26;
-const OP_CONSAPP: u8 = 27;
-const OP_ACCAPP: u8 = 28;
-const OP_PUSHQUOTE: u8 = 29;
-const OP_ENVCONS: u8 = 30;
-
-// ---------------------------------------------------------------------
 // Encoding
 // ---------------------------------------------------------------------
 
+fn addr<T>(rc: &Rc<T>) -> usize {
+    Rc::as_ptr(rc) as usize
+}
+
+/// The encoder's first walk: numbers every block reachable from the
+/// root, pre-order. A block's number is reserved before its instructions
+/// are walked; a closure's environment is walked before its body, a
+/// recursive group's bodies before its environment, switch arms before
+/// the default, a branch's then-block before its else-block. Blocks are
+/// keyed on `(segment identity, block id)` — a value may reach several
+/// segments (a `quote`d closure over another session's code) — and
+/// shared nodes are walked once, keyed on `Rc` identity, so the walk is
+/// linear in the size of the graph. Segments and nodes are kept alive by
+/// the value under encoding, so their addresses are stable throughout.
 #[derive(Default)]
-struct Encode {
+struct Numbering {
+    number: HashMap<(usize, u32), u32>,
+    order: Vec<(CodeSeg, BlockId)>,
+    walked: HashSet<usize>,
+    info: PayloadInfo,
+}
+
+impl Numbering {
+    fn block(&mut self, seg: &CodeSeg, b: BlockId) -> Result<(), ExtractError> {
+        let key = (seg.addr(), b.0);
+        if self.number.contains_key(&key) {
+            return Ok(());
+        }
+        let n = u32::try_from(self.order.len()).expect("wire payload exceeds u32 blocks");
+        self.number.insert(key, n);
+        self.order.push((seg.clone(), b));
+        let (start, len) = seg.block_bounds(b);
+        self.info.instructions += len;
+        let instrs = seg.borrow_instrs();
+        instrs[start..start + len]
+            .iter()
+            .try_for_each(|i| self.instr(seg, i))
+    }
+
+    fn instr(&mut self, seg: &CodeSeg, i: &Instr) -> Result<(), ExtractError> {
+        match i {
+            Instr::Quote(v) | Instr::QuoteCons(v) | Instr::PushQuote(v) => self.value(v),
+            Instr::Emit(inner) => self.instr(seg, inner),
+            _ => i
+                .block_refs()
+                .into_iter()
+                .try_for_each(|b| self.block(seg, b)),
+        }
+    }
+
+    fn value(&mut self, v: &Value) -> Result<(), ExtractError> {
+        match v {
+            Value::Unit | Value::Int(_) | Value::Bool(_) | Value::Str(_) => Ok(()),
+            Value::Con(_, payload) => payload.as_ref().map_or(Ok(()), |p| self.value(p)),
+            Value::Pair(p) if self.walked.insert(addr(p)) => {
+                self.value(&p.0)?;
+                self.value(&p.1)
+            }
+            Value::Frame(f) if self.walked.insert(addr(f)) => {
+                self.info.uses_frames = true;
+                self.value(&f.link)?;
+                f.slots.iter().try_for_each(|s| self.value(s))
+            }
+            Value::Closure(c) if self.walked.insert(addr(c)) => {
+                self.value(&c.env)?;
+                self.block(&c.body.seg, c.body.block)
+            }
+            Value::RecClosure { group, .. } if self.walked.insert(addr(group)) => {
+                for b in group.bodies.iter() {
+                    self.block(&group.seg, *b)?;
+                }
+                self.value(&group.env)
+            }
+            // Walked already.
+            Value::Pair(_) | Value::Frame(_) | Value::Closure(_) | Value::RecClosure { .. } => {
+                Ok(())
+            }
+            Value::Arena(_) => Err(ExtractError { kind: "code arena" }),
+            Value::Ref(_) => Err(ExtractError { kind: "ref cell" }),
+            Value::Array(_) => Err(ExtractError { kind: "array" }),
+        }
+    }
+}
+
+/// The encoder's second walk: writes the numbered blocks, then the root.
+struct Encode<'a> {
     out: Writer,
+    number: &'a HashMap<(usize, u32), u32>,
     /// Address of a shared node's allocation → its back-reference index.
-    /// Addresses are stable for the duration: the value under encoding
-    /// keeps every node alive.
     shared: HashMap<usize, u32>,
 }
 
-impl Encode {
+impl Encode<'_> {
     /// Registers a shared node the moment its inline encoding *starts*
-    /// (pre-order), mirroring the decoder's reserve-then-fill. Returns
-    /// `Some(index)` if the node was already emitted.
-    fn share(&mut self, addr: usize) -> Option<u32> {
+    /// (pre-order), mirroring the decoder's reserve-then-fill. Writes a
+    /// back-reference with `tag` and returns `true` if the node was
+    /// already emitted.
+    fn backref(&mut self, addr: usize, tag: u8) -> bool {
         if let Some(&idx) = self.shared.get(&addr) {
-            return Some(idx);
+            self.out.u8(tag);
+            self.out.u32(idx);
+            return true;
         }
         let idx = u32::try_from(self.shared.len()).expect("wire payload exceeds u32 shared nodes");
         self.shared.insert(addr, idx);
-        None
+        false
     }
 
-    fn value(&mut self, v: &PortableVal) {
+    fn block_ref(&mut self, seg: &CodeSeg, b: BlockId) {
+        self.out.u32(self.number[&(seg.addr(), b.0)]);
+    }
+
+    fn value(&mut self, v: &Value) {
         match v {
-            PortableVal::Unit => self.out.u8(TAG_UNIT),
-            PortableVal::Int(n) => {
+            Value::Unit => self.out.u8(TAG_UNIT),
+            Value::Int(n) => {
                 self.out.u8(TAG_INT);
                 self.out.i64(*n);
             }
-            PortableVal::Bool(b) => {
+            Value::Bool(b) => {
                 self.out.u8(TAG_BOOL);
                 self.out.u8(u8::from(*b));
             }
-            PortableVal::Str(s) => {
+            Value::Str(s) => {
                 self.out.u8(TAG_STR);
                 self.out.str(s);
             }
-            PortableVal::Pair(p) => {
-                if let Some(idx) = self.share(Arc::as_ptr(p) as usize) {
-                    self.out.u8(TAG_BACKREF);
-                    self.out.u32(idx);
-                    return;
-                }
-                self.out.u8(TAG_PAIR);
-                self.value(&p.0);
-                self.value(&p.1);
-            }
-            PortableVal::Frame(fr) => {
-                if let Some(idx) = self.share(Arc::as_ptr(fr) as usize) {
-                    self.out.u8(TAG_BACKREF);
-                    self.out.u32(idx);
-                    return;
-                }
-                self.out.u8(TAG_FRAME);
-                self.value(&fr.link);
-                self.out.usize_u32(fr.slots.len());
-                for s in &fr.slots {
-                    self.value(s);
+            Value::Pair(p) => {
+                if !self.backref(addr(p), TAG_BACKREF) {
+                    self.out.u8(TAG_PAIR);
+                    self.value(&p.0);
+                    self.value(&p.1);
                 }
             }
-            PortableVal::Closure(c) => {
-                if let Some(idx) = self.share(Arc::as_ptr(c) as usize) {
-                    self.out.u8(TAG_BACKREF);
-                    self.out.u32(idx);
-                    return;
+            Value::Frame(fr) => {
+                if !self.backref(addr(fr), TAG_BACKREF) {
+                    self.out.u8(TAG_FRAME);
+                    self.value(&fr.link);
+                    self.out.usize_u32(fr.slots.len());
+                    for s in &fr.slots {
+                        self.value(s);
+                    }
                 }
-                self.out.u8(TAG_CLOSURE);
-                self.value(&c.env);
-                self.out.u32(c.body);
             }
-            PortableVal::RecClosure { group, index } => {
+            Value::Closure(c) => {
+                if !self.backref(addr(c), TAG_BACKREF) {
+                    self.out.u8(TAG_CLOSURE);
+                    self.value(&c.env);
+                    self.block_ref(&c.body.seg, c.body.block);
+                }
+            }
+            Value::RecClosure { group, index } => {
                 self.out.u8(TAG_RECCLOSURE);
-                if let Some(idx) = self.share(Arc::as_ptr(group) as usize) {
-                    self.out.u8(GROUP_BACKREF);
-                    self.out.u32(idx);
-                } else {
+                if !self.backref(addr(group), GROUP_BACKREF) {
                     self.out.u8(GROUP_INLINE);
                     self.value(&group.env);
                     self.out.usize_u32(group.bodies.len());
                     for b in group.bodies.iter() {
-                        self.out.u32(*b);
+                        self.block_ref(&group.seg, *b);
                     }
                 }
-                self.out.usize_u32(*index);
+                self.out.u32(*index);
             }
-            PortableVal::Con(tag, payload) => {
+            Value::Con(tag, payload) => {
                 self.out.u8(TAG_CON);
                 self.out.u32(*tag);
-                match payload {
-                    Some(p) => {
-                        self.out.u8(1);
-                        self.value(p);
-                    }
-                    None => self.out.u8(0),
+                self.out.u8(u8::from(payload.is_some()));
+                if let Some(p) = payload {
+                    self.value(p);
                 }
+            }
+            Value::Arena(_) | Value::Ref(_) | Value::Array(_) => {
+                unreachable!("the numbering walk refuses mutable state")
             }
         }
     }
 
-    fn instr(&mut self, i: &PortableInstr) {
+    fn instr(&mut self, seg: &CodeSeg, i: &Instr) {
+        self.out
+            .u8(u8::try_from(i.opcode()).expect("opcodes fit a byte"));
         match i {
-            PortableInstr::Id => self.out.u8(OP_ID),
-            PortableInstr::Fst => self.out.u8(OP_FST),
-            PortableInstr::Snd => self.out.u8(OP_SND),
-            PortableInstr::Push => self.out.u8(OP_PUSH),
-            PortableInstr::Swap => self.out.u8(OP_SWAP),
-            PortableInstr::ConsPair => self.out.u8(OP_CONSPAIR),
-            PortableInstr::App => self.out.u8(OP_APP),
-            PortableInstr::Quote(v) => {
-                self.out.u8(OP_QUOTE);
-                self.value(v);
+            Instr::Quote(v) | Instr::QuoteCons(v) | Instr::PushQuote(v) => self.value(v),
+            Instr::Cur(b) => self.block_ref(seg, *b),
+            Instr::Emit(inner) => self.instr(seg, inner),
+            Instr::Branch(t, e) => {
+                self.block_ref(seg, *t);
+                self.block_ref(seg, *e);
             }
-            PortableInstr::Cur(b) => {
-                self.out.u8(OP_CUR);
-                self.out.u32(*b);
-            }
-            PortableInstr::Emit(inner) => {
-                self.out.u8(OP_EMIT);
-                self.instr(inner);
-            }
-            PortableInstr::LiftV => self.out.u8(OP_LIFTV),
-            PortableInstr::NewArena => self.out.u8(OP_NEWARENA),
-            PortableInstr::Merge => self.out.u8(OP_MERGE),
-            PortableInstr::Call => self.out.u8(OP_CALL),
-            PortableInstr::Branch(t, e) => {
-                self.out.u8(OP_BRANCH);
-                self.out.u32(*t);
-                self.out.u32(*e);
-            }
-            PortableInstr::RecClos(bodies) => {
-                self.out.u8(OP_RECCLOS);
+            Instr::RecClos(bodies) => {
                 self.out.usize_u32(bodies.len());
                 for b in bodies.iter() {
-                    self.out.u32(*b);
+                    self.block_ref(seg, *b);
                 }
             }
-            PortableInstr::Pack(tag) => {
-                self.out.u8(OP_PACK);
-                self.out.u32(*tag);
-            }
-            PortableInstr::Switch(table) => {
-                self.out.u8(OP_SWITCH);
+            Instr::Pack(tag) => self.out.u32(*tag),
+            Instr::Switch(table) => {
                 self.out.usize_u32(table.arms.len());
                 for arm in &table.arms {
                     self.out.u32(arm.tag);
                     self.out.u8(u8::from(arm.bind));
-                    self.out.u32(arm.code);
+                    self.block_ref(seg, arm.code);
                 }
-                match table.default {
-                    Some(d) => {
-                        self.out.u8(1);
-                        self.out.u32(d);
-                    }
-                    None => self.out.u8(0),
+                self.out.u8(u8::from(table.default.is_some()));
+                if let Some(d) = table.default {
+                    self.block_ref(seg, d);
                 }
             }
-            PortableInstr::Prim(op) => {
-                self.out.u8(OP_PRIM);
-                self.out.u8(prim_to_byte(*op));
-            }
-            PortableInstr::Fail(msg) => {
-                self.out.u8(OP_FAIL);
-                self.out.str(msg);
-            }
-            PortableInstr::MergeBranch => self.out.u8(OP_MERGEBRANCH),
-            PortableInstr::MergeSwitch(spec) => {
-                self.out.u8(OP_MERGESWITCH);
+            Instr::Prim(op) => self.out.u8(prim_to_byte(*op)),
+            Instr::Fail(msg) => self.out.str(msg),
+            Instr::MergeSwitch(spec) => {
                 self.out.usize_u32(spec.arms.len());
                 for (tag, bind) in &spec.arms {
                     self.out.u32(*tag);
@@ -496,183 +530,103 @@ impl Encode {
                 }
                 self.out.u8(u8::from(spec.default));
             }
-            PortableInstr::MergeRec(n) => {
-                self.out.u8(OP_MERGEREC);
-                self.out.usize_u32(*n);
+            Instr::Acc(n) | Instr::PushAcc(n) | Instr::AccApp(n) | Instr::MergeRec(n) => {
+                self.out.usize_u32(*n)
             }
-            PortableInstr::Acc(n) => {
-                self.out.u8(OP_ACC);
-                self.out.usize_u32(*n);
-            }
-            PortableInstr::PushAcc(n) => {
-                self.out.u8(OP_PUSHACC);
-                self.out.usize_u32(*n);
-            }
-            PortableInstr::QuoteCons(v) => {
-                self.out.u8(OP_QUOTECONS);
-                self.value(v);
-            }
-            PortableInstr::SwapCons => self.out.u8(OP_SWAPCONS),
-            PortableInstr::ConsApp => self.out.u8(OP_CONSAPP),
-            PortableInstr::AccApp(n) => {
-                self.out.u8(OP_ACCAPP);
-                self.out.usize_u32(*n);
-            }
-            PortableInstr::PushQuote(v) => {
-                self.out.u8(OP_PUSHQUOTE);
-                self.value(v);
-            }
-            PortableInstr::EnvCons => self.out.u8(OP_ENVCONS),
-        }
-    }
-
-    fn seg(&mut self, seg: &PortableSegData) {
-        self.out.usize_u32(seg.blocks.len());
-        for b in 0..seg.blocks.len() {
-            let instrs = seg.block(b as u32);
-            self.out.usize_u32(instrs.len());
-            for i in instrs {
-                self.instr(i);
-            }
+            Instr::Id
+            | Instr::Fst
+            | Instr::Snd
+            | Instr::Push
+            | Instr::Swap
+            | Instr::ConsPair
+            | Instr::App
+            | Instr::LiftV
+            | Instr::NewArena
+            | Instr::Merge
+            | Instr::Call
+            | Instr::MergeBranch
+            | Instr::SwapCons
+            | Instr::ConsApp
+            | Instr::EnvCons => {}
         }
     }
 }
 
-/// Encodes a portable value — its segment, then its value graph — as a
-/// deterministic, self-delimiting byte payload.
-pub fn encode_value(v: &PortableValue) -> Vec<u8> {
-    let mut e = Encode::default();
-    e.seg(&v.seg);
-    e.value(&v.root);
-    e.out.bytes
+/// Encodes a value — every block it reaches, then the value graph — as a
+/// deterministic, self-delimiting byte payload, and reports what the
+/// payload holds.
+///
+/// # Errors
+///
+/// Returns an [`ExtractError`] if the value (transitively, `quote`
+/// immediates in reachable code included) contains an arena, a `ref`
+/// cell, or an array.
+pub fn encode(v: &Value) -> Result<(Vec<u8>, PayloadInfo), ExtractError> {
+    let mut numbering = Numbering::default();
+    numbering.value(v)?;
+    let mut e = Encode {
+        out: Writer::default(),
+        number: &numbering.number,
+        shared: HashMap::new(),
+    };
+    e.out.usize_u32(numbering.order.len());
+    for (seg, b) in &numbering.order {
+        let (start, len) = seg.block_bounds(*b);
+        e.out.usize_u32(len);
+        let instrs = seg.borrow_instrs();
+        for i in &instrs[start..start + len] {
+            e.instr(seg, i);
+        }
+    }
+    e.value(v);
+    Ok((e.out.bytes, numbering.info))
 }
 
 // ---------------------------------------------------------------------
 // Decoding
 // ---------------------------------------------------------------------
 
+/// A decoded shared node, held in the back-reference table.
+#[derive(Clone)]
+enum Shared {
+    Pair(Rc<(Value, Value)>),
+    Frame(Rc<Frame>),
+    Closure(Rc<Closure>),
+    Group(Rc<RecGroup>),
+}
+
 struct Decode<'a> {
     input: Reader<'a>,
+    /// The segment every decoded block lands in; closures and groups
+    /// point at it before its blocks are installed.
+    seg: CodeSeg,
     /// Shared nodes in first-emission order. `None` marks a node whose
     /// inline encoding is still being decoded (its index is reserved, but
     /// a back-reference to it would be a cycle — impossible for the DAGs
-    /// extraction produces, so it is rejected as corrupt).
+    /// the encoder writes, so it is rejected as corrupt).
     shared: Vec<Option<Shared>>,
     /// Number of blocks in the segment, for validating block references.
     blocks: u32,
-    /// Set when any frame decodes anywhere in the payload (value graph or
-    /// `quote` immediates) — recomputed rather than trusted from the
-    /// producer, because `uses_frames` gates the flat-env compatibility
-    /// check at hydration time.
+    /// Recomputed from what actually decodes, never trusted.
     uses_frames: bool,
 }
 
-impl<'a> Decode<'a> {
-    fn block_ref(&mut self) -> Result<u32, WireError> {
+impl Decode<'_> {
+    fn block_ref(&mut self) -> Result<BlockId, WireError> {
         let b = self.input.u32()?;
         if b >= self.blocks {
             return Err(WireError::Corrupt("block reference out of range"));
         }
-        Ok(b)
+        Ok(BlockId(b))
     }
 
-    fn value(&mut self, depth: usize) -> Result<PortableVal, WireError> {
-        if depth >= MAX_DECODE_DEPTH {
-            return Err(WireError::TooDeep);
+    fn read_blocks(&mut self) -> Result<Rc<Vec<BlockId>>, WireError> {
+        let count = self.input.u32()?;
+        let mut bodies = Vec::new();
+        for _ in 0..count {
+            bodies.push(self.block_ref()?);
         }
-        Ok(match self.input.u8()? {
-            TAG_UNIT => PortableVal::Unit,
-            TAG_INT => PortableVal::Int(self.input.i64()?),
-            TAG_BOOL => PortableVal::Bool(self.input.bool()?),
-            TAG_STR => PortableVal::Str(Arc::from(self.input.str()?)),
-            TAG_PAIR => {
-                let slot = self.reserve();
-                let a = self.value(depth + 1)?;
-                let b = self.value(depth + 1)?;
-                let pair = Arc::new((a, b));
-                self.shared[slot] = Some(Shared::Pair(pair.clone()));
-                PortableVal::Pair(pair)
-            }
-            TAG_FRAME => {
-                self.uses_frames = true;
-                let slot = self.reserve();
-                let link = self.value(depth + 1)?;
-                let count = self.input.u32()? as usize;
-                let mut slots = Vec::new();
-                for _ in 0..count {
-                    slots.push(self.value(depth + 1)?);
-                }
-                let frame = Arc::new(PortableFrame { link, slots });
-                self.shared[slot] = Some(Shared::Frame(frame.clone()));
-                PortableVal::Frame(frame)
-            }
-            TAG_CLOSURE => {
-                let slot = self.reserve();
-                let env = self.value(depth + 1)?;
-                let body = self.block_ref()?;
-                let closure = Arc::new(PortableClosure { env, body });
-                self.shared[slot] = Some(Shared::Closure(closure.clone()));
-                PortableVal::Closure(closure)
-            }
-            TAG_RECCLOSURE => {
-                let group = match self.input.u8()? {
-                    GROUP_INLINE => {
-                        let slot = self.reserve();
-                        let env = self.value(depth + 1)?;
-                        let count = self.input.u32()? as usize;
-                        let mut bodies = Vec::new();
-                        for _ in 0..count {
-                            bodies.push(self.block_ref()?);
-                        }
-                        let group = Arc::new(PortableRecGroup {
-                            env,
-                            bodies: Arc::new(bodies),
-                        });
-                        self.shared[slot] = Some(Shared::Group(group.clone()));
-                        group
-                    }
-                    GROUP_BACKREF => match self.backref()? {
-                        Shared::Group(g) => g,
-                        _ => {
-                            return Err(WireError::Corrupt(
-                                "rec-closure back-reference is not a group",
-                            ))
-                        }
-                    },
-                    _ => return Err(WireError::Corrupt("unknown rec-group marker")),
-                };
-                let index = self.input.u32()? as usize;
-                if index >= group.bodies.len() {
-                    return Err(WireError::Corrupt("rec-closure index out of range"));
-                }
-                PortableVal::RecClosure { group, index }
-            }
-            TAG_CON => {
-                let tag = self.input.u32()?;
-                let payload = match self.input.u8()? {
-                    0 => None,
-                    1 => Some(Arc::new(self.value(depth + 1)?)),
-                    _ => return Err(WireError::Corrupt("unknown constructor payload marker")),
-                };
-                PortableVal::Con(tag, payload)
-            }
-            TAG_BACKREF => match self.backref()? {
-                Shared::Pair(p) => PortableVal::Pair(p),
-                Shared::Frame(f) => {
-                    // Already counted at its inline decode, but cheap to
-                    // keep the invariant obvious.
-                    self.uses_frames = true;
-                    PortableVal::Frame(f)
-                }
-                Shared::Closure(c) => PortableVal::Closure(c),
-                Shared::Group(_) => {
-                    return Err(WireError::Corrupt(
-                        "value back-reference resolves to a rec group",
-                    ))
-                }
-            },
-            _ => return Err(WireError::Corrupt("unknown value tag")),
-        })
+        Ok(Rc::new(bodies))
     }
 
     fn reserve(&mut self) -> usize {
@@ -689,56 +643,156 @@ impl<'a> Decode<'a> {
         }
     }
 
-    fn instr(&mut self, depth: usize) -> Result<PortableInstr, WireError> {
+    fn value(&mut self, depth: usize) -> Result<Value, WireError> {
         if depth >= MAX_DECODE_DEPTH {
             return Err(WireError::TooDeep);
         }
         Ok(match self.input.u8()? {
-            OP_ID => PortableInstr::Id,
-            OP_FST => PortableInstr::Fst,
-            OP_SND => PortableInstr::Snd,
-            OP_PUSH => PortableInstr::Push,
-            OP_SWAP => PortableInstr::Swap,
-            OP_CONSPAIR => PortableInstr::ConsPair,
-            OP_APP => PortableInstr::App,
-            OP_QUOTE => PortableInstr::Quote(self.value(depth + 1)?),
-            OP_CUR => PortableInstr::Cur(self.block_ref()?),
-            OP_EMIT => PortableInstr::Emit(Box::new(self.instr(depth + 1)?)),
-            OP_LIFTV => PortableInstr::LiftV,
-            OP_NEWARENA => PortableInstr::NewArena,
-            OP_MERGE => PortableInstr::Merge,
-            OP_CALL => PortableInstr::Call,
-            OP_BRANCH => PortableInstr::Branch(self.block_ref()?, self.block_ref()?),
-            OP_RECCLOS => {
-                let count = self.input.u32()? as usize;
-                let mut bodies = Vec::new();
-                for _ in 0..count {
-                    bodies.push(self.block_ref()?);
-                }
-                PortableInstr::RecClos(Arc::new(bodies))
+            TAG_UNIT => Value::Unit,
+            TAG_INT => Value::Int(self.input.i64()?),
+            TAG_BOOL => Value::Bool(self.input.bool()?),
+            TAG_STR => Value::str(self.input.str()?),
+            TAG_PAIR => {
+                let slot = self.reserve();
+                let a = self.value(depth + 1)?;
+                let b = self.value(depth + 1)?;
+                let pair = Rc::new((a, b));
+                self.shared[slot] = Some(Shared::Pair(pair.clone()));
+                Value::Pair(pair)
             }
-            OP_PACK => PortableInstr::Pack(self.input.u32()?),
-            OP_SWITCH => {
-                let count = self.input.u32()? as usize;
+            TAG_FRAME => {
+                self.uses_frames = true;
+                let slot = self.reserve();
+                let link = self.value(depth + 1)?;
+                let count = self.input.u32()?;
+                let mut slots = Vec::new();
+                for _ in 0..count {
+                    slots.push(self.value(depth + 1)?);
+                }
+                let frame = Rc::new(Frame { link, slots });
+                self.shared[slot] = Some(Shared::Frame(frame.clone()));
+                Value::Frame(frame)
+            }
+            TAG_CLOSURE => {
+                let slot = self.reserve();
+                let env = self.value(depth + 1)?;
+                let block = self.block_ref()?;
+                let closure = Rc::new(Closure {
+                    env,
+                    body: CodeRef {
+                        seg: self.seg.clone(),
+                        block,
+                    },
+                });
+                self.shared[slot] = Some(Shared::Closure(closure.clone()));
+                Value::Closure(closure)
+            }
+            TAG_RECCLOSURE => {
+                let group = match self.input.u8()? {
+                    GROUP_INLINE => {
+                        let slot = self.reserve();
+                        let env = self.value(depth + 1)?;
+                        let bodies = self.read_blocks()?;
+                        let group = Rc::new(RecGroup {
+                            env,
+                            seg: self.seg.clone(),
+                            bodies,
+                        });
+                        self.shared[slot] = Some(Shared::Group(group.clone()));
+                        group
+                    }
+                    GROUP_BACKREF => match self.backref()? {
+                        Shared::Group(g) => g,
+                        _ => {
+                            return Err(WireError::Corrupt(
+                                "rec-closure back-reference is not a group",
+                            ))
+                        }
+                    },
+                    _ => return Err(WireError::Corrupt("unknown rec-group marker")),
+                };
+                let index = self.input.u32()?;
+                if index as usize >= group.bodies.len() {
+                    return Err(WireError::Corrupt("rec-closure index out of range"));
+                }
+                Value::RecClosure { group, index }
+            }
+            TAG_CON => {
+                let tag = self.input.u32()?;
+                let payload = match self.input.u8()? {
+                    0 => None,
+                    1 => Some(Rc::new(self.value(depth + 1)?)),
+                    _ => return Err(WireError::Corrupt("unknown constructor payload marker")),
+                };
+                Value::Con(tag, payload)
+            }
+            TAG_BACKREF => match self.backref()? {
+                Shared::Pair(p) => Value::Pair(p),
+                Shared::Frame(f) => Value::Frame(f),
+                Shared::Closure(c) => Value::Closure(c),
+                Shared::Group(_) => {
+                    return Err(WireError::Corrupt(
+                        "value back-reference resolves to a rec group",
+                    ))
+                }
+            },
+            _ => return Err(WireError::Corrupt("unknown value tag")),
+        })
+    }
+
+    /// One instruction. Its opcode byte is [`Instr::opcode`] — the
+    /// numbering the statistics tables and the disassembler use, so a
+    /// hex dump reads against what every other tool prints.
+    fn instr(&mut self, depth: usize) -> Result<Instr, WireError> {
+        if depth >= MAX_DECODE_DEPTH {
+            return Err(WireError::TooDeep);
+        }
+        Ok(match self.input.u8()? {
+            0 => Instr::Id,
+            1 => Instr::Fst,
+            2 => Instr::Snd,
+            3 => Instr::Push,
+            4 => Instr::Swap,
+            5 => Instr::ConsPair,
+            6 => Instr::App,
+            7 => Instr::Quote(self.value(depth + 1)?),
+            8 => Instr::Cur(self.block_ref()?),
+            9 => {
+                let inner = self.instr(depth + 1)?;
+                // The CCAM has no emit(emit(_)) (`instr::validate`).
+                if matches!(inner, Instr::Emit(_)) {
+                    return Err(WireError::Corrupt("nested emit"));
+                }
+                Instr::Emit(Box::new(inner))
+            }
+            10 => Instr::LiftV,
+            11 => Instr::NewArena,
+            12 => Instr::Merge,
+            13 => Instr::Call,
+            14 => Instr::Branch(self.block_ref()?, self.block_ref()?),
+            15 => Instr::RecClos(self.read_blocks()?),
+            16 => Instr::Pack(self.input.u32()?),
+            17 => {
+                let count = self.input.u32()?;
                 let mut arms = Vec::new();
                 for _ in 0..count {
                     let tag = self.input.u32()?;
                     let bind = self.input.bool()?;
                     let code = self.block_ref()?;
-                    arms.push(PortableSwitchArm { tag, bind, code });
+                    arms.push(SwitchArm { tag, bind, code });
                 }
                 let default = match self.input.u8()? {
                     0 => None,
                     1 => Some(self.block_ref()?),
                     _ => return Err(WireError::Corrupt("unknown switch default marker")),
                 };
-                PortableInstr::Switch(Arc::new(PortableSwitchTable { arms, default }))
+                Instr::Switch(Rc::new(SwitchTable { arms, default }))
             }
-            OP_PRIM => PortableInstr::Prim(prim_from_byte(self.input.u8()?)?),
-            OP_FAIL => PortableInstr::Fail(Arc::from(self.input.str()?)),
-            OP_MERGEBRANCH => PortableInstr::MergeBranch,
-            OP_MERGESWITCH => {
-                let count = self.input.u32()? as usize;
+            18 => Instr::Prim(prim_from_byte(self.input.u8()?)?),
+            19 => Instr::Fail(Rc::from(self.input.str()?)),
+            20 => Instr::MergeBranch,
+            21 => {
+                let count = self.input.u32()?;
                 let mut arms = Vec::new();
                 for _ in 0..count {
                     let tag = self.input.u32()?;
@@ -746,77 +800,102 @@ impl<'a> Decode<'a> {
                     arms.push((tag, bind));
                 }
                 let default = self.input.bool()?;
-                PortableInstr::MergeSwitch(Arc::new(MergeSwitchSpec { arms, default }))
+                Instr::MergeSwitch(Rc::new(MergeSwitchSpec { arms, default }))
             }
-            OP_MERGEREC => PortableInstr::MergeRec(self.input.u32()? as usize),
-            OP_ACC => PortableInstr::Acc(self.input.u32()? as usize),
-            OP_PUSHACC => PortableInstr::PushAcc(self.input.u32()? as usize),
-            OP_QUOTECONS => PortableInstr::QuoteCons(self.value(depth + 1)?),
-            OP_SWAPCONS => PortableInstr::SwapCons,
-            OP_CONSAPP => PortableInstr::ConsApp,
-            OP_ACCAPP => PortableInstr::AccApp(self.input.u32()? as usize),
-            OP_PUSHQUOTE => PortableInstr::PushQuote(self.value(depth + 1)?),
-            OP_ENVCONS => PortableInstr::EnvCons,
+            22 => Instr::MergeRec(self.input.u32()? as usize),
+            23 => Instr::Acc(self.input.u32()? as usize),
+            24 => Instr::PushAcc(self.input.u32()? as usize),
+            25 => Instr::QuoteCons(self.value(depth + 1)?),
+            26 => Instr::SwapCons,
+            27 => Instr::ConsApp,
+            28 => Instr::AccApp(self.input.u32()? as usize),
+            29 => Instr::PushQuote(self.value(depth + 1)?),
+            30 => Instr::EnvCons,
             _ => return Err(WireError::Corrupt("unknown instruction opcode")),
         })
     }
+}
 
-    fn seg(&mut self) -> Result<PortableSegData, WireError> {
-        let block_count = self.input.u32()?;
-        self.blocks = block_count;
-        let mut instrs = Vec::new();
-        let mut blocks = Vec::new();
-        for _ in 0..block_count {
-            let len = self.input.u32()?;
-            let start = u32::try_from(instrs.len())
-                .map_err(|_| WireError::Corrupt("segment exceeds u32 instructions"))?;
-            for _ in 0..len {
-                instrs.push(self.instr(0)?);
-            }
-            blocks.push((start, len));
-        }
-        Ok(PortableSegData { instrs, blocks })
+/// A decoded payload: a fresh segment holding every block, the root
+/// value, and what the decoder counted.
+///
+/// Code that quotes a closure over its own segment (any `lift` of a
+/// closure) makes an `Rc` cycle — segment → `quote` → closure → segment —
+/// so a decode that is only a check must end in
+/// [`discard`](Decoded::discard), which breaks it.
+#[derive(Debug)]
+pub struct Decoded {
+    /// The segment the payload's blocks were installed in (payload block
+    /// `i` is `BlockId(i)`).
+    pub seg: CodeSeg,
+    /// The root value.
+    pub value: Value,
+    /// Instruction count and frame flag, recomputed from the bytes.
+    pub info: PayloadInfo,
+}
+
+impl Decoded {
+    /// Drops the decoded graph, emptying the segment first so that no
+    /// `Rc` cycle through it survives; returns what the decode counted.
+    pub fn discard(self) -> PayloadInfo {
+        self.seg.clear();
+        self.info
     }
 }
 
-/// Decodes a payload produced by [`encode_value`], consuming the entire
-/// input.
-///
-/// The `uses_frames` flag of the result is recomputed from what actually
-/// decodes (never trusted from the producer), so the flat-env
-/// compatibility check downstream keeps its meaning.
+/// Decodes a payload produced by [`encode`], consuming the entire input:
+/// every block goes into one instruction vector and block table,
+/// installed in a fresh segment once the whole payload has decoded.
 ///
 /// # Errors
 ///
 /// Returns a [`WireError`] on truncation, unknown tags, dangling or
-/// cyclic references, out-of-range block numbers, over-deep nesting, or
-/// leftover bytes. Never panics.
-pub fn decode_value(bytes: &[u8]) -> Result<PortableValue, WireError> {
+/// cyclic references, out-of-range block numbers, nested emits,
+/// over-deep nesting, or leftover bytes. Never panics.
+pub fn decode(bytes: &[u8]) -> Result<Decoded, WireError> {
     let mut d = Decode {
-        input: Reader::new(bytes),
+        input: Reader { bytes, pos: 0 },
+        seg: CodeSeg::new(),
         shared: Vec::new(),
         blocks: 0,
         uses_frames: false,
     };
-    let seg = d.seg()?;
-    let root = d.value(0)?;
+    d.blocks = d.input.u32()?;
+    let mut instrs = Vec::new();
+    let mut table = Vec::new();
+    for _ in 0..d.blocks {
+        let len = d.input.u32()?;
+        let start = u32::try_from(instrs.len())
+            .map_err(|_| WireError::Corrupt("segment exceeds u32 instructions"))?;
+        for _ in 0..len {
+            instrs.push(d.instr(0)?);
+        }
+        table.push((start, len));
+    }
+    let value = d.value(0)?;
     if d.input.remaining() > 0 {
         return Err(WireError::TrailingBytes(d.input.remaining()));
     }
-    Ok(PortableValue::from_parts(
-        Arc::new(seg),
-        root,
-        d.uses_frames,
-    ))
+    let info = PayloadInfo {
+        instructions: instrs.len(),
+        uses_frames: d.uses_frames,
+    };
+    // Installed last: on every error path above the segment is still
+    // empty, so the partial graph holds no cycle and drops cleanly.
+    d.seg.install(instrs, table);
+    Ok(Decoded {
+        seg: d.seg,
+        value,
+        info,
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::instr::Instr;
-    use crate::seg::{CodeRef, CodeSeg};
-    use crate::value::{Closure, Value};
-    use std::rc::Rc;
+    use crate::machine::Machine;
+    use crate::value::Arena;
+    use std::cell::RefCell;
 
     fn closure(env: Value, body: Vec<Instr>) -> Value {
         Value::Closure(Rc::new(Closure {
@@ -825,16 +904,47 @@ mod tests {
         }))
     }
 
-    fn roundtrip(v: &Value) -> (PortableValue, Vec<u8>) {
-        let p = PortableValue::extract(v).unwrap();
-        let bytes = encode_value(&p);
-        let back = decode_value(&bytes).unwrap();
+    fn closure_at(env: Value, seg: &CodeSeg, block: BlockId) -> Value {
+        Value::Closure(Rc::new(Closure {
+            env,
+            body: CodeRef {
+                seg: seg.clone(),
+                block,
+            },
+        }))
+    }
+
+    /// Applies closure `f` to `arg` with a bare `app`.
+    fn apply(f: Value, arg: Value) -> Value {
+        let app = CodeSeg::new().entry(vec![Instr::App]);
+        Machine::new().run(app, Value::pair(f, arg)).unwrap()
+    }
+
+    fn unhex(s: &str) -> Vec<u8> {
+        let digits: Vec<u8> = s.bytes().filter(u8::is_ascii_hexdigit).collect();
+        digits
+            .chunks(2)
+            .map(|p| u8::from_str_radix(std::str::from_utf8(p).unwrap(), 16).unwrap())
+            .collect()
+    }
+
+    /// Encodes `v`, decodes it, and checks that the decode re-encodes to
+    /// the same bytes and counts what the encoder counted.
+    fn roundtrip(v: &Value) -> (Decoded, Vec<u8>) {
+        let (bytes, info) = encode(v).unwrap();
+        let back = decode(&bytes).unwrap();
+        assert_eq!(back.info, info);
         assert_eq!(
-            encode_value(&back),
+            encode(&back.value).unwrap().0,
             bytes,
             "decode-encode is not the identity on bytes"
         );
         (back, bytes)
+    }
+
+    fn pair_parts(v: &Value) -> (&Value, &Value) {
+        let Value::Pair(p) = v else { panic!("{v:?}") };
+        (&p.0, &p.1)
     }
 
     #[test]
@@ -846,11 +956,13 @@ mod tests {
             Value::Con(2, Some(Rc::new(Value::Unit))),
         ]);
         let (back, _) = roundtrip(&v);
-        assert_eq!(v.structural_eq(&back.hydrate()), Some(true));
+        assert_eq!(v.structural_eq(&back.value), Some(true));
+        assert_eq!(back.info.instructions, 0, "no code reachable");
     }
 
     #[test]
     fn closures_roundtrip_and_still_run() {
+        // fn x => snd x + 1, captured env ().
         let f = closure(
             Value::Unit,
             vec![
@@ -861,56 +973,100 @@ mod tests {
                 Instr::Prim(PrimOp::Add),
             ],
         );
-        let (back, _) = roundtrip(&f);
-        let g = back.hydrate();
-        let app: CodeRef = CodeSeg::new().entry(vec![Instr::App]);
-        let out = crate::machine::Machine::new()
-            .run(app, Value::pair(g, Value::Int(41)))
-            .unwrap();
-        assert!(matches!(out, Value::Int(42)));
+        // LiftV residualizes closures as `quote` immediates in generated
+        // code; those must survive inside code, not just at the value
+        // layer: fn x => f x.
+        let g = closure(
+            Value::Unit,
+            vec![
+                Instr::Snd,
+                Instr::Push,
+                Instr::Quote(f),
+                Instr::Swap,
+                Instr::ConsPair,
+                Instr::App,
+            ],
+        );
+        let (back, _) = roundtrip(&g);
+        assert_eq!(back.info.instructions, 11);
+        assert!(matches!(apply(back.value, Value::Int(41)), Value::Int(42)));
+    }
+
+    #[test]
+    fn mutable_state_is_rejected() {
+        let cases = [
+            (Value::Arena(Arena::new()), "code arena"),
+            (Value::Ref(Rc::new(RefCell::new(Value::Unit))), "ref cell"),
+            (Value::Array(Rc::new(RefCell::new(vec![]))), "array"),
+        ];
+        for (v, kind) in cases {
+            // Bury it in a quote of a closure's body to check the walk
+            // is transitive through code.
+            let buried = closure(
+                Value::Unit,
+                vec![Instr::Quote(Value::pair(Value::Int(1), v))],
+            );
+            let err = encode(&buried).unwrap_err();
+            assert_eq!(err.kind, kind);
+            assert!(err.to_string().contains(kind));
+        }
     }
 
     #[test]
     fn sharing_survives_the_wire() {
+        // One closure twice, a second closure over the same block, and a
+        // shared pair environment.
         let seg = CodeSeg::new();
-        let body = seg.add_block(vec![Instr::Snd]);
-        let shared = Value::Closure(Rc::new(Closure {
-            env: Value::pair(Value::Int(1), Value::Int(2)),
-            body: CodeRef {
-                seg: seg.clone(),
-                block: body,
-            },
-        }));
-        let v = Value::pair(shared.clone(), shared);
-        let (back, _) = roundtrip(&v);
-        // One closure, one block, shared pair env — instruction count and
-        // block count survive, so step counts will too.
-        assert_eq!(back.instr_count(), 1);
-        let h = back.hydrate();
-        let Value::Pair(p) = &h else { panic!("{h:?}") };
-        let (Value::Closure(a), Value::Closure(b)) = (&p.0, &p.1) else {
-            panic!("{h:?}")
+        let body = seg.add_block(vec![Instr::Id, Instr::Snd]);
+        let shared = closure_at(Value::pair(Value::Int(1), Value::Int(2)), &seg, body);
+        let other = closure_at(Value::Unit, &seg, body);
+        let (back, _) = roundtrip(&Value::tuple(vec![shared.clone(), shared, other]));
+        // The shared block is encoded once, so instruction count and
+        // block count survive, and step counts will too.
+        assert_eq!(back.info.instructions, 2);
+        assert_eq!(back.seg.num_blocks(), 1);
+        let (a, rest) = pair_parts(&back.value);
+        let (b, c) = pair_parts(rest);
+        let (Value::Closure(a), Value::Closure(b), Value::Closure(c)) = (a, b, c) else {
+            panic!("{:?}", back.value)
         };
         assert!(Rc::ptr_eq(a, b), "closure sharing restored after decode");
+        assert!(!Rc::ptr_eq(a, c));
+        assert!(CodeRef::same_block(&a.body, &c.body), "block sharing too");
     }
 
     #[test]
     fn frames_are_flagged_by_recomputation() {
-        let env = Value::env_extend(Value::Unit, Value::Int(10));
-        let f = closure(env, vec![Instr::Acc(1)]);
-        let p = PortableValue::extract(&f).unwrap();
-        assert!(p.uses_frames());
-        let back = decode_value(&encode_value(&p)).unwrap();
-        assert!(back.uses_frames(), "frame flag recomputed on decode");
+        // A closure whose captured environment is a frame — what flat
+        // environment mode produces — keeps its representation (so its
+        // step counts), and the payload is flagged so mismatched
+        // consumers can refuse it.
+        let env = Value::env_extend(
+            Value::env_extend(Value::Unit, Value::Int(10)),
+            Value::Int(20),
+        );
+        // After application the argument is slot 0, so acc 2 reads the
+        // deepest captured binding.
+        let f = closure(env.clone(), vec![Instr::Acc(2)]);
+        let (back, _) = roundtrip(&Value::pair(f, env));
+        assert!(back.info.uses_frames, "recomputed on decode");
+        let (Value::Closure(c), Value::Frame(b)) = pair_parts(&back.value) else {
+            panic!("{:?}", back.value)
+        };
+        let Value::Frame(a) = &c.env else {
+            panic!("{:?}", c.env)
+        };
+        assert!(Rc::ptr_eq(a, b), "frame sharing restored");
+        let out = apply(Value::Closure(c.clone()), Value::Unit);
+        assert!(matches!(out, Value::Int(10)), "{out}");
         let plain = closure(Value::pair(Value::Unit, Value::Int(1)), vec![Instr::Snd]);
-        let p = PortableValue::extract(&plain).unwrap();
-        let back = decode_value(&encode_value(&p)).unwrap();
-        assert!(!back.uses_frames());
+        assert!(!roundtrip(&plain).0.info.uses_frames);
     }
 
     #[test]
     fn every_instruction_crosses_the_wire() {
-        use crate::instr::{MergeSwitchSpec, SwitchArm, SwitchTable};
+        // One of each instruction, nested blocks included, so adding an
+        // instruction without a wire rendering fails this test.
         let seg = CodeSeg::new();
         let sub = seg.add_block(vec![Instr::Id]);
         let all = vec![
@@ -961,11 +1117,103 @@ mod tests {
             env: Value::Unit,
             body: code.clone(),
         }));
-        let p = PortableValue::extract(&f).unwrap();
-        let bytes = encode_value(&p);
-        let back = decode_value(&bytes).unwrap();
-        assert_eq!(encode_value(&back), bytes);
-        assert_eq!(back.instr_count(), p.instr_count());
+        let (back, _) = roundtrip(&f);
+        assert_eq!(back.info.instructions, code.len() + 1);
+        let Value::Closure(c) = &back.value else {
+            panic!("{:?}", back.value)
+        };
+        let decoded = c.body.to_vec();
+        assert_eq!(decoded.len(), code.len());
+        for (orig, round) in code.to_vec().iter().zip(&decoded) {
+            assert_eq!(orig.opcode(), round.opcode());
+        }
+    }
+
+    /// One value reaching every kind of block reference in an order that
+    /// differs from the order its blocks were created in: a recursive
+    /// group over a frame environment, a switch with arms and a default,
+    /// a branch, an `emit`, a `quote` of a closure over a second segment,
+    /// one block shared by two closures, and a shared pair.
+    fn ordering_value() -> Value {
+        let seg = CodeSeg::new();
+        let other = CodeSeg::new();
+        let foreign_body = other.add_block(vec![Instr::Snd]);
+        let foreign = closure_at(Value::Int(7), &other, foreign_body);
+        let dflt = seg.add_block(vec![Instr::Fail(Rc::from("no arm"))]);
+        let arm1 = seg.add_block(vec![Instr::Snd]);
+        let arm0 = seg.add_block(vec![Instr::Prim(PrimOp::Add)]);
+        let else_b = seg.add_block(vec![Instr::Emit(Box::new(Instr::Fst))]);
+        let then_b = seg.add_block(vec![Instr::Quote(foreign), Instr::App]);
+        let shared_body = seg.add_block(vec![Instr::Acc(1)]);
+        let env_body = seg.add_block(vec![Instr::Id]);
+        let pair_body = seg.add_block(vec![Instr::Fst]);
+        let inner = seg.add_block(vec![Instr::Push]);
+        let g = seg.add_block(vec![Instr::Switch(Rc::new(SwitchTable {
+            arms: vec![
+                SwitchArm {
+                    tag: 0,
+                    bind: true,
+                    code: arm0,
+                },
+                SwitchArm {
+                    tag: 1,
+                    bind: false,
+                    code: arm1,
+                },
+            ],
+            default: Some(dflt),
+        }))]);
+        let f = seg.add_block(vec![
+            Instr::Cur(inner),
+            Instr::Branch(then_b, else_b),
+            Instr::RecClos(Rc::new(vec![g])),
+        ]);
+        let frame = Value::env_extend(
+            Value::env_extend(Value::Unit, closure_at(Value::Unit, &seg, env_body)),
+            Value::Int(2),
+        );
+        let group = Rc::new(RecGroup {
+            env: frame,
+            seg: seg.clone(),
+            bodies: Rc::new(vec![f, g]),
+        });
+        let shared_pair = Value::pair(Value::Int(3), closure_at(Value::Unit, &seg, pair_body));
+        Value::tuple(vec![
+            Value::RecClosure { group, index: 1 },
+            closure_at(shared_pair.clone(), &seg, shared_body),
+            closure_at(shared_pair.clone(), &seg, shared_body),
+            shared_pair,
+        ])
+    }
+
+    /// `ordering_value`'s payload. Stored artifacts must keep decoding
+    /// and re-encode to the same bytes, so the block numbering is part of
+    /// the format.
+    const ORDERING_HEX: &str = "\
+        0c0000000300000008010000000e02000000040000000f010000000500000001\
+        0000000302000000070601070000000000000003000000060100000002010000\
+        0009010100000011020000000000000001060000000100000000070000000108\
+        00000001000000120001000000020100000013060000006e6f2061726d010000\
+        0000010000000101000000170100000004070005000200000006000900000001\
+        0200000000000000020000000000000005000000010000000406040103000000\
+        0000000006000a0000000b000000040609070000000b0000000907000000";
+
+    #[test]
+    fn block_orderings_are_pinned() {
+        let (back, bytes) = roundtrip(&ordering_value());
+        assert_eq!(bytes, unhex(ORDERING_HEX));
+        assert_eq!(back.info.instructions, 15);
+        assert!(back.info.uses_frames);
+    }
+
+    #[test]
+    fn nested_emits_are_refused() {
+        // One block holding emit(emit(id)), and a closure over it.
+        let bytes = unhex("01000000 01000000 090900 06 00 00000000");
+        assert_eq!(
+            decode(&bytes).unwrap_err(),
+            WireError::Corrupt("nested emit")
+        );
     }
 
     #[test]
@@ -978,11 +1226,10 @@ mod tests {
                 Instr::Fail(Rc::from("nope")),
             ],
         );
-        let p = PortableValue::extract(&f).unwrap();
-        let bytes = encode_value(&p);
+        let (bytes, _) = encode(&f).unwrap();
         for len in 0..bytes.len() {
             assert!(
-                decode_value(&bytes[..len]).is_err(),
+                decode(&bytes[..len]).is_err(),
                 "prefix of {len} bytes decoded"
             );
         }
@@ -994,8 +1241,7 @@ mod tests {
             Value::tuple(vec![Value::Int(1), Value::str("x"), Value::Bool(true)]),
             vec![Instr::Snd, Instr::Prim(PrimOp::Add)],
         );
-        let p = PortableValue::extract(&f).unwrap();
-        let bytes = encode_value(&p);
+        let (bytes, _) = encode(&f).unwrap();
         for pos in 0..bytes.len() {
             for flip in [0x01u8, 0x80, 0xff] {
                 let mut corrupt = bytes.clone();
@@ -1003,7 +1249,7 @@ mod tests {
                 // Either outcome is acceptable at the payload layer (the
                 // container checksum catches silent mutations); the
                 // requirement is no panic.
-                let _ = decode_value(&corrupt);
+                let _ = decode(&corrupt);
             }
         }
     }
@@ -1015,7 +1261,7 @@ mod tests {
         // run one level per byte.
         let mut bytes = vec![0, 0, 0, 0]; // zero blocks
         bytes.extend(std::iter::repeat_n(TAG_PAIR, MAX_DECODE_DEPTH + 10));
-        assert_eq!(decode_value(&bytes).unwrap_err(), WireError::TooDeep);
+        assert_eq!(decode(&bytes).unwrap_err(), WireError::TooDeep);
     }
 
     #[test]
@@ -1023,30 +1269,26 @@ mod tests {
         // blocks=0, then a bare backref to index 0 (nothing emitted).
         let mut bytes = vec![0, 0, 0, 0, TAG_BACKREF];
         bytes.extend_from_slice(&0u32.to_le_bytes());
-        assert!(matches!(
-            decode_value(&bytes),
-            Err(WireError::Corrupt("dangling back-reference"))
-        ));
+        assert_eq!(
+            decode(&bytes).unwrap_err(),
+            WireError::Corrupt("dangling back-reference")
+        );
         // blocks=0, then a pair whose first child back-references the
         // pair itself (index 0, still unfilled): a cycle.
         let mut bytes = vec![0, 0, 0, 0, TAG_PAIR, TAG_BACKREF];
         bytes.extend_from_slice(&0u32.to_le_bytes());
         bytes.push(TAG_UNIT);
-        assert!(matches!(
-            decode_value(&bytes),
-            Err(WireError::Corrupt("cyclic back-reference"))
-        ));
+        assert_eq!(
+            decode(&bytes).unwrap_err(),
+            WireError::Corrupt("cyclic back-reference")
+        );
     }
 
     #[test]
     fn trailing_bytes_are_rejected() {
-        let p = PortableValue::extract(&Value::Int(3)).unwrap();
-        let mut bytes = encode_value(&p);
+        let (mut bytes, _) = encode(&Value::Int(3)).unwrap();
         bytes.push(0);
-        assert_eq!(
-            decode_value(&bytes).unwrap_err(),
-            WireError::TrailingBytes(1)
-        );
+        assert_eq!(decode(&bytes).unwrap_err(), WireError::TrailingBytes(1));
     }
 
     #[test]
@@ -1054,9 +1296,9 @@ mod tests {
         // blocks=0, then a closure with env=unit and body block 7.
         let mut bytes = vec![0, 0, 0, 0, TAG_CLOSURE, TAG_UNIT];
         bytes.extend_from_slice(&7u32.to_le_bytes());
-        assert!(matches!(
-            decode_value(&bytes),
-            Err(WireError::Corrupt("block reference out of range"))
-        ));
+        assert_eq!(
+            decode(&bytes).unwrap_err(),
+            WireError::Corrupt("block reference out of range")
+        );
     }
 }

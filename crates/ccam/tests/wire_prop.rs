@@ -1,21 +1,21 @@
-//! Property tests for the payload wire codec: arbitrary portable-safe
-//! values and programs must survive extract → encode → decode → hydrate
-//! structurally intact, encoding must be a bijection on its image
+//! Property tests for the payload wire codec: arbitrary encodable values
+//! and programs must survive encode → decode structurally intact, the
+//! encoding must be a bijection on its image
 //! (`encode(decode(bytes)) == bytes`), and hostile bytes (truncations,
 //! single-byte corruptions) must produce typed errors, never panics.
 
 use ccam::instr::{Instr, PrimOp};
 use ccam::machine::Machine;
-use ccam::portable::PortableValue;
 use ccam::seg::CodeSeg;
 use ccam::value::Value;
-use ccam::wire::{decode_value, encode_value};
+use ccam::wire::{decode, encode};
 use proptest::prelude::*;
+use std::rc::Rc;
 
-/// Arbitrary portable-safe values: everything `extract` accepts except
-/// closures (those are exercised by the program strategy below), with
+/// Arbitrary encodable values: everything `encode` accepts except
+/// closures (those are exercised by the program strategies below), with
 /// sharing introduced explicitly.
-fn portable_value() -> impl Strategy<Value = Value> {
+fn first_order_value() -> impl Strategy<Value = Value> {
     let leaf = prop_oneof![
         Just(Value::Unit),
         any::<i64>().prop_map(Value::Int),
@@ -26,8 +26,7 @@ fn portable_value() -> impl Strategy<Value = Value> {
     leaf.prop_recursive(5, 64, 3, |inner| {
         prop_oneof![
             (inner.clone(), inner.clone()).prop_map(|(a, b)| Value::pair(a, b)),
-            (0u32..8, inner.clone())
-                .prop_map(|(tag, v)| Value::Con(tag, Some(std::rc::Rc::new(v)))),
+            (0u32..8, inner.clone()).prop_map(|(tag, v)| Value::Con(tag, Some(Rc::new(v)))),
             // Shared spine: cloning a Value shares its Rc-backed nodes,
             // so both halves of this pair alias the same subgraph.
             inner.clone().prop_map(|v| Value::pair(v.clone(), v)),
@@ -35,44 +34,106 @@ fn portable_value() -> impl Strategy<Value = Value> {
     })
 }
 
+/// `snd; push; quote n; cons; prim op` — the argument `op` `n`.
+fn arith(op: PrimOp, n: i64) -> Vec<Instr> {
+    vec![
+        Instr::Snd,
+        Instr::Push,
+        Instr::Quote(Value::Int(n)),
+        Instr::ConsPair,
+        Instr::Prim(op),
+    ]
+}
+
 /// A closure value over a random arithmetic body: `fn x => (x + k) * m`.
 fn closure_value() -> impl Strategy<Value = Value> {
     ((-100i64..100), (-10i64..10)).prop_map(|(k, m)| {
         let seg = CodeSeg::new();
-        let body = seg.add_block(vec![
-            Instr::Snd,
-            Instr::Push,
-            Instr::Quote(Value::Int(k)),
-            Instr::ConsPair,
-            Instr::Prim(PrimOp::Add),
+        let mut body = arith(PrimOp::Add, k);
+        body.extend([
             Instr::Push,
             Instr::Quote(Value::Int(m)),
             Instr::ConsPair,
             Instr::Prim(PrimOp::Mul),
         ]);
-        let mut machine = Machine::new();
-        machine
+        let body = seg.add_block(body);
+        Machine::new()
             .run(seg.entry(vec![Instr::Cur(body)]), Value::Unit)
             .expect("closure builds")
     })
 }
 
-fn roundtrip(portable: &PortableValue) -> (Vec<u8>, PortableValue) {
-    let bytes = encode_value(portable);
-    let back = decode_value(&bytes).expect("encoded bytes decode");
-    (bytes, back)
+/// `fn x => g (h x)` with code in two segments and a recursive group:
+/// `h = fn x => x + k` is a closure over a second segment, quoted in the
+/// root's body; `g = fn y => y * m` is the member of a recursive group,
+/// captured as the root's environment. Also yields `(k, m)`.
+fn program_value() -> impl Strategy<Value = (Value, i64, i64)> {
+    ((-100i64..100), (-10i64..10)).prop_map(|(k, m)| {
+        let other = CodeSeg::new();
+        let h_body = other.add_block(arith(PrimOp::Add, k));
+        let h = Machine::new()
+            .run(other.entry(vec![Instr::Cur(h_body)]), Value::Unit)
+            .expect("h builds");
+        let seg = CodeSeg::new();
+        let g_body = seg.add_block(arith(PrimOp::Mul, m));
+        let g = Machine::new()
+            .run(
+                seg.entry(vec![Instr::RecClos(Rc::new(vec![g_body])), Instr::Snd]),
+                Value::Unit,
+            )
+            .expect("g builds");
+        // On entry the top is (g, x).
+        let body = seg.add_block(vec![
+            Instr::Push,
+            Instr::Snd,
+            Instr::Push,
+            Instr::Quote(h),
+            Instr::Swap,
+            Instr::ConsPair,
+            Instr::App, // h x, with (g, x) below
+            Instr::Swap,
+            Instr::Fst,
+            Instr::Swap,
+            Instr::ConsPair,
+            Instr::App, // g (h x)
+        ]);
+        let root = Machine::new()
+            .run(seg.entry(vec![Instr::Cur(body)]), g)
+            .expect("root builds");
+        (root, k, m)
+    })
+}
+
+/// Applies closure `f` to `arg` via ⟨closure, arg⟩; app.
+fn apply(f: Value, arg: i64) -> i64 {
+    let entry = CodeSeg::new().entry(vec![Instr::App]);
+    match Machine::new()
+        .run(entry, Value::pair(f, Value::Int(arg)))
+        .expect("closure runs")
+    {
+        Value::Int(n) => n,
+        other => panic!("non-integer result {other}"),
+    }
+}
+
+/// Encodes `v`, decodes it, and re-encodes the decode.
+fn roundtrip(v: &Value) -> (Vec<u8>, Value, Vec<u8>) {
+    let (bytes, info) = encode(v).expect("encodable by construction");
+    let back = decode(&bytes).expect("encoded bytes decode");
+    assert_eq!(back.info, info, "decode counts what encode counted");
+    let again = encode(&back.value).expect("decoded values encode").0;
+    (bytes, back.value, again)
 }
 
 proptest! {
     #[test]
-    fn values_survive_the_wire(v in portable_value()) {
-        let portable = PortableValue::extract(&v).expect("portable-safe by construction");
-        let (bytes, back) = roundtrip(&portable);
-        // Structural identity after hydration…
-        prop_assert_eq!(v.structural_eq(&back.hydrate()), Some(true));
+    fn values_survive_the_wire(v in first_order_value()) {
+        let (bytes, back, again) = roundtrip(&v);
+        // Structural identity after decode…
+        prop_assert_eq!(v.structural_eq(&back), Some(true));
         // …and the encoding is canonical: re-encoding the decode is
         // byte-identical.
-        prop_assert_eq!(encode_value(&back), bytes);
+        prop_assert_eq!(again, bytes);
     }
 
     #[test]
@@ -80,39 +141,37 @@ proptest! {
         v in closure_value(),
         arg in -1000i64..1000,
     ) {
-        let portable = PortableValue::extract(&v).expect("closures are portable");
-        let (bytes, back) = roundtrip(&portable);
-        prop_assert_eq!(encode_value(&back), bytes);
-        // The hydrated closure computes the same function: apply both to
-        // the same argument via ⟨closure, arg⟩; app.
-        let apply = |f: Value| -> i64 {
-            let seg = CodeSeg::new();
-            let entry = seg.entry(vec![Instr::App]);
-            let input = Value::pair(f, Value::Int(arg));
-            match Machine::new().run(entry, input).expect("closure runs") {
-                Value::Int(n) => n,
-                other => panic!("non-integer result {other}"),
-            }
-        };
-        prop_assert_eq!(apply(v), apply(back.hydrate()));
+        let (bytes, back, again) = roundtrip(&v);
+        prop_assert_eq!(again, bytes);
+        // The decoded closure computes the same function.
+        prop_assert_eq!(apply(v, arg), apply(back, arg));
     }
 
     #[test]
-    fn truncations_error_and_never_panic(v in portable_value(), cut in 0usize..4096) {
-        let portable = PortableValue::extract(&v).unwrap();
-        let bytes = encode_value(&portable);
+    fn programs_over_two_segments_survive_the_wire_and_still_run(
+        (v, k, m) in program_value(),
+        arg in -1000i64..1000,
+    ) {
+        let (bytes, back, again) = roundtrip(&v);
+        prop_assert_eq!(again, bytes);
+        prop_assert_eq!(apply(v, arg), (arg + k) * m);
+        prop_assert_eq!(apply(back, arg), (arg + k) * m);
+    }
+
+    #[test]
+    fn truncations_error_and_never_panic(v in first_order_value(), cut in 0usize..4096) {
+        let (bytes, _) = encode(&v).unwrap();
         let cut = cut % bytes.len().max(1);
-        prop_assert!(decode_value(&bytes[..cut]).is_err());
+        prop_assert!(decode(&bytes[..cut]).is_err());
     }
 
     #[test]
     fn corruptions_error_or_decode_but_never_panic(
-        v in portable_value(),
+        v in first_order_value(),
         pos in 0usize..4096,
         mask in 0u8..255,
     ) {
-        let portable = PortableValue::extract(&v).unwrap();
-        let mut bytes = encode_value(&portable);
+        let (mut bytes, _) = encode(&v).unwrap();
         let pos = pos % bytes.len().max(1);
         bytes[pos] ^= mask + 1; // a non-zero flip
 
@@ -120,16 +179,61 @@ proptest! {
         // some flips still decode; the property is totality, not
         // rejection: decode returns, and a successful decode re-encodes
         // without panicking.
-        if let Ok(back) = decode_value(&bytes) {
-            let _ = encode_value(&back);
-            let _ = back.hydrate();
+        if let Ok(back) = decode(&bytes) {
+            let _ = encode(&back.value);
+            back.discard();
         }
     }
 
     #[test]
     fn random_bytes_never_panic(bytes in proptest::collection::vec(any::<u8>(), 0..512)) {
-        if let Ok(back) = decode_value(&bytes) {
-            let _ = back.hydrate();
+        if let Ok(back) = decode(&bytes) {
+            let _ = encode(&back.value);
+            back.discard();
         }
     }
+}
+
+/// A closure whose body `quote`s a closure lifted from its own segment —
+/// the shape `lift` of a closure leaves in generated code — built by
+/// running the generator on the machine: lift `c` into an arena, merge
+/// that arena as a `cur` body, and call the result.
+fn lifted_closure() -> Value {
+    let seg = CodeSeg::new();
+    let c_body = seg.add_block(vec![Instr::Snd]);
+    let generator = seg.entry(vec![
+        Instr::Cur(c_body), // c
+        Instr::Push,
+        Instr::NewArena,
+        Instr::ConsPair,
+        Instr::LiftV, // (c, {quote c})
+        Instr::Snd,
+        Instr::Push,
+        Instr::Quote(Value::Unit),
+        Instr::Push,
+        Instr::NewArena,
+        Instr::ConsPair,
+        Instr::ConsPair, // ({quote c}, ((), {}))
+        Instr::Merge,    // ((), {cur {quote c}})
+        Instr::Call,
+    ]);
+    Machine::new()
+        .run(generator, Value::Unit)
+        .expect("generator runs")
+}
+
+#[test]
+fn validating_a_lifted_closure_payload_leaves_nothing_live() {
+    let (bytes, _) = encode(&lifted_closure()).unwrap();
+    // Premise: the decoded segment holds itself through the quote, so
+    // dropping the decode alone leaks it (deliberately, once, here).
+    let leaked = decode(&bytes).unwrap();
+    let weak = leaked.seg.downgrade();
+    drop(leaked);
+    assert!(weak.upgrade().is_some(), "premise: a self-quoting segment");
+    // The validating decode discards its result and frees the segment.
+    let checked = decode(&bytes).unwrap();
+    let weak = checked.seg.downgrade();
+    checked.discard();
+    assert!(weak.upgrade().is_none(), "validation leaked the segment");
 }

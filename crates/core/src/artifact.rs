@@ -4,11 +4,13 @@
 //! A [`Session`](crate::Session) is single-threaded by construction —
 //! its values are `Rc`/`RefCell` graphs. A [`CompiledFilter`] is the
 //! escape hatch: the finished, frozen result of running a generating
-//! extension, extracted into the `Send + Sync` portable representation
-//! ([`ccam::portable`]) together with the metadata a cache needs (the
-//! options it was compiled under, a fingerprint of the source program,
-//! and its instruction count). Any thread can then [`instantiate`] a
-//! fresh machine from the artifact and run packets against it without
+//! extension, held as its checksummed wire bytes ([`crate::wire`], whose
+//! payload is [`ccam::wire`]'s encoding of the entry point) together
+//! with the metadata a cache needs (the options it was compiled under, a
+//! fingerprint of the source program, and its instruction count). The
+//! bytes are the `Send + Sync` form: any thread can then [`instantiate`]
+//! a fresh machine from the artifact — decoding the bytes straight into
+//! its own segment and values — and run packets against it without
 //! re-running the generator.
 //!
 //! [`instantiate`]: CompiledFilter::instantiate
@@ -17,23 +19,30 @@ use crate::error::Error;
 use crate::session::SessionOptions;
 use ccam::instr::Instr;
 use ccam::machine::{Machine, MachineError, Stats};
-use ccam::portable::PortableValue;
 use ccam::seg::{CodeRef, CodeSeg};
 use ccam::value::Value;
+use ccam::wire::PayloadInfo;
 use std::sync::Arc;
 
 /// A frozen, validated, thread-shareable compiled filter.
 ///
-/// Produced by [`Session::compile_to_artifact`]; consumed by
-/// [`CompiledFilter::instantiate`] on any thread.
+/// Produced by [`Session::compile_to_artifact`] or loaded with
+/// [`CompiledFilter::from_wire_bytes`]; consumed by
+/// [`CompiledFilter::instantiate`] on any thread. Either way its payload
+/// has been decoded once, so every later decode succeeds.
 ///
 /// [`Session::compile_to_artifact`]: crate::Session::compile_to_artifact
 #[derive(Debug, Clone)]
 pub struct CompiledFilter {
-    entry: PortableValue,
-    options: SessionOptions,
-    source_fingerprint: u64,
-    instructions: usize,
+    /// The checksummed container, shared by every clone.
+    pub(crate) bytes: Arc<[u8]>,
+    /// Where the payload section starts in `bytes`; it ends at the
+    /// checksum trailer.
+    pub(crate) payload_start: usize,
+    pub(crate) options: SessionOptions,
+    pub(crate) source_fingerprint: u64,
+    /// What the validating decode counted.
+    pub(crate) info: PayloadInfo,
 }
 
 // A compiled artifact must be shareable across worker threads — that is
@@ -45,18 +54,14 @@ const _: () = {
 };
 
 impl CompiledFilter {
-    /// Packages an already-extracted entry point with its metadata.
-    /// Prefer [`Session::compile_to_artifact`], which also validates.
-    ///
-    /// [`Session::compile_to_artifact`]: crate::Session::compile_to_artifact
-    pub fn new(entry: PortableValue, options: SessionOptions, source_fingerprint: u64) -> Self {
-        let instructions = entry.instr_count();
-        CompiledFilter {
-            entry,
-            options,
-            source_fingerprint,
-            instructions,
-        }
+    /// Frames an encoded entry point ([`ccam::wire::encode`]) as an
+    /// artifact and validates it exactly as a load would.
+    pub(crate) fn new(
+        payload: &[u8],
+        options: SessionOptions,
+        source_fingerprint: u64,
+    ) -> Result<Self, Error> {
+        CompiledFilter::from_wire_bytes(&crate::wire::frame(payload, &options, source_fingerprint))
     }
 
     /// The options the artifact was compiled under.
@@ -77,36 +82,38 @@ impl CompiledFilter {
     /// Number of distinct instructions in the artifact (shared code
     /// bodies counted once).
     pub fn instructions(&self) -> usize {
-        self.instructions
+        self.info.instructions
     }
 
-    /// The portable entry-point value.
-    pub fn entry(&self) -> &PortableValue {
-        &self.entry
+    /// Whether the entry point's value graph carries contiguous frame
+    /// environments (it was generated with `flat_env`); recomputed from
+    /// the payload, never read from a field the producer wrote.
+    pub fn uses_frames(&self) -> bool {
+        self.info.uses_frames
     }
 
-    /// Rebuilds the entry point as a machine value for the current
-    /// thread. Sharing inside the artifact is preserved.
-    pub fn hydrate_entry(&self) -> Value {
-        self.entry.hydrate()
+    /// The payload section: [`ccam::wire::encode`]'s bytes for the entry
+    /// point.
+    pub fn payload(&self) -> &[u8] {
+        &self.bytes[self.payload_start..self.bytes.len() - 8]
     }
 
     /// Checks that this artifact's value representation is sound for a
     /// consumer compiled under `consumer` options. An artifact whose
     /// value graph carries contiguous frames (it was generated with
-    /// `flat_env`) must never hydrate into a session using a different
+    /// `flat_env`) must never run in a session using a different
     /// environment mode: the consumer's step accounting assumes the
     /// pair-spine cost model, and silently running frame-backed
     /// closures would corrupt the measurement the serving oracle
     /// compares. The options fingerprint already keeps such artifacts
     /// in separate cache slots; this is the belt-and-braces check at
-    /// the hydration boundary.
+    /// the load boundary.
     ///
     /// # Errors
     ///
     /// Returns [`Error::Artifact`] on a representation mismatch.
     pub fn check_compatible(&self, consumer: &SessionOptions) -> Result<(), Error> {
-        if self.entry.uses_frames() && !consumer.flat_env {
+        if self.info.uses_frames && !consumer.flat_env {
             return Err(Error::Artifact(
                 "artifact carries flat-env frame environments but the \
                  consuming session is not in flat_env mode; rebuild the \
@@ -117,28 +124,36 @@ impl CompiledFilter {
         Ok(())
     }
 
-    /// Rebuilds the entry point for a consumer running under `consumer`
-    /// options, first rejecting representation mismatches
+    /// Decodes the entry point into a fresh segment and value graph for
+    /// a consumer running under `consumer` options, first rejecting
+    /// representation mismatches
     /// (see [`check_compatible`](CompiledFilter::check_compatible)).
+    /// Sharing inside the artifact is preserved.
     ///
     /// # Errors
     ///
     /// Returns [`Error::Artifact`] on a representation mismatch.
     pub fn hydrate_entry_for(&self, consumer: &SessionOptions) -> Result<Value, Error> {
         self.check_compatible(consumer)?;
-        Ok(self.entry.hydrate())
+        Ok(self.decode_entry())
     }
 
     /// A fresh single-threaded runner for this artifact: its own
     /// [`Machine`] (configured with the artifact's options) plus a
-    /// hydrated copy of the entry point. Cheap — no parsing, type
+    /// decoded copy of the entry point. Cheap — no parsing, type
     /// checking, or code generation happens.
     pub fn instantiate(&self) -> FilterInstance {
         FilterInstance {
             machine: machine_for(&self.options),
-            entry: self.entry.hydrate(),
+            entry: self.decode_entry(),
             app: app_code(),
         }
+    }
+
+    fn decode_entry(&self) -> Value {
+        ccam::wire::decode(self.payload())
+            .expect("an artifact's payload was decoded when the artifact was built")
+            .value
     }
 }
 
@@ -190,7 +205,7 @@ pub fn apply(
 }
 
 /// A single-threaded runner instantiated from a [`CompiledFilter`]:
-/// one machine, one hydrated entry point.
+/// one machine, one decoded entry point.
 #[derive(Debug)]
 pub struct FilterInstance {
     machine: Machine,
@@ -321,7 +336,7 @@ mod tests {
             .compile_to_artifact("let cogen c = lift f in code (fn x => c x) end", 0)
             .unwrap();
         assert!(
-            artifact.entry().uses_frames(),
+            artifact.uses_frames(),
             "the lifted closure must carry its frame environment"
         );
         // The artifact runs correctly under its own options...
@@ -341,7 +356,7 @@ mod tests {
     #[test]
     fn frame_free_artifacts_hydrate_for_any_consumer() {
         let artifact = power_artifact();
-        assert!(!artifact.entry().uses_frames());
+        assert!(!artifact.uses_frames());
         artifact
             .hydrate_entry_for(&SessionOptions::default())
             .unwrap();
@@ -357,7 +372,7 @@ mod tests {
     fn unportable_residuals_are_rejected() {
         let mut s = Session::new().unwrap();
         // Lifting a ref cell residualizes it into the generated body as
-        // an immediate — inherently thread-unsafe, so extraction must
+        // an immediate — inherently thread-unsafe, so encoding must
         // refuse it.
         s.run("val r = ref 0").unwrap();
         let err = s

@@ -10,7 +10,6 @@ use crate::prelude::PRELUDE;
 use crate::render::render_machine;
 use ccam::instr::{validate, Instr};
 use ccam::machine::{Machine, Stats, TierPolicy, Trace};
-use ccam::portable::PortableValue;
 use ccam::relocate::Relocation;
 use ccam::seg::CodeSeg;
 use ccam::value::Value;
@@ -644,7 +643,9 @@ impl Session {
     /// Returns a static or dynamic error from running the generator, or
     /// an [`Error::Artifact`] if the generated value is not a function
     /// or embeds mutable state (ref cells, arrays) that cannot cross
-    /// threads.
+    /// threads, or an [`Error::Wire`] if its encoding would not load
+    /// (it nests deeper than [`ccam::wire::MAX_DECODE_DEPTH`]): the
+    /// artifact is validated by the same decode a load runs.
     pub fn compile_to_artifact(
         &mut self,
         generator: &str,
@@ -686,13 +687,9 @@ impl Session {
                 )))
             }
         }
-        let entry = PortableValue::extract(&result)
-            .map_err(|e| Error::Artifact(format!("cannot extract `{generator}`: {e}")))?;
-        Ok(CompiledFilter::new(
-            entry,
-            self.options.clone(),
-            source_fingerprint,
-        ))
+        let (payload, _) = ccam::wire::encode(&result)
+            .map_err(|e| Error::Artifact(format!("cannot encode `{generator}`: {e}")))?;
+        CompiledFilter::new(&payload, self.options.clone(), source_fingerprint)
     }
 
     /// Renders a machine value with this session's datatype names.

@@ -1,12 +1,13 @@
 //! The on-disk artifact container: framing, versioning, and integrity
 //! for [`CompiledFilter`].
 //!
-//! `ccam::wire` renders the *payload* — the portable segment and value
-//! graph — as bytes. This module wraps that payload in the container a
-//! serving system actually ships: a magic header, a format version, the
-//! two fingerprints that make artifacts content-addressable (source
-//! program and [`SessionOptions::fingerprint`]), length-prefixed
-//! sections, and a trailing FNV-1a checksum over everything before it.
+//! `ccam::wire` renders the *payload* — the entry point's reachable
+//! blocks and value graph — as bytes. This module wraps that payload in
+//! the container a serving system actually ships: a magic header, a
+//! format version, the two fingerprints that make artifacts
+//! content-addressable (source program and
+//! [`SessionOptions::fingerprint`]), length-prefixed sections, and a
+//! trailing FNV-1a checksum over everything before it.
 //! DESIGN.md §14 specifies the layout byte by byte:
 //!
 //! ```text
@@ -20,7 +21,7 @@
 //!     28     4  options section length, u32 LE
 //!     32     …  options section (SessionOptions fields, fixed order)
 //!      …     4  payload section length, u32 LE
-//!      …     …  payload section (ccam::wire::encode_value bytes)
+//!      …     …  payload section (ccam::wire::encode bytes)
 //!   last     8  FNV-1a 64 checksum of every preceding byte, u64 LE
 //! ```
 //!
@@ -30,7 +31,12 @@
 //! `uses_frames` flag is recomputed by the payload decoder, and
 //! [`CompiledFilter::from_wire_bytes_for`] applies
 //! [`CompiledFilter::check_compatible`] so an option-incompatible
-//! consumer is refused at load time, before any hydration.
+//! consumer is refused at load time, before any decode of its own.
+//! A [`CompiledFilter`] keeps the container bytes it was loaded from (or
+//! framed into, by [`Session::compile_to_artifact`]); that buffer is the
+//! artifact's thread-shareable form.
+//!
+//! [`Session::compile_to_artifact`]: crate::Session::compile_to_artifact
 
 use crate::artifact::CompiledFilter;
 use crate::error::Error;
@@ -38,6 +44,7 @@ use crate::fingerprint::Fnv1a;
 use crate::session::SessionOptions;
 use ccam::machine::TierPolicy;
 use std::fmt;
+use std::sync::Arc;
 
 /// The leading magic bytes of every artifact file.
 pub const MAGIC: [u8; 8] = *b"MLBXART\0";
@@ -290,43 +297,48 @@ fn checksum(bytes: &[u8]) -> u64 {
     h.finish()
 }
 
+/// Frames an encoded payload as a container (the format above).
+/// Deterministic: the same artifact always produces the same bytes,
+/// which is what lets the store content-address files and the golden
+/// lockfile pin the format.
+pub(crate) fn frame(payload: &[u8], options: &SessionOptions, source_fingerprint: u64) -> Vec<u8> {
+    let mut out = Vec::new();
+    out.extend_from_slice(&MAGIC);
+    out.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
+    out.extend_from_slice(&0u16.to_le_bytes()); // reserved
+    out.extend_from_slice(&source_fingerprint.to_le_bytes());
+    out.extend_from_slice(&options.fingerprint().to_le_bytes());
+    let mut section = Vec::new();
+    encode_options(&mut section, options);
+    out.extend_from_slice(
+        &u32::try_from(section.len())
+            .expect("options section")
+            .to_le_bytes(),
+    );
+    out.extend_from_slice(&section);
+    out.extend_from_slice(
+        &u32::try_from(payload.len())
+            .expect("artifact payload exceeds u32 bytes")
+            .to_le_bytes(),
+    );
+    out.extend_from_slice(payload);
+    let digest = checksum(&out);
+    out.extend_from_slice(&digest.to_le_bytes());
+    out
+}
+
 impl CompiledFilter {
-    /// Renders the artifact as a self-contained, checksummed byte
-    /// container (the format above). Deterministic: the same artifact
-    /// always produces the same bytes, which is what lets the store
-    /// content-address files and the golden lockfile pin the format.
+    /// The artifact's checksummed byte container (the format above).
     pub fn to_wire_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        out.extend_from_slice(&MAGIC);
-        out.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
-        out.extend_from_slice(&0u16.to_le_bytes()); // reserved
-        out.extend_from_slice(&self.source_fingerprint().to_le_bytes());
-        out.extend_from_slice(&self.options_fingerprint().to_le_bytes());
-        let mut options = Vec::new();
-        encode_options(&mut options, self.options());
-        out.extend_from_slice(
-            &u32::try_from(options.len())
-                .expect("options section")
-                .to_le_bytes(),
-        );
-        out.extend_from_slice(&options);
-        let payload = ccam::wire::encode_value(self.entry());
-        out.extend_from_slice(
-            &u32::try_from(payload.len())
-                .expect("artifact payload exceeds u32 bytes")
-                .to_le_bytes(),
-        );
-        out.extend_from_slice(&payload);
-        let digest = checksum(&out);
-        out.extend_from_slice(&digest.to_le_bytes());
-        out
+        self.bytes.to_vec()
     }
 
     /// Parses an artifact container, verifying magic, version, checksum,
-    /// section framing, and the options fingerprint. The payload's
-    /// frame flag is recomputed during decode, so the compatibility
-    /// check on the result keeps its meaning regardless of what the
-    /// producer claimed.
+    /// section framing, and the options fingerprint, and validates the
+    /// payload by decoding it once (the decode is dropped). The
+    /// payload's frame flag is recomputed by that decode, so the
+    /// compatibility check on the result keeps its meaning regardless
+    /// of what the producer claimed.
     ///
     /// # Errors
     ///
@@ -338,7 +350,7 @@ impl CompiledFilter {
 
     /// Like [`from_wire_bytes`](CompiledFilter::from_wire_bytes), then
     /// additionally rejects artifacts a consumer running under
-    /// `consumer` options must not hydrate (the frame-bearing /
+    /// `consumer` options must not run (the frame-bearing /
     /// flat-env rule of
     /// [`check_compatible`](CompiledFilter::check_compatible)).
     ///
@@ -426,8 +438,14 @@ fn decode_container(bytes: &[u8]) -> Result<CompiledFilter, WireError> {
     if payload_end != content.len() {
         return Err(WireError::TrailingBytes(content.len() - payload_end));
     }
-    let entry = ccam::wire::decode_value(&content[payload_start..payload_end])?;
-    Ok(CompiledFilter::new(entry, options, source_fingerprint))
+    let info = ccam::wire::decode(&content[payload_start..payload_end])?.discard();
+    Ok(CompiledFilter {
+        bytes: Arc::from(bytes),
+        payload_start,
+        options,
+        source_fingerprint,
+        info,
+    })
 }
 
 #[cfg(test)]
@@ -464,7 +482,9 @@ mod tests {
         assert_eq!(back.source_fingerprint(), 0xc0de);
         assert_eq!(back.options_fingerprint(), artifact.options_fingerprint());
         assert_eq!(back.instructions(), artifact.instructions());
-        assert_eq!(back.to_wire_bytes(), bytes, "re-encode is byte-identical");
+        let entry = back.hydrate_entry_for(back.options()).unwrap();
+        let (payload, _) = ccam::wire::encode(&entry).unwrap();
+        assert_eq!(payload, back.payload(), "re-encode is byte-identical");
         let mut a = artifact.instantiate();
         let mut b = back.instantiate();
         let (va, sa) = a.run(Value::Int(6)).unwrap();
@@ -566,7 +586,7 @@ mod tests {
         let artifact = s
             .compile_to_artifact("let cogen c = lift f in code (fn x => c x) end", 0)
             .unwrap();
-        assert!(artifact.entry().uses_frames());
+        assert!(artifact.uses_frames());
         let bytes = artifact.to_wire_bytes();
         // The matching consumer loads fine…
         CompiledFilter::from_wire_bytes_for(&bytes, &flat).unwrap();

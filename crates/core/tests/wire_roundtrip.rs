@@ -44,9 +44,10 @@ fn every_mode_roundtrips_value_and_step_identical() {
         let bytes = artifact.to_wire_bytes();
         let back = CompiledFilter::from_wire_bytes_for(&bytes, &options)
             .unwrap_or_else(|e| panic!("{options:?}: own-options consumer refused: {e}"));
+        let entry = back.hydrate_entry_for(&options).unwrap();
         assert_eq!(
-            back.to_wire_bytes(),
-            bytes,
+            ccam::wire::encode(&entry).unwrap().0,
+            back.payload(),
             "{options:?}: re-encode is not byte-identical"
         );
         let (fresh_value, fresh_stats) = artifact
@@ -80,12 +81,9 @@ fn frame_bearing_artifacts_refuse_incompatible_consumers() {
     let artifact = session
         .compile_to_artifact("let cogen c = lift f in code (fn x => c x) end", 0)
         .unwrap();
-    assert!(
-        artifact.entry().uses_frames(),
-        "test premise: frames on board"
-    );
+    assert!(artifact.uses_frames(), "test premise: frames on board");
     let bytes = artifact.to_wire_bytes();
-    // The artifact's own mode hydrates it...
+    // The artifact's own mode loads it...
     CompiledFilter::from_wire_bytes_for(&bytes, &flat).unwrap();
     // ...a pair-spine consumer must be refused at load, not at run time.
     let err = CompiledFilter::from_wire_bytes_for(&bytes, &SessionOptions::default())
@@ -100,7 +98,7 @@ fn frame_bearing_artifacts_refuse_incompatible_consumers() {
 #[test]
 fn cross_mode_loads_are_allowed_when_values_carry_no_frames() {
     // Frame-freedom, not the producer's mode bit, is what gates loading:
-    // a *default-mode* artifact (no frames anywhere) may be hydrated by
+    // a *default-mode* artifact (no frames anywhere) may be loaded by
     // any consumer, including a flat-env one.
     let bytes = artifact_under(&SessionOptions::default()).to_wire_bytes();
     for options in mode_lattice() {

@@ -32,8 +32,9 @@
 //! Machines stay single-threaded — CCAM values are `Rc`/`RefCell`
 //! graphs, and sharing one machine behind a lock would serialize exactly
 //! the work we want to parallelize. What crosses threads is the frozen
-//! *artifact* (`Send + Sync` by construction); each worker hydrates it
-//! once into its own heap and runs packets locally.
+//! *artifact*, held as its checksummed wire bytes (`Send + Sync` by
+//! construction); each worker decodes it once into its own heap and runs
+//! packets locally.
 
 pub mod cache;
 pub mod hist;

@@ -7,8 +7,8 @@
 //! backpressure: `submit` blocks when the queue is full; `try_submit`
 //! sheds with a typed reason instead), resolve the filter through the
 //! shared [`FilterCache`] (optionally backed by a disk
-//! [`ArtifactStore`]), hydrate the artifact once into their own heap,
-//! and run the batch packet by packet, recording a verdict and a
+//! [`ArtifactStore`]), decode the artifact's wire bytes once into their
+//! own heap, and run the batch packet by packet, recording a verdict and a
 //! reduction-step count per packet. Every batch's queue wait and
 //! service time land in a shared [`LatencyHistogram`].
 
@@ -232,8 +232,9 @@ pub struct ServePool {
     queue_depth: usize,
 }
 
-// Workers hydrate artifacts and run the CCAM, both of which recurse on
-// the Rust stack; give them room well beyond the 2 MiB default.
+// Workers decode artifacts (`ccam::wire::decode`, recursive in value
+// nesting up to `MAX_DECODE_DEPTH`) and run the CCAM, which recurses on
+// the Rust stack too; give them room well beyond the 2 MiB default.
 const WORKER_STACK: usize = 64 * 1024 * 1024;
 
 impl ServePool {
@@ -447,9 +448,9 @@ fn worker_loop(
 ) -> WorkerStats {
     let mut machine = machine_for(options);
     let app = app_code();
-    // This worker's hydrated entry points: the shared artifact is
-    // `Arc`ed portable data; each worker rebuilds it as `Rc` values in
-    // its own heap exactly once per filter.
+    // This worker's decoded entry points: the shared artifact is its
+    // `Arc`ed wire bytes; each worker decodes them into a segment and
+    // `Rc` values in its own heap exactly once per filter.
     let mut installed: HashMap<CacheKey, Value> = HashMap::new();
     let mut stats = WorkerStats {
         worker: index,
@@ -526,7 +527,7 @@ fn run_batch(
     let entry = match installed.get(&key) {
         Some(v) => v.clone(),
         None => {
-            // Checked hydration: a frame-bearing (flat_env) artifact
+            // Checked decode: a frame-bearing (flat_env) artifact
             // must never install into a worker running another env
             // mode. The cache key already separates the modes, so this
             // only fires if an artifact was handed over out of band.
