@@ -5,8 +5,8 @@
 //!
 //! ```text
 //! table1             # the Table 1 reproduction
-//! table1 --json      # the same rows as JSON, plus an indexed-env
-//!                    # comparison column, fused-mode, flat-env, and
+//! table1 --json      # the same rows as JSON, plus flat-env steps (the
+//!                    # steps_indexed column), fused-mode, flat-env, and
 //!                    # tiered sections (rows_fused, rows_flat_env,
 //!                    # rows_tiered), and freeze-cache counters
 //! table1 --profile-pairs # dynamic opcode-pair histogram of the Table 1
@@ -15,7 +15,7 @@
 //! table1 sweep-filter# filter-length sweep (E6)
 //! table1 crossover   # amortization break-even analysis (E6)
 //! table1 memo        # memoization measurements (E4)
-//! table1 deep-env    # pair-spine vs indexed vs flat access on deep
+//! table1 deep-env    # pair-spine vs flat access on deep
 //!                    # environments (--json: the BENCH_deep_env rows)
 //! table1 all         # everything
 //! ```
@@ -27,7 +27,7 @@
 
 use mlbox::SessionOptions;
 use mlbox_bench::{
-    break_even, deep_env_steps, poly_costs, poly_literal, render_table, table1_rows, Row,
+    break_even, deep_env_steps, poly_costs, poly_literal, render_table, table1_rows,
 };
 use mlbox_bpf::filters::{chain_filter, telnet_filter};
 use mlbox_bpf::harness::FilterHarness;
@@ -189,8 +189,8 @@ fn profile_pairs() {
 }
 
 /// Environment-representation comparison: reduction steps for a deep
-/// `let` nest under the default pair-spine accesses, `indexed_env`, and
-/// `flat_env` frames. With `json`, emits the `BENCH_deep_env.json`
+/// `let` nest under the default pair-spine accesses and `flat_env`
+/// frames. With `json`, emits the `BENCH_deep_env.json`
 /// artifact shape instead.
 fn deep_env(json: bool) {
     const DEPTHS: [usize; 6] = [4, 8, 16, 32, 64, 128];
@@ -201,17 +201,13 @@ fn deep_env(json: bool) {
         );
         return;
     }
-    let [(_, spine_opts), (_, indexed_opts), (_, flat_opts)] = mlbox_bench::deep_env_modes();
+    let [(_, spine_opts), (_, flat_opts)] = mlbox_bench::deep_env_modes();
     println!("Deep-environment access (nested lets, one walk to the outermost binding)");
-    println!(
-        "{:>8} {:>12} {:>12} {:>12}",
-        "depth", "spine", "indexed", "flat"
-    );
+    println!("{:>8} {:>12} {:>12}", "depth", "spine", "flat");
     for depth in DEPTHS {
         let spine = deep_env_steps(depth, &spine_opts).expect("spine run");
-        let indexed = deep_env_steps(depth, &indexed_opts).expect("indexed run");
         let flat = deep_env_steps(depth, &flat_opts).expect("flat run");
-        println!("{depth:>8} {spine:>12} {indexed:>12} {flat:>12}");
+        println!("{depth:>8} {spine:>12} {flat:>12}");
     }
     println!();
 }
@@ -273,22 +269,14 @@ fn optimize_ablation() {
 
 /// The Table 1 reproduction: packet-filter rows measured through the BPF
 /// harness, polynomial rows via the §3.1 programs. With `json`, the rows
-/// are emitted as a JSON object that additionally carries an indexed-env
-/// comparison column (`steps_indexed`) and the harness session's
-/// freeze-cache counters.
+/// are emitted as a JSON object that additionally carries the flat-env
+/// steps (as the `steps_indexed` column and the `rows_flat_env` section),
+/// the fused and tiered rows, and the harness session's freeze-cache
+/// counters.
 fn table1(json: bool) {
     let (rows, stats) = table1_rows(&SessionOptions::default());
 
     if json {
-        let (indexed_rows, _) = table1_rows(&SessionOptions {
-            indexed_env: true,
-            ..SessionOptions::default()
-        });
-        let rows: Vec<Row> = rows
-            .into_iter()
-            .zip(indexed_rows)
-            .map(|(r, ir)| r.with_indexed(ir.steps))
-            .collect();
         let fuse_options = SessionOptions {
             fuse: true,
             ..SessionOptions::default()

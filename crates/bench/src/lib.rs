@@ -1,9 +1,9 @@
 //! Shared measurement helpers for the Table 1 regeneration binary
-//! (`table1`) and the Criterion benches.
+//! (`table1`).
 //!
-//! The paper's metric is **CCAM reduction steps** (Table 1); the Criterion
-//! benches additionally report wall-clock time of the simulator, which
-//! tracks steps closely.
+//! The paper's metric is **CCAM reduction steps** (Table 1); the
+//! `dispatch` rows additionally report wall-clock time of the simulator,
+//! which tracks steps closely.
 
 use mlbox::{Error, Session, SessionOptions, TierPolicy};
 use mlbox_bpf::filters::telnet_filter;
@@ -22,9 +22,6 @@ pub struct Row {
     pub emitted: u64,
     /// The paper's reported number, when the row reproduces one.
     pub paper: Option<u64>,
-    /// Steps for the same computation under `indexed_env` (fused `acc`
-    /// accesses), when the comparison was measured.
-    pub indexed_steps: Option<u64>,
 }
 
 impl Row {
@@ -35,7 +32,6 @@ impl Row {
             steps,
             emitted,
             paper: Some(paper),
-            indexed_steps: None,
         }
     }
 
@@ -46,15 +42,7 @@ impl Row {
             steps,
             emitted,
             paper: None,
-            indexed_steps: None,
         }
-    }
-
-    /// Attaches the indexed-mode measurement of the same computation.
-    #[must_use]
-    pub fn with_indexed(mut self, steps: u64) -> Row {
-        self.indexed_steps = Some(steps);
-        self
     }
 }
 
@@ -258,14 +246,14 @@ pub fn dispatch_throughput_with(
 /// dependency). `machine` should be the cumulative [`Stats`] of the
 /// session that produced the packet-filter rows, so `freezes` and
 /// `freeze_hits` describe how often generated code was actually copied
-/// out of an arena versus served from the cache. `fused` rows (the same
-/// computations under `SessionOptions::fuse`) render as a separate
-/// `rows_fused` array whose lines carry `steps_fused` — and deliberately
-/// *not* `steps_indexed` — so line-oriented golden diffs of the two mode
-/// columns stay independent. `flat` rows (the same computations under
-/// `SessionOptions::flat_env`) likewise render as their own
-/// `rows_flat_env` array keyed `steps_flat_env`, keeping all three
-/// lockfile greps line-disjoint. `tiered` rows (the
+/// out of an arena versus served from the cache. `flat` rows (the same
+/// computations under `SessionOptions::flat_env`) fill each main row's
+/// `steps_indexed` column — the name the lockfiles pin for `acc n`
+/// access steps — and also render as their own `rows_flat_env` array
+/// keyed `steps_flat_env`. `fused` rows (the same computations under
+/// `SessionOptions::fuse`) render as a separate `rows_fused` array whose
+/// lines carry `steps_fused` — and deliberately *not* `steps_indexed` —
+/// keeping all three lockfile greps line-disjoint. `tiered` rows (the
 /// same computations under the adaptive profile, which
 /// [`table1_rows_tiered`] asserts count plain-profile steps) render as
 /// `rows_tiered` keyed `steps_tiered`, with the controller's counters in
@@ -297,10 +285,9 @@ pub fn render_json(
             .paper
             .map(|p| p.to_string())
             .unwrap_or_else(|| "null".to_string());
-        let indexed = r
-            .indexed_steps
-            .map(|s| s.to_string())
-            .unwrap_or_else(|| "null".to_string());
+        let indexed = flat
+            .get(i)
+            .map_or_else(|| "null".to_string(), |f| f.steps.to_string());
         out.push_str(&format!(
             "    {{\"label\": \"{}\", \"steps\": {}, \"steps_indexed\": {}, \"emitted\": {}, \"paper\": {}}}{}\n",
             esc(&r.label),
@@ -381,7 +368,7 @@ pub fn render_json(
 }
 
 /// A session preloaded with the paper's interpretive polynomial program
-/// (`evalPoly` and `polyl` — §3.1) under `options` (e.g. `indexed_env`);
+/// (`evalPoly` and `polyl` — §3.1) under `options` (e.g. `flat_env`);
 /// the staging declarations are *not* yet run so their cost can be
 /// measured.
 ///
@@ -435,7 +422,7 @@ pub fn poly_costs(poly: &str, base: i64) -> Result<PolyCosts, Error> {
     poly_costs_with(poly, base, SessionOptions::default())
 }
 
-/// [`poly_costs`] with explicit session options (e.g. `indexed_env`).
+/// [`poly_costs`] with explicit session options (e.g. `flat_env`).
 ///
 /// # Errors
 ///
@@ -464,7 +451,7 @@ pub fn poly_costs_with(poly: &str, base: i64, options: SessionOptions) -> Result
 /// A deep-environment access workload: `depth` nested `let` bindings,
 /// whose body sums the *outermost* and innermost variables — so one access
 /// must walk the whole spine. In pair-spine mode that access costs
-/// `depth` dispatches (`fst^depth; snd`); in indexed mode it is a single
+/// `depth` dispatches (`fst^depth; snd`); in flat mode it is a single
 /// `acc` dispatch.
 pub fn deep_env_program(depth: usize) -> String {
     assert!(depth >= 1, "need at least one binding");
@@ -495,23 +482,16 @@ pub fn deep_env_steps(depth: usize, options: &SessionOptions) -> Result<u64, Err
     Ok(s.eval_expr(&deep_env_program(depth))?.stats.steps)
 }
 
-/// The three environment representations the deep-env sweep compares,
-/// as `(column label, options)` pairs: the paper's pair spine, fused
-/// indexed accesses, and flat `Vec`-backed frames.
-pub fn deep_env_modes() -> [(&'static str, SessionOptions); 3] {
+/// The two environment representations the deep-env sweep compares,
+/// as `(column label, options)` pairs: the paper's pair spine and flat
+/// `Vec`-backed frames.
+pub fn deep_env_modes() -> [(&'static str, SessionOptions); 2] {
     let base = SessionOptions {
         prelude: false,
         ..SessionOptions::default()
     };
     [
         ("spine", base.clone()),
-        (
-            "indexed",
-            SessionOptions {
-                indexed_env: true,
-                ..base.clone()
-            },
-        ),
         (
             "flat",
             SessionOptions {
@@ -523,11 +503,9 @@ pub fn deep_env_modes() -> [(&'static str, SessionOptions); 3] {
 }
 
 /// Renders the deep-environment sweep as JSON (the `BENCH_deep_env.json`
-/// CI artifact): one row per depth carrying the step counts of all three
-/// environment representations (`steps`, `steps_indexed`,
-/// `steps_flat_env`). Step counts are deterministic; flat-mode counts
-/// equal indexed-mode counts by construction (same access paths), which
-/// the renderer asserts.
+/// CI artifact): one row per depth carrying the step counts of both
+/// environment representations (`steps`, `steps_flat_env`). Step counts
+/// are deterministic.
 ///
 /// # Errors
 ///
@@ -535,20 +513,13 @@ pub fn deep_env_modes() -> [(&'static str, SessionOptions); 3] {
 pub fn deep_env_json(depths: &[usize]) -> Result<String, Error> {
     let modes = deep_env_modes();
     let mut out = String::from(
-        "{\n  \"title\": \"Deep-environment access: pair spine vs indexed vs flat frames\",\n  \"rows\": [\n",
+        "{\n  \"title\": \"Deep-environment access: pair spine vs flat frames\",\n  \"rows\": [\n",
     );
     for (i, &depth) in depths.iter().enumerate() {
-        let [spine, indexed, flat] = [
-            deep_env_steps(depth, &modes[0].1)?,
-            deep_env_steps(depth, &modes[1].1)?,
-            deep_env_steps(depth, &modes[2].1)?,
-        ];
-        assert_eq!(
-            flat, indexed,
-            "flat mode must dispatch exactly indexed mode's step count"
-        );
+        let spine = deep_env_steps(depth, &modes[0].1)?;
+        let flat = deep_env_steps(depth, &modes[1].1)?;
         out.push_str(&format!(
-            "    {{\"depth\": {depth}, \"steps\": {spine}, \"steps_indexed\": {indexed}, \"steps_flat_env\": {flat}}}{}\n",
+            "    {{\"depth\": {depth}, \"steps\": {spine}, \"steps_flat_env\": {flat}}}{}\n",
             if i + 1 < depths.len() { "," } else { "" }
         ));
     }
@@ -631,20 +602,22 @@ mod tests {
 
     #[test]
     fn json_rendering_includes_indexed_comparison() {
-        let rows = vec![Row::with_paper("r", 100, 0, 90).with_indexed(60)];
+        // The `steps_indexed` column carries the flat rows' steps.
+        let rows = vec![Row::with_paper("r", 100, 0, 90)];
+        let flat = vec![Row::new("r", 60, 0)];
         let stats = ccam::machine::Stats::default();
-        let j = render_json("t", &rows, &[], &[], &[], &stats, None, &[]);
-        assert!(j.contains("\"steps_indexed\": 60"), "{j}");
+        let j = render_json("t", &rows, &[], &flat, &[], &stats, None, &[]);
+        assert!(j.contains("\"steps\": 100, \"steps_indexed\": 60"), "{j}");
     }
 
     #[test]
     fn json_fused_rows_never_share_lines_with_the_mode_columns() {
         // The CI golden diff greps `"steps_indexed"|"freeze_cache"` for
-        // the default/indexed pin, `"steps_fused"` for the fused pin,
+        // the default pin, `"steps_fused"` for the fused pin,
         // and `"steps_flat_env"` for the flat pin: the three line sets
         // must be pairwise disjoint so each lockfile diff sees only its
         // own column.
-        let rows = vec![Row::with_paper("r", 100, 0, 90).with_indexed(60)];
+        let rows = vec![Row::with_paper("r", 100, 0, 90)];
         let fused = vec![Row::new("r", 80, 0)];
         let flat = vec![Row::new("r", 60, 0)];
         let tiered = vec![Row::new("r", 100, 0)];
@@ -696,24 +669,20 @@ mod tests {
     }
 
     #[test]
-    fn deep_env_microbench_favors_indexed_mode() {
-        let [(_, spine_opts), (_, indexed_opts), (_, flat_opts)] = deep_env_modes();
+    fn deep_env_microbench_favors_flat_mode() {
+        let [(_, spine_opts), (_, flat_opts)] = deep_env_modes();
         let depth = 48;
         let spine = deep_env_steps(depth, &spine_opts).unwrap();
-        let indexed = deep_env_steps(depth, &indexed_opts).unwrap();
-        assert!(
-            indexed < spine,
-            "indexed mode must need fewer steps on deep environments \
-             (indexed {indexed} vs spine {spine} at depth {depth})"
-        );
-        // Flat mode dispatches the identical access paths; only the
-        // machine-level representation (and wall clock) differs.
         let flat = deep_env_steps(depth, &flat_opts).unwrap();
-        assert_eq!(flat, indexed, "flat step counts equal indexed");
+        assert!(
+            flat < spine,
+            "flat mode must need fewer steps on deep environments \
+             (flat {flat} vs spine {spine} at depth {depth})"
+        );
         // The gap grows with depth: the deep access is O(depth) vs O(1).
         let spine_gap = deep_env_steps(2 * depth, &spine_opts).unwrap() - spine;
-        let indexed_gap = deep_env_steps(2 * depth, &indexed_opts).unwrap() - indexed;
-        assert!(indexed_gap < spine_gap, "{indexed_gap} vs {spine_gap}");
+        let flat_gap = deep_env_steps(2 * depth, &flat_opts).unwrap() - flat;
+        assert!(flat_gap < spine_gap, "{flat_gap} vs {spine_gap}");
     }
 
     /// An access-heavy variant of the deep-environment workload, packaged
@@ -743,12 +712,11 @@ mod tests {
             assert_eq!(v.to_string(), "8", "{name}");
             per_mode.push((name, stats.steps));
         }
-        let (spine, indexed, flat) = (per_mode[0].1, per_mode[1].1, per_mode[2].1);
-        assert_eq!(flat, indexed, "flat step counts equal indexed");
+        let (spine, flat) = (per_mode[0].1, per_mode[1].1);
         assert!(
-            indexed < spine,
+            flat < spine,
             "per-call sweep must cost fewer dispatches off the spine \
-             (indexed {indexed} vs spine {spine})"
+             (flat {flat} vs spine {spine})"
         );
     }
 
@@ -757,7 +725,7 @@ mod tests {
         let j = deep_env_json(&[4, 8]).unwrap();
         assert!(j.contains("\"depth\": 4"), "{j}");
         assert!(j.contains("\"steps\": "), "{j}");
-        assert!(j.contains("\"steps_indexed\": "), "{j}");
+        assert!(!j.contains("\"steps_indexed\""), "{j}");
         assert!(j.contains("\"steps_flat_env\": "), "{j}");
         assert_eq!(j.matches("\"depth\"").count(), 2, "{j}");
     }

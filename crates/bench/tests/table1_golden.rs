@@ -1,7 +1,8 @@
 //! Golden lockfile for the paper's Table 1: the step counts produced by
 //! `table1 all --json` are pinned, field by field, in
 //! `tests/golden/table1_steps.json` — in **both** environment modes
-//! (default pair-spine `steps` and `indexed_env` `steps_indexed`).
+//! (default pair-spine `steps`, and `flat_env` in the `steps_indexed`
+//! column, named for its single-`acc` access paths).
 //!
 //! Any change to the compiler, machine, or freeze path that shifts a
 //! reduction count fails here with the exact row. If a shift is
@@ -35,9 +36,10 @@ fn label(line: &str) -> Option<&str> {
     Some(&rest[..rest.find('"')?])
 }
 
-#[test]
-fn table1_step_counts_match_the_golden_lockfile() {
-    let golden: Vec<(&str, u64, u64, u64)> = GOLDEN
+/// The default lockfile's rows as `(label, steps, steps_indexed,
+/// emitted)`.
+fn golden_rows() -> Vec<(&'static str, u64, u64, u64)> {
+    GOLDEN
         .lines()
         .filter(|l| l.contains("\"label\""))
         .map(|l| {
@@ -48,18 +50,23 @@ fn table1_step_counts_match_the_golden_lockfile() {
                 field(l, "emitted").expect("emitted"),
             )
         })
-        .collect();
+        .collect()
+}
+
+#[test]
+fn table1_step_counts_match_the_golden_lockfile() {
+    let golden = golden_rows();
     assert_eq!(golden.len(), 10, "Table 1 has ten rows");
 
     let (rows, stats) = table1_rows(&SessionOptions::default());
-    let (indexed_rows, _) = table1_rows(&SessionOptions {
-        indexed_env: true,
+    let (flat_rows, _) = table1_rows(&SessionOptions {
+        flat_env: true,
         ..SessionOptions::default()
     });
     assert_eq!(rows.len(), golden.len());
-    for ((row, irow), (glabel, gsteps, gindexed, gemitted)) in rows
+    for ((row, frow), (glabel, gsteps, gindexed, gemitted)) in rows
         .iter()
-        .zip(&indexed_rows)
+        .zip(&flat_rows)
         .enumerate()
         .map(|(i, r)| (r, golden[i]))
     {
@@ -69,8 +76,8 @@ fn table1_step_counts_match_the_golden_lockfile() {
             "`{glabel}`: default-mode steps drifted from the lockfile"
         );
         assert_eq!(
-            irow.steps, gindexed,
-            "`{glabel}`: indexed-mode steps drifted from the lockfile"
+            frow.steps, gindexed,
+            "`{glabel}`: flat-env steps drifted from the steps_indexed column"
         );
         assert_eq!(
             row.emitted, gemitted,
@@ -104,20 +111,13 @@ fn flat_env_table1_step_counts_match_their_own_lockfile_and_equal_indexed() {
         .collect();
     assert_eq!(golden.len(), 10, "Table 1 has ten rows");
 
-    let (indexed_rows, _) = table1_rows(&SessionOptions {
-        indexed_env: true,
-        ..SessionOptions::default()
-    });
     let (flat_rows, _) = table1_rows(&SessionOptions {
         flat_env: true,
         ..SessionOptions::default()
     });
     assert_eq!(flat_rows.len(), golden.len());
-    for ((frow, irow), (glabel, gsteps, gemitted)) in flat_rows
-        .iter()
-        .zip(&indexed_rows)
-        .enumerate()
-        .map(|(i, r)| (r, golden[i]))
+    for ((frow, (glabel, gsteps, gemitted)), (_, _, gindexed, _)) in
+        flat_rows.iter().zip(golden).zip(golden_rows())
     {
         assert_eq!(frow.label, glabel);
         assert_eq!(
@@ -128,12 +128,11 @@ fn flat_env_table1_step_counts_match_their_own_lockfile_and_equal_indexed() {
             frow.emitted, gemitted,
             "`{glabel}`: flat-env emitted count drifted from the lockfile"
         );
-        // Flat mode renders exactly the indexed access paths; the two
-        // columns must agree step for step — the flat win is wall
-        // clock, not the step metric.
+        // `table1 --json` renders the flat rows twice; the two
+        // lockfiles must agree step for step.
         assert_eq!(
-            frow.steps, irow.steps,
-            "`{glabel}`: flat steps diverged from indexed steps"
+            gsteps, gindexed,
+            "`{glabel}`: the flat lockfile diverged from the steps_indexed column"
         );
     }
 }

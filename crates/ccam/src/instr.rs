@@ -115,12 +115,13 @@ pub enum Instr {
     Fst,
     /// Project the second component of the top pair.
     Snd,
-    /// Indexed environment access: `Acc(n)` ≡ `Fst^n; Snd` fused into a
-    /// single dispatch — walk `n` links down the left-nested pair spine,
-    /// then take the second component. The compiler emits this in indexed
-    /// environment mode (`EnvMode::Indexed` in `mlbox-compile`); the
-    /// peephole optimizer also rewrites residual `Fst..Fst; Snd` chains
-    /// into it.
+    /// Fused environment access: `Acc(n)` ≡ `Fst^n; Snd` in a single
+    /// dispatch — walk `n` links down the left-nested pair spine (or load
+    /// slot `n` of a flat frame), then take the second component. The
+    /// compiler emits this for every variable access in flat environment
+    /// mode (`EnvMode::Flat` in `mlbox-compile`); the peephole optimizer
+    /// and superinstruction fusion also collapse residual `Fst..Fst; Snd`
+    /// chains into it over pair spines.
     Acc(usize),
     /// Duplicate the top of the stack.
     Push,

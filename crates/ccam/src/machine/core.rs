@@ -231,9 +231,12 @@ pub(crate) fn prim(st: &mut MachineState, op: PrimOp) -> Result<(), MachineError
                     Value::Unit
                 }
                 (MkArray, Value::Int(n), init) => {
-                    let len = usize::try_from(*n)
-                        .map_err(|_| MachineError::IndexOutOfBounds { index: *n, len: 0 })?;
-                    Value::Array(Rc::new(RefCell::new(vec![init.clone(); len])))
+                    let size = MachineError::ArraySize { len: *n };
+                    let len = usize::try_from(*n).map_err(|_| size.clone())?;
+                    let mut elems = Vec::new();
+                    elems.try_reserve_exact(len).map_err(|_| size)?;
+                    elems.resize(len, init.clone());
+                    Value::Array(Rc::new(RefCell::new(elems)))
                 }
                 (ArrSub, Value::Array(arr), Value::Int(i)) => {
                     let borrow = arr.borrow();

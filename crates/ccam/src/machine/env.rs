@@ -1,5 +1,5 @@
 //! Step functions for the environment projections: the CAM's `fst`/`snd`
-//! spine walks, the indexed `acc n` access, and the flat-mode `env_cons`
+//! spine walks, the fused `acc n` access, and the flat-mode `env_cons`
 //! frame extension. All of them are total over mixed pair/frame spines —
 //! `Value::env_fst`/`env_snd`/`env_acc`/`env_extend` hold the single
 //! definition of what a frame denotes.

@@ -62,6 +62,11 @@ pub enum MachineError {
         /// Array length.
         len: usize,
     },
+    /// `array (n, _)` with a negative `n`, or one too large to allocate.
+    ArraySize {
+        /// The requested length.
+        len: i64,
+    },
     /// A `fail` instruction ran (inexhaustive match).
     Fail(String),
     /// `switch` found no matching arm and no default.
@@ -93,6 +98,9 @@ impl fmt::Display for MachineError {
             MachineError::DivideByZero => f.write_str("integer division by zero"),
             MachineError::IndexOutOfBounds { index, len } => {
                 write!(f, "array index {index} out of bounds for length {len}")
+            }
+            MachineError::ArraySize { len } => {
+                write!(f, "array size {len} cannot be allocated")
             }
             MachineError::Fail(m) => write!(f, "failure: {m}"),
             MachineError::NoMatchingArm { tag } => {
@@ -372,7 +380,7 @@ pub(crate) fn fuel_cost(i: &Instr) -> u64 {
     }
 }
 
-/// Steps one dispatch stands for against an indexed/flat-env baseline,
+/// Steps one dispatch stands for against a flat-env baseline,
 /// where `acc` is itself a single compiled instruction: each fused pair
 /// dispatch counts two, everything else one. (Against the pair-spine
 /// baseline the charge is [`fuel_cost`] — there `acc n` stands for the
@@ -631,7 +639,7 @@ fn render_optimize_fuse(seg: &CodeSeg, instrs: &[Instr]) -> Vec<Instr> {
     crate::opt::fuse(seg, &optimized)
 }
 
-/// Indexed by the flavor `optimize | fuse << 1`.
+/// One render per flavor, at index `optimize | fuse << 1`.
 const FREEZE_RENDERS: [FreezeRender; 4] = [
     render_plain,
     crate::opt::peephole,
@@ -707,7 +715,7 @@ impl Machine {
     /// `spine_units` names the baseline cost model the running code was
     /// compiled against: `true` for the paper's pair-spine environments
     /// (an `acc n` stands for the `fst^n; snd` walk), `false` for
-    /// indexed/flat environments (an `acc` is itself one compiled
+    /// flat environments (an `acc` is itself one compiled
     /// instruction). Steps under the controller are charged in baseline
     /// units, which is what makes promotion step-transparent.
     ///
@@ -1074,7 +1082,7 @@ impl Machine {
         let instrs = seg.block_to_vec(block);
         let mut sel = crate::opt::select_rules(&instrs, ad.policy.fuse_top_k);
         if !ad.spine_units {
-            // The indexed/flat baseline charges `acc n` as one step, so
+            // The flat-env baseline charges `acc n` as one step, so
             // collapsing an access chain would make fewer steps than the
             // baseline counted; pair fusion alone keeps the bijection
             // between fused dispatches and baseline instruction pairs.

@@ -23,8 +23,8 @@ pub(crate) struct MachineState {
     /// the machine's lifetime total). Distinct from `stats.steps`: a
     /// fused superinstruction counts one *step* but charges fuel for
     /// every component it replaced, so a fuel budget bounds the same
-    /// amount of work in every execution mode (`indexed_env`, `fuse`,
-    /// flat environments, tier promotion) — no dispatch encoding can be
+    /// amount of work in every execution mode (`fuse`, flat
+    /// environments, tier promotion) — no dispatch encoding can be
     /// used to smuggle extra work past a per-run limit.
     pub(crate) fuel_spent: u64,
     /// Everything `print` has written.

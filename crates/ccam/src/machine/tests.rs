@@ -815,6 +815,24 @@ fn array_out_of_bounds_errors() {
 }
 
 #[test]
+fn unallocatable_array_sizes_are_typed_errors() {
+    // 2^60 elements overflow the allocator's capacity before any memory
+    // is requested.
+    for len in [1 << 60, -1] {
+        let err = Machine::new()
+            .run(
+                entry(vec![
+                    Instr::Quote(Value::pair(Value::Int(len), Value::Int(0))),
+                    Instr::Prim(PrimOp::MkArray),
+                ]),
+                Value::Unit,
+            )
+            .unwrap_err();
+        assert_eq!(err, MachineError::ArraySize { len });
+    }
+}
+
+#[test]
 fn equality_on_closures_is_an_error() {
     let f = Value::Closure(Rc::new(crate::value::Closure {
         env: Value::Unit,
@@ -1249,7 +1267,7 @@ fn adaptive_fuel_exhaustion_matches_plain_at_every_budget() {
 
 #[test]
 fn adaptive_matches_an_indexed_baseline_too() {
-    // Code as an indexed-env compiler would emit it: `acc` is itself one
+    // Code as the flat-env compiler emits it: `acc` is itself one
     // compiled instruction, so fusing `push; acc` must charge 2 — not
     // the pair-spine n + 2.
     let seg = CodeSeg::new();

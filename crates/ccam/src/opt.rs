@@ -169,8 +169,8 @@ impl FuseSelection {
         self.enabled[r]
     }
 
-    /// Disables the access-chain collapse (rule 0). The indexed/flat
-    /// baselines charge every instruction — `acc n` included — as one
+    /// Disables the access-chain collapse (rule 0). The flat-env
+    /// baseline charges every instruction — `acc n` included — as one
     /// step, so a step-transparent rendering must not collapse a
     /// multi-instruction `fst…; snd` chain into a single `acc`: with
     /// the collapse off, every fused opcode stands for exactly two

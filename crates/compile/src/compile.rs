@@ -101,14 +101,14 @@ pub fn compile_expr(e: &CExprS, ctx: &Ctx, seg: &CodeSeg) -> Result<Vec<Instr>> 
 }
 
 /// The environment-extension instruction for the mode: flat mode grows a
-/// contiguous frame ([`Instr::EnvCons`]), the spine modes cons a pair.
+/// contiguous frame ([`Instr::EnvCons`]), pair-spine mode conses a pair.
 /// Only genuine extension sites (`let`, `let cogen`, `val`/`cogen`
 /// declarations) use this; scratch pairs consumed by `branch`, `switch`,
 /// or `app` stay [`Instr::ConsPair`] in every mode.
 fn env_cons(mode: EnvMode) -> Instr {
     match mode {
         EnvMode::Flat => Instr::EnvCons,
-        EnvMode::PairSpine | EnvMode::Indexed => Instr::ConsPair,
+        EnvMode::PairSpine => Instr::ConsPair,
     }
 }
 
@@ -1080,82 +1080,73 @@ f 20";
         assert_eq!(run_program(src).to_string(), "42");
     }
 
+    /// Programs the environment-mode tests run in every rendering.
+    const MODE_PROGRAMS: [&str; 4] = [
+        "let val x = 5 val y = x * x in y + x end",
+        "fun fact n = if n = 0 then 1 else n * fact (n - 1);\nfact 6",
+        "fun eval c = let cogen u = c in u end\n\
+         fun compPoly p =\n\
+           case p of nil => code (fn x => 0)\n\
+           | a :: p' => let cogen f = compPoly p' cogen a' = lift a\n\
+                        in code (fn x => a' + (x * f x)) end\n\
+         val f = eval (compPoly [2, 4, 0, 2333]);\n\
+         f 47",
+        "fun eval c = let cogen u = c in u end\n\
+         val twoStage =\n\
+           code (fn a => let cogen a' = lift a in code (fn b => a' + b) end)\n\
+         val g2 = eval twoStage 7\n\
+         val f = eval g2;\n\
+         f 10",
+    ];
+
+    /// Compiles and runs `src` in `mode`, returning its value and step
+    /// count. With `collapse`, the static program and every frozen arena
+    /// go through the peephole optimizer first, which renders each
+    /// `fst^k; snd` walk over the pair spine as one `acc k`.
+    fn run_in_mode(src: &str, mode: EnvMode, collapse: bool) -> (String, u64) {
+        let p = parse_program(src).unwrap();
+        let decls = Elab::new().elab_program(&p).unwrap();
+        let mut code = compile_program_with(&decls, mode).unwrap();
+        if collapse {
+            code.block = ccam::opt::optimize_block(&code.seg, code.block);
+        }
+        validate(&code.seg, &code.to_vec()).unwrap();
+        let mut m = Machine::new();
+        m.set_optimize(collapse);
+        let v = m.run(code, Value::Unit).unwrap();
+        (v.to_string(), m.stats().steps)
+    }
+
     #[test]
     fn indexed_mode_agrees_with_pair_spine() {
-        let programs = [
-            "let val x = 5 val y = x * x in y + x end",
-            "fun fact n = if n = 0 then 1 else n * fact (n - 1);\nfact 6",
-            "fun eval c = let cogen u = c in u end\n\
-             fun compPoly p =\n\
-               case p of nil => code (fn x => 0)\n\
-               | a :: p' => let cogen f = compPoly p' cogen a' = lift a\n\
-                            in code (fn x => a' + (x * f x)) end\n\
-             val f = eval (compPoly [2, 4, 0, 2333]);\n\
-             f 47",
-            "fun eval c = let cogen u = c in u end\n\
-             val twoStage =\n\
-               code (fn a => let cogen a' = lift a in code (fn b => a' + b) end)\n\
-             val g2 = eval twoStage 7\n\
-             val f = eval g2;\n\
-             f 10",
-        ];
-        for src in programs {
-            let p = parse_program(src).unwrap();
-            let decls = Elab::new().elab_program(&p).unwrap();
-            let run_mode = |mode| {
-                let code = compile_program_with(&decls, mode).unwrap();
-                validate(&code.seg, &code.to_vec()).unwrap();
-                let mut m = Machine::new();
-                let v = m.run(code, Value::Unit).unwrap();
-                (v.to_string(), m.stats().steps)
-            };
-            let (v_spine, s_spine) = run_mode(EnvMode::PairSpine);
-            let (v_idx, s_idx) = run_mode(EnvMode::Indexed);
+        // Indexed access over the pair spine lives on as the optimizer's
+        // `fst^k; snd -> acc k` collapse: it must agree with the raw walk
+        // and never take more steps.
+        for src in MODE_PROGRAMS {
+            let (v_spine, s_spine) = run_in_mode(src, EnvMode::PairSpine, false);
+            let (v_idx, s_idx) = run_in_mode(src, EnvMode::PairSpine, true);
             assert_eq!(v_spine, v_idx, "mode disagreement on {src:?}");
             assert!(
                 s_idx <= s_spine,
-                "indexed mode took more steps ({s_idx} > {s_spine}) on {src:?}"
+                "indexed spine took more steps ({s_idx} > {s_spine}) on {src:?}"
             );
         }
     }
 
     #[test]
     fn flat_mode_agrees_with_both_spine_modes() {
-        let programs = [
-            "let val x = 5 val y = x * x in y + x end",
-            "fun fact n = if n = 0 then 1 else n * fact (n - 1);\nfact 6",
-            "fun eval c = let cogen u = c in u end\n\
-             fun compPoly p =\n\
-               case p of nil => code (fn x => 0)\n\
-               | a :: p' => let cogen f = compPoly p' cogen a' = lift a\n\
-                            in code (fn x => a' + (x * f x)) end\n\
-             val f = eval (compPoly [2, 4, 0, 2333]);\n\
-             f 47",
-            "fun eval c = let cogen u = c in u end\n\
-             val twoStage =\n\
-               code (fn a => let cogen a' = lift a in code (fn b => a' + b) end)\n\
-             val g2 = eval twoStage 7\n\
-             val f = eval g2;\n\
-             f 10",
-        ];
-        for src in programs {
-            let p = parse_program(src).unwrap();
-            let decls = Elab::new().elab_program(&p).unwrap();
-            let run_mode = |mode| {
-                let code = compile_program_with(&decls, mode).unwrap();
-                validate(&code.seg, &code.to_vec()).unwrap();
-                let mut m = Machine::new();
-                let v = m.run(code, Value::Unit).unwrap();
-                (v.to_string(), m.stats().steps)
-            };
-            let (v_spine, _) = run_mode(EnvMode::PairSpine);
-            let (v_idx, s_idx) = run_mode(EnvMode::Indexed);
-            let (v_flat, s_flat) = run_mode(EnvMode::Flat);
+        for src in MODE_PROGRAMS {
+            let (v_spine, s_spine) = run_in_mode(src, EnvMode::PairSpine, false);
+            let (v_idx, _) = run_in_mode(src, EnvMode::PairSpine, true);
+            let (v_flat, s_flat) = run_in_mode(src, EnvMode::Flat, false);
             assert_eq!(v_spine, v_flat, "flat disagreement on {src:?}");
-            assert_eq!(v_idx, v_flat);
-            // env_cons costs one step like cons, and flat access paths
-            // render exactly as indexed ones, so the step counts match.
-            assert_eq!(s_flat, s_idx, "flat steps diverge from indexed on {src:?}");
+            assert_eq!(v_idx, v_flat, "flat disagreement on {src:?}");
+            // env_cons costs one step like cons, and each `acc n` stands
+            // for a whole `fst^n; snd` walk.
+            assert!(
+                s_flat <= s_spine,
+                "flat mode took more steps ({s_flat} > {s_spine}) on {src:?}"
+            );
         }
     }
 
@@ -1177,9 +1168,9 @@ f 20";
     }
 
     #[test]
-    fn indexed_mode_emits_acc_into_arenas() {
+    fn flat_mode_emits_acc_into_arenas() {
         // The generating translation must route late accesses through
-        // Layout::path: in indexed mode the arena receives `acc`, not
+        // Layout::path: in flat mode the arena receives `acc`, not
         // `fst`/`snd` chains.
         let src = "\
 fun eval c = let cogen u = c in u end
@@ -1188,7 +1179,7 @@ val f = eval g;
 f 1 2";
         let p = parse_program(src).unwrap();
         let decls = Elab::new().elab_program(&p).unwrap();
-        let code = compile_program_with(&decls, crate::ctx::EnvMode::Indexed).unwrap();
+        let code = compile_program_with(&decls, EnvMode::Flat).unwrap();
         let counts = ccam::disasm::census(&code.seg, code.block);
         assert!(counts.contains_key("acc"), "no acc in compiled output");
         let emits_acc = {

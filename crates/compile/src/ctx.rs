@@ -26,12 +26,12 @@ pub enum Kind {
 
 /// How variable accesses are compiled against the environment.
 ///
-/// [`PairSpine`](EnvMode::PairSpine) and [`Indexed`](EnvMode::Indexed)
-/// share the left-nested pair-spine *representation* and differ only in
-/// the instruction sequences that walk it. [`Flat`](EnvMode::Flat) also
+/// [`PairSpine`](EnvMode::PairSpine) is the paper's model: a left-nested
+/// pair spine walked by `fst^k; snd` chains. [`Flat`](EnvMode::Flat)
 /// changes the representation: bindings extend contiguous frames
-/// ([`ccam::value::Frame`]) via [`Instr::EnvCons`], so `acc n` is a
-/// bounds-checked slot index instead of an O(n) spine walk.
+/// ([`ccam::value::Frame`]) via [`Instr::EnvCons`], and each walk
+/// compiles to one `acc n`, a bounds-checked slot index instead of an
+/// O(n) spine walk.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum EnvMode {
     /// The paper's access sequences: `fst^k; snd` chains, one reduction
@@ -39,17 +39,12 @@ pub enum EnvMode {
     /// counts are measured in this mode.
     #[default]
     PairSpine,
-    /// Fused indexed access: each spine walk compiles to a single
-    /// [`Instr::Acc`] dispatch (`acc n` ≡ `fst^n; snd`). Cheaper on deep
-    /// environments, but no longer step-for-step comparable with the
-    /// paper's cost model.
-    Indexed,
-    /// Indexed access over contiguous frames: paths render exactly as in
-    /// [`Indexed`](EnvMode::Indexed) mode (the machine resolves `acc n`
-    /// against frames and pairs alike), but environment-extension sites
-    /// compile to [`Instr::EnvCons`] so the environment grows as a
-    /// `Vec`-backed frame and each access is O(1). Step counts equal
-    /// indexed mode's; the win is wall-clock time.
+    /// Flat frames: each walk compiles to a single [`Instr::Acc`]
+    /// dispatch (`acc n` ≡ `fst^n; snd`; the machine resolves it against
+    /// frames and pairs alike), and environment-extension sites compile
+    /// to [`Instr::EnvCons`], so the environment grows as a `Vec`-backed
+    /// frame and each access is O(1). Cheaper on deep environments, but
+    /// no longer step-for-step comparable with the paper's cost model.
     Flat,
 }
 
@@ -94,10 +89,7 @@ impl Layout {
     fn path_into(&self, index: usize, mode: EnvMode, out: &mut Vec<Instr>) {
         match mode {
             EnvMode::PairSpine => self.spine_path_into(index, out),
-            // Flat mode's accesses render exactly as indexed mode's: the
-            // machine resolves `acc n` against frames and pairs alike,
-            // so only extension sites differ (see the compiler).
-            EnvMode::Indexed | EnvMode::Flat => self.indexed_path_into(index, 0, out),
+            EnvMode::Flat => self.acc_path_into(index, 0, out),
         }
     }
 
@@ -130,11 +122,11 @@ impl Layout {
         }
     }
 
-    /// The indexed rendering of the same walk. `pending` counts `fst`s
+    /// The fused `acc` rendering of the same walk. `pending` counts `fst`s
     /// owed by enclosing `Staged` layouts (descents into the early
     /// component); since `acc n` ≡ `fst^n; snd`, they fuse into the next
     /// `acc` instead of being emitted separately.
-    fn indexed_path_into(&self, index: usize, pending: usize, out: &mut Vec<Instr>) {
+    fn acc_path_into(&self, index: usize, pending: usize, out: &mut Vec<Instr>) {
         match self {
             Layout::Spine { count } => {
                 assert!(index < *count, "entry {index} outside spine of {count}");
@@ -152,7 +144,7 @@ impl Layout {
                     out.push(Instr::Acc(pending));
                     out.push(Instr::Acc(count - 1 - index));
                 } else {
-                    early.indexed_path_into(index, pending + 1, out);
+                    early.acc_path_into(index, pending + 1, out);
                 }
             }
         }
@@ -391,7 +383,7 @@ mod tests {
     #[test]
     fn indexed_spine_paths_are_single_acc() {
         let mut g = NameGen::new();
-        let ctx = Ctx::root_with(EnvMode::Indexed)
+        let ctx = Ctx::root_with(EnvMode::Flat)
             .bind_early(g.fresh("a"), Kind::Val)
             .bind_early(g.fresh("b"), Kind::Val)
             .bind_early(g.fresh("c"), Kind::Val);
@@ -402,7 +394,7 @@ mod tests {
     #[test]
     fn indexed_late_paths_are_single_acc() {
         let mut g = NameGen::new();
-        let ctx = Ctx::root_with(EnvMode::Indexed)
+        let ctx = Ctx::root_with(EnvMode::Flat)
             .bind_early(g.fresh("a"), Kind::Val)
             .enter_code()
             .bind_late(g.fresh("x"), Kind::Val)
@@ -414,7 +406,7 @@ mod tests {
     #[test]
     fn indexed_staged_paths_fuse_the_descent() {
         let mut g = NameGen::new();
-        let ctx = Ctx::root_with(EnvMode::Indexed)
+        let ctx = Ctx::root_with(EnvMode::Flat)
             .bind_early(g.fresh("a"), Kind::Cogen)
             .enter_code()
             .bind_late(g.fresh("x"), Kind::Val)
@@ -431,7 +423,7 @@ mod tests {
     #[test]
     fn indexed_doubly_staged_paths_carry_pending_fsts() {
         let mut g = NameGen::new();
-        let ctx = Ctx::root_with(EnvMode::Indexed)
+        let ctx = Ctx::root_with(EnvMode::Flat)
             .bind_early(g.fresh("a"), Kind::Cogen)
             .enter_code()
             .bind_late(g.fresh("x"), Kind::Val)
@@ -456,33 +448,13 @@ mod tests {
     }
 
     #[test]
-    fn flat_paths_render_exactly_like_indexed_paths() {
-        let build = |mode| {
-            let mut g = NameGen::new();
-            Ctx::root_with(mode)
-                .bind_early(g.fresh("a"), Kind::Cogen)
-                .enter_code()
-                .bind_late(g.fresh("x"), Kind::Val)
-                .enter_code()
-        };
-        let flat = build(EnvMode::Flat);
-        let indexed = build(EnvMode::Indexed);
-        for i in 0..2 {
-            assert_eq!(
-                format!("{:?}", flat.early_path(i)),
-                format!("{:?}", indexed.early_path(i))
-            );
-        }
-    }
-
-    #[test]
     fn mode_survives_binds_and_enter_code() {
         let mut g = NameGen::new();
-        let ctx = Ctx::root_with(EnvMode::Indexed)
+        let ctx = Ctx::root_with(EnvMode::Flat)
             .bind_early(g.fresh("a"), Kind::Val)
             .enter_code()
             .bind_late(g.fresh("x"), Kind::Val);
-        assert_eq!(ctx.mode(), EnvMode::Indexed);
+        assert_eq!(ctx.mode(), EnvMode::Flat);
         assert_eq!(Ctx::root().mode(), EnvMode::PairSpine);
     }
 

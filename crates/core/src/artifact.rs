@@ -169,9 +169,9 @@ pub fn machine_for(options: &SessionOptions) -> Machine {
     machine.set_fuse(options.fuse);
     if let Some(policy) = options.adaptive {
         // Step charges stay in the baseline cost model the compiler
-        // targets: pair-spine units unless accesses compile to
-        // indexed/flat `acc` paths.
-        let spine_units = !(options.indexed_env || options.flat_env);
+        // targets: pair-spine units unless accesses compile to flat
+        // `acc` paths.
+        let spine_units = !options.flat_env;
         machine.set_tier_policy(Some(policy), spine_units);
     }
     machine

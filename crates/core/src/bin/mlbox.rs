@@ -58,7 +58,14 @@ fn check_file(path: Option<&String>) -> Result<(), Box<dyn std::error::Error>> {
 fn run_file(path: Option<&String>) -> Result<(), Box<dyn std::error::Error>> {
     let src = read_source(path)?;
     let mut session = Session::new()?;
-    let outcomes = session.run(&src)?;
+    let outcomes = match session.run(&src) {
+        Ok(outcomes) => outcomes,
+        Err(e) => {
+            // Declarations before the failing one may have printed.
+            print_output(&mut session);
+            return Err(e.into());
+        }
+    };
     for w in session.take_warnings() {
         eprintln!("{}", w.render(&src));
     }
@@ -74,12 +81,17 @@ fn run_file(path: Option<&String>) -> Result<(), Box<dyn std::error::Error>> {
             ),
         }
     }
+    print_output(&mut session);
+    Ok(())
+}
+
+/// Prints what the program wrote with `print`, under a header.
+fn print_output(session: &mut Session) {
     let out = session.take_output();
     if !out.is_empty() {
         println!("--- output ---");
         println!("{out}");
     }
-    Ok(())
 }
 
 fn eval_expr(expr: Option<&String>) -> Result<(), Box<dyn std::error::Error>> {

@@ -266,23 +266,12 @@ eval (compPoly [1, 2, 3]) 10";
     }
 
     #[test]
-    fn backends_agree_in_indexed_mode() {
-        for src in [
-            "let val x = 4 in x * x end",
-            "eval (code (fn x => x * 3)) 5",
-        ] {
-            let r = run_both_with(src, true, EnvMode::Indexed).unwrap();
-            assert!(r.agree(), "indexed-mode disagreement on {src}: {r:?}");
-        }
-    }
-
-    #[test]
     fn backends_agree_in_fused_mode() {
         for src in [
             "let val x = 4 in x * x end",
             "eval (code (fn x => x * 3)) 5",
         ] {
-            for mode in [EnvMode::PairSpine, EnvMode::Indexed, EnvMode::Flat] {
+            for mode in [EnvMode::PairSpine, EnvMode::Flat] {
                 let r = run_both_full(src, true, mode, true).unwrap();
                 assert!(r.agree(), "fused {mode:?} disagreement on {src}: {r:?}");
             }
@@ -334,7 +323,7 @@ eval (compPoly [1, 2, 3]) 10";
                 ..TierPolicy::default()
             };
             for (src, with_prelude) in programs {
-                for mode in [EnvMode::PairSpine, EnvMode::Indexed, EnvMode::Flat] {
+                for mode in [EnvMode::PairSpine, EnvMode::Flat] {
                     assert_adaptive_parity(src, with_prelude, mode, policy).unwrap();
                 }
             }

@@ -39,16 +39,10 @@ pub struct SessionOptions {
     /// [`Stats::opcodes`]). Default: false — the count array is carried
     /// in every stats snapshot, so it is opt-in.
     pub count_opcodes: bool,
-    /// Compile variable accesses as fused indexed lookups (`acc n`)
-    /// instead of the paper's `fst^n; snd` chains. Default: false, so the
-    /// reduction-step counts of Table 1 stay exactly the paper's cost
-    /// model; turn on to measure the indexed representation.
-    pub indexed_env: bool,
     /// Grow the environment as contiguous `Vec`-backed frames
-    /// (`env_cons`) so each `acc n` is an O(1) slot load instead of a
-    /// spine walk (DESIGN.md §12). Implies indexed-style access paths and
-    /// wins over [`indexed_env`](SessionOptions::indexed_env) when both
-    /// are set. Default: false, keeping the paper's pair-spine
+    /// (`env_cons`) and compile each variable access as one `acc n`, an
+    /// O(1) slot load, instead of the paper's `fst^n; snd` spine walk
+    /// (DESIGN.md §12). Default: false, keeping the paper's pair-spine
     /// representation and Table 1's exact cost model.
     pub flat_env: bool,
     /// Rewrite the hottest adjacent opcode pairs into fused
@@ -107,7 +101,6 @@ impl Default for SessionOptions {
             typecheck: true,
             optimize: false,
             count_opcodes: false,
-            indexed_env: false,
             flat_env: false,
             fuse: false,
             adaptive: None,
@@ -135,7 +128,9 @@ impl SessionOptions {
         h.write_bool(self.typecheck);
         h.write_bool(self.optimize);
         h.write_bool(self.count_opcodes);
-        h.write_bool(self.indexed_env);
+        // The removed `indexed_env` flag, hashed as off like `native`
+        // below.
+        h.write_bool(false);
         h.write_bool(self.flat_env);
         h.write_bool(self.fuse);
         // The removed thread-coded tier's `native` flag, hashed as off:
@@ -325,8 +320,6 @@ impl Session {
     fn bare(options: SessionOptions) -> Session {
         let env_mode = if options.flat_env {
             EnvMode::Flat
-        } else if options.indexed_env {
-            EnvMode::Indexed
         } else {
             EnvMode::PairSpine
         };
@@ -863,11 +856,14 @@ mod tests {
         );
     }
 
+    // Flat frames are the session's one indexed environment: every
+    // access is a single `acc n` slot load.
+
     #[test]
     fn indexed_env_agrees_and_is_no_slower() {
-        let run_mode = |indexed: bool| {
+        let run_mode = |flat_env: bool| {
             let mut s = Session::with_options(SessionOptions {
-                indexed_env: indexed,
+                flat_env,
                 ..SessionOptions::default()
             })
             .unwrap();
@@ -876,62 +872,15 @@ mod tests {
             (out.value, out.stats.steps)
         };
         let (v_spine, s_spine) = run_mode(false);
-        let (v_idx, s_idx) = run_mode(true);
-        assert_eq!(v_spine, v_idx);
-        assert!(s_idx <= s_spine, "indexed env took more steps");
-    }
-
-    #[test]
-    fn flat_env_agrees_with_both_spine_modes_and_matches_indexed_steps() {
-        let run_mode = |opts: SessionOptions| {
-            let mut s = Session::with_options(opts).unwrap();
-            s.run("fun compPoly p = case p of nil => code (fn x => 0) | a :: p' => let cogen f = compPoly p' cogen a' = lift a in code (fn x => a' + (x * f x)) end\nval f = eval (compPoly [2, 4, 0, 2333])").unwrap();
-            let out = s.eval_expr("f 47").unwrap();
-            (out.value, out.stats.steps)
-        };
-        let (v_spine, _) = run_mode(SessionOptions::default());
-        let (v_idx, s_idx) = run_mode(SessionOptions {
-            indexed_env: true,
-            ..SessionOptions::default()
-        });
-        let (v_flat, s_flat) = run_mode(SessionOptions {
-            flat_env: true,
-            ..SessionOptions::default()
-        });
+        let (v_flat, s_flat) = run_mode(true);
         assert_eq!(v_spine, v_flat);
-        assert_eq!(v_idx, v_flat);
-        assert_eq!(
-            s_flat, s_idx,
-            "flat mode renders the same access paths as indexed mode"
-        );
-    }
-
-    #[test]
-    fn flat_env_wins_over_indexed_env() {
-        // Both flags set: the session compiles in flat mode, so the
-        // environment really is frame-backed (the declaration's bound
-        // value still projects correctly via env_snd).
-        let mut s = Session::with_options(SessionOptions {
-            indexed_env: true,
-            flat_env: true,
-            count_opcodes: true,
-            ..SessionOptions::default()
-        })
-        .unwrap();
-        let outs = s.run("val x = 41;\nx + 1").unwrap();
-        assert_eq!(outs[0].value, "41");
-        assert_eq!(outs[1].value, "42");
-        let counts = outs[0].stats.opcodes.expect("enabled");
-        assert!(
-            counts.get("env_cons") > 0,
-            "a flat-mode `val` extends the environment with env_cons"
-        );
+        assert!(s_flat <= s_spine, "flat env took more steps");
     }
 
     #[test]
     fn indexed_env_executes_acc() {
         let mut s = Session::with_options(SessionOptions {
-            indexed_env: true,
+            flat_env: true,
             count_opcodes: true,
             ..SessionOptions::default()
         })
@@ -940,7 +889,15 @@ mod tests {
             .eval_expr("let val a = 1 val b = 2 val c = 3 in a + b + c end")
             .unwrap();
         let counts = out.stats.opcodes.expect("enabled by the option");
-        assert!(counts.get("acc") > 0, "indexed accesses run as acc");
+        assert!(counts.get("acc") > 0, "flat accesses run as acc");
+        let outs = s.run("val x = 41;\nx + 1").unwrap();
+        assert_eq!(outs[0].value, "41");
+        assert_eq!(outs[1].value, "42");
+        let counts = outs[0].stats.opcodes.expect("enabled");
+        assert!(
+            counts.get("env_cons") > 0,
+            "a flat-mode `val` extends the environment with env_cons"
+        );
     }
 
     #[test]
@@ -967,9 +924,6 @@ mod tests {
         let mut optimize = base.clone();
         optimize.optimize = true;
         assert_ne!(fp(&base), fp(&optimize), "optimize must change the key");
-        let mut indexed = base.clone();
-        indexed.indexed_env = true;
-        assert_ne!(fp(&base), fp(&indexed), "indexed_env must change the key");
         let mut counted = base.clone();
         counted.count_opcodes = true;
         assert_ne!(fp(&base), fp(&counted), "count_opcodes must change the key");
@@ -979,8 +933,8 @@ mod tests {
         let mut flat = base.clone();
         flat.flat_env = true;
         assert_ne!(fp(&base), fp(&flat), "flat_env must change the key");
-        // The five non-default modes are also pairwise distinct.
-        let modes = [&optimize, &indexed, &counted, &fused, &flat];
+        // The four non-default modes are also pairwise distinct.
+        let modes = [&optimize, &counted, &fused, &flat];
         for (i, a) in modes.iter().enumerate() {
             for b in &modes[i + 1..] {
                 assert_ne!(fp(a), fp(b));

@@ -173,7 +173,8 @@ fn encode_options(out: &mut Vec<u8>, o: &SessionOptions) {
     out.push(u8::from(o.typecheck));
     out.push(u8::from(o.optimize));
     out.push(u8::from(o.count_opcodes));
-    out.push(u8::from(o.indexed_env));
+    // The removed `indexed_env` flag: always off.
+    out.push(0);
     out.push(u8::from(o.flat_env));
     out.push(u8::from(o.fuse));
     // The removed thread-coded tier's `native` flag: always off.
@@ -242,13 +243,16 @@ fn decode_options(bytes: &[u8]) -> Result<SessionOptions, WireError> {
         }
         _ => return Err(WireError::Corrupt("unknown fuel marker")),
     };
+    let typecheck = r.bool()?;
+    let optimize = r.bool()?;
+    let count_opcodes = r.bool()?;
+    r.removed("indexed_env")?;
     let mut options = SessionOptions {
         prelude,
         fuel,
-        typecheck: r.bool()?,
-        optimize: r.bool()?,
-        count_opcodes: r.bool()?,
-        indexed_env: r.bool()?,
+        typecheck,
+        optimize,
+        count_opcodes,
         flat_env: r.bool()?,
         fuse: r.bool()?,
         adaptive: None,
@@ -266,6 +270,13 @@ fn decode_options(bytes: &[u8]) -> Result<SessionOptions, WireError> {
                 .map_err(|_| WireError::Corrupt("fuse_top_k does not fit a usize"))?,
         });
         r.removed("use_native")?;
+        // `Session::with_options` refuses this combination; bytes must
+        // not smuggle it past that check into `machine_for`.
+        if options.optimize || options.fuse {
+            return Err(WireError::Corrupt(
+                "adaptive profile with static optimize/fuse flags",
+            ));
+        }
     }
     if r.pos != bytes.len() {
         return Err(WireError::Corrupt("options section has trailing bytes"));

@@ -1,7 +1,9 @@
 //! Pins what the `mlbox` binary prints for warnings: only the user's own
 //! (the prelude's partial `nth` never shows), labelled as warnings, and
 //! rendered against the user's source in both `mlbox run` and the REPL.
-//! Also pins that `mlbox check` type checks without running anything.
+//! Also pins that `mlbox check` type checks without running anything,
+//! and that `mlbox run` still prints a program's output when a later
+//! declaration fails.
 
 use std::io::Write;
 use std::process::{Command, Output, Stdio};
@@ -10,6 +12,13 @@ use std::time::{Duration, Instant};
 const PARTIAL: &str = "fun hd l = case l of a :: r => a";
 
 fn mlbox(args: &[&str], stdin: &str) -> Output {
+    let out = mlbox_status(args, stdin);
+    assert!(out.status.success(), "{out:?}");
+    out
+}
+
+/// Runs `mlbox` without asserting that it succeeds.
+fn mlbox_status(args: &[&str], stdin: &str) -> Output {
     let mut child = Command::new(env!("CARGO_BIN_EXE_mlbox"))
         .args(args)
         .stdin(Stdio::piped())
@@ -23,9 +32,7 @@ fn mlbox(args: &[&str], stdin: &str) -> Output {
         .expect("piped stdin")
         .write_all(stdin.as_bytes())
         .expect("stdin written");
-    let out = child.wait_with_output().expect("mlbox exits");
-    assert!(out.status.success(), "{out:?}");
-    out
+    child.wait_with_output().expect("mlbox exits")
 }
 
 fn source_file(name: &str, src: &str) -> String {
@@ -49,6 +56,21 @@ fn run_prints_no_prelude_warning() {
     assert_eq!(
         text(&out.stdout),
         "val x : int = 3   (8 steps, 0 emitted)\n"
+    );
+}
+
+#[test]
+fn run_prints_captured_output_before_a_later_failure() {
+    let path = source_file(
+        "cli_fail.ml",
+        "val u = print \"hello\\n\"\nval x = 1 div 0\n",
+    );
+    let out = mlbox_status(&["run", &path], "");
+    assert_eq!(out.status.code(), Some(1), "{out:?}");
+    assert_eq!(text(&out.stdout), "--- output ---\nhello\n\n");
+    assert_eq!(
+        text(&out.stderr),
+        "machine error: integer division by zero\n"
     );
 }
 

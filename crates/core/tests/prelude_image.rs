@@ -15,9 +15,10 @@ use mlbox_bpf::filters::telnet_filter;
 use mlbox_bpf::mlsrc::{filter_decl, packet_value, BPF_ML};
 use mlbox_bpf::packet::PacketGen;
 
-/// Every tiering profile crossed with the three environment modes, with
-/// `count_opcodes` and the fuel budget cycled so each profile meets both
-/// values of each.
+/// Every tiering profile crossed with the two environment modes, with
+/// `count_opcodes` and the fuel budget flipped between the two so each
+/// profile meets both values of each, paired with the env mode in an
+/// order that varies by profile.
 fn lattice() -> Vec<SessionOptions> {
     let mut profiles = vec![ExecProfile::Paper];
     for bits in 1..4u8 {
@@ -33,14 +34,12 @@ fn lattice() -> Vec<SessionOptions> {
         }));
     }
     let mut out = Vec::new();
-    for profile in profiles {
-        for (indexed_env, flat_env) in [(false, false), (true, false), (false, true)] {
-            let i = out.len();
+    for (p, profile) in profiles.into_iter().enumerate() {
+        for flat_env in [false, true] {
             let mut o = SessionOptions {
-                indexed_env,
                 flat_env,
-                count_opcodes: i % 2 == 1,
-                fuel: (i / 2 % 2 == 1).then_some(1_000_000_000),
+                count_opcodes: flat_env != (p % 2 == 1),
+                fuel: (flat_env != (p / 2 % 2 == 1)).then_some(1_000_000_000),
                 ..SessionOptions::default()
             };
             o.set_profile(profile);

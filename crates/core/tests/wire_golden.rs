@@ -85,14 +85,13 @@ fn golden_bytes_still_decode_and_run() {
     assert_eq!(stats.steps, fresh_stats.steps);
 }
 
-/// Sets the last byte of the options section — the removed-option byte
-/// of both a static and an adaptive encoding — to 1, and recomputes the
-/// trailing checksum so the option, not the checksum, is what decode
-/// sees.
-fn turn_on_last_option_byte(mut bytes: Vec<u8>) -> Vec<u8> {
+/// Sets the options-section byte `from_end` places before the section's
+/// end (1 = its last byte) to 1, and recomputes the trailing checksum so
+/// the option, not the checksum, is what decode sees.
+fn turn_on_option_byte(mut bytes: Vec<u8>, from_end: usize) -> Vec<u8> {
     let options_len = u32::from_le_bytes(bytes[28..32].try_into().unwrap()) as usize;
-    let at = 32 + options_len - 1;
-    assert_eq!(bytes[at], 0, "removed options are written as 0");
+    let at = 32 + options_len - from_end;
+    assert_eq!(bytes[at], 0, "the option is off in the artifact");
     bytes[at] = 1;
     let content = bytes.len() - 8;
     let mut h = Fnv1a::new();
@@ -101,29 +100,56 @@ fn turn_on_last_option_byte(mut bytes: Vec<u8>) -> Vec<u8> {
     bytes
 }
 
-#[test]
-fn artifacts_with_a_removed_option_on_decode_to_a_typed_error() {
-    let err =
-        CompiledFilter::from_wire_bytes(&turn_on_last_option_byte(golden_bytes())).unwrap_err();
-    assert!(
-        matches!(err, Error::Wire(WireError::RemovedOption("native"))),
-        "{err}"
-    );
+/// Options-section positions, counted from the section's end: a static
+/// encoding ends `.., indexed_env, flat_env, fuse, native`; an adaptive
+/// one appends an 18-byte trailer (the profile marker, two `u64`s and
+/// `use_native`).
+const STATIC_NATIVE: usize = 1;
+const STATIC_INDEXED_ENV: usize = 4;
+const ADAPTIVE_USE_NATIVE: usize = 1;
+const ADAPTIVE_FUSE: usize = 2 + 18;
 
+/// The golden program's artifact under the adaptive profile.
+fn adaptive_golden_bytes() -> Vec<u8> {
     let mut session = Session::with_options(SessionOptions {
         adaptive: Some(TierPolicy::default()),
         ..SessionOptions::default()
     })
     .unwrap();
     session.run(GOLDEN_PROGRAM).unwrap();
-    let adaptive = session
+    let bytes = session
         .compile_to_artifact("codePower 2", 0x1998)
         .unwrap()
         .to_wire_bytes();
-    CompiledFilter::from_wire_bytes(&adaptive).unwrap();
-    let err = CompiledFilter::from_wire_bytes(&turn_on_last_option_byte(adaptive)).unwrap_err();
+    CompiledFilter::from_wire_bytes(&bytes).unwrap();
+    bytes
+}
+
+#[test]
+fn artifacts_with_a_removed_option_on_decode_to_a_typed_error() {
+    for (from_end, name) in [
+        (STATIC_NATIVE, "native"),
+        (STATIC_INDEXED_ENV, "indexed_env"),
+    ] {
+        let err = CompiledFilter::from_wire_bytes(&turn_on_option_byte(golden_bytes(), from_end))
+            .unwrap_err();
+        assert!(
+            matches!(err, Error::Wire(WireError::RemovedOption(n)) if n == name),
+            "{err}"
+        );
+    }
+    let bytes = turn_on_option_byte(adaptive_golden_bytes(), ADAPTIVE_USE_NATIVE);
+    let err = CompiledFilter::from_wire_bytes(&bytes).unwrap_err();
     assert!(
         matches!(err, Error::Wire(WireError::RemovedOption("use_native"))),
         "{err}"
     );
+}
+
+#[test]
+fn adaptive_artifacts_with_static_flags_are_corrupt() {
+    // `Session::with_options` refuses adaptive + fuse; decode must too.
+    let bytes = turn_on_option_byte(adaptive_golden_bytes(), ADAPTIVE_FUSE);
+    let err = CompiledFilter::from_wire_bytes(&bytes).unwrap_err();
+    assert!(matches!(err, Error::Wire(WireError::Corrupt(_))), "{err}");
 }

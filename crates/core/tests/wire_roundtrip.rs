@@ -1,7 +1,7 @@
 //! Wire round-trips across the whole mode lattice.
 //!
-//! Every combination of environment representation (pair-spine /
-//! indexed / flat) × superinstruction fusion must
+//! Every combination of environment representation (pair spine /
+//! flat frames) × superinstruction fusion must
 //! round-trip an artifact through the wire format and serve identically:
 //! same value, same reduction-step count, byte-identical re-encode. The
 //! frame-bearing / flat-env compatibility rule is checked at both ends
@@ -18,11 +18,10 @@ const PROGRAM: &str = "fun codePower e = if e = 0 then code (fn b => 1)
 
 fn mode_lattice() -> Vec<SessionOptions> {
     let mut lattice = Vec::new();
-    for env in 0..3 {
+    for flat_env in [false, true] {
         for fuse in [false, true] {
             lattice.push(SessionOptions {
-                indexed_env: env == 1,
-                flat_env: env == 2,
+                flat_env,
                 fuse,
                 ..SessionOptions::default()
             });

@@ -28,6 +28,11 @@ pub enum EvalError {
         /// Array length.
         len: usize,
     },
+    /// `array (n, _)` with a negative `n`, or one too large to allocate.
+    ArraySize {
+        /// The requested length.
+        len: i64,
+    },
     /// A `Fail` expression ran (inexhaustive match).
     Fail(String),
     /// The step budget was exhausted.
@@ -49,6 +54,9 @@ impl fmt::Display for EvalError {
             EvalError::DivideByZero => f.write_str("integer division by zero"),
             EvalError::IndexOutOfBounds { index, len } => {
                 write!(f, "array index {index} out of bounds for length {len}")
+            }
+            EvalError::ArraySize { len } => {
+                write!(f, "array size {len} cannot be allocated")
             }
             EvalError::Fail(m) => write!(f, "failure: {m}"),
             EvalError::OutOfFuel { fuel } => {
@@ -538,9 +546,12 @@ impl Interp {
             },
             Prim::MkArray => {
                 let n = int(&args[0])?;
-                let len = usize::try_from(n)
-                    .map_err(|_| EvalError::IndexOutOfBounds { index: n, len: 0 })?;
-                RVal::Array(Rc::new(RefCell::new(vec![args[1].clone(); len])))
+                let size = EvalError::ArraySize { len: n };
+                let len = usize::try_from(n).map_err(|_| size.clone())?;
+                let mut elems = Vec::new();
+                elems.try_reserve_exact(len).map_err(|_| size)?;
+                elems.resize(len, args[1].clone());
+                RVal::Array(Rc::new(RefCell::new(elems)))
             }
             Prim::ArrSub => match &args[0] {
                 RVal::Array(a) => {
@@ -775,6 +786,22 @@ f 47";
             .to_string(),
             "13"
         );
+    }
+
+    #[test]
+    fn unallocatable_array_sizes_are_typed_errors() {
+        // 2^60 elements overflow the allocator's capacity before any
+        // memory is requested.
+        for (n, len) in [("1152921504606846976", 1 << 60), ("~1", -1)] {
+            let e = parse_expr(&format!("array ({n}, 0)")).unwrap();
+            let core = Elab::new().elab_expr(&e).unwrap();
+            let err = Interp::new().eval(&core).unwrap_err();
+            assert_eq!(err, EvalError::ArraySize { len });
+            assert_eq!(
+                err.to_string(),
+                format!("array size {len} cannot be allocated")
+            );
+        }
     }
 
     #[test]

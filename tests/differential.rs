@@ -16,14 +16,14 @@ fn ml_int(n: i64) -> String {
     }
 }
 
-/// Asserts machine/interpreter agreement across the full 3×2
-/// execution-mode matrix — environment access (pair-spine vs indexed vs
-/// flat frames) × superinstruction fusion (off vs on) — and that all six
+/// Asserts machine/interpreter agreement across the full 2×2
+/// execution-mode matrix — environment access (pair spine vs flat
+/// frames) × superinstruction fusion (off vs on) — and that all four
 /// compiled runs observe identical values and output. Returns the shared
 /// rendering.
 fn assert_agree_both_modes(src: &str) -> String {
     let mut baseline: Option<(String, String)> = None;
-    for mode in [EnvMode::PairSpine, EnvMode::Indexed, EnvMode::Flat] {
+    for mode in [EnvMode::PairSpine, EnvMode::Flat] {
         for fuse in [false, true] {
             let r = run_both_full(src, true, mode, fuse).unwrap();
             assert!(
@@ -99,8 +99,7 @@ fn fuel_exhaustion_parity_across_all_modes() {
     let prog = "fun cp e = if e = 0 then code (fn b => 1)\n\
                 else let cogen p = cp (e - 1) in code (fn b => b * (p b)) end;\n\
                 eval (cp 6) 2";
-    let opts = |flat: bool, indexed: bool, fuse: bool| SessionOptions {
-        indexed_env: indexed,
+    let opts = |flat: bool, fuse: bool| SessionOptions {
         flat_env: flat,
         fuse,
         ..Default::default()
@@ -115,7 +114,7 @@ fn fuel_exhaustion_parity_across_all_modes() {
         }
     };
     // Bisect the default mode's minimal sufficient budget...
-    let base = opts(false, false, false);
+    let base = opts(false, false);
     let (mut lo, mut hi) = (1u64, 10_000_000u64);
     assert!(runs_with(&base, hi), "budget ceiling too small");
     while lo < hi {
@@ -128,16 +127,16 @@ fn fuel_exhaustion_parity_across_all_modes() {
     }
     let minimal = lo;
     // ...and every mode combination must exhaust at exactly that point.
-    for (flat, indexed) in [(false, false), (false, true), (true, false)] {
+    for flat in [false, true] {
         for fuse in [false, true] {
-            let o = opts(flat, indexed, fuse);
+            let o = opts(flat, fuse);
             assert!(
                 runs_with(&o, minimal),
-                "flat={flat} indexed={indexed} fuse={fuse} fails at the minimal budget {minimal}"
+                "flat={flat} fuse={fuse} fails at the minimal budget {minimal}"
             );
             assert!(
                 !runs_with(&o, minimal - 1),
-                "flat={flat} indexed={indexed} fuse={fuse} succeeds below the minimal budget {minimal}"
+                "flat={flat} fuse={fuse} succeeds below the minimal budget {minimal}"
             );
         }
     }
@@ -305,10 +304,10 @@ proptest! {
         );
         let plain = assert_agree_both_modes(&src);
         use mlbox::{Session, SessionOptions};
-        for (indexed_env, fuse) in [(false, false), (true, false), (false, true), (true, true)] {
+        for (flat_env, fuse) in [(false, false), (true, false), (false, true), (true, true)] {
             let mut s = Session::with_options(SessionOptions {
                 optimize: true,
-                indexed_env,
+                flat_env,
                 fuse,
                 ..Default::default()
             })
@@ -337,10 +336,10 @@ proptest! {
                let cogen f = compPoly r cogen a' = lift a in code (fn x => a' + (x * f x)) end;\n\
              (eval (compPoly [{list}]) {x}, evalPoly ({x}, [{list}]))"
         );
-        for indexed_env in [false, true] {
+        for flat_env in [false, true] {
             let mut s = Session::with_options(SessionOptions {
                 optimize: true,
-                indexed_env,
+                flat_env,
                 ..Default::default()
             })
             .unwrap();
