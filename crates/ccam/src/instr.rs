@@ -252,7 +252,7 @@ pub const OPCODE_NAMES: [&str; OPCODE_COUNT] = [
 
 impl Instr {
     /// A dense opcode index in `0..OPCODE_COUNT` (operands elided), used
-    /// for per-opcode statistics tables.
+    /// to index the dispatch table and the opcode-pair profile.
     pub fn opcode(&self) -> usize {
         match self {
             Instr::Id => 0,

@@ -30,7 +30,7 @@ pub(crate) mod transfer;
 #[cfg(test)]
 mod tests;
 
-use crate::instr::{Instr, OPCODE_COUNT, OPCODE_NAMES};
+use crate::instr::{Instr, OPCODE_COUNT};
 use crate::seg::{BlockId, CodeRef, CodeSeg, TierProbe};
 use crate::value::{Arena, Value};
 use state::MachineState;
@@ -178,15 +178,12 @@ pub struct Stats {
     /// policy (0 cold, 1 fused). Sums to `steps` when the controller is
     /// enabled; all zero otherwise.
     pub tier_steps: [u64; 2],
-    /// Per-opcode executed-step counts, when enabled by
-    /// [`Machine::set_count_opcodes`].
-    pub opcodes: Option<OpcodeCounts>,
 }
 
 impl Stats {
     /// The change since an earlier snapshot of the same machine's stats
     /// (`max_stack` is a high-water mark, not a delta, and is carried
-    /// over; per-opcode counts are differenced when both ends have them).
+    /// over).
     #[must_use]
     pub fn delta_since(&self, before: &Stats) -> Stats {
         Stats {
@@ -204,42 +201,7 @@ impl Stats {
                 self.tier_steps[0] - before.tier_steps[0],
                 self.tier_steps[1] - before.tier_steps[1],
             ],
-            opcodes: match (&self.opcodes, &before.opcodes) {
-                (Some(after), Some(before)) => Some(after.delta_since(before)),
-                (after, _) => *after,
-            },
         }
-    }
-}
-
-/// Executed-step counts per opcode, indexed by [`Instr::opcode`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct OpcodeCounts(pub [u64; OPCODE_COUNT]);
-
-impl OpcodeCounts {
-    /// The count for one mnemonic (0 for unknown mnemonics).
-    pub fn get(&self, mnemonic: &str) -> u64 {
-        OPCODE_NAMES
-            .iter()
-            .position(|&n| n == mnemonic)
-            .map_or(0, |i| self.0[i])
-    }
-
-    /// `(mnemonic, count)` pairs for every opcode with a nonzero count.
-    pub fn nonzero(&self) -> impl Iterator<Item = (&'static str, u64)> + '_ {
-        OPCODE_NAMES
-            .iter()
-            .zip(self.0.iter())
-            .filter(|(_, &c)| c > 0)
-            .map(|(&n, &c)| (n, c))
-    }
-
-    fn delta_since(&self, before: &OpcodeCounts) -> OpcodeCounts {
-        let mut out = [0u64; OPCODE_COUNT];
-        for (i, slot) in out.iter_mut().enumerate() {
-            *slot = self.0[i] - before.0[i];
-        }
-        OpcodeCounts(out)
     }
 }
 
@@ -295,28 +257,21 @@ pub struct Machine {
     pair_profile: Option<Box<PairCounts>>,
 }
 
-/// The adaptive tier controller's policy knobs (ROADMAP item 4,
-/// DESIGN.md §15): how many activations a block runs cold before
-/// promotion and how many fusion rules its own profile may enable. One
-/// policy object replaces the hand-enumerated static flavors; the
-/// controller evaluates it per block, at run time.
+/// The adaptive tier controller's policy (DESIGN.md §15): how many
+/// activations a block runs cold before promotion. A promoted block is
+/// re-rendered with every fusion rule enabled; the controller evaluates
+/// the policy per block, at run time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct TierPolicy {
     /// Activations a block runs cold before promotion (`0` promotes at
     /// the very first activation).
     pub promote_after: u64,
-    /// Maximum number of fusion rules enabled per promoted block, ranked
-    /// by the block's own pair profile ([`crate::opt::select_rules`]).
-    pub fuse_top_k: usize,
 }
 
 impl Default for TierPolicy {
-    /// Promote after 8 activations, every profitable rule.
+    /// Promote after 8 activations.
     fn default() -> Self {
-        TierPolicy {
-            promote_after: 8,
-            fuse_top_k: crate::opt::FUSE_RULE_COUNT,
-        }
+        TierPolicy { promote_after: 8 }
     }
 }
 
@@ -707,10 +662,10 @@ impl Machine {
     /// controller. While enabled, every frame activation consults the
     /// executed block's per-segment counters: cold blocks run plainly,
     /// and a block whose activation count crosses
-    /// [`TierPolicy::promote_after`] is re-rendered through
-    /// profile-selected fusion — a promotion that is invisible to every
-    /// observable: verdicts, step counts, fuel, and output are identical
-    /// to the cold execution at every promotion point.
+    /// [`TierPolicy::promote_after`] is re-rendered through fusion — a
+    /// promotion that is invisible to every observable: verdicts, step
+    /// counts, fuel, and output are identical to the cold execution at
+    /// every promotion point.
     ///
     /// `spine_units` names the baseline cost model the running code was
     /// compiled against: `true` for the paper's pair-spine environments
@@ -806,20 +761,9 @@ impl Machine {
         self.state.stats = stats;
     }
 
-    /// Enables or disables per-opcode step counting (surfaced through
-    /// [`Stats::opcodes`]). Enabling zeroes any previous counts.
-    pub fn set_count_opcodes(&mut self, on: bool) {
-        self.state.stats.opcodes = on.then(OpcodeCounts::default);
-    }
-
-    /// Clears accumulated statistics (the output buffer is kept; opcode
-    /// counting stays enabled if it was).
+    /// Clears accumulated statistics (the output buffer is kept).
     pub fn reset_stats(&mut self) {
-        let opcodes = self.state.stats.opcodes.map(|_| OpcodeCounts::default());
-        self.state.stats = Stats {
-            opcodes,
-            ..Stats::default()
-        };
+        self.state.stats = Stats::default();
         self.state.fuel_spent = 0;
     }
 
@@ -859,9 +803,8 @@ impl Machine {
     }
 
     /// Per-instruction accounting: the opcode-pair profile chain, the
-    /// bounded trace, the step and per-opcode counters, and the fuel
-    /// check — with a step that exhausts the budget counted but not
-    /// executed. Runs only when [`Machine::observed`]; otherwise the loop
+    /// bounded trace, the step counter, and the fuel check — with a step
+    /// that exhausts the budget counted but not executed. Runs only when [`Machine::observed`]; otherwise the loop
     /// just calls [`count_step`](Machine::count_step).
     ///
     /// `step_charge` is how many steps this dispatch counts as: 1
@@ -918,9 +861,6 @@ impl Machine {
             }
         }
         self.count_step(charge, tier);
-        if let Some(counts) = &mut self.state.stats.opcodes {
-            counts.0[opcode] += charge;
-        }
         match exhausted {
             Some(fuel) => Err(MachineError::OutOfFuel { fuel }),
             None => Ok(()),
@@ -939,15 +879,11 @@ impl Machine {
     }
 
     /// Whether anything observes individual steps: a trace, the pair
-    /// profile, a fuel budget, or per-opcode counts. When nothing does,
-    /// counting the step is all [`Machine::account`] would do, so the
-    /// loop skips it. No step or transfer function touches this
+    /// profile, or a fuel budget. When nothing does, counting the step is
+    /// all [`Machine::account`] would do, so the loop skips it. No step or transfer function touches this
     /// configuration, so it is decided once per run (DESIGN.md §13.6).
     fn observed(&self) -> bool {
-        self.trace.is_some()
-            || self.pair_profile.is_some()
-            || self.state.fuel.is_some()
-            || self.state.stats.opcodes.is_some()
+        self.trace.is_some() || self.pair_profile.is_some() || self.state.fuel.is_some()
     }
 
     /// Saves the running frame's `pc` before a transfer leaves its block,
@@ -1076,11 +1012,10 @@ impl Machine {
                 }
             }
         }
-        // Promote: re-render the block's straight line from its own
-        // profile — the static pair histogram of the instructions every
-        // activation executes, ranked by `fuse_top_k`.
+        // Promote: re-render the block's straight line with every fusion
+        // rule enabled.
         let instrs = seg.block_to_vec(block);
-        let mut sel = crate::opt::select_rules(&instrs, ad.policy.fuse_top_k);
+        let mut sel = crate::opt::FuseSelection::all();
         if !ad.spine_units {
             // The flat-env baseline charges `acc n` as one step, so
             // collapsing an access chain would make fewer steps than the

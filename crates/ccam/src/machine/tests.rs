@@ -1,5 +1,5 @@
 use super::*;
-use crate::instr::{PrimOp, SwitchArm, SwitchTable};
+use crate::instr::{PrimOp, SwitchArm, SwitchTable, OPCODE_NAMES};
 use std::rc::Rc;
 
 fn entry(instrs: Vec<Instr>) -> CodeRef {
@@ -693,32 +693,6 @@ fn growth_between_calls_invalidates_the_freeze_cache() {
 }
 
 #[test]
-fn opcode_counts_are_optional_and_accurate() {
-    let mut m = Machine::new();
-    assert!(m.stats().opcodes.is_none(), "off by default");
-    m.set_count_opcodes(true);
-    m.run(
-        entry(vec![
-            Instr::Push,
-            Instr::Quote(Value::Int(1)),
-            Instr::ConsPair,
-        ]),
-        Value::Unit,
-    )
-    .unwrap();
-    let stats = m.stats();
-    let counts = stats.opcodes.unwrap();
-    assert_eq!(counts.get("push"), 1);
-    assert_eq!(counts.get("quote"), 1);
-    assert_eq!(counts.get("cons"), 1);
-    assert_eq!(counts.get("app"), 0);
-    assert_eq!(counts.nonzero().map(|(_, c)| c).sum::<u64>(), stats.steps);
-    m.reset_stats();
-    assert_eq!(m.stats().steps, 0);
-    assert!(m.stats().opcodes.is_some(), "counting survives reset");
-}
-
-#[test]
 fn stats_delta_since_subtracts_counters() {
     let mut m = Machine::new();
     let prog = entry(vec![
@@ -1106,9 +1080,8 @@ type Observer = (&'static str, fn(&mut Machine));
 
 #[test]
 fn observers_do_not_change_what_a_run_reports() {
-    let observers: [Observer; 5] = [
+    let observers: [Observer; 4] = [
         ("none", |_| {}),
-        ("opcodes", |m| m.set_count_opcodes(true)),
         ("fuel", |m| m.state.fuel = Some(u64::MAX)),
         ("trace", |m| m.set_trace(1 << 20)),
         ("pairs", |m| m.set_profile_pairs(true)),
@@ -1116,7 +1089,7 @@ fn observers_do_not_change_what_a_run_reports() {
     // Plain, and the tier controller (which counts steps in baseline
     // units on either path) promoting from the first activation. A trace
     // suppresses promotion, so it is left out there.
-    for policy in [None, Some(tier_policy(0))] {
+    for policy in [None, Some(TierPolicy { promote_after: 0 })] {
         let label = format!("policy {policy:?}");
         let mut reports = Vec::new();
         for (name, enable) in observers {
@@ -1129,21 +1102,10 @@ fn observers_do_not_change_what_a_run_reports() {
             assert_eq!(m.observed(), name != "none", "{name}");
             let out = m.run(observer_program(), Value::Unit).unwrap();
             let stats = m.stats();
-            if let Some(counts) = stats.opcodes {
-                assert_eq!(counts.0.iter().sum::<u64>(), stats.steps, "{label}");
-            }
             if let Some(trace) = m.trace() {
                 assert_eq!(trace.entries.len() as u64, stats.steps, "{label}");
             }
-            reports.push((
-                name,
-                out.to_string(),
-                m.output().to_string(),
-                Stats {
-                    opcodes: None,
-                    ..stats
-                },
-            ));
+            reports.push((name, out.to_string(), m.output().to_string(), stats));
         }
         let (_, out, output, stats) = &reports[0];
         assert_eq!(out, "0");
@@ -1161,13 +1123,6 @@ fn observers_do_not_change_what_a_run_reports() {
 }
 
 // --- Adaptive tier controller ---
-
-fn tier_policy(promote_after: u64) -> TierPolicy {
-    TierPolicy {
-        promote_after,
-        fuse_top_k: crate::opt::FUSE_RULE_COUNT,
-    }
-}
 
 /// `(entry, plain steps per run)` for a little apply-a-closure program:
 /// `(fn x => x + 1) 5`.
@@ -1197,7 +1152,7 @@ fn adaptive_promotion_is_invisible_in_steps_and_verdicts() {
     let (code, input) = apply_program();
     let mut plain = Machine::new();
     let mut tiered = Machine::new();
-    tiered.set_tier_policy(Some(tier_policy(2)), true);
+    tiered.set_tier_policy(Some(TierPolicy { promote_after: 2 }), true);
     for round in 0..6 {
         let before_p = plain.stats();
         let before_t = tiered.stats();
@@ -1227,7 +1182,7 @@ fn adaptive_promote_after_zero_promotes_before_first_execution() {
     let mut plain = Machine::new();
     let vp = plain.run(code.clone(), input.clone()).unwrap();
     let mut tiered = Machine::new();
-    tiered.set_tier_policy(Some(tier_policy(0)), true);
+    tiered.set_tier_policy(Some(TierPolicy { promote_after: 0 }), true);
     let vt = tiered.run(code.clone(), input.clone()).unwrap();
     assert_eq!(vp.to_string(), vt.to_string());
     assert_eq!(plain.stats().steps, tiered.stats().steps);
@@ -1251,7 +1206,7 @@ fn adaptive_fuel_exhaustion_matches_plain_at_every_budget() {
         let mut p = Machine::with_fuel(budget);
         let rp = p.run(code.clone(), input.clone());
         let mut t = Machine::with_fuel(budget);
-        t.set_tier_policy(Some(tier_policy(0)), true);
+        t.set_tier_policy(Some(TierPolicy { promote_after: 0 }), true);
         let rt = t.run(code.clone(), input.clone());
         assert_eq!(rp.is_err(), rt.is_err(), "budget {budget}");
         assert_eq!(
@@ -1283,7 +1238,7 @@ fn adaptive_matches_an_indexed_baseline_too() {
     let mut plain = Machine::new();
     let vp = plain.run(code.clone(), spine.clone()).unwrap();
     let mut tiered = Machine::new();
-    tiered.set_tier_policy(Some(tier_policy(0)), false);
+    tiered.set_tier_policy(Some(TierPolicy { promote_after: 0 }), false);
     let vt = tiered.run(code.clone(), spine.clone()).unwrap();
     assert_eq!(vp.to_string(), vt.to_string());
     assert_eq!(vp.to_string(), "7");
@@ -1295,7 +1250,7 @@ fn adaptive_matches_an_indexed_baseline_too() {
         let mut p = Machine::with_fuel(budget);
         let rp = p.run(code.clone(), spine.clone());
         let mut t = Machine::with_fuel(budget);
-        t.set_tier_policy(Some(tier_policy(0)), false);
+        t.set_tier_policy(Some(TierPolicy { promote_after: 0 }), false);
         let rt = t.run(code.clone(), spine.clone());
         assert_eq!(rp.is_err(), rt.is_err(), "budget {budget}");
         assert_eq!(p.stats().steps, t.stats().steps, "budget {budget}");
@@ -1310,7 +1265,7 @@ fn tracing_suppresses_promotion_and_observes_the_cold_rendering() {
     plain.run(code.clone(), input.clone()).unwrap();
     let want = plain.trace().unwrap().mnemonics();
     let mut tiered = Machine::new();
-    tiered.set_tier_policy(Some(tier_policy(0)), true);
+    tiered.set_tier_policy(Some(TierPolicy { promote_after: 0 }), true);
     tiered.set_trace(64);
     for _ in 0..3 {
         tiered.run(code.clone(), input.clone()).unwrap();
@@ -1333,7 +1288,7 @@ fn adaptive_promotes_generated_code_frozen_by_call() {
     let vp = plain.run(prog.clone(), Value::Unit).unwrap();
     let plain_steps = plain.stats().steps;
     let mut tiered = Machine::new();
-    tiered.set_tier_policy(Some(tier_policy(1)), true);
+    tiered.set_tier_policy(Some(TierPolicy { promote_after: 1 }), true);
     for round in 0..4 {
         let before = tiered.stats();
         let vt = tiered.run(prog.clone(), Value::Unit).unwrap();

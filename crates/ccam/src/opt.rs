@@ -116,140 +116,46 @@ fn optimize_nested(seg: &CodeSeg, i: &Instr) -> Instr {
     }
 }
 
-/// Number of distinguishable fusion rules (see [`FuseSelection`]).
-pub const FUSE_RULE_COUNT: usize = 7;
-
-/// Rule indices: 0 is the `fst^k; snd → acc` access collapse, the rest
-/// are the adjacent-pair superinstructions.
-const RULE_ACCESS: usize = 0;
-const RULE_PUSH_ACC: usize = 1;
-const RULE_PUSH_QUOTE: usize = 2;
-const RULE_QUOTE_CONS: usize = 3;
-const RULE_SWAP_CONS: usize = 4;
-const RULE_CONS_APP: usize = 5;
-const RULE_ACC_APP: usize = 6;
-
-/// Human-readable rule names, indexed like the selection.
-pub const FUSE_RULE_NAMES: [&str; FUSE_RULE_COUNT] = [
-    "access",
-    "push_acc",
-    "push_quote",
-    "quote_cons",
-    "swap_cons",
-    "cons_app",
-    "acc_app",
-];
-
-/// Which fusion rules a `fuse_pass` run may apply. The static `fuse`
-/// entry points enable everything; the adaptive tier controller derives
-/// a selection from a block's own pair profile ([`select_rules`]), so
-/// the fused-pair set is a parameter, not a global constant.
+/// Which fusion rules a `fuse_pass` run may apply: every rule, or every
+/// rule but the `fst^k; snd → acc` access collapse (the adaptive tier
+/// controller's rendering for flat-env code; see
+/// [`FuseSelection::disable_access`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FuseSelection {
-    enabled: [bool; FUSE_RULE_COUNT],
+    access: bool,
 }
 
 impl FuseSelection {
     /// Every rule enabled — the static fusion behavior.
     pub fn all() -> FuseSelection {
-        FuseSelection {
-            enabled: [true; FUSE_RULE_COUNT],
-        }
+        FuseSelection { access: true }
     }
 
-    /// No rule enabled; fusion under this selection is the identity.
-    pub fn none() -> FuseSelection {
-        FuseSelection {
-            enabled: [false; FUSE_RULE_COUNT],
-        }
-    }
-
-    /// Whether rule `r` is enabled.
-    pub fn is_enabled(&self, r: usize) -> bool {
-        self.enabled[r]
-    }
-
-    /// Disables the access-chain collapse (rule 0). The flat-env
-    /// baseline charges every instruction — `acc n` included — as one
-    /// step, so a step-transparent rendering must not collapse a
-    /// multi-instruction `fst…; snd` chain into a single `acc`: with
-    /// the collapse off, every fused opcode stands for exactly two
-    /// baseline instructions, which is what the adaptive controller's
-    /// indexed charge model assumes.
+    /// Disables the access-chain collapse. The flat-env baseline charges
+    /// every instruction — `acc n` included — as one step, so a
+    /// step-transparent rendering must not collapse a multi-instruction
+    /// `fst…; snd` chain into a single `acc`: with the collapse off,
+    /// every fused opcode stands for exactly two baseline instructions,
+    /// which is what the adaptive controller's indexed charge model
+    /// assumes.
     pub fn disable_access(&mut self) {
-        self.enabled[RULE_ACCESS] = false;
-    }
-
-    /// Number of enabled rules.
-    pub fn len(&self) -> usize {
-        self.enabled.iter().filter(|e| **e).count()
-    }
-
-    /// Whether no rule is enabled.
-    pub fn is_empty(&self) -> bool {
-        self.enabled.iter().all(|e| !e)
+        self.access = false;
     }
 }
 
-/// The pair rule (if any) that would fuse the adjacent pair `(a, b)`.
-fn pair_rule(a: &Instr, b: &Instr) -> Option<usize> {
+/// The superinstruction (if any) that fuses the adjacent pair `(a, b)`.
+fn fuse_pair(a: &Instr, b: &Instr) -> Option<Instr> {
     Some(match (a, b) {
-        (Instr::Push, Instr::Acc(_) | Instr::Snd) => RULE_PUSH_ACC,
-        (Instr::Push, Instr::Quote(_)) => RULE_PUSH_QUOTE,
-        (Instr::Quote(_), Instr::ConsPair) => RULE_QUOTE_CONS,
-        (Instr::Swap, Instr::ConsPair) => RULE_SWAP_CONS,
-        (Instr::ConsPair, Instr::App) => RULE_CONS_APP,
-        (Instr::Acc(_) | Instr::Snd, Instr::App) => RULE_ACC_APP,
+        (Instr::Push, Instr::Acc(n)) => Instr::PushAcc(*n),
+        (Instr::Push, Instr::Snd) => Instr::PushAcc(0),
+        (Instr::Push, Instr::Quote(v)) => Instr::PushQuote(v.clone()),
+        (Instr::Quote(v), Instr::ConsPair) => Instr::QuoteCons(v.clone()),
+        (Instr::Swap, Instr::ConsPair) => Instr::SwapCons,
+        (Instr::ConsPair, Instr::App) => Instr::ConsApp,
+        (Instr::Acc(n), Instr::App) => Instr::AccApp(*n),
+        (Instr::Snd, Instr::App) => Instr::AccApp(0),
         _ => return None,
     })
-}
-
-/// Ranks the fusion rules by how often their pattern occurs in `code`
-/// and enables the `k` most frequent (ties broken toward the lower rule
-/// index, so the ranking is deterministic). Rules whose pattern never
-/// occurs stay disabled regardless of `k`. Access chains are collapsed
-/// *before* the pair patterns are counted, so the counts describe the
-/// shape fusion actually sees — `push; fst; snd` counts one access hit
-/// and one `push_acc` hit.
-pub fn select_rules(code: &[Instr], k: usize) -> FuseSelection {
-    let mut counts = [0u64; FUSE_RULE_COUNT];
-    let mut norm: Vec<Instr> = Vec::with_capacity(code.len());
-    let mut i = 0;
-    while i < code.len() {
-        if matches!(code[i], Instr::Fst) {
-            let mut run = 1;
-            while matches!(code.get(i + run), Some(Instr::Fst)) {
-                run += 1;
-            }
-            let collapsed = match code.get(i + run) {
-                Some(Instr::Snd) => Some(run),
-                Some(Instr::Acc(m)) => Some(run + m),
-                _ => None,
-            };
-            if let Some(depth) = collapsed {
-                counts[RULE_ACCESS] += 1;
-                norm.push(Instr::Acc(depth));
-                i += run + 1;
-                continue;
-            }
-        }
-        norm.push(code[i].clone());
-        i += 1;
-    }
-    for w in norm.windows(2) {
-        if let Some(rule) = pair_rule(&w[0], &w[1]) {
-            counts[rule] += 1;
-        }
-    }
-    let mut order: Vec<usize> = (0..FUSE_RULE_COUNT).collect();
-    order.sort_by_key(|&r| (std::cmp::Reverse(counts[r]), r));
-    let mut sel = FuseSelection::none();
-    for &r in order.iter().take(k) {
-        if counts[r] > 0 {
-            sel.enabled[r] = true;
-        }
-    }
-    sel
 }
 
 /// Superinstruction fusion (DESIGN.md §11): rewrites the hottest adjacent
@@ -274,16 +180,13 @@ pub fn fuse(seg: &CodeSeg, code: &[Instr]) -> Vec<Instr> {
 
 /// Fuses one straight-line sequence under `sel`, leaving every nested
 /// block reference untouched. This is the tier controller's promotion
-/// renderer: each block earns its own promotion from its own profile,
-/// so nested bodies are deliberately *not* rewritten here — they stay
-/// cold until their own counters cross the threshold. The flag reports
-/// whether any rule fired (so callers can skip registering an identical
-/// rendering).
+/// renderer: each block earns its own promotion from its own activation
+/// count, so nested bodies are deliberately *not* rewritten here — they
+/// stay cold until their own counters cross the threshold. The flag
+/// reports whether any rule fired (so callers can skip registering an
+/// identical rendering).
 pub fn fuse_selected(code: &[Instr], sel: &FuseSelection) -> (Vec<Instr>, bool) {
     let mut cur = code.to_vec();
-    if sel.is_empty() {
-        return (cur, false);
-    }
     let mut any = false;
     for _ in 0..4 {
         let (next, changed) = fuse_pass(&cur, sel);
@@ -337,7 +240,7 @@ fn fuse_nested(seg: &CodeSeg, i: &Instr) -> Instr {
 }
 
 /// One greedy left-to-right fusion pass over a straight-line sequence,
-/// applying only the rules `sel` enables.
+/// applying the rules `sel` enables.
 fn fuse_pass(code: &[Instr], sel: &FuseSelection) -> (Vec<Instr>, bool) {
     let mut out: Vec<Instr> = Vec::with_capacity(code.len());
     let mut changed = false;
@@ -346,7 +249,7 @@ fn fuse_pass(code: &[Instr], sel: &FuseSelection) -> (Vec<Instr>, bool) {
         // fst^k; snd / fst^k; acc m — same access collapse as the
         // peephole, repeated here so fusion alone produces `acc`s for the
         // pair rules below to consume.
-        if sel.enabled[RULE_ACCESS] && matches!(code[i], Instr::Fst) {
+        if sel.access && matches!(code[i], Instr::Fst) {
             let mut k = 1;
             while matches!(code.get(i + k), Some(Instr::Fst)) {
                 k += 1;
@@ -364,32 +267,7 @@ fn fuse_pass(code: &[Instr], sel: &FuseSelection) -> (Vec<Instr>, bool) {
             }
         }
         // Adjacent-pair superinstructions.
-        let rule = code
-            .get(i + 1)
-            .and_then(|next| pair_rule(&code[i], next))
-            .filter(|r| sel.enabled[*r]);
-        let fused = match rule {
-            Some(RULE_PUSH_ACC) => Some(match code.get(i + 1) {
-                Some(Instr::Acc(n)) => Instr::PushAcc(*n),
-                _ => Instr::PushAcc(0),
-            }),
-            Some(RULE_PUSH_QUOTE) => match code.get(i + 1) {
-                Some(Instr::Quote(v)) => Some(Instr::PushQuote(v.clone())),
-                _ => None,
-            },
-            Some(RULE_QUOTE_CONS) => match &code[i] {
-                Instr::Quote(v) => Some(Instr::QuoteCons(v.clone())),
-                _ => None,
-            },
-            Some(RULE_SWAP_CONS) => Some(Instr::SwapCons),
-            Some(RULE_CONS_APP) => Some(Instr::ConsApp),
-            Some(RULE_ACC_APP) => Some(match &code[i] {
-                Instr::Acc(n) => Instr::AccApp(*n),
-                _ => Instr::AccApp(0),
-            }),
-            _ => None,
-        };
-        if let Some(f) = fused {
+        if let Some(f) = code.get(i + 1).and_then(|next| fuse_pair(&code[i], next)) {
             out.push(f);
             changed = true;
             i += 2;
@@ -1076,58 +954,6 @@ mod tests {
         assert!(matches!(&seg.block_to_vec(*a)[..], [Instr::PushAcc(0)]));
         // And re-fusing the result is the identity.
         assert_eq!(fuse_block(&seg, *a), *a);
-    }
-
-    #[test]
-    fn rule_selection_ranks_by_local_frequency() {
-        // Two swap;cons pairs but only one acc;app — top-1 fuses only the
-        // more frequent pattern.
-        let code = vec![
-            Instr::Swap,
-            Instr::ConsPair,
-            Instr::Swap,
-            Instr::ConsPair,
-            Instr::Acc(1),
-            Instr::App,
-        ];
-        let sel = select_rules(&code, 1);
-        assert_eq!(sel.len(), 1);
-        let (fused, changed) = fuse_selected(&code, &sel);
-        assert!(changed);
-        assert!(
-            matches!(
-                &fused[..],
-                [Instr::SwapCons, Instr::SwapCons, Instr::Acc(1), Instr::App]
-            ),
-            "{fused:?}"
-        );
-        // A large enough k enables every rule that occurs — and only those.
-        let all = select_rules(&code, FUSE_RULE_COUNT);
-        assert_eq!(all.len(), 2, "absent patterns stay disabled");
-        let (fused, _) = fuse_selected(&code, &all);
-        assert!(
-            matches!(
-                &fused[..],
-                [Instr::SwapCons, Instr::SwapCons, Instr::AccApp(1)]
-            ),
-            "{fused:?}"
-        );
-        // k = 0 (or an empty profile) fuses nothing.
-        assert!(select_rules(&code, 0).is_empty());
-        let (same, changed) = fuse_selected(&code, &FuseSelection::none());
-        assert!(!changed);
-        assert_eq!(same.len(), code.len());
-    }
-
-    #[test]
-    fn selection_counts_accesses_before_pairs() {
-        // push; fst; snd — statically there is no (push, acc) pair, but
-        // after the access collapse there is; the selector must see it.
-        let code = vec![Instr::Push, Instr::Fst, Instr::Snd];
-        let sel = select_rules(&code, FUSE_RULE_COUNT);
-        assert_eq!(sel.len(), 2, "access + push_acc: {sel:?}");
-        let (fused, _) = fuse_selected(&code, &sel);
-        assert!(matches!(&fused[..], [Instr::PushAcc(1)]), "{fused:?}");
     }
 
     #[test]

@@ -79,7 +79,8 @@ pub(crate) enum TierProbe {
 
 /// A contiguous code segment. Cheap to clone (a reference-counted
 /// handle); blocks only ever *append*, so issued [`BlockId`]s and the
-/// ranges behind them are stable forever.
+/// ranges behind them are stable — save a one-shot entry block that
+/// [`CodeSeg::drop_last_entry`] takes back from the tail.
 #[derive(Clone, Default)]
 pub struct CodeSeg(Rc<SegInner>);
 
@@ -154,6 +155,31 @@ impl CodeSeg {
             seg: self.clone(),
             block: self.add_block(instrs),
         }
+    }
+
+    /// Takes back entry block `b` after its run, with the rendering the
+    /// tier controller promoted it to when that is the next block, but
+    /// only when they are the segment's last blocks: a block appended
+    /// after them (a frozen arena, another block's promotion) may be
+    /// referenced from a value. The next block issued reuses `b`'s id and
+    /// starts cold.
+    ///
+    /// The caller guarantees that nothing refers to `b` once its run is
+    /// over, as for an entry block: instructions name nested blocks,
+    /// never the entry block they are part of.
+    pub fn drop_last_entry(&self, b: BlockId) {
+        let mut tier = self.0.tier.borrow_mut();
+        let mut blocks = self.0.blocks.borrow_mut();
+        let i = b.0 as usize;
+        let promoted = tier.get(i).and_then(|st| st.promoted);
+        let owned = 1 + usize::from(promoted == Some(BlockId(b.0 + 1)));
+        if blocks.len() != i + owned {
+            return;
+        }
+        let start = blocks[i].start as usize;
+        blocks.truncate(i);
+        tier.truncate(i);
+        self.0.instrs.borrow_mut().truncate(start);
     }
 
     /// The `(start, len)` range of a block.

@@ -100,12 +100,13 @@ fn eval_expr(expr: Option<&String>) -> Result<(), Box<dyn std::error::Error>> {
         std::process::exit(2);
     };
     let mut session = Session::new()?;
-    let o = session.eval_expr(expr)?;
-    println!("- : {} = {}   ({} steps)", o.ty, o.value, o.stats.steps);
-    let out = session.take_output();
-    if !out.is_empty() {
-        print!("{out}");
+    let result = session.eval_expr(expr);
+    if let Ok(o) = &result {
+        println!("- : {} = {}   ({} steps)", o.ty, o.value, o.stats.steps);
     }
+    // A failing expression may have printed before it failed.
+    print!("{}", session.take_output());
+    result?;
     Ok(())
 }
 
@@ -139,24 +140,23 @@ fn repl() -> Result<(), Box<dyn std::error::Error>> {
             }
             _ => {}
         }
-        match session.run(input) {
-            Ok(outcomes) => {
-                for w in session.take_warnings() {
-                    println!("{}", w.render(input));
-                }
-                for o in outcomes {
-                    let name = o.name.unwrap_or_else(|| "it".to_string());
-                    println!(
-                        "val {name} : {} = {}   ({} steps)",
-                        o.ty, o.value, o.stats.steps
-                    );
-                }
-                let out = session.take_output();
-                if !out.is_empty() {
-                    print!("{out}");
-                }
+        let result = session.run(input);
+        if let Ok(outcomes) = &result {
+            for w in session.take_warnings() {
+                println!("{}", w.render(input));
             }
-            Err(e) => println!("{e}"),
+            for o in outcomes {
+                let name = o.name.as_deref().unwrap_or("it");
+                println!(
+                    "val {name} : {} = {}   ({} steps)",
+                    o.ty, o.value, o.stats.steps
+                );
+            }
+        }
+        // Declarations before a failing one may have printed.
+        print!("{}", session.take_output());
+        if let Err(e) = result {
+            println!("{e}");
         }
     }
 }

@@ -318,10 +318,7 @@ eval (compPoly [1, 2, 3]) 10";
             ),
         ];
         for promote_after in [0, 1, 64] {
-            let policy = TierPolicy {
-                promote_after,
-                ..TierPolicy::default()
-            };
+            let policy = TierPolicy { promote_after };
             for (src, with_prelude) in programs {
                 for mode in [EnvMode::PairSpine, EnvMode::Flat] {
                     assert_adaptive_parity(src, with_prelude, mode, policy).unwrap();

@@ -29,16 +29,10 @@ pub struct SessionOptions {
     pub prelude: bool,
     /// Step budget for the machine (`None` = unlimited).
     pub fuel: Option<u64>,
-    /// Run the modal type checker before compiling. Default: true.
-    pub typecheck: bool,
     /// Enable emission-time peephole optimization of generated code
     /// (§4.2's envisioned "more sophisticated specialization system").
     /// Default: false, matching the paper's measured system.
     pub optimize: bool,
-    /// Count executed steps per opcode (surfaced as
-    /// [`Stats::opcodes`]). Default: false — the count array is carried
-    /// in every stats snapshot, so it is opt-in.
-    pub count_opcodes: bool,
     /// Grow the environment as contiguous `Vec`-backed frames
     /// (`env_cons`) and compile each variable access as one `acc n`, an
     /// O(1) slot load, instead of the paper's `fst^n; snd` spine walk
@@ -53,44 +47,13 @@ pub struct SessionOptions {
     pub fuse: bool,
     /// Run under the adaptive tier controller (DESIGN.md §15): compile
     /// and freeze everything plainly (the Paper tier), count per-block
-    /// activations at run time, and promote hot blocks to fused code
-    /// using each block's own measured instruction mix.
+    /// activations at run time, and promote hot blocks to fused code.
     /// Step counts, verdicts, traces, and fuel behave exactly as under
-    /// the [`Paper`](ExecProfile::Paper) profile — promotion changes
-    /// wall clock only. Mutually exclusive with the static
-    /// `optimize`/`fuse` flags ([`Session::with_options`]
-    /// rejects the combination). Default: `None` (static behavior).
+    /// the Paper profile (`optimize`, `fuse` and `adaptive` all off) —
+    /// promotion changes wall clock only. Mutually exclusive with the
+    /// static `optimize`/`fuse` flags ([`Session::with_options`] rejects
+    /// the combination). Default: `None` (static behavior).
     pub adaptive: Option<TierPolicy>,
-}
-
-/// The tiering regime a session executes under — the axis of
-/// [`SessionOptions`] that decides *how* compiled code runs, separated
-/// from the semantic axes (prelude, fuel, typecheck, env mode, opcode
-/// counting). Derived by [`SessionOptions::profile`], installed by
-/// [`SessionOptions::with_profile`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum ExecProfile {
-    /// The paper's measured system: no optimizer, no fusion. The golden
-    /// step-count lockfiles and the wire-format golden artifact are
-    /// pinned to this profile.
-    Paper,
-    /// One fixed point of the 2×2 `(optimize, fuse)` flavor lattice,
-    /// chosen up front for the whole session — the behavior of
-    /// the pre-adaptive flag set.
-    Static(ExecFlags),
-    /// The run-time tier controller: every block starts on the Paper
-    /// tier and is promoted per the policy once its activation count
-    /// crosses `promote_after`.
-    Adaptive(TierPolicy),
-}
-
-/// The static tiering flags — one point of the freeze-flavor lattice.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub struct ExecFlags {
-    /// Emission-time peephole optimization.
-    pub optimize: bool,
-    /// Superinstruction fusion of static and frozen code.
-    pub fuse: bool,
 }
 
 impl Default for SessionOptions {
@@ -98,9 +61,7 @@ impl Default for SessionOptions {
         SessionOptions {
             prelude: true,
             fuel: None,
-            typecheck: true,
             optimize: false,
-            count_opcodes: false,
             flat_env: false,
             fuse: false,
             adaptive: None,
@@ -125,17 +86,18 @@ impl SessionOptions {
             }
             None => h.write_u8(0),
         }
-        h.write_bool(self.typecheck);
+        // Removed options keep their slots, hashed at the one value they
+        // had in use: the golden artifact's header and every store key
+        // are fingerprints, so dropping a slot would change them all.
+        // Here: `typecheck` (always on).
+        h.write_bool(true);
         h.write_bool(self.optimize);
-        h.write_bool(self.count_opcodes);
-        // The removed `indexed_env` flag, hashed as off like `native`
-        // below.
+        // The removed `count_opcodes` and `indexed_env` flags.
+        h.write_bool(false);
         h.write_bool(false);
         h.write_bool(self.flat_env);
         h.write_bool(self.fuse);
-        // The removed thread-coded tier's `native` flag, hashed as off:
-        // the golden artifact's header and every store key are
-        // fingerprints, so dropping the slot would change them all.
+        // The removed thread-coded tier's `native` flag.
         h.write_bool(false);
         // The adaptive policy is appended *after* every pre-existing
         // field, and only when present: Paper- and Static-profile
@@ -145,50 +107,11 @@ impl SessionOptions {
         if let Some(policy) = self.adaptive {
             h.write_u8(1);
             h.write_u64(policy.promote_after);
-            h.write_u64(policy.fuse_top_k as u64);
-            // The removed `use_native` policy flag, hashed as off for the
-            // same reason.
+            // The removed `fuse_top_k` ranking and `use_native` flag.
+            h.write_u64(crate::wire::FUSE_TOP_K);
             h.write_bool(false);
         }
         h.finish()
-    }
-
-    /// The tiering regime these options select (see [`ExecProfile`]).
-    pub fn profile(&self) -> ExecProfile {
-        if let Some(policy) = self.adaptive {
-            ExecProfile::Adaptive(policy)
-        } else if self.optimize || self.fuse {
-            ExecProfile::Static(ExecFlags {
-                optimize: self.optimize,
-                fuse: self.fuse,
-            })
-        } else {
-            ExecProfile::Paper
-        }
-    }
-
-    /// Default options running under `profile` — the inverse of
-    /// [`profile`](SessionOptions::profile).
-    pub fn with_profile(profile: ExecProfile) -> SessionOptions {
-        let mut o = SessionOptions::default();
-        o.set_profile(profile);
-        o
-    }
-
-    /// Replaces the tiering regime, leaving the semantic options (env
-    /// mode, fuel, typecheck, …) untouched.
-    pub fn set_profile(&mut self, profile: ExecProfile) {
-        self.optimize = false;
-        self.fuse = false;
-        self.adaptive = None;
-        match profile {
-            ExecProfile::Paper => {}
-            ExecProfile::Static(f) => {
-                self.optimize = f.optimize;
-                self.fuse = f.fuse;
-            }
-            ExecProfile::Adaptive(policy) => self.adaptive = Some(policy),
-        }
     }
 }
 
@@ -197,7 +120,7 @@ impl SessionOptions {
 pub struct Outcome {
     /// Binding name, if the declaration bound one.
     pub name: Option<String>,
-    /// Rendered principal type (empty if type checking is off).
+    /// Rendered principal type.
     pub ty: String,
     /// Rendered value.
     pub value: String,
@@ -211,7 +134,7 @@ pub struct Outcome {
 #[derive(Debug, Clone)]
 pub struct Checked {
     /// `(binding name, rendered principal type)` per core declaration,
-    /// in order (types are empty if type checking is off).
+    /// in order.
     pub decls: Vec<(Option<String>, String)>,
     /// Elaboration warnings (non-exhaustive and redundant matches).
     pub warnings: Vec<mlbox_syntax::diag::Diagnostic>,
@@ -262,8 +185,8 @@ thread_local! {
 }
 
 impl Session {
-    /// A session with the default options (prelude loaded, type checking
-    /// on, no fuel limit).
+    /// A session with the default options (prelude loaded, no fuel
+    /// limit).
     ///
     /// # Errors
     ///
@@ -502,8 +425,7 @@ impl Session {
         for decl in &program.decls {
             let core_decls = elab.elab_decl(decl).map_err(|d| self.static_err(d, src))?;
             for cd in &core_decls {
-                let ty = type_of(cd, &elab, &mut checker, self.options.typecheck)
-                    .map_err(|d| self.static_err(d, src))?;
+                let ty = type_of(cd, &elab, &mut checker).map_err(|d| self.static_err(d, src))?;
                 decls.push((decl_name(cd), ty));
             }
         }
@@ -542,8 +464,7 @@ impl Session {
     }
 
     fn process_core_decl(&mut self, cd: &CoreDecl, src: &str) -> Result<Outcome, Error> {
-        let ty = type_of(cd, &self.elab, &mut self.checker, self.options.typecheck)
-            .map_err(|d| self.static_err(d, src))?;
+        let ty = type_of(cd, &self.elab, &mut self.checker).map_err(|d| self.static_err(d, src))?;
         // Compile.
         let (code, new_ctx, effect) =
             compile_decl(cd, &self.ctx, &self.seg).map_err(|d| self.static_err(d, src))?;
@@ -598,11 +519,15 @@ impl Session {
             compile_expr(&core, &self.ctx, &self.seg).map_err(|d| self.static_err(d, &src))?,
         );
         code.extend([Instr::Swap, Instr::Quote(arg), Instr::ConsPair, Instr::App]);
-        let code = self.finish_code(code);
+        let entry = self.seg.entry(self.finish_code(code));
+        let block = entry.block;
         let before = self.machine.stats();
-        let result = self.machine.run(self.seg.entry(code), self.env.clone())?;
+        let result = self.machine.run(entry, self.env.clone());
+        // The call's block is this run's alone: taking it back keeps a
+        // session that is called per packet from growing per packet.
+        self.seg.drop_last_entry(block);
         let stats = self.machine.stats().delta_since(&before);
-        Ok((result, stats))
+        Ok((result?, stats))
     }
 
     /// Runs the generating extension `generator` (an expression of type
@@ -692,17 +617,12 @@ impl Session {
 }
 
 /// Type checks `cd` in `checker` (extending it with the declaration's
-/// bindings) and renders its principal type; the empty string when
-/// type checking is off.
+/// bindings) and renders its principal type.
 fn type_of(
     cd: &CoreDecl,
     elab: &Elab,
     checker: &mut Checker,
-    typecheck: bool,
 ) -> Result<String, mlbox_syntax::diag::Diagnostic> {
-    if !typecheck {
-        return Ok(String::new());
-    }
     let tcx = TypeCtx {
         data: &elab.data,
         abbrevs: &elab.abbrevs,
@@ -804,6 +724,30 @@ mod tests {
     }
 
     #[test]
+    fn calls_do_not_grow_the_segment() {
+        for adaptive in [None, Some(0), Some(1)] {
+            let mut s = Session::with_options(SessionOptions {
+                adaptive: adaptive.map(|promote_after| TierPolicy { promote_after }),
+                ..SessionOptions::default()
+            })
+            .unwrap();
+            s.run("fun inc x = x + 1").unwrap();
+            let (_, first) = s.call("inc", Value::Int(0)).unwrap();
+            let blocks = s.code_segment().num_blocks();
+            for i in 0..10_000 {
+                let (v, stats) = s.call("inc", Value::Int(i)).unwrap();
+                assert!(
+                    matches!(v, Value::Int(n) if n == i + 1),
+                    "{adaptive:?}: {v}"
+                );
+                assert_eq!(stats.steps, first.steps, "{adaptive:?}");
+            }
+            let grown = s.code_segment().num_blocks() - blocks;
+            assert!(grown <= 2, "{adaptive:?}: {grown} blocks");
+        }
+    }
+
+    #[test]
     fn generation_shows_in_stats() {
         let mut s = Session::new().unwrap();
         s.run("val g = code (fn x => x + 1)").unwrap();
@@ -838,24 +782,6 @@ mod tests {
         assert_eq!(again.stats.steps, out.stats.steps);
     }
 
-    #[test]
-    fn opcode_counting_is_an_option() {
-        let mut s = Session::with_options(SessionOptions {
-            count_opcodes: true,
-            ..SessionOptions::default()
-        })
-        .unwrap();
-        assert!(Session::new().unwrap().stats().opcodes.is_none());
-        let out = s.eval_expr("1 + 2").unwrap();
-        let counts = out.stats.opcodes.expect("enabled by the option");
-        assert!(counts.get("prim") > 0, "the addition shows up");
-        assert_eq!(
-            counts.nonzero().map(|(_, c)| c).sum::<u64>(),
-            out.stats.steps,
-            "per-opcode counts partition the per-declaration steps"
-        );
-    }
-
     // Flat frames are the session's one indexed environment: every
     // access is a single `acc n` slot load.
 
@@ -877,27 +803,34 @@ mod tests {
         assert!(s_flat <= s_spine, "flat env took more steps");
     }
 
+    /// How many of the instructions traced since `set_trace` were `mnemonic`.
+    fn traced(s: &Session, mnemonic: &str) -> usize {
+        let trace = s.trace().expect("tracing enabled");
+        trace
+            .entries
+            .iter()
+            .filter(|e| e.mnemonic == mnemonic)
+            .count()
+    }
+
     #[test]
     fn indexed_env_executes_acc() {
         let mut s = Session::with_options(SessionOptions {
             flat_env: true,
-            count_opcodes: true,
             ..SessionOptions::default()
         })
         .unwrap();
-        let out = s
-            .eval_expr("let val a = 1 val b = 2 val c = 3 in a + b + c end")
+        s.set_trace(1 << 16);
+        s.eval_expr("let val a = 1 val b = 2 val c = 3 in a + b + c end")
             .unwrap();
-        let counts = out.stats.opcodes.expect("enabled by the option");
-        assert!(counts.get("acc") > 0, "flat accesses run as acc");
-        let outs = s.run("val x = 41;\nx + 1").unwrap();
-        assert_eq!(outs[0].value, "41");
-        assert_eq!(outs[1].value, "42");
-        let counts = outs[0].stats.opcodes.expect("enabled");
+        assert!(traced(&s, "acc") > 0, "flat accesses run as acc");
+        s.set_trace(1 << 16);
+        assert_eq!(s.run("val x = 41").unwrap()[0].value, "41");
         assert!(
-            counts.get("env_cons") > 0,
+            traced(&s, "env_cons") > 0,
             "a flat-mode `val` extends the environment with env_cons"
         );
+        assert_eq!(s.eval_expr("x + 1").unwrap().value, "42");
     }
 
     #[test]
@@ -924,17 +857,14 @@ mod tests {
         let mut optimize = base.clone();
         optimize.optimize = true;
         assert_ne!(fp(&base), fp(&optimize), "optimize must change the key");
-        let mut counted = base.clone();
-        counted.count_opcodes = true;
-        assert_ne!(fp(&base), fp(&counted), "count_opcodes must change the key");
         let mut fused = base.clone();
         fused.fuse = true;
         assert_ne!(fp(&base), fp(&fused), "fuse must change the key");
         let mut flat = base.clone();
         flat.flat_env = true;
         assert_ne!(fp(&base), fp(&flat), "flat_env must change the key");
-        // The four non-default modes are also pairwise distinct.
-        let modes = [&optimize, &counted, &fused, &flat];
+        // The three non-default modes are also pairwise distinct.
+        let modes = [&optimize, &fused, &flat];
         for (i, a) in modes.iter().enumerate() {
             for b in &modes[i + 1..] {
                 assert_ne!(fp(a), fp(b));
@@ -987,16 +917,15 @@ mod tests {
     fn fuse_dispatches_fused_opcodes_in_static_code() {
         let mut s = Session::with_options(SessionOptions {
             fuse: true,
-            count_opcodes: true,
             ..SessionOptions::default()
         })
         .unwrap();
+        s.set_trace(1 << 16);
         let out = s.eval_expr("1 + 2").unwrap();
-        let counts = out.stats.opcodes.expect("enabled by the option");
         assert!(
-            counts.get("quote_cons") > 0 || counts.get("push_quote") > 0,
+            traced(&s, "quote_cons") > 0 || traced(&s, "push_quote") > 0,
             "static code runs fused: {:?}",
-            counts.nonzero().collect::<Vec<_>>()
+            s.trace()
         );
         assert!(out.stats.fused > 0);
     }
@@ -1022,40 +951,6 @@ mod tests {
     }
 
     #[test]
-    fn profile_classifies_the_option_axes() {
-        assert_eq!(SessionOptions::default().profile(), ExecProfile::Paper);
-        let fused = SessionOptions {
-            fuse: true,
-            ..SessionOptions::default()
-        };
-        assert_eq!(
-            fused.profile(),
-            ExecProfile::Static(ExecFlags {
-                optimize: false,
-                fuse: true,
-            })
-        );
-        let policy = TierPolicy::default();
-        let adaptive = adaptive_options(policy);
-        assert_eq!(adaptive.profile(), ExecProfile::Adaptive(policy));
-        // with_profile is the inverse of profile, and set_profile leaves
-        // the semantic axes alone.
-        for p in [ExecProfile::Paper, fused.profile(), adaptive.profile()] {
-            assert_eq!(SessionOptions::with_profile(p).profile(), p);
-        }
-        let mut o = SessionOptions {
-            flat_env: true,
-            fuel: Some(99),
-            ..SessionOptions::default()
-        };
-        o.set_profile(ExecProfile::Adaptive(policy));
-        assert!(o.flat_env && o.fuel == Some(99));
-        o.set_profile(ExecProfile::Paper);
-        assert_eq!(o.adaptive, None);
-        assert!(o.flat_env && o.fuel == Some(99));
-    }
-
-    #[test]
     fn adaptive_rejects_static_tier_flags() {
         let mut o = adaptive_options(TierPolicy::default());
         o.fuse = true;
@@ -1068,10 +963,7 @@ mod tests {
         let paper = SessionOptions::default();
         let adaptive = adaptive_options(TierPolicy::default());
         assert_ne!(paper.fingerprint(), adaptive.fingerprint());
-        let eager = adaptive_options(TierPolicy {
-            promote_after: 0,
-            ..TierPolicy::default()
-        });
+        let eager = adaptive_options(TierPolicy { promote_after: 0 });
         assert_ne!(adaptive.fingerprint(), eager.fingerprint());
         // The golden lockfiles pin the exact Paper fingerprint through
         // the wire tests; here we just check adaptive is a pure
@@ -1097,10 +989,7 @@ mod tests {
         };
         let (v_paper, s_paper, _) = run_profile(SessionOptions::default());
         for promote_after in [0, 1, 8] {
-            let (v_ad, s_ad, total) = run_profile(adaptive_options(TierPolicy {
-                promote_after,
-                ..TierPolicy::default()
-            }));
+            let (v_ad, s_ad, total) = run_profile(adaptive_options(TierPolicy { promote_after }));
             assert_eq!(v_paper, v_ad, "promote_after {promote_after}");
             assert_eq!(
                 s_paper, s_ad,
@@ -1134,10 +1023,7 @@ mod tests {
             (out.value, out.stats.steps)
         };
         let (v_flat, s_flat) = run(None);
-        let (v_ad, s_ad) = run(Some(TierPolicy {
-            promote_after: 1,
-            ..TierPolicy::default()
-        }));
+        let (v_ad, s_ad) = run(Some(TierPolicy { promote_after: 1 }));
         assert_eq!(v_flat, v_ad);
         assert_eq!(s_flat, s_ad, "indexed-unit charging matches flat mode");
     }

@@ -88,8 +88,9 @@ pub enum WireError {
     Payload(ccam::wire::WireError),
     /// Input left over after the checksum trailer.
     TrailingBytes(usize),
-    /// The options section turns on an option this build no longer has
-    /// (its byte is still in the format, and must be 0).
+    /// The options section sets an option this build no longer has to a
+    /// value other than the one it had in use (its slot is still in the
+    /// format, and holds that fixed value).
     RemovedOption(&'static str),
 }
 
@@ -122,8 +123,8 @@ impl fmt::Display for WireError {
             }
             WireError::RemovedOption(name) => write!(
                 f,
-                "artifact was built with `{name}`, an option this build no \
-                 longer has; rebuild it"
+                "artifact was built with a setting of `{name}`, an option this \
+                 build no longer has; rebuild it"
             ),
         }
     }
@@ -153,11 +154,15 @@ const FUEL_NONE: u8 = 0;
 /// Fuel-present marker, followed by the u64 budget.
 const FUEL_SOME: u8 = 1;
 /// Adaptive-profile marker opening the optional trailer: followed by
-/// `promote_after` (u64 LE), `fuse_top_k` (u64 LE), and the byte of the
-/// removed `use_native` policy flag. Static-profile artifacts write
-/// nothing after the nine original fields, so every pre-adaptive
-/// container stays byte-identical.
+/// `promote_after` (u64 LE), the removed `fuse_top_k` (u64 LE, always
+/// [`FUSE_TOP_K`]), and the byte of the removed `use_native` policy
+/// flag. Static-profile artifacts write nothing after the nine original
+/// fields, so every pre-adaptive container stays byte-identical.
 const PROFILE_ADAPTIVE: u8 = 1;
+
+/// The fixed value of the removed `fuse_top_k` slot: the per-block rule
+/// ranking's only value in use, which enabled all seven fusion rules.
+pub(crate) const FUSE_TOP_K: u64 = 7;
 
 fn encode_options(out: &mut Vec<u8>, o: &SessionOptions) {
     // Field order matches SessionOptions::fingerprint exactly, so the
@@ -170,10 +175,11 @@ fn encode_options(out: &mut Vec<u8>, o: &SessionOptions) {
         }
         None => out.push(FUEL_NONE),
     }
-    out.push(u8::from(o.typecheck));
+    // Removed options keep their slots at the one value they had in
+    // use: `typecheck` on, `count_opcodes` and `indexed_env` off.
+    out.push(1);
     out.push(u8::from(o.optimize));
-    out.push(u8::from(o.count_opcodes));
-    // The removed `indexed_env` flag: always off.
+    out.push(0);
     out.push(0);
     out.push(u8::from(o.flat_env));
     out.push(u8::from(o.fuse));
@@ -182,7 +188,7 @@ fn encode_options(out: &mut Vec<u8>, o: &SessionOptions) {
     if let Some(policy) = o.adaptive {
         out.push(PROFILE_ADAPTIVE);
         out.extend_from_slice(&policy.promote_after.to_le_bytes());
-        out.extend_from_slice(&(policy.fuse_top_k as u64).to_le_bytes());
+        out.extend_from_slice(&FUSE_TOP_K.to_le_bytes());
         // The removed `use_native` policy flag: always off.
         out.push(0);
     }
@@ -211,21 +217,22 @@ impl<'a> OptionsReader<'a> {
         }
     }
 
-    /// The byte of an option this build no longer has: 0 decodes, 1
-    /// names the option in a typed error.
-    fn removed(&mut self, name: &'static str) -> Result<(), WireError> {
-        match self.bool()? {
-            false => Ok(()),
-            true => Err(WireError::RemovedOption(name)),
-        }
-    }
-
     fn u64(&mut self) -> Result<u64, WireError> {
         let mut raw = [0u8; 8];
         for slot in &mut raw {
             *slot = self.u8()?;
         }
         Ok(u64::from_le_bytes(raw))
+    }
+}
+
+/// Checks the slot of an option this build no longer has: the value it
+/// had in use decodes, any other names the option in a typed error.
+fn fixed<T: PartialEq>(name: &'static str, read: T, expected: T) -> Result<(), WireError> {
+    if read == expected {
+        Ok(())
+    } else {
+        Err(WireError::RemovedOption(name))
     }
 }
 
@@ -243,21 +250,19 @@ fn decode_options(bytes: &[u8]) -> Result<SessionOptions, WireError> {
         }
         _ => return Err(WireError::Corrupt("unknown fuel marker")),
     };
-    let typecheck = r.bool()?;
+    fixed("typecheck", r.bool()?, true)?;
     let optimize = r.bool()?;
-    let count_opcodes = r.bool()?;
-    r.removed("indexed_env")?;
+    fixed("count_opcodes", r.bool()?, false)?;
+    fixed("indexed_env", r.bool()?, false)?;
     let mut options = SessionOptions {
         prelude,
         fuel,
-        typecheck,
         optimize,
-        count_opcodes,
         flat_env: r.bool()?,
         fuse: r.bool()?,
         adaptive: None,
     };
-    r.removed("native")?;
+    fixed("native", r.bool()?, false)?;
     // Optional adaptive-profile trailer: absent in every artifact
     // written before (or without) the tier controller.
     if r.pos != bytes.len() {
@@ -266,10 +271,9 @@ fn decode_options(bytes: &[u8]) -> Result<SessionOptions, WireError> {
         }
         options.adaptive = Some(TierPolicy {
             promote_after: r.u64()?,
-            fuse_top_k: usize::try_from(r.u64()?)
-                .map_err(|_| WireError::Corrupt("fuse_top_k does not fit a usize"))?,
         });
-        r.removed("use_native")?;
+        fixed("fuse_top_k", r.u64()?, FUSE_TOP_K)?;
+        fixed("use_native", r.bool()?, false)?;
         // `Session::with_options` refuses this combination; bytes must
         // not smuggle it past that check into `machine_for`.
         if options.optimize || options.fuse {
@@ -623,7 +627,6 @@ mod tests {
             SessionOptions {
                 flat_env: true,
                 prelude: false,
-                typecheck: false,
                 ..SessionOptions::default()
             },
             SessionOptions {
@@ -631,10 +634,7 @@ mod tests {
                 ..SessionOptions::default()
             },
             SessionOptions {
-                adaptive: Some(TierPolicy {
-                    promote_after: 0,
-                    fuse_top_k: 3,
-                }),
+                adaptive: Some(TierPolicy { promote_after: 0 }),
                 flat_env: true,
                 fuel: Some(7),
                 ..SessionOptions::default()
@@ -683,10 +683,7 @@ mod tests {
     #[test]
     fn adaptive_artifact_roundtrips_and_promotes() {
         let mut s = Session::with_options(SessionOptions {
-            adaptive: Some(TierPolicy {
-                promote_after: 1,
-                ..TierPolicy::default()
-            }),
+            adaptive: Some(TierPolicy { promote_after: 1 }),
             ..SessionOptions::default()
         })
         .unwrap();

@@ -2,8 +2,8 @@
 //! (the prelude's partial `nth` never shows), labelled as warnings, and
 //! rendered against the user's source in both `mlbox run` and the REPL.
 //! Also pins that `mlbox check` type checks without running anything,
-//! and that `mlbox run` still prints a program's output when a later
-//! declaration fails.
+//! and that `mlbox run`, `mlbox eval` and the REPL still print a
+//! program's output when it later fails.
 
 use std::io::Write;
 use std::process::{Command, Output, Stdio};
@@ -71,6 +71,37 @@ fn run_prints_captured_output_before_a_later_failure() {
     assert_eq!(
         text(&out.stderr),
         "machine error: integer division by zero\n"
+    );
+}
+
+#[test]
+fn eval_prints_captured_output_before_a_failure() {
+    let out = mlbox_status(
+        &["eval", "let val u = print \"hello\\n\" in 1 div 0 end"],
+        "",
+    );
+    assert_eq!(out.status.code(), Some(1), "{out:?}");
+    assert_eq!(text(&out.stdout), "hello\n");
+    assert_eq!(
+        text(&out.stderr),
+        "machine error: integer division by zero\n"
+    );
+}
+
+#[test]
+fn repl_prints_captured_output_before_a_failure() {
+    let out = mlbox(
+        &["repl"],
+        "val u = print \"hi\\n\"; val x = 1 div 0\nval y = 2\n:q\n",
+    );
+    let stdout = text(&out.stdout);
+    let first = stdout
+        .find("mlbox> ")
+        .expect("a prompt before the first input");
+    assert_eq!(
+        &stdout[first..],
+        "mlbox> hi\nmachine error: integer division by zero\n\
+         mlbox> val y : int = 2   (3 steps)\nmlbox> "
     );
 }
 

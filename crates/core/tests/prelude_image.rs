@@ -10,40 +10,39 @@ use mlbox::prelude::PRELUDE;
 use mlbox::programs::{
     CLIENT, CODE_POWER, COMPOSE_GEN, COMP_POLY, EVAL_POLY, MEMO_POWER1, MEMO_POWER2, SPEC_POLY,
 };
-use mlbox::{ExecFlags, ExecProfile, Session, SessionOptions, TierPolicy};
+use mlbox::{Session, SessionOptions, TierPolicy};
 use mlbox_bpf::filters::telnet_filter;
 use mlbox_bpf::mlsrc::{filter_decl, packet_value, BPF_ML};
 use mlbox_bpf::packet::PacketGen;
 
-/// Every tiering profile crossed with the two environment modes, with
-/// `count_opcodes` and the fuel budget flipped between the two so each
-/// profile meets both values of each, paired with the env mode in an
+/// Every tiering profile — Paper, the three static `(optimize, fuse)`
+/// flavors, adaptive at three thresholds — crossed with the two
+/// environment modes, with the fuel budget flipped between the two so
+/// each profile meets both of its values, paired with the env mode in an
 /// order that varies by profile.
 fn lattice() -> Vec<SessionOptions> {
-    let mut profiles = vec![ExecProfile::Paper];
+    let mut profiles = vec![SessionOptions::default()];
     for bits in 1..4u8 {
-        profiles.push(ExecProfile::Static(ExecFlags {
+        profiles.push(SessionOptions {
             optimize: bits & 1 != 0,
             fuse: bits & 2 != 0,
-        }));
+            ..SessionOptions::default()
+        });
     }
     for promote_after in [0, 1, 64] {
-        profiles.push(ExecProfile::Adaptive(TierPolicy {
-            promote_after,
-            ..TierPolicy::default()
-        }));
+        profiles.push(SessionOptions {
+            adaptive: Some(TierPolicy { promote_after }),
+            ..SessionOptions::default()
+        });
     }
     let mut out = Vec::new();
     for (p, profile) in profiles.into_iter().enumerate() {
         for flat_env in [false, true] {
-            let mut o = SessionOptions {
+            out.push(SessionOptions {
                 flat_env,
-                count_opcodes: flat_env != (p % 2 == 1),
-                fuel: (flat_env != (p / 2 % 2 == 1)).then_some(1_000_000_000),
-                ..SessionOptions::default()
-            };
-            o.set_profile(profile);
-            out.push(o);
+                fuel: (flat_env != (p % 2 == 1)).then_some(1_000_000_000),
+                ..profile.clone()
+            });
         }
     }
     out
@@ -216,10 +215,7 @@ fn a_budget_too_small_for_the_prelude_fails_as_before() {
 #[test]
 fn sessions_share_nothing_with_each_other() {
     let options = SessionOptions {
-        adaptive: Some(TierPolicy {
-            promote_after: 1,
-            ..TierPolicy::default()
-        }),
+        adaptive: Some(TierPolicy { promote_after: 1 }),
         ..SessionOptions::default()
     };
     let hot_loop = "listLength (map (fn x => x + 1) (tabulate (100, fn i => i)))";

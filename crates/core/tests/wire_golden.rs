@@ -14,9 +14,10 @@
 //!
 //! CI runs the same diff as a workflow step, and the decode direction is
 //! pinned too: the golden *bytes* must still decode, hydrate, and
-//! compute 6² with the same reduction-step count. The bytes of removed
-//! options stay in the format; an artifact that turns one on decodes to
-//! a typed error naming it.
+//! compute 6² with the same reduction-step count. The slots of removed
+//! options stay in the format at the one value each had in use; an
+//! artifact holding any other value there decodes to a typed error
+//! naming the option.
 
 use mlbox::fingerprint::Fnv1a;
 use mlbox::wire::WireError;
@@ -85,14 +86,13 @@ fn golden_bytes_still_decode_and_run() {
     assert_eq!(stats.steps, fresh_stats.steps);
 }
 
-/// Sets the options-section byte `from_end` places before the section's
-/// end (1 = its last byte) to 1, and recomputes the trailing checksum so
-/// the option, not the checksum, is what decode sees.
-fn turn_on_option_byte(mut bytes: Vec<u8>, from_end: usize) -> Vec<u8> {
-    let options_len = u32::from_le_bytes(bytes[28..32].try_into().unwrap()) as usize;
-    let at = 32 + options_len - from_end;
-    assert_eq!(bytes[at], 0, "the option is off in the artifact");
-    bytes[at] = 1;
+fn options_len(bytes: &[u8]) -> usize {
+    u32::from_le_bytes(bytes[28..32].try_into().unwrap()) as usize
+}
+
+/// Recomputes the trailing checksum, so an edit before it, not the
+/// checksum, is what decode sees.
+fn reseal(mut bytes: Vec<u8>) -> Vec<u8> {
     let content = bytes.len() - 8;
     let mut h = Fnv1a::new();
     h.write(&bytes[..content]);
@@ -100,14 +100,34 @@ fn turn_on_option_byte(mut bytes: Vec<u8>, from_end: usize) -> Vec<u8> {
     bytes
 }
 
+/// Changes the options-section byte `from_end` places before the
+/// section's end (1 = its last byte) from `from` to `to`, and reseals.
+fn set_option_byte(mut bytes: Vec<u8>, from_end: usize, from: u8, to: u8) -> Vec<u8> {
+    let at = 32 + options_len(&bytes) - from_end;
+    assert_eq!(bytes[at], from, "the artifact holds the option's value");
+    bytes[at] = to;
+    reseal(bytes)
+}
+
 /// Options-section positions, counted from the section's end: a static
-/// encoding ends `.., indexed_env, flat_env, fuse, native`; an adaptive
-/// one appends an 18-byte trailer (the profile marker, two `u64`s and
-/// `use_native`).
+/// encoding ends `.., typecheck, optimize, count_opcodes, indexed_env,
+/// flat_env, fuse, native`; an adaptive one appends an 18-byte trailer
+/// (the profile marker, `promote_after` and `fuse_top_k` as `u64` LE,
+/// and `use_native`).
 const STATIC_NATIVE: usize = 1;
 const STATIC_INDEXED_ENV: usize = 4;
+const STATIC_COUNT_OPCODES: usize = 5;
+const STATIC_TYPECHECK: usize = 7;
 const ADAPTIVE_USE_NATIVE: usize = 1;
+/// The low byte of `fuse_top_k`.
+const ADAPTIVE_FUSE_TOP_K: usize = 9;
 const ADAPTIVE_FUSE: usize = 2 + 18;
+
+/// The trailer `TierPolicy::default()` encodes to: the profile marker,
+/// `promote_after` 8, `fuse_top_k` at its fixed 7, `use_native` off.
+const ADAPTIVE_DEFAULT_TRAILER: [u8; 18] = [1, 8, 0, 0, 0, 0, 0, 0, 0, 7, 0, 0, 0, 0, 0, 0, 0, 0];
+/// The options fingerprint of `TierPolicy::default()`'s options.
+const ADAPTIVE_DEFAULT_OPTIONS_FINGERPRINT: u64 = 0x7949_25d3_eec1_e0c7;
 
 /// The golden program's artifact under the adaptive profile.
 fn adaptive_golden_bytes() -> Vec<u8> {
@@ -126,30 +146,47 @@ fn adaptive_golden_bytes() -> Vec<u8> {
 }
 
 #[test]
+fn adaptive_artifacts_are_the_golden_bytes_plus_the_trailer() {
+    // Adaptive compiles plainly, so only the options differ from the
+    // golden artifact: their fingerprint, the section length, and the
+    // trailer.
+    let golden = golden_bytes();
+    let options_end = 32 + options_len(&golden);
+    let mut want = golden[..options_end].to_vec();
+    want[20..28].copy_from_slice(&ADAPTIVE_DEFAULT_OPTIONS_FINGERPRINT.to_le_bytes());
+    let len = u32::try_from(options_len(&golden) + ADAPTIVE_DEFAULT_TRAILER.len()).unwrap();
+    want[28..32].copy_from_slice(&len.to_le_bytes());
+    want.extend_from_slice(&ADAPTIVE_DEFAULT_TRAILER);
+    want.extend_from_slice(&golden[options_end..]);
+    let got = adaptive_golden_bytes();
+    assert_eq!(hex_lines(&got), hex_lines(&reseal(want)));
+}
+
+#[test]
 fn artifacts_with_a_removed_option_on_decode_to_a_typed_error() {
-    for (from_end, name) in [
-        (STATIC_NATIVE, "native"),
-        (STATIC_INDEXED_ENV, "indexed_env"),
-    ] {
-        let err = CompiledFilter::from_wire_bytes(&turn_on_option_byte(golden_bytes(), from_end))
-            .unwrap_err();
+    let (golden, adaptive) = (golden_bytes(), adaptive_golden_bytes());
+    let inputs = [
+        (&golden, STATIC_NATIVE, 0, 1, "native"),
+        (&golden, STATIC_INDEXED_ENV, 0, 1, "indexed_env"),
+        (&golden, STATIC_COUNT_OPCODES, 0, 1, "count_opcodes"),
+        (&golden, STATIC_TYPECHECK, 1, 0, "typecheck"),
+        (&adaptive, ADAPTIVE_USE_NATIVE, 0, 1, "use_native"),
+        (&adaptive, ADAPTIVE_FUSE_TOP_K, 7, 3, "fuse_top_k"),
+    ];
+    for (bytes, from_end, from, to, name) in inputs {
+        let bytes = set_option_byte(bytes.clone(), from_end, from, to);
+        let err = CompiledFilter::from_wire_bytes(&bytes).unwrap_err();
         assert!(
             matches!(err, Error::Wire(WireError::RemovedOption(n)) if n == name),
-            "{err}"
+            "{name}: {err}"
         );
     }
-    let bytes = turn_on_option_byte(adaptive_golden_bytes(), ADAPTIVE_USE_NATIVE);
-    let err = CompiledFilter::from_wire_bytes(&bytes).unwrap_err();
-    assert!(
-        matches!(err, Error::Wire(WireError::RemovedOption("use_native"))),
-        "{err}"
-    );
 }
 
 #[test]
 fn adaptive_artifacts_with_static_flags_are_corrupt() {
     // `Session::with_options` refuses adaptive + fuse; decode must too.
-    let bytes = turn_on_option_byte(adaptive_golden_bytes(), ADAPTIVE_FUSE);
+    let bytes = set_option_byte(adaptive_golden_bytes(), ADAPTIVE_FUSE, 0, 1);
     let err = CompiledFilter::from_wire_bytes(&bytes).unwrap_err();
     assert!(matches!(err, Error::Wire(WireError::Corrupt(_))), "{err}");
 }

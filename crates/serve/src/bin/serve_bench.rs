@@ -788,10 +788,7 @@ fn run_tiered(config: &Config) {
     flavor_points.push((
         "adaptive".to_string(),
         SessionOptions {
-            adaptive: Some(TierPolicy {
-                promote_after: 32,
-                ..TierPolicy::default()
-            }),
+            adaptive: Some(TierPolicy { promote_after: 32 }),
             ..SessionOptions::default()
         },
         true,

@@ -664,10 +664,7 @@ mod tests {
         // the verdicts and step counts of the plain (Paper) profile —
         // promotion changes the rendering, never the observable cost —
         // while the report shows the tier controller actually working.
-        let policy = mlbox::TierPolicy {
-            promote_after: 1,
-            ..mlbox::TierPolicy::default()
-        };
+        let policy = mlbox::TierPolicy { promote_after: 1 };
         let options = SessionOptions {
             adaptive: Some(policy),
             ..SessionOptions::default()

@@ -1,7 +1,7 @@
 //! The modal typing discipline (Figure 2): staging errors are type
 //! errors, □ types propagate correctly, and the value restriction holds.
 
-use mlbox::{Session, SessionOptions};
+use mlbox::Session;
 
 fn infer(src: &str) -> Result<String, String> {
     let mut s = Session::new().map_err(|e| e.to_string())?;
@@ -123,19 +123,6 @@ fn ascriptions_constrain() {
     assert!(infer("(fn x => x) : int -> int").is_ok());
     assert!(infer("(fn x => x + 1) : bool -> bool").is_err());
     assert!(infer("(code (fn x => x + 1)) : (int -> int) $").is_ok());
-}
-
-#[test]
-fn typecheck_can_be_disabled() {
-    // With the checker off, a staging violation is caught by the compiler
-    // instead (defense in depth).
-    let mut s = Session::with_options(SessionOptions {
-        typecheck: false,
-        ..Default::default()
-    })
-    .unwrap();
-    let err = s.eval_expr("fn y => code (fn x => x + y)").unwrap_err();
-    assert!(err.to_string().contains("earlier stage"), "{err}");
 }
 
 #[test]
