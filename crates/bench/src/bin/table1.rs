@@ -6,9 +6,9 @@
 //! ```text
 //! table1             # the Table 1 reproduction
 //! table1 --json      # the same rows as JSON, plus flat-env steps (the
-//!                    # steps_indexed column), fused-mode, flat-env, and
-//!                    # tiered sections (rows_fused, rows_flat_env,
-//!                    # rows_tiered), and freeze-cache counters
+//!                    # steps_indexed column), flat-env and tiered
+//!                    # sections (rows_flat_env, rows_tiered), and
+//!                    # freeze-cache counters
 //! table1 --profile-pairs # dynamic opcode-pair histogram of the Table 1
 //!                    # workloads (the superinstruction selection data)
 //! table1 sweep-poly  # polynomial-degree sweep (E6)
@@ -271,33 +271,23 @@ fn optimize_ablation() {
 /// harness, polynomial rows via the §3.1 programs. With `json`, the rows
 /// are emitted as a JSON object that additionally carries the flat-env
 /// steps (as the `steps_indexed` column and the `rows_flat_env` section),
-/// the fused and tiered rows, and the harness session's freeze-cache
-/// counters.
+/// the tiered rows, and the harness session's freeze-cache counters.
 fn table1(json: bool) {
     let (rows, stats) = table1_rows(&SessionOptions::default());
 
     if json {
-        let fuse_options = SessionOptions {
-            fuse: true,
-            ..SessionOptions::default()
-        };
-        let (fused_rows, _) = table1_rows(&fuse_options);
         let (flat_rows, _) = table1_rows(&SessionOptions {
             flat_env: true,
             ..SessionOptions::default()
         });
         let (tiered_rows, tiered_stats) =
             mlbox_bench::table1_rows_tiered(mlbox::TierPolicy::default());
-        let mut dispatch = mlbox_bench::dispatch_throughput(2_000).expect("dispatch");
-        dispatch.extend(
-            mlbox_bench::dispatch_throughput_with(2_000, &fuse_options).expect("fused dispatch"),
-        );
+        let dispatch = mlbox_bench::dispatch_throughput(2_000).expect("dispatch");
         println!(
             "{}",
             mlbox_bench::render_json(
                 "Table 1: Reduction steps on the CCAM for various functions in the text",
                 &rows,
-                &fused_rows,
                 &flat_rows,
                 &tiered_rows,
                 &stats,

@@ -198,24 +198,9 @@ impl DispatchRow {
 ///
 /// Propagates any pipeline error.
 pub fn dispatch_throughput(iters: u64) -> Result<Vec<DispatchRow>, Error> {
-    dispatch_throughput_with(iters, &SessionOptions::default())
-}
-
-/// [`dispatch_throughput`] under explicit session options. Rows measured
-/// in a non-default mode carry the mode in their label (`(fused)`), so
-/// default and fused measurements can share one `dispatch` array.
-///
-/// # Errors
-///
-/// Propagates any pipeline error.
-pub fn dispatch_throughput_with(
-    iters: u64,
-    options: &SessionOptions,
-) -> Result<Vec<DispatchRow>, Error> {
     /// One filter run: returns (verdict, reduction steps).
     type FilterRun<'a> = &'a mut dyn FnMut(&mut FilterHarness) -> Result<(i64, u64), Error>;
-    let suffix = if options.fuse { " (fused)" } else { "" };
-    let mut h = FilterHarness::with_options(&telnet_filter(), options.clone())?;
+    let mut h = FilterHarness::with_options(&telnet_filter(), SessionOptions::default())?;
     let mut packets = PacketGen::new(1998);
     let telnet = packets.telnet(32);
     h.specialize()?;
@@ -226,7 +211,7 @@ pub fn dispatch_throughput_with(
             steps += run(&mut h)?.1;
         }
         Ok(DispatchRow {
-            label: format!("{label}{suffix}"),
+            label: label.to_string(),
             steps,
             nanos: start.elapsed().as_nanos(),
         })
@@ -250,22 +235,18 @@ pub fn dispatch_throughput_with(
 /// computations under `SessionOptions::flat_env`) fill each main row's
 /// `steps_indexed` column — the name the lockfiles pin for `acc n`
 /// access steps — and also render as their own `rows_flat_env` array
-/// keyed `steps_flat_env`. `fused` rows (the same computations under
-/// `SessionOptions::fuse`) render as a separate `rows_fused` array whose
-/// lines carry `steps_fused` — and deliberately *not* `steps_indexed` —
-/// keeping all three lockfile greps line-disjoint. `tiered` rows (the
-/// same computations under the adaptive profile, which
-/// [`table1_rows_tiered`] asserts count plain-profile steps) render as
+/// keyed `steps_flat_env`, whose lines deliberately do *not* carry
+/// `steps_indexed`, keeping the two lockfile greps line-disjoint.
+/// `tiered` rows (the same computations under the adaptive profile,
+/// which [`table1_rows_tiered`] asserts count plain-profile steps) render as
 /// `rows_tiered` keyed `steps_tiered`, with the controller's counters in
 /// a `tier_controller` object when `tiered_stats` is given. `dispatch`
 /// rows (wall clock, non-golden) are appended when non-empty.
 ///
 /// [`Stats`]: ccam::machine::Stats
-#[allow(clippy::too_many_arguments)]
 pub fn render_json(
     title: &str,
     rows: &[Row],
-    fused: &[Row],
     flat: &[Row],
     tiered: &[Row],
     machine: &ccam::machine::Stats,
@@ -299,19 +280,6 @@ pub fn render_json(
         ));
     }
     out.push_str("  ]");
-    if !fused.is_empty() {
-        out.push_str(",\n  \"rows_fused\": [\n");
-        for (i, r) in fused.iter().enumerate() {
-            out.push_str(&format!(
-                "    {{\"label\": \"{}\", \"steps_fused\": {}, \"emitted\": {}}}{}\n",
-                esc(&r.label),
-                r.steps,
-                r.emitted,
-                if i + 1 < fused.len() { "," } else { "" }
-            ));
-        }
-        out.push_str("  ]");
-    }
     if !flat.is_empty() {
         out.push_str(",\n  \"rows_flat_env\": [\n");
         for (i, r) in flat.iter().enumerate() {
@@ -566,20 +534,19 @@ mod tests {
             steps: 123,
             ..Default::default()
         };
-        let j = render_json("Table 1", &rows, &[], &[], &[], &stats, None, &[]);
+        let j = render_json("Table 1", &rows, &[], &[], &stats, None, &[]);
         assert!(j.contains("\"freezes\": 3"), "{j}");
         assert!(j.contains("\"freeze_hits\": 7"), "{j}");
         assert!(j.contains("\"paper\": null"), "{j}");
         assert!(j.contains("evalpf \\\"quoted\\\""), "{j}");
         assert!(!j.contains("dispatch"), "empty dispatch is omitted: {j}");
-        assert!(!j.contains("rows_fused"), "empty fused is omitted: {j}");
         assert!(!j.contains("rows_flat_env"), "empty flat is omitted: {j}");
         let d = DispatchRow {
             label: "d".into(),
             steps: 2_000,
             nanos: 1_000_000,
         };
-        let j = render_json("Table 1", &rows, &[], &[], &[], &stats, None, &[d]);
+        let j = render_json("Table 1", &rows, &[], &[], &stats, None, &[d]);
         assert!(j.contains("\"steps_per_sec\": 2000000"), "{j}");
     }
 
@@ -606,49 +573,27 @@ mod tests {
         let rows = vec![Row::with_paper("r", 100, 0, 90)];
         let flat = vec![Row::new("r", 60, 0)];
         let stats = ccam::machine::Stats::default();
-        let j = render_json("t", &rows, &[], &flat, &[], &stats, None, &[]);
+        let j = render_json("t", &rows, &flat, &[], &stats, None, &[]);
         assert!(j.contains("\"steps\": 100, \"steps_indexed\": 60"), "{j}");
     }
 
     #[test]
-    fn json_fused_rows_never_share_lines_with_the_mode_columns() {
+    fn json_mode_rows_never_share_lines_with_the_default_columns() {
         // The CI golden diff greps `"steps_indexed"|"freeze_cache"` for
-        // the default pin, `"steps_fused"` for the fused pin,
-        // and `"steps_flat_env"` for the flat pin: the three line sets
-        // must be pairwise disjoint so each lockfile diff sees only its
-        // own column.
+        // the default pin and `"steps_flat_env"` for the flat pin: the
+        // line sets must be disjoint so each lockfile diff sees only its
+        // own column, and the tiered rows must stay out of both.
         let rows = vec![Row::with_paper("r", 100, 0, 90)];
-        let fused = vec![Row::new("r", 80, 0)];
         let flat = vec![Row::new("r", 60, 0)];
         let tiered = vec![Row::new("r", 100, 0)];
         let stats = ccam::machine::Stats::default();
-        let j = render_json(
-            "t",
-            &rows,
-            &fused,
-            &flat,
-            &tiered,
-            &stats,
-            Some(&stats),
-            &[],
-        );
-        assert!(j.contains("\"rows_fused\""), "{j}");
+        let j = render_json("t", &rows, &flat, &tiered, &stats, Some(&stats), &[]);
         assert!(j.contains("\"rows_flat_env\""), "{j}");
         assert!(j.contains("\"rows_tiered\""), "{j}");
         assert!(j.contains("\"tier_controller\""), "{j}");
         for line in j.lines() {
-            if line.contains("\"steps_fused\"") {
-                assert!(!line.contains("\"steps_indexed\""), "{line}");
-                assert!(!line.contains("\"steps_flat_env\""), "{line}");
-                assert!(!line.contains("\"freeze_cache\""), "{line}");
-                assert_eq!(
-                    line.trim().trim_end_matches(','),
-                    "{\"label\": \"r\", \"steps_fused\": 80, \"emitted\": 0}"
-                );
-            }
             if line.contains("\"steps_flat_env\"") {
                 assert!(!line.contains("\"steps_indexed\""), "{line}");
-                assert!(!line.contains("\"steps_fused\""), "{line}");
                 assert!(!line.contains("\"freeze_cache\""), "{line}");
                 assert_eq!(
                     line.trim().trim_end_matches(','),
@@ -657,7 +602,6 @@ mod tests {
             }
             if line.contains("\"steps_tiered\"") {
                 assert!(!line.contains("\"steps_indexed\""), "{line}");
-                assert!(!line.contains("\"steps_fused\""), "{line}");
                 assert!(!line.contains("\"steps_flat_env\""), "{line}");
                 assert!(!line.contains("\"freeze_cache\""), "{line}");
                 assert_eq!(

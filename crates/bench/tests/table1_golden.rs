@@ -14,7 +14,6 @@ use mlbox::SessionOptions;
 use mlbox_bench::table1_rows;
 
 const GOLDEN: &str = include_str!("../../../tests/golden/table1_steps.json");
-const GOLDEN_FUSED: &str = include_str!("../../../tests/golden/table1_steps_fused.json");
 const GOLDEN_FLAT: &str = include_str!("../../../tests/golden/table1_steps_flat_env.json");
 
 /// Pulls `"key": <u64>` out of a JSON-ish line. Hand-rolled — the
@@ -133,51 +132,6 @@ fn flat_env_table1_step_counts_match_their_own_lockfile_and_equal_indexed() {
         assert_eq!(
             gsteps, gindexed,
             "`{glabel}`: the flat lockfile diverged from the steps_indexed column"
-        );
-    }
-}
-
-#[test]
-fn fused_table1_step_counts_match_their_own_lockfile_and_beat_default() {
-    let golden: Vec<(&str, u64, u64)> = GOLDEN_FUSED
-        .lines()
-        .filter(|l| l.contains("\"label\""))
-        .map(|l| {
-            (
-                label(l).expect("label"),
-                field(l, "steps_fused").expect("steps_fused"),
-                field(l, "emitted").expect("emitted"),
-            )
-        })
-        .collect();
-    assert_eq!(golden.len(), 10, "Table 1 has ten rows");
-
-    let (rows, _) = table1_rows(&SessionOptions::default());
-    let (fused_rows, _) = table1_rows(&SessionOptions {
-        fuse: true,
-        ..SessionOptions::default()
-    });
-    assert_eq!(fused_rows.len(), golden.len());
-    for ((row, frow), (glabel, gsteps, gemitted)) in rows
-        .iter()
-        .zip(&fused_rows)
-        .enumerate()
-        .map(|(i, r)| (r, golden[i]))
-    {
-        assert_eq!(frow.label, glabel);
-        assert_eq!(
-            frow.steps, gsteps,
-            "`{glabel}`: fused-mode steps drifted from the lockfile"
-        );
-        assert_eq!(
-            frow.emitted, gemitted,
-            "`{glabel}`: fused-mode emitted count drifted from the lockfile"
-        );
-        assert!(
-            frow.steps <= row.steps,
-            "`{glabel}`: fusion must never add steps ({} > {})",
-            frow.steps,
-            row.steps
         );
     }
 }

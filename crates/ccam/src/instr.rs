@@ -173,8 +173,8 @@ pub enum Instr {
     // ---- superinstructions (the fusion layer, DESIGN.md §11) ----
     /// Fused `Push; Acc(n)`: keep the top value and push its `n`th
     /// environment slot in one dispatch. `PushAcc(0)` also covers the
-    /// fused `Push; Snd`. Produced only by `opt::fuse`; never emitted
-    /// directly by the compiler.
+    /// fused `Push; Snd`. Produced only by `opt::fuse_selected` (tier
+    /// promotion); never emitted directly by the compiler.
     PushAcc(usize),
     /// Fused `Quote(v); ConsPair`: pop the top, pop `u`, push `(u, v)`.
     QuoteCons(Value),

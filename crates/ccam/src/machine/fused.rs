@@ -1,9 +1,8 @@
 //! Step functions for the straight-line fused superinstructions
 //! (opcodes 24–26 and 29, DESIGN.md §11): each does the work of the
-//! opcode pair it replaced in one reduction step and bumps
-//! `Stats::fused`. The fused *transfers* (`cons_app`, `acc_app`) live in
-//! [`super::transfer`] — they enter closures, which the straight-line
-//! tier cannot do.
+//! opcode pair it replaced in one dispatch. The fused *transfers*
+//! (`cons_app`, `acc_app`) live in [`super::transfer`] — they enter
+//! closures, which the straight-line tier cannot do.
 
 use super::state::{mismatch, MachineState};
 use super::MachineError;
@@ -20,7 +19,6 @@ pub(crate) fn push_acc(st: &mut MachineState, n: usize) -> Result<(), MachineErr
         v.env_acc(n)
             .ok_or_else(|| mismatch("push_acc", "an environment spine", v))?
     };
-    st.stats.fused += 1;
     st.stack.push(out);
     Ok(())
 }
@@ -30,7 +28,6 @@ pub(crate) fn push_acc(st: &mut MachineState, n: usize) -> Result<(), MachineErr
 pub(crate) fn quote_cons(st: &mut MachineState, v: &Value) -> Result<(), MachineError> {
     let _ = st.pop("quote_cons")?;
     let u = st.pop("quote_cons")?;
-    st.stats.fused += 1;
     st.stack.push(Value::pair(u, v.clone()));
     Ok(())
 }
@@ -40,7 +37,6 @@ pub(crate) fn quote_cons(st: &mut MachineState, v: &Value) -> Result<(), Machine
 pub(crate) fn swap_cons(st: &mut MachineState) -> Result<(), MachineError> {
     let t = st.pop("swap_cons")?;
     let u = st.pop("swap_cons")?;
-    st.stats.fused += 1;
     st.stack.push(Value::pair(t, u));
     Ok(())
 }
@@ -54,7 +50,6 @@ pub(crate) fn push_quote(st: &mut MachineState, v: &Value) -> Result<(), Machine
             instr: "push_quote",
         });
     }
-    st.stats.fused += 1;
     st.stack.push(v.clone());
     Ok(())
 }

@@ -159,11 +159,6 @@ pub struct Stats {
     pub freezes: u64,
     /// Arena freezes served from the cached snapshot.
     pub freeze_hits: u64,
-    /// Reduction steps executed by fused superinstructions (the fusion
-    /// layer of DESIGN.md §11). Each fused dispatch does the work of two
-    /// or more unfused steps, so this meters how much of a run the fusion
-    /// pass actually covered.
-    pub fused: u64,
     /// High-water mark of the value stack.
     pub max_stack: usize,
     /// Blocks promoted by the adaptive tier controller
@@ -193,7 +188,6 @@ impl Stats {
             calls: self.calls - before.calls,
             freezes: self.freezes - before.freezes,
             freeze_hits: self.freeze_hits - before.freeze_hits,
-            fused: self.fused - before.fused,
             max_stack: self.max_stack,
             promotions: self.promotions - before.promotions,
             refreezes: self.refreezes - before.refreezes,
@@ -246,7 +240,6 @@ pub struct Machine {
     control: Vec<Frame>,
     trace: Option<Trace>,
     optimize: bool,
-    fuse: bool,
     /// The adaptive tier controller, when enabled by
     /// [`Machine::set_tier_policy`].
     adaptive: Option<Adaptive>,
@@ -581,27 +574,6 @@ static DISPATCH: [Dispatch; OPCODE_COUNT] = [
     Dispatch::Step(s_env_cons),         // 30 env_cons
 ];
 
-/// The rendering applied when freezing an arena, per `(optimize, fuse)`
-/// combination (the freeze flavor).
-type FreezeRender = fn(&CodeSeg, &[Instr]) -> Vec<Instr>;
-
-fn render_plain(_seg: &CodeSeg, instrs: &[Instr]) -> Vec<Instr> {
-    instrs.to_vec()
-}
-
-fn render_optimize_fuse(seg: &CodeSeg, instrs: &[Instr]) -> Vec<Instr> {
-    let optimized = crate::opt::peephole(seg, instrs);
-    crate::opt::fuse(seg, &optimized)
-}
-
-/// One render per flavor, at index `optimize | fuse << 1`.
-const FREEZE_RENDERS: [FreezeRender; 4] = [
-    render_plain,
-    crate::opt::peephole,
-    crate::opt::fuse,
-    render_optimize_fuse,
-];
-
 impl Default for Machine {
     fn default() -> Self {
         Self::new()
@@ -616,7 +588,6 @@ impl Machine {
             control: Vec::new(),
             trace: None,
             optimize: false,
-            fuse: false,
             adaptive: None,
             pair_profile: None,
         }
@@ -642,20 +613,6 @@ impl Machine {
     /// Whether emission-time optimization is enabled.
     pub fn optimize(&self) -> bool {
         self.optimize
-    }
-
-    /// Enables superinstruction fusion (DESIGN.md §11): arenas are
-    /// rewritten by [`crate::opt::fuse`] when frozen, so generated code
-    /// dispatches fused opcodes. Composes with [`Machine::set_optimize`]
-    /// (peephole first, then fusion); statically compiled code is fused
-    /// by the session layer when the same flag is set there.
-    pub fn set_fuse(&mut self, on: bool) {
-        self.fuse = on;
-    }
-
-    /// Whether superinstruction fusion is enabled.
-    pub fn fuse(&self) -> bool {
-        self.fuse
     }
 
     /// Enables (`Some`) or disables (`None`) the adaptive tier
@@ -702,23 +659,24 @@ impl Machine {
         self.pair_profile.as_deref()
     }
 
-    /// The cache slot this machine's flags select in the 4-way
-    /// `(optimize × fuse)` freeze lattice.
-    fn freeze_flavor(&self) -> usize {
-        usize::from(self.optimize) | usize::from(self.fuse) << 1
-    }
-
     /// Freezes an arena, applying the optimizer when enabled. Served from
     /// the arena's snapshot cache whenever the arena has not grown since
     /// the previous freeze of the same flavor, so specialize-once /
     /// run-many programs pay for copying and optimization once.
     fn freeze(&mut self, arena: &Arena) -> CodeRef {
-        // One cache slot per (optimize, fuse) flavor, so machines with
-        // different flags sharing an arena never serve each other's
-        // rendering.
-        let flavor = self.freeze_flavor();
-        let stale = arena.snapshot_len(flavor).is_some_and(|l| l != arena.len());
-        let (code, hit) = arena.freeze_slot(flavor, FREEZE_RENDERS[flavor]);
+        // One cache slot per optimize flavor, so machines with different
+        // flags sharing an arena never serve each other's rendering.
+        let optimize = self.optimize;
+        let stale = arena
+            .snapshot_len(optimize)
+            .is_some_and(|l| l != arena.len());
+        let (code, hit) = arena.freeze_via(optimize, |seg, instrs| {
+            if optimize {
+                crate::opt::peephole(seg, instrs)
+            } else {
+                instrs.to_vec()
+            }
+        });
         if hit {
             self.state.stats.freeze_hits += 1;
         } else {

@@ -23,9 +23,9 @@ pub(crate) struct MachineState {
     /// the machine's lifetime total). Distinct from `stats.steps`: a
     /// fused superinstruction counts one *step* but charges fuel for
     /// every component it replaced, so a fuel budget bounds the same
-    /// amount of work in every execution mode (`fuse`, flat
-    /// environments, tier promotion) — no dispatch encoding can be
-    /// used to smuggle extra work past a per-run limit.
+    /// amount of work in every execution mode (flat environments, tier
+    /// promotion) — no dispatch encoding can be used to smuggle extra
+    /// work past a per-run limit.
     pub(crate) fuel_spent: u64,
     /// Everything `print` has written.
     pub(crate) output: String,

@@ -891,7 +891,8 @@ fn machine_errors_display() {
 #[test]
 fn fused_opcodes_agree_with_their_pairs_and_count_as_fused() {
     // Each fused opcode computes exactly what the pair it replaces
-    // computes, in one reduction step, and bumps `Stats::fused`.
+    // computes, in one reduction step, and dispatches under its own
+    // mnemonic.
     let spine = Value::pair(
         Value::pair(Value::pair(Value::Unit, Value::Int(1)), Value::Int(2)),
         Value::Int(3),
@@ -937,12 +938,18 @@ fn fused_opcodes_agree_with_their_pairs_and_count_as_fused() {
     ];
     for (plain, fused, input) in cases {
         let mut m1 = Machine::new();
+        m1.set_trace(64);
         let v1 = m1.run(entry(plain.clone()), input.clone()).unwrap();
         let mut m2 = Machine::new();
+        m2.set_trace(64);
         let v2 = m2.run(entry(fused.clone()), input).unwrap();
         assert_eq!(v1.to_string(), v2.to_string(), "{plain:?} vs {fused:?}");
-        assert_eq!(m1.stats().fused, 0, "plain code dispatches no fused ops");
-        assert!(m2.stats().fused > 0, "{fused:?}");
+        assert_eq!(
+            fused_dispatches(&m1),
+            0,
+            "plain code dispatches no fused ops"
+        );
+        assert!(fused_dispatches(&m2) > 0, "{fused:?}");
         assert!(m2.stats().steps < m1.stats().steps, "{fused:?}");
     }
 }
@@ -962,7 +969,7 @@ fn fused_application_transfers_like_cons_app() {
     let mut m = Machine::new();
     let out = m.run(prog, Value::Unit).unwrap();
     assert!(matches!(out, Value::Int(7)));
-    assert_eq!(m.stats().fused, 1);
+    assert_eq!(m.stats().steps, 6, "cons_app is one dispatch");
 
     // AccApp(0): env is (_, (closure, arg)); snd; app in one step.
     let seg = CodeSeg::new();
@@ -975,14 +982,33 @@ fn fused_application_transfers_like_cons_app() {
     let mut m = Machine::new();
     let out = m.run(prog, env).unwrap();
     assert!(matches!(out, Value::Int(11)));
-    assert_eq!(m.stats().fused, 1);
+    assert_eq!(m.stats().steps, 2, "acc_app is one dispatch");
+}
+
+/// How many fused superinstructions a machine's trace recorded.
+fn fused_dispatches(m: &Machine) -> usize {
+    const FUSED: [&str; 6] = [
+        "push_acc",
+        "quote_cons",
+        "swap_cons",
+        "cons_app",
+        "acc_app",
+        "push_quote",
+    ];
+    m.trace()
+        .expect("trace enabled")
+        .mnemonics()
+        .iter()
+        .filter(|n| FUSED.contains(n))
+        .count()
 }
 
 #[test]
-fn fuse_flag_fuses_frozen_generated_code() {
+fn promotion_fuses_frozen_generated_code() {
     // A generator emits the stereotyped push/quote/cons/add sequence;
-    // with `set_fuse` the freeze rewrites it so the call dispatches
-    // fused opcodes — and the unfused machine agrees on the value.
+    // under the tier controller the frozen block is promoted to a fused
+    // rendering at its first activation, and the plain machine agrees on
+    // the value and the (baseline) step count.
     let a = Arena::new();
     for _ in 0..10 {
         a.push(Instr::Push);
@@ -995,26 +1021,28 @@ fn fuse_flag_fuses_frozen_generated_code() {
 
     let mut plain = Machine::new();
     let v1 = plain.run(prog.clone(), gen.clone()).unwrap();
-    assert_eq!(plain.stats().fused, 0);
 
-    let mut fusing = Machine::new();
-    fusing.set_fuse(true);
-    let v2 = fusing.run(prog.clone(), gen.clone()).unwrap();
+    let mut tiered = Machine::new();
+    tiered.set_tier_policy(Some(TierPolicy { promote_after: 0 }), true);
+    let v2 = tiered.run(prog.clone(), gen.clone()).unwrap();
     assert_eq!(v1.to_string(), v2.to_string());
-    assert!(fusing.stats().fused > 0, "frozen code was fused");
+    assert_eq!(tiered.stats().steps, plain.stats().steps);
+    assert_eq!(tiered.stats().freeze_hits, 1, "one plain freeze slot");
     assert!(
-        fusing.stats().steps < plain.stats().steps,
-        "fusion reduces the step count: {} vs {}",
-        fusing.stats().steps,
-        plain.stats().steps
+        tiered.stats().tier_steps[1] > 0,
+        "frozen code ran fused: {:?}",
+        tiered.stats()
     );
 
-    // The two flavors freeze into distinct cache slots: running the
-    // same generator on the plain machine again is still unfused.
+    // The promoted rendering is tier state of the segment, which only a
+    // tiered machine consults: the plain machine still runs the frozen
+    // block unfused.
     let mut plain2 = Machine::new();
+    plain2.set_trace(1 << 10);
     let v3 = plain2.run(prog, gen).unwrap();
     assert_eq!(v1.to_string(), v3.to_string());
-    assert_eq!(plain2.stats().fused, 0, "fuse slot does not leak");
+    assert_eq!(plain2.stats().steps, plain.stats().steps);
+    assert_eq!(fused_dispatches(&plain2), 0, "promotion does not leak");
 }
 
 #[test]
@@ -1110,7 +1138,7 @@ fn observers_do_not_change_what_a_run_reports() {
         let (_, out, output, stats) = &reports[0];
         assert_eq!(out, "0");
         assert_eq!(output, "go");
-        assert!(stats.emitted > 0 && stats.arenas > 0 && stats.fused > 0);
+        assert!(stats.emitted > 0 && stats.arenas > 0);
         assert_eq!((stats.calls, stats.freezes, stats.freeze_hits), (2, 1, 1));
         if policy.is_some() {
             assert!(stats.promotions > 0, "{label}");
@@ -1193,7 +1221,10 @@ fn adaptive_promote_after_zero_promotes_before_first_execution() {
         "nothing ran cold: {:?}",
         tiered.stats()
     );
-    assert!(tiered.stats().fused > 0, "fused dispatches actually ran");
+    assert!(
+        tiered.stats().tier_steps[1] > 0,
+        "fused renderings actually ran"
+    );
 }
 
 #[test]

@@ -25,7 +25,6 @@ pub(crate) fn app(m: &mut Machine) -> Result<(), MachineError> {
 pub(crate) fn cons_app(m: &mut Machine) -> Result<(), MachineError> {
     let arg = m.state.pop("cons_app")?;
     let f = m.state.pop("cons_app")?;
-    m.state.stats.fused += 1;
     apply_to(m, f, arg)
 }
 
@@ -43,7 +42,6 @@ pub(crate) fn acc_app(m: &mut Machine, n: usize) -> Result<(), MachineError> {
         Ok(pair) => pair,
         Err(p) => (p.0.clone(), p.1.clone()),
     };
-    m.state.stats.fused += 1;
     apply_to(m, f, arg)
 }
 

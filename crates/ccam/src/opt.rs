@@ -126,7 +126,7 @@ pub struct FuseSelection {
 }
 
 impl FuseSelection {
-    /// Every rule enabled — the static fusion behavior.
+    /// Every rule enabled — the pair-spine promotion rendering.
     pub fn all() -> FuseSelection {
         FuseSelection { access: true }
     }
@@ -158,33 +158,20 @@ fn fuse_pair(a: &Instr, b: &Instr) -> Option<Instr> {
     })
 }
 
-/// Superinstruction fusion (DESIGN.md §11): rewrites the hottest adjacent
-/// opcode pairs of the CAM's stereotyped sequences into single fused
-/// dispatches. Unlike [`peephole`] this pass never folds constants or
-/// changes the computation — every fused opcode performs exactly the work
-/// of the pair it replaces, in one reduction step. The `fst^k; snd → acc`
-/// collapse is included so fusion composes with (and without) the
-/// peephole: `push; fst; fst; snd` becomes `push_acc 2` either way.
-pub fn fuse(seg: &CodeSeg, code: &[Instr]) -> Vec<Instr> {
-    let mut cur: Vec<Instr> = code.iter().map(|i| fuse_nested(seg, i)).collect();
-    let sel = FuseSelection::all();
-    for _ in 0..4 {
-        let (next, changed) = fuse_pass(&cur, &sel);
-        cur = next;
-        if !changed {
-            break;
-        }
-    }
-    cur
-}
-
-/// Fuses one straight-line sequence under `sel`, leaving every nested
-/// block reference untouched. This is the tier controller's promotion
-/// renderer: each block earns its own promotion from its own activation
-/// count, so nested bodies are deliberately *not* rewritten here — they
-/// stay cold until their own counters cross the threshold. The flag
-/// reports whether any rule fired (so callers can skip registering an
-/// identical rendering).
+/// Superinstruction fusion (DESIGN.md §11), the tier controller's
+/// promotion renderer: rewrites the stereotyped adjacent opcode pairs of
+/// one straight-line sequence into single fused dispatches under `sel`.
+/// Unlike [`peephole`] this pass never folds constants or changes the
+/// computation — every fused opcode performs exactly the work of the pair
+/// it replaces. The `fst^k; snd → acc` collapse is included (unless `sel`
+/// disables it) so `push; fst; fst; snd` becomes `push_acc 2` with or
+/// without the peephole.
+///
+/// Every nested block reference is left untouched: each block earns its
+/// own promotion from its own activation count, so nested bodies stay
+/// cold until their own counters cross the threshold. The flag reports
+/// whether any rule fired (so callers can skip registering an identical
+/// rendering).
 pub fn fuse_selected(code: &[Instr], sel: &FuseSelection) -> (Vec<Instr>, bool) {
     let mut cur = code.to_vec();
     let mut any = false;
@@ -197,46 +184,6 @@ pub fn fuse_selected(code: &[Instr], sel: &FuseSelection) -> (Vec<Instr>, bool) 
         any = true;
     }
     (cur, any)
-}
-
-/// Fuses one block of `seg`, appending the fused rendering as a new block
-/// of the same segment and returning its id. Memoized per segment, like
-/// [`optimize_block`]: shared blocks are fused once, and re-fusing an
-/// already-fused block is the identity.
-pub fn fuse_block(seg: &CodeSeg, b: BlockId) -> BlockId {
-    if let Some(done) = seg.fuse_memo_get(b) {
-        return done;
-    }
-    let fused = fuse(seg, &seg.block_to_vec(b));
-    let nb = seg.add_block(fused);
-    seg.fuse_memo_put(b, nb);
-    seg.fuse_memo_put(nb, nb);
-    nb
-}
-
-fn fuse_nested(seg: &CodeSeg, i: &Instr) -> Instr {
-    match i {
-        Instr::Cur(c) => Instr::Cur(fuse_block(seg, *c)),
-        Instr::Branch(a, b) => Instr::Branch(fuse_block(seg, *a), fuse_block(seg, *b)),
-        Instr::Switch(t) => Instr::Switch(Rc::new(SwitchTable {
-            arms: t
-                .arms
-                .iter()
-                .map(|arm| SwitchArm {
-                    tag: arm.tag,
-                    bind: arm.bind,
-                    code: fuse_block(seg, arm.code),
-                })
-                .collect(),
-            default: t.default.map(|d| fuse_block(seg, d)),
-        })),
-        Instr::RecClos(bodies) => Instr::RecClos(Rc::new(
-            bodies.iter().map(|b| fuse_block(seg, *b)).collect(),
-        )),
-        // `Emit` carries a single static instruction, never a fusable
-        // sequence; fusion of emitted code happens when its arena freezes.
-        other => other.clone(),
-    }
 }
 
 /// One greedy left-to-right fusion pass over a straight-line sequence,
@@ -589,6 +536,11 @@ mod tests {
     use super::*;
     use crate::machine::Machine;
 
+    /// The every-rule fusion rendering of one straight-line sequence.
+    fn fuse(code: &[Instr]) -> Vec<Instr> {
+        fuse_selected(code, &FuseSelection::all()).0
+    }
+
     fn pair(a: Vec<Instr>, b: Vec<Instr>) -> Vec<Instr> {
         let mut out = vec![Instr::Push];
         out.extend(a);
@@ -848,7 +800,6 @@ mod tests {
 
     #[test]
     fn fusion_rewrites_the_stereotyped_pairs() {
-        let seg = CodeSeg::new();
         // ⟨acc 1, quote 3⟩; app — the CAM's function-application shape.
         let code = vec![
             Instr::Push,
@@ -858,7 +809,7 @@ mod tests {
             Instr::ConsPair,
             Instr::App,
         ];
-        let fused = fuse(&seg, &code);
+        let fused = fuse(&code);
         assert!(
             matches!(
                 &fused[..],
@@ -875,17 +826,16 @@ mod tests {
 
     #[test]
     fn fusion_composes_with_access_collapse() {
-        let seg = CodeSeg::new();
         // push; fst; fst; snd — fusion alone collapses the access chain
         // and then consumes the resulting acc.
         let code = vec![Instr::Push, Instr::Fst, Instr::Fst, Instr::Snd];
-        let fused = fuse(&seg, &code);
+        let fused = fuse(&code);
         assert!(matches!(&fused[..], [Instr::PushAcc(2)]), "{fused:?}");
         // snd; app and cons; app become single transfers.
         let code = vec![Instr::Snd, Instr::App];
-        assert!(matches!(&fuse(&seg, &code)[..], [Instr::AccApp(0)]));
+        assert!(matches!(&fuse(&code)[..], [Instr::AccApp(0)]));
         let code = vec![Instr::Swap, Instr::ConsPair, Instr::App];
-        let fused = fuse(&seg, &code);
+        let fused = fuse(&code);
         assert!(
             matches!(&fused[..], [Instr::SwapCons, Instr::App]),
             "greedy left-to-right: swap;cons wins over cons;app: {fused:?}"
@@ -896,13 +846,12 @@ mod tests {
     fn fusion_never_folds_constants() {
         // ⟨quote 2, quote 3⟩; add — the peephole folds this to quote 5;
         // fusion must keep the arithmetic (it only merges dispatches).
-        let seg = CodeSeg::new();
         let mut code = pair(
             vec![Instr::Quote(Value::Int(2))],
             vec![Instr::Quote(Value::Int(3))],
         );
         code.push(Instr::Prim(PrimOp::Add));
-        let fused = fuse(&seg, &code);
+        let fused = fuse(&code);
         assert!(
             fused.iter().any(|i| matches!(i, Instr::Prim(PrimOp::Add))),
             "{fused:?}"
@@ -932,28 +881,13 @@ mod tests {
         };
         let mut code = pair(mul, add0);
         code.push(Instr::Prim(PrimOp::Add));
-        let fused = fuse(&seg, &code);
+        let fused = fuse(&code);
         assert!(fused.len() < code.len(), "{fused:?}");
         let input = Value::pair(Value::Unit, Value::Int(8));
         let a = Machine::new().run(seg.entry(code), input.clone()).unwrap();
         let b = Machine::new().run(seg.entry(fused), input).unwrap();
         assert_eq!(a.to_string(), b.to_string());
         assert_eq!(a.to_string(), "12");
-    }
-
-    #[test]
-    fn fusion_recurses_into_shared_blocks_once() {
-        let seg = CodeSeg::new();
-        let body = seg.add_block(vec![Instr::Push, Instr::Snd]);
-        let code = vec![Instr::Cur(body), Instr::Cur(body)];
-        let fused = fuse(&seg, &code);
-        let (Instr::Cur(a), Instr::Cur(b)) = (&fused[0], &fused[1]) else {
-            panic!("{fused:?}")
-        };
-        assert_eq!(a, b, "memoized: both references rewrite to one block");
-        assert!(matches!(&seg.block_to_vec(*a)[..], [Instr::PushAcc(0)]));
-        // And re-fusing the result is the identity.
-        assert_eq!(fuse_block(&seg, *a), *a);
     }
 
     #[test]
@@ -972,5 +906,8 @@ mod tests {
             matches!(&fused[..], [Instr::Cur(b), Instr::PushAcc(0)] if *b == body),
             "{fused:?}"
         );
+        // And re-fusing the result is the identity.
+        let (again, changed) = fuse_selected(&fused, &FuseSelection::all());
+        assert!(!changed, "{again:?}");
     }
 }

@@ -43,8 +43,6 @@ struct SegInner {
     blocks: RefCell<Vec<Block>>,
     /// Peephole memo: source block → optimized block (see `opt`).
     opt_memo: RefCell<HashMap<u32, u32>>,
-    /// Fusion memo: source block → fused block (see `opt::fuse`).
-    fuse_memo: RefCell<HashMap<u32, u32>>,
     /// Adaptive tier controller state, indexed by block id (block ids
     /// are dense, so a flat table makes the per-activation lookup an
     /// index instead of a hash). Entries only ever gain information:
@@ -271,7 +269,7 @@ impl CodeSeg {
     /// Fills this empty segment with a block-for-block copy of `from`:
     /// the instruction vector (each instruction passed through `instr`,
     /// which re-points embedded values), the block table, and the
-    /// opt/fuse/tier memo tables, so every [`BlockId`] of `from` names
+    /// opt memo and tier tables, so every [`BlockId`] of `from` names
     /// the same code here and the copy starts at the same tiers.
     pub(crate) fn fill_from(&self, from: &CodeSeg, instr: impl FnMut(&Instr) -> Instr) {
         debug_assert!(self.num_blocks() == 0, "fill_from targets an empty segment");
@@ -282,10 +280,6 @@ impl CodeSeg {
             .opt_memo
             .borrow_mut()
             .clone_from(&src.opt_memo.borrow());
-        self.0
-            .fuse_memo
-            .borrow_mut()
-            .clone_from(&src.fuse_memo.borrow());
         self.0.tier.borrow_mut().clone_from(&src.tier.borrow());
     }
 
@@ -297,16 +291,6 @@ impl CodeSeg {
 
     pub(crate) fn opt_memo_put(&self, from: BlockId, to: BlockId) {
         self.0.opt_memo.borrow_mut().insert(from.0, to.0);
-    }
-
-    /// The fusion memo (source block → fused block), shared by all
-    /// handles to this segment.
-    pub(crate) fn fuse_memo_get(&self, b: BlockId) -> Option<BlockId> {
-        self.0.fuse_memo.borrow().get(&b.0).copied().map(BlockId)
-    }
-
-    pub(crate) fn fuse_memo_put(&self, from: BlockId, to: BlockId) {
-        self.0.fuse_memo.borrow_mut().insert(from.0, to.0);
     }
 
     /// The tier controller's per-activation probe, everything in one

@@ -66,8 +66,8 @@ pub struct Frame {
 /// threads each arena linearly, so the sharing is unobservable.
 ///
 /// Freezing is cached: the arena remembers the last frozen block (one
-/// slot per machine flavor — the optimize × fuse lattice)
-/// together with the staging length it covered.
+/// slot per machine flavor: plain or optimized) together with the
+/// staging length it covered.
 /// Instructions are only ever appended, so a length match proves the
 /// cached block is still the current contents, and re-freezing a finished
 /// generator returns the same block without copying or re-optimizing.
@@ -89,9 +89,9 @@ impl Default for Arena {
 }
 
 impl Arena {
-    /// One freeze-cache slot per machine flavor: the optimize × fuse bit
-    /// lattice (`Machine::freeze_flavor`).
-    pub const FLAVOR_SLOTS: usize = 4;
+    /// One freeze-cache slot per machine flavor: plain (0) and
+    /// optimized (1).
+    pub const FLAVOR_SLOTS: usize = 2;
 
     /// A fresh empty arena freezing into its own new segment.
     pub fn new() -> Rc<Self> {
@@ -137,15 +137,12 @@ impl Arena {
         self.staging.borrow().len()
     }
 
-    /// The staging length covered by the cached snapshot in `slot`, if
-    /// one exists. A value different from [`Arena::len`] means the next
-    /// freeze of that flavor re-renders (a *refreeze*).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `slot` is out of range.
-    pub fn snapshot_len(&self, slot: usize) -> Option<usize> {
-        self.cache.borrow()[slot].map(|(len, _)| len)
+    /// The staging length covered by the cached snapshot of the flavor
+    /// `optimized` picks, if one exists. A value different from
+    /// [`Arena::len`] means the next freeze of that flavor re-renders (a
+    /// *refreeze*).
+    pub fn snapshot_len(&self, optimized: bool) -> Option<usize> {
+        self.cache.borrow()[usize::from(optimized)].map(|(len, _)| len)
     }
 
     /// Whether nothing has been emitted yet.
@@ -160,7 +157,9 @@ impl Arena {
         self.freeze_via(false, |_, instrs| instrs.to_vec()).0
     }
 
-    /// Freezes through the cache slot picked by `optimized`, building the
+    /// Freezes through the cache slot picked by `optimized` (one per
+    /// machine flavor, so machines running with different flags never
+    /// serve each other's rendering of the same arena), building the
     /// instruction vector with `build` (given the target segment, so the
     /// optimizer can register rewritten blocks) on a miss. Returns the
     /// code and whether it was served from the cache.
@@ -169,22 +168,7 @@ impl Arena {
         optimized: bool,
         build: impl FnOnce(&CodeSeg, &[Instr]) -> Vec<Instr>,
     ) -> (CodeRef, bool) {
-        self.freeze_slot(usize::from(optimized), build)
-    }
-
-    /// Freezes through an explicit cache slot — one per machine flavor
-    /// (`Machine::freeze_flavor`: bit 0 optimize, bit 1 fuse), so
-    /// machines running with different flags never serve
-    /// each other's rendering of the same arena.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `slot` is out of range.
-    pub fn freeze_slot(
-        &self,
-        slot: usize,
-        build: impl FnOnce(&CodeSeg, &[Instr]) -> Vec<Instr>,
-    ) -> (CodeRef, bool) {
+        let slot = usize::from(optimized);
         let len = self.staging.borrow().len();
         if let Some((cached_len, block)) = self.cache.borrow()[slot] {
             if cached_len == len {

@@ -165,7 +165,6 @@ pub fn machine_for(options: &SessionOptions) -> Machine {
         None => Machine::new(),
     };
     machine.set_optimize(options.optimize);
-    machine.set_fuse(options.fuse);
     if let Some(policy) = options.adaptive {
         // Step charges stay in the baseline cost model the compiler
         // targets: pair-spine units unless accesses compile to flat

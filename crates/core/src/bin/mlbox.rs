@@ -140,18 +140,18 @@ fn repl() -> Result<(), Box<dyn std::error::Error>> {
             }
             _ => {}
         }
-        let result = session.run(input);
-        if let Ok(outcomes) = &result {
-            for w in session.take_warnings() {
-                println!("{}", w.render(input));
-            }
-            for o in outcomes {
-                let name = o.name.as_deref().unwrap_or("it");
-                println!(
-                    "val {name} : {} = {}   ({} steps)",
-                    o.ty, o.value, o.stats.steps
-                );
-            }
+        // Declarations before a failing one are bound: report them too.
+        let mut outcomes = Vec::new();
+        let result = session.run_each(input, |o| outcomes.push(o));
+        for w in session.take_warnings() {
+            println!("{}", w.render(input));
+        }
+        for o in &outcomes {
+            let name = o.name.as_deref().unwrap_or("it");
+            println!(
+                "val {name} : {} = {}   ({} steps)",
+                o.ty, o.value, o.stats.steps
+            );
         }
         // Declarations before a failing one may have printed.
         print!("{}", session.take_output());

@@ -27,6 +27,8 @@ pub struct BothResults {
     pub machine_output: String,
     /// `print` output from the interpreter.
     pub interp_output: String,
+    /// Reduction steps of the compiled run.
+    pub machine_steps: u64,
 }
 
 impl BothResults {
@@ -57,15 +59,15 @@ pub fn run_both(src: &str, with_prelude: bool) -> Result<BothResults, Error> {
 ///
 /// As for [`run_both`].
 pub fn run_both_with(src: &str, with_prelude: bool, mode: EnvMode) -> Result<BothResults, Error> {
-    run_both_full(src, with_prelude, mode, false)
+    run_both_full(src, with_prelude, mode, None)
 }
 
-/// [`run_both_with`] with superinstruction fusion optionally enabled on
-/// the CCAM side: with `fuse`, the compiled entry block is rewritten by
-/// [`ccam::opt::fuse`] and the machine freezes generated code through
-/// the fused slot, exactly as a fused [`Session`](crate::Session) would.
-/// Together with [`EnvMode`] this spans the full 3×2 execution-mode
-/// matrix the differential suite checks.
+/// [`run_both_with`] with the CCAM side optionally under the adaptive
+/// tier controller: with `adaptive`, hot blocks are promoted to fused
+/// renderings (every executed block, at `promote_after: 0`) and steps
+/// are charged in the baseline units of `mode`, exactly as an adaptive
+/// [`Session`](crate::Session) would. Together with [`EnvMode`] this
+/// spans the 2×2 execution-mode matrix the differential suite checks.
 ///
 /// # Errors
 ///
@@ -74,7 +76,7 @@ pub fn run_both_full(
     src: &str,
     with_prelude: bool,
     mode: EnvMode,
-    fuse: bool,
+    adaptive: Option<TierPolicy>,
 ) -> Result<BothResults, Error> {
     let full = if with_prelude {
         format!("{PRELUDE};\n{src}")
@@ -103,15 +105,12 @@ pub fn run_both_full(
         })?;
     }
     // CCAM.
-    let mut code = compile_program_with(&decls, mode).map_err(|diag| Error::Static {
+    let code = compile_program_with(&decls, mode).map_err(|diag| Error::Static {
         diag,
         src: full.clone(),
     })?;
     let mut machine = Machine::new();
-    if fuse {
-        code.block = ccam::opt::fuse_block(&code.seg, code.block);
-        machine.set_fuse(true);
-    }
+    machine.set_tier_policy(adaptive, matches!(mode, EnvMode::PairSpine));
     let m_val = machine.run(code, Value::Unit)?;
     // Interpreter.
     let mut interp = Interp::new();
@@ -121,6 +120,7 @@ pub fn run_both_full(
         interp: render_eval(&i_val, &elab.data),
         machine_output: machine.take_output(),
         interp_output: interp.take_output(),
+        machine_steps: machine.stats().steps,
     })
 }
 
@@ -267,13 +267,18 @@ eval (compPoly [1, 2, 3]) 10";
 
     #[test]
     fn backends_agree_in_fused_mode() {
+        // Fused code comes from promotion; `promote_after: 0` runs every
+        // executed block fused.
+        let policy = Some(TierPolicy { promote_after: 0 });
         for src in [
             "let val x = 4 in x * x end",
             "eval (code (fn x => x * 3)) 5",
         ] {
             for mode in [EnvMode::PairSpine, EnvMode::Flat] {
-                let r = run_both_full(src, true, mode, true).unwrap();
+                let r = run_both_full(src, true, mode, policy).unwrap();
                 assert!(r.agree(), "fused {mode:?} disagreement on {src}: {r:?}");
+                let paper = run_both_with(src, true, mode).unwrap();
+                assert_eq!(r.machine_steps, paper.machine_steps, "{mode:?} {src}");
             }
         }
     }

@@ -39,20 +39,15 @@ pub struct SessionOptions {
     /// (DESIGN.md §12). Default: false, keeping the paper's pair-spine
     /// representation and Table 1's exact cost model.
     pub flat_env: bool,
-    /// Rewrite the hottest adjacent opcode pairs into fused
-    /// superinstructions (DESIGN.md §11), both in statically compiled
-    /// code and — via the freeze path — in run-time generated code.
-    /// Default: false, so Table 1's step counts stay the paper's cost
-    /// model; turn on to measure dispatch-fused execution.
-    pub fuse: bool,
     /// Run under the adaptive tier controller (DESIGN.md §15): compile
     /// and freeze everything plainly (the Paper tier), count per-block
-    /// activations at run time, and promote hot blocks to fused code.
-    /// Step counts, verdicts, traces, and fuel behave exactly as under
-    /// the Paper profile (`optimize`, `fuse` and `adaptive` all off) —
+    /// activations at run time, and promote hot blocks to fused
+    /// superinstruction code (DESIGN.md §11) — the only way fused code
+    /// is made. Step counts, verdicts, traces, and fuel behave exactly as
+    /// under the Paper profile (`optimize` and `adaptive` both off) —
     /// promotion changes wall clock only. Mutually exclusive with the
-    /// static `optimize`/`fuse` flags ([`Session::with_options`] rejects
-    /// the combination). Default: `None` (static behavior).
+    /// static `optimize` flag ([`Session::with_options`] rejects the
+    /// combination). Default: `None` (static behavior).
     pub adaptive: Option<TierPolicy>,
 }
 
@@ -63,7 +58,6 @@ impl Default for SessionOptions {
             fuel: None,
             optimize: false,
             flat_env: false,
-            fuse: false,
             adaptive: None,
         }
     }
@@ -96,8 +90,8 @@ impl SessionOptions {
         h.write_bool(false);
         h.write_bool(false);
         h.write_bool(self.flat_env);
-        h.write_bool(self.fuse);
-        // The removed thread-coded tier's `native` flag.
+        // The removed static `fuse` and thread-coded tier `native` flags.
+        h.write_bool(false);
         h.write_bool(false);
         // The adaptive policy is appended *after* every pre-existing
         // field, and only when present: Paper- and Static-profile
@@ -207,10 +201,10 @@ impl Session {
     ///
     /// Returns an error if the prelude fails to load.
     pub fn with_options(options: SessionOptions) -> Result<Session, Error> {
-        if options.adaptive.is_some() && (options.optimize || options.fuse) {
+        if options.adaptive.is_some() && options.optimize {
             return Err(Error::Options(
-                "adaptive tiering replaces the static optimize/fuse flags; \
-                 clear them or drop the tier policy"
+                "adaptive tiering replaces the static optimize flag; \
+                 clear it or drop the tier policy"
                     .to_string(),
             ));
         }
@@ -393,18 +387,30 @@ impl Session {
     /// Returns the first static or dynamic error. Already-processed
     /// declarations remain bound.
     pub fn run(&mut self, src: &str) -> Result<Vec<Outcome>, Error> {
-        let program = parse_program(src).map_err(|d| self.static_err(d, src))?;
         let mut outcomes = Vec::new();
+        self.run_each(src, |o| outcomes.push(o))?;
+        Ok(outcomes)
+    }
+
+    /// [`Session::run`], handing each core declaration's [`Outcome`] to
+    /// `each` as soon as it completes, so a caller also sees the
+    /// declarations that succeeded before a failing one.
+    ///
+    /// # Errors
+    ///
+    /// As for [`Session::run`].
+    pub fn run_each(&mut self, src: &str, mut each: impl FnMut(Outcome)) -> Result<(), Error> {
+        let program = parse_program(src).map_err(|d| self.static_err(d, src))?;
         for decl in &program.decls {
             let core_decls = self
                 .elab
                 .elab_decl(decl)
                 .map_err(|d| self.static_err(d, src))?;
             for cd in &core_decls {
-                outcomes.push(self.process_core_decl(cd, src)?);
+                each(self.process_core_decl(cd, src)?);
             }
         }
-        Ok(outcomes)
+        Ok(())
     }
 
     /// Parses, elaborates, and type checks a program against the
@@ -450,19 +456,6 @@ impl Session {
         self.process_core_decl(&decl, src)
     }
 
-    /// Applies the superinstruction-fusion pass to statically compiled
-    /// code when the session runs in fused mode. Run-time generated code
-    /// is fused separately, when its arena freezes (the machine's fuse
-    /// flag selects the fused freeze slot), so static and generated code
-    /// execute under the same dispatch regime.
-    fn finish_code(&self, code: Vec<Instr>) -> Vec<Instr> {
-        if self.options.fuse {
-            ccam::opt::fuse(&self.seg, &code)
-        } else {
-            code
-        }
-    }
-
     fn process_core_decl(&mut self, cd: &CoreDecl, src: &str) -> Result<Outcome, Error> {
         let ty = type_of(cd, &self.elab, &mut self.checker).map_err(|d| self.static_err(d, src))?;
         // Compile.
@@ -472,10 +465,15 @@ impl Session {
             validate(&self.seg, &code).is_ok(),
             "compiler produced nested emits"
         );
-        // Run, measuring this declaration alone.
-        let code = self.finish_code(code);
+        // Run, measuring this declaration alone. The entry block is this
+        // run's alone (values name nested blocks, never it), so it is
+        // taken back afterwards, as in `call`.
+        let entry = self.seg.entry(code);
+        let block = entry.block;
         let before = self.machine.stats();
-        let result = self.machine.run(self.seg.entry(code), self.env.clone())?;
+        let result = self.machine.run(entry, self.env.clone());
+        self.seg.drop_last_entry(block);
+        let result = result?;
         let stats = self.machine.stats().delta_since(&before);
         let (name, raw) = match effect {
             DeclEffect::ExtendsEnv => {
@@ -519,7 +517,7 @@ impl Session {
             compile_expr(&core, &self.ctx, &self.seg).map_err(|d| self.static_err(d, &src))?,
         );
         code.extend([Instr::Swap, Instr::Quote(arg), Instr::ConsPair, Instr::App]);
-        let entry = self.seg.entry(self.finish_code(code));
+        let entry = self.seg.entry(code);
         let block = entry.block;
         let before = self.machine.stats();
         let result = self.machine.run(entry, self.env.clone());
@@ -595,7 +593,6 @@ impl Session {
             Instr::ConsPair,
             Instr::Call,
         ]);
-        let code = self.finish_code(code);
         let result = self.machine.run(self.seg.entry(code), self.env.clone())?;
         match &result {
             Value::Closure(_) | Value::RecClosure { .. } => {}
@@ -723,27 +720,76 @@ mod tests {
         assert!(stats.steps > 0 && stats.steps < 50);
     }
 
+    /// One way to run code against a session per request: the rendered
+    /// result of applying `inc` to the argument, and the run's steps.
+    type Request = fn(&mut Session, i64) -> Result<(String, u64), Error>;
+
     #[test]
     fn calls_do_not_grow_the_segment() {
+        // Every request compiles into a fresh entry block that only its
+        // own run uses; each is taken back afterwards, on the error path
+        // too, so per-request use does not grow the segment.
+        let requests: [(&str, Request, i64); 4] = [
+            (
+                "call",
+                |s, i| {
+                    let (v, stats) = s.call("inc", Value::Int(i))?;
+                    Ok((v.to_string(), stats.steps))
+                },
+                10_000,
+            ),
+            (
+                "eval_expr",
+                |s, i| {
+                    let out = s.eval_expr(&format!("inc {i}"))?;
+                    Ok((out.value, out.stats.steps))
+                },
+                1_000,
+            ),
+            (
+                "run",
+                |s, i| {
+                    let out = s.run(&format!("val y = inc {i}"))?;
+                    Ok((out[0].value.clone(), out[0].stats.steps))
+                },
+                1_000,
+            ),
+            (
+                "failing eval_expr",
+                |s, i| {
+                    let out = s.eval_expr(&format!("inc {i} div 0"))?;
+                    Ok((out.value, out.stats.steps))
+                },
+                1_000,
+            ),
+        ];
         for adaptive in [None, Some(0), Some(1)] {
-            let mut s = Session::with_options(SessionOptions {
-                adaptive: adaptive.map(|promote_after| TierPolicy { promote_after }),
-                ..SessionOptions::default()
-            })
-            .unwrap();
-            s.run("fun inc x = x + 1").unwrap();
-            let (_, first) = s.call("inc", Value::Int(0)).unwrap();
-            let blocks = s.code_segment().num_blocks();
-            for i in 0..10_000 {
-                let (v, stats) = s.call("inc", Value::Int(i)).unwrap();
-                assert!(
-                    matches!(v, Value::Int(n) if n == i + 1),
-                    "{adaptive:?}: {v}"
-                );
-                assert_eq!(stats.steps, first.steps, "{adaptive:?}");
+            for (name, request, n) in requests {
+                let mut s = Session::with_options(SessionOptions {
+                    adaptive: adaptive.map(|promote_after| TierPolicy { promote_after }),
+                    ..SessionOptions::default()
+                })
+                .unwrap();
+                s.run("fun inc x = x + 1").unwrap();
+                let first = request(&mut s, 0).ok();
+                let blocks = s.code_segment().num_blocks();
+                for i in 0..n {
+                    match (request(&mut s, i), &first) {
+                        (Ok((v, steps)), Some((_, first_steps))) => {
+                            assert_eq!(v, (i + 1).to_string(), "{name} {adaptive:?}");
+                            // `val y` deepens the environment `inc` is
+                            // found in, so only the others repeat steps.
+                            if name != "run" {
+                                assert_eq!(steps, *first_steps, "{name} {adaptive:?}");
+                            }
+                        }
+                        (Err(e), None) => assert!(e.to_string().contains("zero"), "{e}"),
+                        (r, _) => panic!("{name} {adaptive:?}: {r:?} after {first:?}"),
+                    }
+                }
+                let grown = s.code_segment().num_blocks() - blocks;
+                assert!(grown <= 2, "{name} {adaptive:?}: {grown} blocks");
             }
-            let grown = s.code_segment().num_blocks() - blocks;
-            assert!(grown <= 2, "{adaptive:?}: {grown} blocks");
         }
     }
 
@@ -857,14 +903,13 @@ mod tests {
         let mut optimize = base.clone();
         optimize.optimize = true;
         assert_ne!(fp(&base), fp(&optimize), "optimize must change the key");
-        let mut fused = base.clone();
-        fused.fuse = true;
-        assert_ne!(fp(&base), fp(&fused), "fuse must change the key");
         let mut flat = base.clone();
         flat.flat_env = true;
         assert_ne!(fp(&base), fp(&flat), "flat_env must change the key");
+        let adaptive = adaptive_options(TierPolicy::default());
+        assert_ne!(fp(&base), fp(&adaptive), "adaptive must change the key");
         // The three non-default modes are also pairwise distinct.
-        let modes = [&optimize, &fused, &flat];
+        let modes = [&optimize, &flat, &adaptive];
         for (i, a) in modes.iter().enumerate() {
             for b in &modes[i + 1..] {
                 assert_ne!(fp(a), fp(b));
@@ -875,59 +920,37 @@ mod tests {
     #[test]
     fn static_point_fingerprints_are_pinned() {
         // Store keys and the golden artifact header are these values; the
-        // removed `native` slot still hashes as `false` so they did not
-        // move when the option went.
+        // removed `fuse` and `native` slots still hash as `false` so they
+        // did not move when the options went.
         let pinned = [
-            ((false, false), 0x17ec_a866_e1c9_0687_u64),
-            ((true, false), 0x3b56_4433_f3d7_404e),
-            ((false, true), 0x17e9_4266_e1c6_235e),
-            ((true, true), 0x3b59_aa33_f3da_2377),
+            (false, 0x17ec_a866_e1c9_0687_u64),
+            (true, 0x3b56_4433_f3d7_404e),
         ];
-        for ((optimize, fuse), want) in pinned {
+        for (optimize, want) in pinned {
             let o = SessionOptions {
                 optimize,
-                fuse,
                 ..SessionOptions::default()
             };
-            assert_eq!(o.fingerprint(), want, "optimize {optimize}, fuse {fuse}");
+            assert_eq!(o.fingerprint(), want, "optimize {optimize}");
         }
     }
 
     #[test]
-    fn fuse_agrees_and_takes_fewer_steps() {
-        let run_mode = |fuse: bool| {
-            let mut s = Session::with_options(SessionOptions {
-                fuse,
-                ..SessionOptions::default()
-            })
-            .unwrap();
-            s.run("fun compPoly p = case p of nil => code (fn x => 0) | a :: p' => let cogen f = compPoly p' cogen a' = lift a in code (fn x => a' + (x * f x)) end\nval f = eval (compPoly [2, 4, 0, 2333])").unwrap();
-            let out = s.eval_expr("f 47").unwrap();
-            (out.value, out.stats.steps, out.stats.fused)
-        };
-        let (v_plain, s_plain, f_plain) = run_mode(false);
-        let (v_fused, s_fused, f_fused) = run_mode(true);
-        assert_eq!(v_plain, v_fused);
-        assert_eq!(f_plain, 0, "default mode dispatches no fused opcodes");
-        assert!(f_fused > 0, "generated code was fused at freeze time");
-        assert!(s_fused < s_plain, "fusion must drop the step count");
-    }
-
-    #[test]
     fn fuse_dispatches_fused_opcodes_in_static_code() {
-        let mut s = Session::with_options(SessionOptions {
-            fuse: true,
-            ..SessionOptions::default()
-        })
-        .unwrap();
-        s.set_trace(1 << 16);
+        // Promotion at the first activation fuses statically compiled
+        // code too, and still reports Paper's steps.
+        let paper = Session::new().unwrap().eval_expr("1 + 2").unwrap();
+        let mut s =
+            Session::with_options(adaptive_options(TierPolicy { promote_after: 0 })).unwrap();
         let out = s.eval_expr("1 + 2").unwrap();
-        assert!(
-            traced(&s, "quote_cons") > 0 || traced(&s, "push_quote") > 0,
-            "static code runs fused: {:?}",
-            s.trace()
+        assert_eq!(out.value, "3");
+        assert_eq!(out.stats.steps, paper.stats.steps);
+        assert_eq!(
+            out.stats.tier_steps[0], 0,
+            "nothing ran cold: {:?}",
+            out.stats
         );
-        assert!(out.stats.fused > 0);
+        assert!(out.stats.tier_steps[1] > 0, "static code runs fused");
     }
 
     #[test]
@@ -953,7 +976,7 @@ mod tests {
     #[test]
     fn adaptive_rejects_static_tier_flags() {
         let mut o = adaptive_options(TierPolicy::default());
-        o.fuse = true;
+        o.optimize = true;
         let err = Session::with_options(o).unwrap_err();
         assert!(matches!(err, Error::Options(_)), "{err}");
     }

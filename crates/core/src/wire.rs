@@ -176,13 +176,14 @@ fn encode_options(out: &mut Vec<u8>, o: &SessionOptions) {
         None => out.push(FUEL_NONE),
     }
     // Removed options keep their slots at the one value they had in
-    // use: `typecheck` on, `count_opcodes` and `indexed_env` off.
+    // use: `typecheck` on, `count_opcodes`, `indexed_env` and `fuse`
+    // off.
     out.push(1);
     out.push(u8::from(o.optimize));
     out.push(0);
     out.push(0);
     out.push(u8::from(o.flat_env));
-    out.push(u8::from(o.fuse));
+    out.push(0);
     // The removed thread-coded tier's `native` flag: always off.
     out.push(0);
     if let Some(policy) = o.adaptive {
@@ -259,9 +260,9 @@ fn decode_options(bytes: &[u8]) -> Result<SessionOptions, WireError> {
         fuel,
         optimize,
         flat_env: r.bool()?,
-        fuse: r.bool()?,
         adaptive: None,
     };
+    fixed("fuse", r.bool()?, false)?;
     fixed("native", r.bool()?, false)?;
     // Optional adaptive-profile trailer: absent in every artifact
     // written before (or without) the tier controller.
@@ -276,9 +277,9 @@ fn decode_options(bytes: &[u8]) -> Result<SessionOptions, WireError> {
         fixed("use_native", r.bool()?, false)?;
         // `Session::with_options` refuses this combination; bytes must
         // not smuggle it past that check into `machine_for`.
-        if options.optimize || options.fuse {
+        if options.optimize {
             return Err(WireError::Corrupt(
-                "adaptive profile with static optimize/fuse flags",
+                "adaptive profile with static optimize flag",
             ));
         }
     }
@@ -621,7 +622,6 @@ mod tests {
             SessionOptions {
                 fuel: Some(123_456),
                 optimize: true,
-                fuse: true,
                 ..SessionOptions::default()
             },
             SessionOptions {

@@ -3,7 +3,8 @@
 //! rendered against the user's source in both `mlbox run` and the REPL.
 //! Also pins that `mlbox check` type checks without running anything,
 //! and that `mlbox run`, `mlbox eval` and the REPL still print a
-//! program's output when it later fails.
+//! program's output when it later fails (the REPL also the declarations
+//! that succeeded).
 
 use std::io::Write;
 use std::process::{Command, Output, Stdio};
@@ -100,8 +101,41 @@ fn repl_prints_captured_output_before_a_failure() {
         .expect("a prompt before the first input");
     assert_eq!(
         &stdout[first..],
-        "mlbox> hi\nmachine error: integer division by zero\n\
+        "mlbox> val u : unit = ()   (4 steps)\nhi\nmachine error: integer division by zero\n\
          mlbox> val y : int = 2   (3 steps)\nmlbox> "
+    );
+}
+
+#[test]
+fn repl_reports_the_declarations_before_a_failure() {
+    // `hd` and `b` are bound when `c` fails; the REPL says so, renders
+    // `hd`'s warning against this input (not the next one), and the
+    // next input sees the bindings.
+    let out = mlbox(
+        &["repl"],
+        &format!("{PARTIAL} val b = 2 val c = b div 0\nhd [b + 1]\n:q\n"),
+    );
+    let stdout = text(&out.stdout);
+    let first = stdout
+        .find("mlbox> ")
+        .expect("a prompt before the first input");
+    let answers = &stdout[first..];
+    assert!(
+        answers.starts_with(
+            "mlbox> elaborate warning at 1:12: match is not exhaustive\n\
+             \x20 | fun hd l = case l of a :: r => a val b = 2 val c = b div 0\n\
+             \x20 |            ^^^^^^^^^^^^^^^^^^^^^\n\
+             val hd : "
+        ),
+        "{stdout}"
+    );
+    assert!(
+        answers.ends_with(
+            "val b : int = 2   (3 steps)\n\
+             machine error: integer division by zero\n\
+             mlbox> val it : int = 3   (36 steps)\nmlbox> "
+        ),
+        "{stdout}"
     );
 }
 

@@ -15,20 +15,18 @@ use mlbox_bpf::filters::telnet_filter;
 use mlbox_bpf::mlsrc::{filter_decl, packet_value, BPF_ML};
 use mlbox_bpf::packet::PacketGen;
 
-/// Every tiering profile — Paper, the three static `(optimize, fuse)`
-/// flavors, adaptive at three thresholds — crossed with the two
-/// environment modes, with the fuel budget flipped between the two so
-/// each profile meets both of its values, paired with the env mode in an
-/// order that varies by profile.
+/// Every tiering profile — Paper, static `optimize`, adaptive at three
+/// thresholds — crossed with the two environment modes, with the fuel
+/// budget flipped between the two so each profile meets both of its
+/// values, paired with the env mode in an order that varies by profile.
 fn lattice() -> Vec<SessionOptions> {
-    let mut profiles = vec![SessionOptions::default()];
-    for bits in 1..4u8 {
-        profiles.push(SessionOptions {
-            optimize: bits & 1 != 0,
-            fuse: bits & 2 != 0,
+    let mut profiles = vec![
+        SessionOptions::default(),
+        SessionOptions {
+            optimize: true,
             ..SessionOptions::default()
-        });
-    }
+        },
+    ];
     for promote_after in [0, 1, 64] {
         profiles.push(SessionOptions {
             adaptive: Some(TierPolicy { promote_after }),

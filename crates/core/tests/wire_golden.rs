@@ -115,13 +115,15 @@ fn set_option_byte(mut bytes: Vec<u8>, from_end: usize, from: u8, to: u8) -> Vec
 /// (the profile marker, `promote_after` and `fuse_top_k` as `u64` LE,
 /// and `use_native`).
 const STATIC_NATIVE: usize = 1;
+const STATIC_FUSE: usize = 2;
 const STATIC_INDEXED_ENV: usize = 4;
 const STATIC_COUNT_OPCODES: usize = 5;
 const STATIC_TYPECHECK: usize = 7;
 const ADAPTIVE_USE_NATIVE: usize = 1;
 /// The low byte of `fuse_top_k`.
 const ADAPTIVE_FUSE_TOP_K: usize = 9;
-const ADAPTIVE_FUSE: usize = 2 + 18;
+const ADAPTIVE_FUSE: usize = STATIC_FUSE + 18;
+const ADAPTIVE_OPTIMIZE: usize = 6 + 18;
 
 /// The trailer `TierPolicy::default()` encodes to: the profile marker,
 /// `promote_after` 8, `fuse_top_k` at its fixed 7, `use_native` off.
@@ -167,6 +169,8 @@ fn artifacts_with_a_removed_option_on_decode_to_a_typed_error() {
     let (golden, adaptive) = (golden_bytes(), adaptive_golden_bytes());
     let inputs = [
         (&golden, STATIC_NATIVE, 0, 1, "native"),
+        (&golden, STATIC_FUSE, 0, 1, "fuse"),
+        (&adaptive, ADAPTIVE_FUSE, 0, 1, "fuse"),
         (&golden, STATIC_INDEXED_ENV, 0, 1, "indexed_env"),
         (&golden, STATIC_COUNT_OPCODES, 0, 1, "count_opcodes"),
         (&golden, STATIC_TYPECHECK, 1, 0, "typecheck"),
@@ -185,8 +189,9 @@ fn artifacts_with_a_removed_option_on_decode_to_a_typed_error() {
 
 #[test]
 fn adaptive_artifacts_with_static_flags_are_corrupt() {
-    // `Session::with_options` refuses adaptive + fuse; decode must too.
-    let bytes = set_option_byte(adaptive_golden_bytes(), ADAPTIVE_FUSE, 0, 1);
+    // `Session::with_options` refuses adaptive + optimize; decode must
+    // too.
+    let bytes = set_option_byte(adaptive_golden_bytes(), ADAPTIVE_OPTIMIZE, 0, 1);
     let err = CompiledFilter::from_wire_bytes(&bytes).unwrap_err();
     assert!(matches!(err, Error::Wire(WireError::Corrupt(_))), "{err}");
 }

@@ -9,7 +9,7 @@
 //! Usage:
 //!
 //! ```text
-//! serve-bench [--smoke] [--fuse] [--flat-env] [--persist] [--tiered]
+//! serve-bench [--smoke] [--flat-env] [--persist] [--tiered]
 //!             [--workers 1,2,4] [--batches 8,32] [--rounds N] [--tenants N]
 //! ```
 //!
@@ -21,21 +21,20 @@
 //! population — evicted artifacts must come back from the store, not
 //! the generator — and emits `BENCH_serve_persist.json` instead of
 //! `BENCH_serve.json`. `--tenants N` overrides the sweep's tenant count.
-//! `--fuse` runs the whole sweep (oracle included) under
-//! `SessionOptions::fuse`, so artifacts carry fused superinstructions
-//! and the per-packet step oracle checks the fused cost model.
-//! `--flat-env` does the same under `SessionOptions::flat_env`, so
-//! artifacts carry frame environments and the oracle checks flat-mode
-//! step counts.
+//! `--flat-env` runs the whole sweep (oracle included) under
+//! `SessionOptions::flat_env`, so artifacts carry frame environments and
+//! the oracle checks flat-mode step counts.
 //! `--tiered` runs the adaptive-tiering comparison instead: a mixed
 //! hot/cold multi-tenant workload served once per static flavor point
-//! (all 4 combinations of optimize × fuse) and once under the
-//! adaptive profile (`SessionOptions::adaptive`), each against a fresh
-//! pool and cache so specialization cost is inside the measurement.
-//! Reps are interleaved round-robin and the comparison is paired per
-//! round: the adaptive point must beat every static point in a majority
-//! of rounds — asserted, not just reported — while its verdicts *and
-//! per-packet step counts* stay identical to the plain profile. Emits
+//! (plain and optimized) and once under the adaptive profile
+//! (`SessionOptions::adaptive`, the only producer of fused code), each
+//! against a fresh pool and cache so specialization cost is inside the
+//! measurement. Each rep is timed by process CPU time, so time the host
+//! withholds from the process does not count. Reps are interleaved
+//! round-robin and the comparison is paired per round: the adaptive
+//! point must beat every static point in a majority of rounds —
+//! asserted, not just reported — while its verdicts *and per-packet
+//! step counts* stay identical to the plain profile. Emits
 //! `BENCH_serve_tiered.json`.
 
 use mlbox::{SessionOptions, TierPolicy};
@@ -71,7 +70,6 @@ fn parse_args() -> Config {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let smoke = args.iter().any(|a| a == "--smoke");
     let options = SessionOptions {
-        fuse: args.iter().any(|a| a == "--fuse"),
         flat_env: args.iter().any(|a| a == "--flat-env"),
         ..SessionOptions::default()
     };
@@ -493,7 +491,6 @@ fn run_persist(config: &Config) {
     out.push_str("{\n");
     out.push_str("  \"bench\": \"serve_persist\",\n");
     out.push_str(&format!("  \"smoke\": {},\n", config.smoke));
-    out.push_str(&format!("  \"fuse\": {},\n", config.options.fuse));
     out.push_str(&format!("  \"flat_env\": {},\n", config.options.flat_env));
     out.push_str("  \"cold_start\": [\n");
     for (i, c) in cold.iter().enumerate() {
@@ -557,8 +554,8 @@ fn run_persist(config: &Config) {
 /// One distinct filter of the tiered workload, with its packets and the
 /// plain-profile oracle answers. Verdicts must hold under every flavor;
 /// step counts must hold under the adaptive profile (promotion is
-/// invisible in the cost model) but not under static fuse, which changes
-/// the step model by design.
+/// invisible in the cost model) but not under static optimize, which
+/// changes the step model by design.
 struct TieredFilter {
     filter: Arc<Vec<Insn>>,
     packets: Vec<Packet>,
@@ -578,9 +575,9 @@ struct TieredPoint {
     name: String,
     options: SessionOptions,
     packets: u64,
-    /// Best-of-reps wall time for the whole workload, specialization
-    /// included (fresh pool and cache per rep).
-    elapsed_secs: f64,
+    /// Best-of-reps process CPU time for the whole workload,
+    /// specialization included (fresh pool and cache per rep).
+    cpu_secs: f64,
     promotions: u64,
     refreezes: u64,
     tier_occupancy: [u64; 2],
@@ -588,9 +585,35 @@ struct TieredPoint {
 }
 
 impl TieredPoint {
-    fn packets_per_sec(&self) -> f64 {
-        self.packets as f64 / self.elapsed_secs.max(1e-9)
+    /// Packets per second of process CPU time.
+    fn packets_per_cpu_sec(&self) -> f64 {
+        self.packets as f64 / self.cpu_secs.max(1e-9)
     }
+}
+
+#[repr(C)]
+struct Timespec {
+    sec: i64,
+    nsec: i64,
+}
+
+extern "C" {
+    fn clock_gettime(clock: i32, ts: *mut Timespec) -> i32;
+}
+
+const CLOCK_PROCESS_CPUTIME_ID: i32 = 2;
+
+/// CPU time this process has used so far, all threads together, in
+/// seconds. Unlike wall time it leaves out time the process was runnable
+/// but not running (waiting for a core, or steal on a virtual machine),
+/// which would otherwise decide a paired round on a loaded host.
+fn process_cpu_secs() -> f64 {
+    let mut ts = Timespec { sec: 0, nsec: 0 };
+    // SAFETY: `ts` is a live, writable timespec for the duration of the
+    // call, which is all `clock_gettime` asks.
+    let rc = unsafe { clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &mut ts) };
+    assert_eq!(rc, 0, "clock_gettime(CLOCK_PROCESS_CPUTIME_ID)");
+    ts.sec as f64 + ts.nsec as f64 * 1e-9
 }
 
 /// Builds the mixed hot/cold tenant population: a small hot set (the
@@ -693,7 +716,7 @@ fn run_tiered_once(
     jobs: &[TieredJob],
     check_steps: bool,
 ) -> TieredPoint {
-    let started = Instant::now();
+    let started = process_cpu_secs();
     // One worker: the points compare dispatch quality per core, and
     // a single lane keeps the measurement free of scheduler interleaving
     // (the worker-scaling story is the main sweep's job, not this one's).
@@ -741,13 +764,13 @@ fn run_tiered_once(
             packets += 1;
         }
     }
-    let elapsed_secs = started.elapsed().as_secs_f64();
+    let cpu_secs = process_cpu_secs() - started;
     let report = pool.shutdown();
     TieredPoint {
         name: String::new(),
         options: options.clone(),
         packets,
-        elapsed_secs,
+        cpu_secs,
         promotions: report.total_promotions(),
         refreezes: report.total_refreezes(),
         tier_occupancy: report.tier_occupancy(),
@@ -762,37 +785,27 @@ fn run_tiered(config: &Config) {
     eprintln!("serve-bench: building tiered workload and plain oracle...");
     let (filters, jobs) = build_tiered_filters(config);
     let reps = 7;
-    let mut flavor_points: Vec<(String, SessionOptions, bool)> = (0..4u8)
-        .map(|bits| {
-            let options = SessionOptions {
-                optimize: bits & 1 != 0,
-                fuse: bits & 2 != 0,
+    let flavor_points = [
+        ("static_plain", SessionOptions::default()),
+        (
+            "static+opt",
+            SessionOptions {
+                optimize: true,
                 ..SessionOptions::default()
-            };
-            let mut name = String::from("static");
-            for (on, tag) in [(options.optimize, "+opt"), (options.fuse, "+fuse")] {
-                if on {
-                    name.push_str(tag);
-                }
-            }
-            if name == "static" {
-                name.push_str("_plain");
-            }
-            (name, options, false)
-        })
-        .collect();
-    // The serving policy promotes hot blocks to the fused rendering. The
-    // threshold sits above the activations a cold tenant's 4-packet
-    // burst produces: promoting those blocks would spend fuse-render
-    // time on code that is about to go idle.
-    flavor_points.push((
-        "adaptive".to_string(),
-        SessionOptions {
-            adaptive: Some(TierPolicy { promote_after: 32 }),
-            ..SessionOptions::default()
-        },
-        true,
-    ));
+            },
+        ),
+        // The serving policy promotes hot blocks to the fused rendering.
+        // The threshold sits above the activations a cold tenant's
+        // 4-packet burst produces: promoting those blocks would spend
+        // rendering time on code that is about to go idle.
+        (
+            "adaptive",
+            SessionOptions {
+                adaptive: Some(TierPolicy { promote_after: 32 }),
+                ..SessionOptions::default()
+            },
+        ),
+    ];
 
     // Reps are interleaved round-robin across the points (rather
     // than run back-to-back per point) so a transient load spike on the
@@ -802,27 +815,27 @@ fn run_tiered(config: &Config) {
     let mut best: Vec<Option<TieredPoint>> = flavor_points.iter().map(|_| None).collect();
     let mut rounds: Vec<Vec<f64>> = flavor_points.iter().map(|_| Vec::new()).collect();
     for _ in 0..reps {
-        for (slot, (_, options, adaptive)) in flavor_points.iter().enumerate() {
-            let point = run_tiered_once(options, &filters, &jobs, *adaptive);
-            rounds[slot].push(point.elapsed_secs);
+        for (slot, (_, options)) in flavor_points.iter().enumerate() {
+            let point = run_tiered_once(options, &filters, &jobs, options.adaptive.is_some());
+            rounds[slot].push(point.cpu_secs);
             if best[slot]
                 .as_ref()
-                .is_none_or(|b| point.elapsed_secs < b.elapsed_secs)
+                .is_none_or(|b| point.cpu_secs < b.cpu_secs)
             {
                 best[slot] = Some(point);
             }
         }
     }
     let mut points: Vec<TieredPoint> = Vec::new();
-    for ((name, _, _), best) in flavor_points.iter().zip(best) {
+    for ((name, _), best) in flavor_points.iter().zip(best) {
         let mut point = best.expect("at least one rep");
-        point.name.clone_from(name);
+        point.name = name.to_string();
         eprintln!(
-            "serve-bench:   {name}: {} packets in {:.1} ms ({:.0} packets/sec, \
+            "serve-bench:   {name}: {} packets in {:.1} CPU ms ({:.0} packets/CPU sec, \
              {} promotions, occupancy {:?})",
             point.packets,
-            point.elapsed_secs * 1e3,
-            point.packets_per_sec(),
+            point.cpu_secs * 1e3,
+            point.packets_per_cpu_sec(),
             point.promotions,
             point.tier_occupancy
         );
@@ -854,11 +867,11 @@ fn run_tiered(config: &Config) {
         assert!(
             2 * wins > reps,
             "adaptive must beat {} in a majority of paired rounds, won {wins}/{reps} \
-             (best-of: adaptive {:.0} vs {} {:.0} packets/sec)",
+             (best-of: adaptive {:.0} vs {} {:.0} packets/CPU sec)",
             point.name,
-            adaptive.packets_per_sec(),
+            adaptive.packets_per_cpu_sec(),
             point.name,
-            point.packets_per_sec()
+            point.packets_per_cpu_sec()
         );
     }
 
@@ -879,18 +892,17 @@ fn run_tiered(config: &Config) {
             .filter(|(a, s)| a < s)
             .count();
         out.push_str(&format!(
-            "    {{\"name\": \"{}\", \"optimize\": {}, \"fuse\": {}, \
-             \"adaptive\": {}, \"packets\": {}, \"elapsed_ms\": {}, \"packets_per_sec\": {}, \
+            "    {{\"name\": \"{}\", \"optimize\": {}, \
+             \"adaptive\": {}, \"packets\": {}, \"cpu_ms\": {}, \"packets_per_cpu_sec\": {}, \
              \"adaptive_round_wins\": {adaptive_wins}, \
              \"promotions\": {}, \"refreezes\": {}, \"tier_steps\": [{}, {}], \
              \"cache_misses\": {}}}{}\n",
             p.name,
             p.options.optimize,
-            p.options.fuse,
             p.options.adaptive.is_some(),
             p.packets,
-            json_f(p.elapsed_secs * 1e3),
-            json_f(p.packets_per_sec()),
+            json_f(p.cpu_secs * 1e3),
+            json_f(p.packets_per_cpu_sec()),
             p.promotions,
             p.refreezes,
             p.tier_occupancy[0],
@@ -905,8 +917,8 @@ fn run_tiered(config: &Config) {
     out.push_str("}\n");
     print!("{out}");
     eprintln!(
-        "serve-bench: tiered ok (adaptive {:.0} packets/sec beats all {} static points)",
-        adaptive.packets_per_sec(),
+        "serve-bench: tiered ok (adaptive {:.0} packets/CPU sec beats all {} static points)",
+        adaptive.packets_per_cpu_sec(),
         points.len() - 1
     );
 }
@@ -993,7 +1005,6 @@ fn main() {
     out.push_str("{\n");
     out.push_str("  \"bench\": \"serve\",\n");
     out.push_str(&format!("  \"smoke\": {},\n", config.smoke));
-    out.push_str(&format!("  \"fuse\": {},\n", config.options.fuse));
     out.push_str(&format!("  \"flat_env\": {},\n", config.options.flat_env));
     out.push_str(&format!("  \"available_parallelism\": {parallelism},\n"));
     out.push_str("  \"filters\": [\n");

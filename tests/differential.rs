@@ -4,7 +4,7 @@
 //! programs, both unstaged and staged.
 
 use mlbox::differential::{run_both, run_both_full};
-use mlbox::EnvMode;
+use mlbox::{EnvMode, TierPolicy};
 use proptest::prelude::*;
 
 /// Renders an integer in SML concrete syntax (`~` for negation).
@@ -16,35 +16,60 @@ fn ml_int(n: i64) -> String {
     }
 }
 
+/// The tier policy that promotes every executed block to its fused
+/// rendering at its first activation.
+const PROMOTE_ALL: TierPolicy = TierPolicy { promote_after: 0 };
+
 /// Asserts machine/interpreter agreement across the full 2×2
 /// execution-mode matrix — environment access (pair spine vs flat
-/// frames) × superinstruction fusion (off vs on) — and that all four
-/// compiled runs observe identical values and output. Returns the shared
-/// rendering.
+/// frames) × tiering (Paper vs adaptive with every block promoted to
+/// fused code) — that all four compiled runs observe identical values
+/// and output, and that promotion leaves each mode's step count at
+/// Paper's. Returns the shared rendering.
 fn assert_agree_both_modes(src: &str) -> String {
     let mut baseline: Option<(String, String)> = None;
     for mode in [EnvMode::PairSpine, EnvMode::Flat] {
-        for fuse in [false, true] {
-            let r = run_both_full(src, true, mode, fuse).unwrap();
+        let mut paper_steps = None;
+        for adaptive in [None, Some(PROMOTE_ALL)] {
+            let r = run_both_full(src, true, mode, adaptive).unwrap();
             assert!(
                 r.agree(),
-                "{mode:?}/fuse={fuse} disagreement on:\n{src}\n machine: {} (out {:?})\n interp:  {} (out {:?})",
+                "{mode:?}/{adaptive:?} disagreement on:\n{src}\n machine: {} (out {:?})\n interp:  {} (out {:?})",
                 r.machine,
                 r.machine_output,
                 r.interp,
                 r.interp_output
             );
+            match paper_steps {
+                None => paper_steps = Some(r.machine_steps),
+                Some(steps) => assert_eq!(
+                    steps, r.machine_steps,
+                    "promotion changed the step count ({mode:?}) on:\n{src}"
+                ),
+            }
             match &baseline {
                 None => baseline = Some((r.machine, r.machine_output)),
                 Some((v, o)) => assert_eq!(
                     (v, o),
                     (&r.machine, &r.machine_output),
-                    "execution modes disagree ({mode:?}, fuse={fuse}) on:\n{src}"
+                    "execution modes disagree ({mode:?}, {adaptive:?}) on:\n{src}"
                 ),
             }
         }
     }
     baseline.unwrap().0
+}
+
+/// Options for one of the two code paths a session offers beyond Paper:
+/// the static §4.2 optimizer, or the tier controller promoting every
+/// block to fused code (the two are mutually exclusive).
+fn optimized_or_promoted(optimize: bool, flat_env: bool) -> mlbox::SessionOptions {
+    mlbox::SessionOptions {
+        optimize,
+        flat_env,
+        adaptive: (!optimize).then_some(PROMOTE_ALL),
+        ..Default::default()
+    }
 }
 
 #[test]
@@ -93,15 +118,18 @@ fn fuel_exhaustion_parity_across_all_modes() {
     // Fuel is charged in pair-spine units (`acc n` costs n+1, a fused
     // superinstruction the sum of its components, `env_cons` one cons),
     // so a budget must exhaust at exactly the same point in every
-    // execution mode — fusion or flat environments can't smuggle extra
-    // work past a limit, nor make a budget spuriously tighter.
+    // execution mode — promoted fused code or flat environments can't
+    // smuggle extra work past a limit, nor make a budget spuriously
+    // tighter. `PROMOTE_ALL` runs every block fused from its first
+    // activation; a fused dispatch that straddles the budget must still
+    // abort at the Paper point.
     use mlbox::{Session, SessionOptions};
     let prog = "fun cp e = if e = 0 then code (fn b => 1)\n\
                 else let cogen p = cp (e - 1) in code (fn b => b * (p b)) end;\n\
                 eval (cp 6) 2";
-    let opts = |flat: bool, fuse: bool| SessionOptions {
+    let opts = |flat: bool, adaptive: Option<TierPolicy>| SessionOptions {
         flat_env: flat,
-        fuse,
+        adaptive,
         ..Default::default()
     };
     let runs_with = |o: &SessionOptions, fuel: u64| -> bool {
@@ -114,7 +142,7 @@ fn fuel_exhaustion_parity_across_all_modes() {
         }
     };
     // Bisect the default mode's minimal sufficient budget...
-    let base = opts(false, false);
+    let base = opts(false, None);
     let (mut lo, mut hi) = (1u64, 10_000_000u64);
     assert!(runs_with(&base, hi), "budget ceiling too small");
     while lo < hi {
@@ -128,15 +156,15 @@ fn fuel_exhaustion_parity_across_all_modes() {
     let minimal = lo;
     // ...and every mode combination must exhaust at exactly that point.
     for flat in [false, true] {
-        for fuse in [false, true] {
-            let o = opts(flat, fuse);
+        for adaptive in [None, Some(PROMOTE_ALL)] {
+            let o = opts(flat, adaptive);
             assert!(
                 runs_with(&o, minimal),
-                "flat={flat} fuse={fuse} fails at the minimal budget {minimal}"
+                "flat={flat} {adaptive:?} fails at the minimal budget {minimal}"
             );
             assert!(
                 !runs_with(&o, minimal - 1),
-                "flat={flat} fuse={fuse} succeeds below the minimal budget {minimal}"
+                "flat={flat} {adaptive:?} succeeds below the minimal budget {minimal}"
             );
         }
     }
@@ -295,7 +323,8 @@ proptest! {
         negate in proptest::bool::ANY,
     ) {
         // Machine vs oracle, and — with both operands lifted so the §4.2
-        // optimizer constant-folds the division — optimized vs plain.
+        // optimizer constant-folds the division — optimized and promoted
+        // fused code vs plain.
         let d = if negate { -b } else { b };
         let src = format!(
             "let cogen a' = lift {} cogen b' = lift {} in eval (code (fn u => (a' div b', a' mod b'))) end 0",
@@ -303,17 +332,13 @@ proptest! {
             ml_int(d)
         );
         let plain = assert_agree_both_modes(&src);
-        use mlbox::{Session, SessionOptions};
-        for (flat_env, fuse) in [(false, false), (true, false), (false, true), (true, true)] {
-            let mut s = Session::with_options(SessionOptions {
-                optimize: true,
-                flat_env,
-                fuse,
-                ..Default::default()
-            })
-            .unwrap();
-            let out = s.run(&src).unwrap();
-            prop_assert_eq!(&out.last().unwrap().value, &plain);
+        use mlbox::Session;
+        for flat_env in [false, true] {
+            for optimized in [true, false] {
+                let mut s = Session::with_options(optimized_or_promoted(optimized, flat_env)).unwrap();
+                let out = s.run(&src).unwrap();
+                prop_assert_eq!(&out.last().unwrap().value, &plain);
+            }
         }
     }
 
@@ -323,8 +348,9 @@ proptest! {
         x in 0i64..10,
     ) {
         // The §4.2 optimizer (small coefficients exercise the 0/1
-        // identity rules) must preserve the interpreter's answers.
-        use mlbox::{Session, SessionOptions};
+        // identity rules) and promoted fused code must preserve the
+        // interpreter's answers.
+        use mlbox::Session;
         let list = coeffs
             .iter()
             .map(|n| n.to_string())
@@ -337,17 +363,14 @@ proptest! {
              (eval (compPoly [{list}]) {x}, evalPoly ({x}, [{list}]))"
         );
         for flat_env in [false, true] {
-            let mut s = Session::with_options(SessionOptions {
-                optimize: true,
-                flat_env,
-                ..Default::default()
-            })
-            .unwrap();
-            let out = s.run(&src).unwrap();
-            let v = &out.last().unwrap().value;
-            let inner = v.trim_start_matches('(').trim_end_matches(')');
-            let (a, b) = inner.split_once(", ").expect("pair");
-            prop_assert_eq!(a, b, "optimized staged vs interpreted");
+            for optimized in [true, false] {
+                let mut s = Session::with_options(optimized_or_promoted(optimized, flat_env)).unwrap();
+                let out = s.run(&src).unwrap();
+                let v = &out.last().unwrap().value;
+                let inner = v.trim_start_matches('(').trim_end_matches(')');
+                let (a, b) = inner.split_once(", ").expect("pair");
+                prop_assert_eq!(a, b, "optimized/promoted staged vs interpreted");
+            }
         }
     }
 }
