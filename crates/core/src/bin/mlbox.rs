@@ -58,14 +58,9 @@ fn check_file(path: Option<&String>) -> Result<(), Box<dyn std::error::Error>> {
 fn run_file(path: Option<&String>) -> Result<(), Box<dyn std::error::Error>> {
     let src = read_source(path)?;
     let mut session = Session::new()?;
-    let outcomes = match session.run(&src) {
-        Ok(outcomes) => outcomes,
-        Err(e) => {
-            // Declarations before the failing one may have printed.
-            print_output(&mut session);
-            return Err(e.into());
-        }
-    };
+    // Declarations before a failing one are bound: report them too.
+    let mut outcomes = Vec::new();
+    let result = session.run_each(&src, |o| outcomes.push(o));
     for w in session.take_warnings() {
         eprintln!("{}", w.render(&src));
     }
@@ -81,8 +76,9 @@ fn run_file(path: Option<&String>) -> Result<(), Box<dyn std::error::Error>> {
             ),
         }
     }
+    // Declarations before a failing one may have printed.
     print_output(&mut session);
-    Ok(())
+    Ok(result?)
 }
 
 /// Prints what the program wrote with `print`, under a header.

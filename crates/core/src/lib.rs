@@ -66,37 +66,3 @@ pub use error::Error;
 pub use mlbox_compile::ctx::EnvMode;
 pub use render::{render_eval, render_machine};
 pub use session::{Checked, Outcome, Session, SessionOptions};
-
-/// Runs `f` on a thread with a large stack (the reference interpreter and
-/// the compiler recurse on the Rust stack; deeply staged or deeply nested
-/// programs need more than the default).
-///
-/// # Panics
-///
-/// Propagates panics from `f`.
-pub fn with_big_stack<T: Send>(f: impl FnOnce() -> T + Send) -> T {
-    std::thread::scope(|scope| {
-        std::thread::Builder::new()
-            .stack_size(256 * 1024 * 1024)
-            .spawn_scoped(scope, f)
-            .expect("spawn big-stack thread")
-            .join()
-            .expect("big-stack thread panicked")
-    })
-}
-
-#[cfg(test)]
-mod tests {
-    #[test]
-    fn with_big_stack_runs_deep_recursion() {
-        fn depth(n: u64) -> u64 {
-            if n == 0 {
-                0
-            } else {
-                1 + depth(n - 1)
-            }
-        }
-        let d = super::with_big_stack(|| depth(1_000_000));
-        assert_eq!(d, 1_000_000);
-    }
-}

@@ -3,8 +3,8 @@
 //! rendered against the user's source in both `mlbox run` and the REPL.
 //! Also pins that `mlbox check` type checks without running anything,
 //! and that `mlbox run`, `mlbox eval` and the REPL still print a
-//! program's output when it later fails (the REPL also the declarations
-//! that succeeded).
+//! program's output when it later fails (`mlbox run` and the REPL also
+//! the declarations that succeeded).
 
 use std::io::Write;
 use std::process::{Command, Output, Stdio};
@@ -68,7 +68,10 @@ fn run_prints_captured_output_before_a_later_failure() {
     );
     let out = mlbox_status(&["run", &path], "");
     assert_eq!(out.status.code(), Some(1), "{out:?}");
-    assert_eq!(text(&out.stdout), "--- output ---\nhello\n\n");
+    assert_eq!(
+        text(&out.stdout),
+        "val u : unit = ()   (4 steps, 0 emitted)\n--- output ---\nhello\n\n"
+    );
     assert_eq!(
         text(&out.stderr),
         "machine error: integer division by zero\n"

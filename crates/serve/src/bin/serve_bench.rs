@@ -374,10 +374,13 @@ fn run_persist(config: &Config) {
 
     // The tenant sweep: `filters` distinct filter programs shared by
     // `tenants` tenants, served through a cache that cannot hold the
-    // whole population (9 filters into capacity 8 is one per shard, so
-    // at least one shard must evict). Every artifact that comes back
-    // after eviction is a store load, not a generator run — the sweep
-    // asserts the generator ran exactly once per distinct filter.
+    // whole population (9 filters into capacity 8, so the cache must
+    // evict). Every artifact that comes back after eviction is a store
+    // load, not a generator run — the sweep asserts the generator ran
+    // exactly once per distinct filter. Tenants take the filters round
+    // robin, a cyclic scan that LRU serves with almost no hits: the
+    // sweep proves evictions come back from the store, it does not
+    // measure the hit rate.
     let nfilters = if config.smoke { 9 } else { 32 };
     let tenants = config.tenants;
     let cache_capacity = 8;

@@ -8,7 +8,8 @@
 //! - a **specialization cache** ([`cache`]) keyed by (filter-program
 //!   fingerprint, [`SessionOptions`](mlbox::SessionOptions) fingerprint),
 //!   guaranteeing that N workers requesting the same filter trigger
-//!   exactly one specialization;
+//!   exactly one specialization, and evicting the least recently used
+//!   entry at an exact capacity;
 //! - a **batched worker pool** ([`pool`]) of threads that each own a
 //!   private [`Machine`](ccam::Machine), drain packet batches from a
 //!   bounded channel (blocking `submit` or shed-with-reason
@@ -42,7 +43,7 @@ pub mod pool;
 pub mod store;
 pub mod swap;
 
-pub use cache::{CacheConfig, CacheKey, CacheStats, FilterCache, SpecializationCache};
+pub use cache::{CacheKey, CacheStats, FilterCache, SpecializationCache};
 pub use hist::{LatencyHistogram, LatencySnapshot};
 pub use pool::{
     AdmissionError, BatchOutput, BatchResult, PoolConfig, PoolReport, ServePool, Ticket,

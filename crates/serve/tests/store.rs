@@ -1,14 +1,16 @@
 //! The artifact store's persistence contract: save/load round-trips,
 //! typed errors for corrupt or mismatched files, idempotent saves, no
 //! leftover temp files, and cache integration (a store-backed cache
-//! never re-runs the generator for an artifact that is on disk).
+//! never re-runs the generator for an artifact that is on disk, and one
+//! request sequence gives the same cache counters on every replay).
 
 use mlbox::SessionOptions;
 use mlbox_bpf::harness::{expect_verdict, filter_arg};
 use mlbox_bpf::native::run_filter;
 use mlbox_bpf::{port_filter, telnet_filter, FilterHarness, PacketGen};
-use mlbox_serve::{ArtifactStore, CacheConfig, FilterCache, StoreError};
+use mlbox_serve::{ArtifactStore, FilterCache, PoolConfig, ServePool, StoreError};
 use std::path::PathBuf;
+use std::sync::Arc;
 
 /// A fresh store directory per test, removed on drop.
 struct TempStore {
@@ -190,7 +192,7 @@ fn store_backed_cache_never_recompiles_persisted_artifacts() {
     temp.store.save(&compile(&filter, &options)).unwrap();
 
     // ...then serve through a cache so small every request re-misses.
-    let cache = FilterCache::for_filters(CacheConfig::with_capacity(1));
+    let cache = FilterCache::new(1);
     for _ in 0..3 {
         let artifact = cache
             .get_or_load_or_specialize(&filter, &options, &temp.store)
@@ -212,6 +214,65 @@ fn store_backed_cache_never_recompiles_persisted_artifacts() {
     let stats = temp.store.stats();
     assert_eq!(stats.saves, 2, "the miss was specialized and persisted");
     assert_eq!(temp.store.len().unwrap(), 2);
+}
+
+#[test]
+fn store_backed_pool_replays_give_identical_cache_counters() {
+    // Cache misses are store loads here, whose time varies from run to
+    // run; eviction must depend only on the request order, so every
+    // replay of one sequence counts the same hits, misses and evictions.
+    // The cache holds half the filters, as many entries as
+    // `tenant_churn`'s, so each eviction chooses among 16 entries.
+    let temp = TempStore::new("replay");
+    let options = SessionOptions::default();
+    let filters: Vec<Arc<Vec<mlbox_bpf::insn::Insn>>> =
+        (0..32).map(|i| Arc::new(port_filter(8000 + i))).collect();
+    for f in &filters {
+        temp.store.save(&compile(f, &options)).unwrap();
+    }
+    // A seeded, skewed sequence: squaring a uniform draw favours the
+    // low-numbered filters, so some hit and the rest churn.
+    let mut state = 0x2545_f491_4f6c_dd1d_u64;
+    let requests: Vec<usize> = (0..400)
+        .map(|_| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            let u = (state >> 11) as f64 / (1u64 << 53) as f64;
+            (u * u * filters.len() as f64) as usize
+        })
+        .collect();
+    let packet = PacketGen::new(72).tcp(8003, 16);
+    let store = Arc::new(ArtifactStore::open(&temp.root).unwrap());
+    let replay = || {
+        let pool = ServePool::new(PoolConfig {
+            workers: 1,
+            cache_capacity: 16,
+            options: options.clone(),
+            store: Some(Arc::clone(&store)),
+            ..PoolConfig::default()
+        });
+        let tickets: Vec<_> = requests
+            .iter()
+            .map(|&i| pool.submit(Arc::clone(&filters[i]), vec![packet.clone()]))
+            .collect();
+        for ticket in tickets {
+            ticket.wait().outcome.unwrap();
+        }
+        let cache = pool.shutdown().cache;
+        (cache.hits, cache.misses, cache.evictions)
+    };
+    let first = replay();
+    assert!(
+        first.0 > 0 && first.2 > 0,
+        "the sequence both hits and evicts: {first:?}"
+    );
+    for _ in 1..5 {
+        assert_eq!(replay(), first);
+    }
+    let stats = store.stats();
+    assert_eq!(stats.saves, 0, "the generator never ran");
+    assert_eq!(stats.loads, 5 * first.1, "every miss was a store load");
 }
 
 #[test]
