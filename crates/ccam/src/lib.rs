@@ -27,8 +27,9 @@
 //!
 //! Segments and values are single-threaded `Rc` graphs. Frozen code leaves
 //! its thread as bytes: [`wire::encode`] renders a value and every block it
-//! reaches, and [`wire::decode`] rebuilds them in a fresh segment on the
-//! thread (or in the process) that runs them.
+//! reaches, [`wire::decode`] rebuilds them in a fresh segment on the
+//! thread (or in the process) that runs them, and [`wire::validate`]
+//! checks them exactly as `decode` would without building anything.
 //!
 //! The simulator counts **reduction steps** (one per executed instruction),
 //! the measurement unit of the paper's Table 1, plus emitted-instruction,

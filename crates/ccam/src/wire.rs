@@ -8,7 +8,9 @@
 //! module's hand-rolled, deterministic, versionable rendering of a
 //! [`Value`] graph and every code block it reaches. Bytes are
 //! `Send + Sync`; a thread that wants to run the code [`decode`]s them
-//! into a fresh segment and value graph of its own.
+//! into a fresh segment and value graph of its own, and a loader that
+//! only needs to know the bytes are sound [`validate`]s them, which
+//! builds nothing.
 //!
 //! A payload is the block table (every reachable block, numbered densely
 //! in the order a pre-order walk from the root first reaches it) followed
@@ -33,11 +35,13 @@
 //!   back-referenced by index, and a block reached twice is encoded once,
 //!   so a decode restores exactly the sharing the encoder saw: the
 //!   instruction count and step counts survive the disk.
-//! - **Totality of decode**: every read is bounds-checked, untrusted
-//!   counts never pre-allocate, block references are validated against
-//!   the block table, nested emits are refused, and nesting depth is
-//!   capped ([`MAX_DECODE_DEPTH`]) so a malicious input errors instead of
-//!   exhausting the stack. Decode never panics.
+//! - **Totality of decode and validate**: every read is bounds-checked,
+//!   untrusted counts never pre-allocate, block references are validated
+//!   against the block table, nested emits are refused, and nesting depth
+//!   is capped ([`MAX_DECODE_DEPTH`]) so a malicious input errors instead
+//!   of exhausting the stack. Neither ever panics, and both return the
+//!   same result for every input: [`validate`] is [`decode`]'s walk with
+//!   nothing built, so bytes it accepts always decode.
 
 use crate::instr::{Instr, MergeSwitchSpec, PrimOp, SwitchArm, SwitchTable};
 use crate::seg::{BlockId, CodeRef, CodeSeg};
@@ -119,7 +123,7 @@ impl fmt::Display for ExtractError {
 
 impl std::error::Error for ExtractError {}
 
-/// What a payload holds, as its encoder or decoder counted it.
+/// What a payload holds, as its encoder, decoder or validator counted it.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PayloadInfo {
     /// Instructions in the block table: every reachable instruction,
@@ -166,7 +170,7 @@ impl Writer {
     }
 }
 
-/// A bounds-checked cursor over the input for the decoder.
+/// A bounds-checked cursor over the input for the decoder and validator.
 struct Reader<'a> {
     bytes: &'a [u8],
     pos: usize,
@@ -218,7 +222,48 @@ impl<'a> Reader<'a> {
         let bytes = self.take(len)?;
         std::str::from_utf8(bytes).map_err(|_| WireError::Corrupt("string is not UTF-8"))
     }
+
+    /// A block number, checked against the size of the block table.
+    fn block_ref(&mut self, blocks: u32) -> Result<BlockId, WireError> {
+        let b = self.u32()?;
+        if b >= blocks {
+            return Err(WireError::Corrupt("block reference out of range"));
+        }
+        Ok(BlockId(b))
+    }
+
+    /// A back-reference into a table of shared nodes in first-emission
+    /// order, where `None` marks a node whose inline encoding is still
+    /// being read (a back-reference to it would be a cycle — impossible
+    /// for the DAGs the encoder writes).
+    fn backref<T: Clone>(&mut self, shared: &[Option<T>]) -> Result<T, WireError> {
+        match shared.get(self.u32()? as usize) {
+            Some(Some(node)) => Ok(node.clone()),
+            Some(None) => Err(WireError::Corrupt("cyclic back-reference")),
+            None => Err(WireError::Corrupt("dangling back-reference")),
+        }
+    }
 }
+
+// ---------------------------------------------------------------------
+// Corruption messages that both `decode` and `validate` report: the two
+// walks accept the same inputs and refuse the rest with the same error.
+// ---------------------------------------------------------------------
+
+const NOT_A_GROUP: &str = "rec-closure back-reference is not a group";
+const BAD_GROUP_MARKER: &str = "unknown rec-group marker";
+const BAD_REC_INDEX: &str = "rec-closure index out of range";
+const BAD_CON_MARKER: &str = "unknown constructor payload marker";
+const BACKREF_TO_GROUP: &str = "value back-reference resolves to a rec group";
+const BAD_VALUE_TAG: &str = "unknown value tag";
+const NESTED_EMIT: &str = "nested emit";
+const BAD_DEFAULT_MARKER: &str = "unknown switch default marker";
+const BAD_OPCODE: &str = "unknown instruction opcode";
+const TOO_MANY_INSTRS: &str = "segment exceeds u32 instructions";
+
+/// The `emit` opcode ([`Instr::opcode`]), whose operand may not be
+/// another `emit`.
+const OP_EMIT: u8 = 9;
 
 // ---------------------------------------------------------------------
 // Value tags. Shared nodes (pair, frame, closure, rec group) are encoded
@@ -613,11 +658,7 @@ struct Decode<'a> {
 
 impl Decode<'_> {
     fn block_ref(&mut self) -> Result<BlockId, WireError> {
-        let b = self.input.u32()?;
-        if b >= self.blocks {
-            return Err(WireError::Corrupt("block reference out of range"));
-        }
-        Ok(BlockId(b))
+        self.input.block_ref(self.blocks)
     }
 
     fn read_blocks(&mut self) -> Result<Rc<Vec<BlockId>>, WireError> {
@@ -635,12 +676,7 @@ impl Decode<'_> {
     }
 
     fn backref(&mut self) -> Result<Shared, WireError> {
-        let idx = self.input.u32()? as usize;
-        match self.shared.get(idx) {
-            Some(Some(node)) => Ok(node.clone()),
-            Some(None) => Err(WireError::Corrupt("cyclic back-reference")),
-            None => Err(WireError::Corrupt("dangling back-reference")),
-        }
+        self.input.backref(&self.shared)
     }
 
     fn value(&mut self, depth: usize) -> Result<Value, WireError> {
@@ -703,17 +739,13 @@ impl Decode<'_> {
                     }
                     GROUP_BACKREF => match self.backref()? {
                         Shared::Group(g) => g,
-                        _ => {
-                            return Err(WireError::Corrupt(
-                                "rec-closure back-reference is not a group",
-                            ))
-                        }
+                        _ => return Err(WireError::Corrupt(NOT_A_GROUP)),
                     },
-                    _ => return Err(WireError::Corrupt("unknown rec-group marker")),
+                    _ => return Err(WireError::Corrupt(BAD_GROUP_MARKER)),
                 };
                 let index = self.input.u32()?;
                 if index as usize >= group.bodies.len() {
-                    return Err(WireError::Corrupt("rec-closure index out of range"));
+                    return Err(WireError::Corrupt(BAD_REC_INDEX));
                 }
                 Value::RecClosure { group, index }
             }
@@ -722,7 +754,7 @@ impl Decode<'_> {
                 let payload = match self.input.u8()? {
                     0 => None,
                     1 => Some(Rc::new(self.value(depth + 1)?)),
-                    _ => return Err(WireError::Corrupt("unknown constructor payload marker")),
+                    _ => return Err(WireError::Corrupt(BAD_CON_MARKER)),
                 };
                 Value::Con(tag, payload)
             }
@@ -730,13 +762,9 @@ impl Decode<'_> {
                 Shared::Pair(p) => Value::Pair(p),
                 Shared::Frame(f) => Value::Frame(f),
                 Shared::Closure(c) => Value::Closure(c),
-                Shared::Group(_) => {
-                    return Err(WireError::Corrupt(
-                        "value back-reference resolves to a rec group",
-                    ))
-                }
+                Shared::Group(_) => return Err(WireError::Corrupt(BACKREF_TO_GROUP)),
             },
-            _ => return Err(WireError::Corrupt("unknown value tag")),
+            _ => return Err(WireError::Corrupt(BAD_VALUE_TAG)),
         })
     }
 
@@ -757,11 +785,11 @@ impl Decode<'_> {
             6 => Instr::App,
             7 => Instr::Quote(self.value(depth + 1)?),
             8 => Instr::Cur(self.block_ref()?),
-            9 => {
+            OP_EMIT => {
                 let inner = self.instr(depth + 1)?;
                 // The CCAM has no emit(emit(_)) (`instr::validate`).
                 if matches!(inner, Instr::Emit(_)) {
-                    return Err(WireError::Corrupt("nested emit"));
+                    return Err(WireError::Corrupt(NESTED_EMIT));
                 }
                 Instr::Emit(Box::new(inner))
             }
@@ -784,7 +812,7 @@ impl Decode<'_> {
                 let default = match self.input.u8()? {
                     0 => None,
                     1 => Some(self.block_ref()?),
-                    _ => return Err(WireError::Corrupt("unknown switch default marker")),
+                    _ => return Err(WireError::Corrupt(BAD_DEFAULT_MARKER)),
                 };
                 Instr::Switch(Rc::new(SwitchTable { arms, default }))
             }
@@ -811,7 +839,7 @@ impl Decode<'_> {
             28 => Instr::AccApp(self.input.u32()? as usize),
             29 => Instr::PushQuote(self.value(depth + 1)?),
             30 => Instr::EnvCons,
-            _ => return Err(WireError::Corrupt("unknown instruction opcode")),
+            _ => return Err(WireError::Corrupt(BAD_OPCODE)),
         })
     }
 }
@@ -821,8 +849,9 @@ impl Decode<'_> {
 ///
 /// Code that quotes a closure over its own segment (any `lift` of a
 /// closure) makes an `Rc` cycle — segment → `quote` → closure → segment —
-/// so a decode that is only a check must end in
-/// [`discard`](Decoded::discard), which breaks it.
+/// so a decode whose graph is not kept must end in
+/// [`discard`](Decoded::discard), which breaks it. A check of the bytes
+/// alone is [`validate`], which builds no graph.
 #[derive(Debug)]
 pub struct Decoded {
     /// The segment the payload's blocks were installed in (payload block
@@ -865,8 +894,7 @@ pub fn decode(bytes: &[u8]) -> Result<Decoded, WireError> {
     let mut table = Vec::new();
     for _ in 0..d.blocks {
         let len = d.input.u32()?;
-        let start = u32::try_from(instrs.len())
-            .map_err(|_| WireError::Corrupt("segment exceeds u32 instructions"))?;
+        let start = u32::try_from(instrs.len()).map_err(|_| WireError::Corrupt(TOO_MANY_INSTRS))?;
         for _ in 0..len {
             instrs.push(d.instr(0)?);
         }
@@ -887,6 +915,214 @@ pub fn decode(bytes: &[u8]) -> Result<Decoded, WireError> {
         seg: d.seg,
         value,
         info,
+    })
+}
+
+// ---------------------------------------------------------------------
+// Validation: `decode`'s walk and checks, building nothing
+// ---------------------------------------------------------------------
+
+/// A filled entry of the validator's back-reference table: all a later
+/// back-reference needs to know about the node it names.
+#[derive(Clone, Copy)]
+enum Node {
+    /// A pair, frame or closure.
+    Plain,
+    /// A recursive group with this many bodies.
+    Group(u32),
+}
+
+struct Validate<'a> {
+    input: Reader<'a>,
+    /// Shared nodes in first-emission order; `None` while a node's
+    /// inline encoding is being walked.
+    nodes: Vec<Option<Node>>,
+    blocks: u32,
+    uses_frames: bool,
+}
+
+impl Validate<'_> {
+    fn block_ref(&mut self) -> Result<(), WireError> {
+        self.input.block_ref(self.blocks).map(drop)
+    }
+
+    /// A counted list of block references; returns the count.
+    fn block_refs(&mut self) -> Result<u32, WireError> {
+        let count = self.input.u32()?;
+        for _ in 0..count {
+            self.block_ref()?;
+        }
+        Ok(count)
+    }
+
+    fn reserve(&mut self) -> usize {
+        self.nodes.push(None);
+        self.nodes.len() - 1
+    }
+
+    /// `Decode::value`'s walk.
+    fn value(&mut self, depth: usize) -> Result<(), WireError> {
+        if depth >= MAX_DECODE_DEPTH {
+            return Err(WireError::TooDeep);
+        }
+        match self.input.u8()? {
+            TAG_UNIT => {}
+            TAG_INT => {
+                self.input.i64()?;
+            }
+            TAG_BOOL => {
+                self.input.bool()?;
+            }
+            TAG_STR => {
+                self.input.str()?;
+            }
+            TAG_PAIR => {
+                let slot = self.reserve();
+                self.value(depth + 1)?;
+                self.value(depth + 1)?;
+                self.nodes[slot] = Some(Node::Plain);
+            }
+            TAG_FRAME => {
+                self.uses_frames = true;
+                let slot = self.reserve();
+                self.value(depth + 1)?;
+                for _ in 0..self.input.u32()? {
+                    self.value(depth + 1)?;
+                }
+                self.nodes[slot] = Some(Node::Plain);
+            }
+            TAG_CLOSURE => {
+                let slot = self.reserve();
+                self.value(depth + 1)?;
+                self.block_ref()?;
+                self.nodes[slot] = Some(Node::Plain);
+            }
+            TAG_RECCLOSURE => {
+                let bodies = match self.input.u8()? {
+                    GROUP_INLINE => {
+                        let slot = self.reserve();
+                        self.value(depth + 1)?;
+                        let bodies = self.block_refs()?;
+                        self.nodes[slot] = Some(Node::Group(bodies));
+                        bodies
+                    }
+                    GROUP_BACKREF => match self.input.backref(&self.nodes)? {
+                        Node::Group(bodies) => bodies,
+                        Node::Plain => return Err(WireError::Corrupt(NOT_A_GROUP)),
+                    },
+                    _ => return Err(WireError::Corrupt(BAD_GROUP_MARKER)),
+                };
+                if self.input.u32()? >= bodies {
+                    return Err(WireError::Corrupt(BAD_REC_INDEX));
+                }
+            }
+            TAG_CON => {
+                self.input.u32()?;
+                match self.input.u8()? {
+                    0 => {}
+                    1 => self.value(depth + 1)?,
+                    _ => return Err(WireError::Corrupt(BAD_CON_MARKER)),
+                }
+            }
+            TAG_BACKREF => {
+                if let Node::Group(_) = self.input.backref(&self.nodes)? {
+                    return Err(WireError::Corrupt(BACKREF_TO_GROUP));
+                }
+            }
+            _ => return Err(WireError::Corrupt(BAD_VALUE_TAG)),
+        }
+        Ok(())
+    }
+
+    /// `Decode::instr`'s walk; returns the opcode.
+    fn instr(&mut self, depth: usize) -> Result<u8, WireError> {
+        if depth >= MAX_DECODE_DEPTH {
+            return Err(WireError::TooDeep);
+        }
+        let op = self.input.u8()?;
+        match op {
+            0..=6 | 10..=13 | 20 | 26 | 27 | 30 => {}
+            7 | 25 | 29 => self.value(depth + 1)?,
+            8 => self.block_ref()?,
+            OP_EMIT => {
+                if self.instr(depth + 1)? == OP_EMIT {
+                    return Err(WireError::Corrupt(NESTED_EMIT));
+                }
+            }
+            14 => {
+                self.block_ref()?;
+                self.block_ref()?;
+            }
+            15 => {
+                self.block_refs()?;
+            }
+            16 | 22 | 23 | 24 | 28 => {
+                self.input.u32()?;
+            }
+            17 => {
+                for _ in 0..self.input.u32()? {
+                    self.input.u32()?;
+                    self.input.bool()?;
+                    self.block_ref()?;
+                }
+                match self.input.u8()? {
+                    0 => {}
+                    1 => self.block_ref()?,
+                    _ => return Err(WireError::Corrupt(BAD_DEFAULT_MARKER)),
+                }
+            }
+            18 => {
+                prim_from_byte(self.input.u8()?)?;
+            }
+            19 => {
+                self.input.str()?;
+            }
+            21 => {
+                for _ in 0..self.input.u32()? {
+                    self.input.u32()?;
+                    self.input.bool()?;
+                }
+                self.input.bool()?;
+            }
+            _ => return Err(WireError::Corrupt(BAD_OPCODE)),
+        }
+        Ok(op)
+    }
+}
+
+/// Checks a payload without building it: one walk that makes every
+/// check [`decode`] makes, in the same order, and counts what `decode`
+/// counts, but constructs no [`Value`], [`Instr`] or [`CodeSeg`].
+/// `validate(b)` equals `decode(b).map(Decoded::discard)` for every
+/// input, errors included, so bytes it accepts always decode.
+///
+/// # Errors
+///
+/// The [`WireError`] `decode` would return. Never panics.
+pub fn validate(bytes: &[u8]) -> Result<PayloadInfo, WireError> {
+    let mut v = Validate {
+        input: Reader { bytes, pos: 0 },
+        nodes: Vec::new(),
+        blocks: 0,
+        uses_frames: false,
+    };
+    v.blocks = v.input.u32()?;
+    let mut instructions = 0usize;
+    for _ in 0..v.blocks {
+        let len = v.input.u32()?;
+        u32::try_from(instructions).map_err(|_| WireError::Corrupt(TOO_MANY_INSTRS))?;
+        for _ in 0..len {
+            v.instr(0)?;
+            instructions += 1;
+        }
+    }
+    v.value(0)?;
+    if v.input.remaining() > 0 {
+        return Err(WireError::TrailingBytes(v.input.remaining()));
+    }
+    Ok(PayloadInfo {
+        instructions,
+        uses_frames: v.uses_frames,
     })
 }
 
@@ -928,10 +1164,20 @@ mod tests {
             .collect()
     }
 
+    /// What `decode` makes of `bytes`, discarded, after checking that
+    /// `validate` says the same.
+    fn check(bytes: &[u8]) -> Result<PayloadInfo, WireError> {
+        let decoded = decode(bytes).map(Decoded::discard);
+        assert_eq!(validate(bytes), decoded, "validate disagrees with decode");
+        decoded
+    }
+
     /// Encodes `v`, decodes it, and checks that the decode re-encodes to
-    /// the same bytes and counts what the encoder counted.
+    /// the same bytes and counts what the encoder (and the validator)
+    /// counted.
     fn roundtrip(v: &Value) -> (Decoded, Vec<u8>) {
         let (bytes, info) = encode(v).unwrap();
+        assert_eq!(check(&bytes), Ok(info));
         let back = decode(&bytes).unwrap();
         assert_eq!(back.info, info);
         assert_eq!(
@@ -1207,13 +1453,28 @@ mod tests {
     }
 
     #[test]
+    fn every_edit_of_the_pinned_payload_validates_as_it_decodes() {
+        // The pinned payload reaches every kind of block reference, a
+        // recursive group, frames, an emit and back-references, so its
+        // edits reach every check of both walks.
+        let bytes = unhex(ORDERING_HEX);
+        for cut in 0..bytes.len() {
+            assert!(check(&bytes[..cut]).is_err(), "prefix of {cut} bytes");
+        }
+        for pos in 0..bytes.len() {
+            let mut edited = bytes.clone();
+            for byte in 0..=u8::MAX {
+                edited[pos] = byte;
+                let _ = check(&edited);
+            }
+        }
+    }
+
+    #[test]
     fn nested_emits_are_refused() {
         // One block holding emit(emit(id)), and a closure over it.
         let bytes = unhex("01000000 01000000 090900 06 00 00000000");
-        assert_eq!(
-            decode(&bytes).unwrap_err(),
-            WireError::Corrupt("nested emit")
-        );
+        assert_eq!(check(&bytes), Err(WireError::Corrupt("nested emit")));
     }
 
     #[test]
@@ -1229,7 +1490,7 @@ mod tests {
         let (bytes, _) = encode(&f).unwrap();
         for len in 0..bytes.len() {
             assert!(
-                decode(&bytes[..len]).is_err(),
+                check(&bytes[..len]).is_err(),
                 "prefix of {len} bytes decoded"
             );
         }
@@ -1248,8 +1509,8 @@ mod tests {
                 corrupt[pos] ^= flip;
                 // Either outcome is acceptable at the payload layer (the
                 // container checksum catches silent mutations); the
-                // requirement is no panic.
-                let _ = decode(&corrupt);
+                // requirement is no panic, and validate agreeing.
+                let _ = check(&corrupt);
             }
         }
     }
@@ -1261,7 +1522,7 @@ mod tests {
         // run one level per byte.
         let mut bytes = vec![0, 0, 0, 0]; // zero blocks
         bytes.extend(std::iter::repeat_n(TAG_PAIR, MAX_DECODE_DEPTH + 10));
-        assert_eq!(decode(&bytes).unwrap_err(), WireError::TooDeep);
+        assert_eq!(check(&bytes), Err(WireError::TooDeep));
     }
 
     #[test]
@@ -1270,8 +1531,8 @@ mod tests {
         let mut bytes = vec![0, 0, 0, 0, TAG_BACKREF];
         bytes.extend_from_slice(&0u32.to_le_bytes());
         assert_eq!(
-            decode(&bytes).unwrap_err(),
-            WireError::Corrupt("dangling back-reference")
+            check(&bytes),
+            Err(WireError::Corrupt("dangling back-reference"))
         );
         // blocks=0, then a pair whose first child back-references the
         // pair itself (index 0, still unfilled): a cycle.
@@ -1279,8 +1540,8 @@ mod tests {
         bytes.extend_from_slice(&0u32.to_le_bytes());
         bytes.push(TAG_UNIT);
         assert_eq!(
-            decode(&bytes).unwrap_err(),
-            WireError::Corrupt("cyclic back-reference")
+            check(&bytes),
+            Err(WireError::Corrupt("cyclic back-reference"))
         );
     }
 
@@ -1288,7 +1549,7 @@ mod tests {
     fn trailing_bytes_are_rejected() {
         let (mut bytes, _) = encode(&Value::Int(3)).unwrap();
         bytes.push(0);
-        assert_eq!(decode(&bytes).unwrap_err(), WireError::TrailingBytes(1));
+        assert_eq!(check(&bytes), Err(WireError::TrailingBytes(1)));
     }
 
     #[test]
@@ -1297,8 +1558,8 @@ mod tests {
         let mut bytes = vec![0, 0, 0, 0, TAG_CLOSURE, TAG_UNIT];
         bytes.extend_from_slice(&7u32.to_le_bytes());
         assert_eq!(
-            decode(&bytes).unwrap_err(),
-            WireError::Corrupt("block reference out of range")
+            check(&bytes),
+            Err(WireError::Corrupt("block reference out of range"))
         );
     }
 }

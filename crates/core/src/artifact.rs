@@ -29,7 +29,8 @@ use std::sync::Arc;
 /// Produced by [`Session::compile_to_artifact`] or loaded with
 /// [`CompiledFilter::from_wire_bytes`]; consumed by
 /// [`CompiledFilter::instantiate`] on any thread. Either way its payload
-/// has been decoded once, so every later decode succeeds.
+/// has passed [`ccam::wire::validate`], which accepts exactly the bytes
+/// [`ccam::wire::decode`] accepts, so every later decode succeeds.
 ///
 /// [`Session::compile_to_artifact`]: crate::Session::compile_to_artifact
 #[derive(Debug, Clone)]
@@ -41,7 +42,7 @@ pub struct CompiledFilter {
     pub(crate) payload_start: usize,
     pub(crate) options: SessionOptions,
     pub(crate) source_fingerprint: u64,
-    /// What the validating decode counted.
+    /// What the payload validator counted.
     pub(crate) info: PayloadInfo,
 }
 
@@ -152,7 +153,7 @@ impl CompiledFilter {
 
     fn decode_entry(&self) -> Value {
         ccam::wire::decode(self.payload())
-            .expect("an artifact's payload was decoded when the artifact was built")
+            .expect("an artifact's payload was validated when the artifact was built")
             .value
     }
 }

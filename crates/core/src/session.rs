@@ -561,7 +561,7 @@ impl Session {
     /// or embeds mutable state (ref cells, arrays) that cannot cross
     /// threads, or an [`Error::Wire`] if its encoding would not load
     /// (it nests deeper than [`ccam::wire::MAX_DECODE_DEPTH`]): the
-    /// artifact is validated by the same decode a load runs.
+    /// artifact is validated by the same check a load runs.
     pub fn compile_to_artifact(
         &mut self,
         generator: &str,

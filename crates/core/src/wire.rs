@@ -28,7 +28,9 @@
 //! Decoding re-derives everything it can rather than trusting the
 //! producer: the stored options fingerprint must equal the fingerprint
 //! recomputed from the decoded options section, the payload's
-//! `uses_frames` flag is recomputed by the payload decoder, and
+//! `uses_frames` flag is recomputed by the payload validator
+//! ([`ccam::wire::validate`], which checks everything the payload
+//! decoder checks but builds nothing), and
 //! [`CompiledFilter::from_wire_bytes_for`] applies
 //! [`CompiledFilter::check_compatible`] so an option-incompatible
 //! consumer is refused at load time, before any decode of its own.
@@ -351,10 +353,11 @@ impl CompiledFilter {
 
     /// Parses an artifact container, verifying magic, version, checksum,
     /// section framing, and the options fingerprint, and validates the
-    /// payload by decoding it once (the decode is dropped). The
-    /// payload's frame flag is recomputed by that decode, so the
-    /// compatibility check on the result keeps its meaning regardless
-    /// of what the producer claimed.
+    /// payload with [`ccam::wire::validate`]: every check the payload
+    /// decoder makes, with no segment or value built. The payload's
+    /// instruction count and frame flag are recomputed by that walk, so
+    /// the compatibility check on the result keeps its meaning
+    /// regardless of what the producer claimed.
     ///
     /// # Errors
     ///
@@ -454,7 +457,7 @@ fn decode_container(bytes: &[u8]) -> Result<CompiledFilter, WireError> {
     if payload_end != content.len() {
         return Err(WireError::TrailingBytes(content.len() - payload_end));
     }
-    let info = ccam::wire::decode(&content[payload_start..payload_end])?.discard();
+    let info = ccam::wire::validate(&content[payload_start..payload_end])?;
     Ok(CompiledFilter {
         bytes: Arc::from(bytes),
         payload_start,

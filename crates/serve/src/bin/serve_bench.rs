@@ -45,7 +45,9 @@ use mlbox_bpf::packet::Packet;
 use mlbox_bpf::{
     chain_filter, multi_port_filter, port_filter, telnet_filter, FilterHarness, PacketGen,
 };
-use mlbox_serve::{AdmissionError, ArtifactStore, FilterCache, PoolConfig, ServePool, Ticket};
+use mlbox_serve::{
+    AdmissionError, ArtifactStore, CacheKey, FilterCache, PoolConfig, ServePool, Ticket,
+};
 use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::Instant;
@@ -272,20 +274,26 @@ fn json_f(x: f64) -> String {
 }
 
 /// Cold-start numbers for one filter: what re-running the generator
-/// costs vs. loading the persisted artifact.
+/// costs vs. loading the persisted artifact, and what installing the
+/// loaded artifact in a worker costs.
 struct ColdStart {
     name: &'static str,
     compile_ms: f64,
     load_ms: f64,
+    hydrate_ms: f64,
     speedup: f64,
 }
 
 /// Measures compile-vs-load for the Table 1 filters against `store`.
 /// Compile = build a harness session and extract the artifact (what a
-/// cold process without a store must do); load = read, decode, verify,
-/// and compatibility-check the stored container (what a cold process
-/// with a store does). Both are min-of-reps; every loaded artifact is
-/// verified to serve the same verdicts as the native interpreter.
+/// cold process without a store must do); load = read the stored
+/// container, verify its checksum and fingerprints, validate its payload
+/// (every check the payload decoder makes, building nothing), and
+/// compatibility-check it (what a cold process with a store does);
+/// hydrate = decode the loaded payload into a fresh segment and values
+/// (what a pool worker does once per artifact). All three are
+/// min-of-reps; the speedup is compile over load. Every loaded artifact
+/// is verified to serve the same verdicts as the native interpreter.
 fn measure_cold_start(config: &Config, store: &ArtifactStore) -> Vec<ColdStart> {
     let filters: Vec<(&'static str, Vec<Insn>)> = vec![
         ("accept_telnet", telnet_filter()),
@@ -321,8 +329,18 @@ fn measure_cold_start(config: &Config, store: &ArtifactStore) -> Vec<ColdStart> 
                 load_ms = load_ms.min(started.elapsed().as_secs_f64() * 1e3);
                 loaded = Some(from_disk);
             }
+            let loaded = loaded.expect("loaded");
+            let mut hydrate_ms = f64::INFINITY;
+            for _ in 0..load_reps {
+                let started = Instant::now();
+                let entry = loaded
+                    .hydrate_entry_for(&config.options)
+                    .expect("loaded artifact hydrates");
+                hydrate_ms = hydrate_ms.min(started.elapsed().as_secs_f64() * 1e3);
+                drop(entry);
+            }
             // The loaded artifact must actually serve correctly.
-            let mut instance = loaded.expect("loaded").instantiate();
+            let mut instance = loaded.instantiate();
             let packets = PacketGen::new(97).workload(4, 0.5);
             for pkt in &packets {
                 let (value, _) = instance.run(filter_arg(pkt)).expect("loaded artifact runs");
@@ -335,12 +353,13 @@ fn measure_cold_start(config: &Config, store: &ArtifactStore) -> Vec<ColdStart> 
             let speedup = compile_ms / load_ms.max(1e-9);
             eprintln!(
                 "serve-bench:   {name}: compile {compile_ms:.3} ms, load {load_ms:.3} ms \
-                 ({speedup:.0}x)"
+                 ({speedup:.0}x), hydrate {hydrate_ms:.3} ms"
             );
             ColdStart {
                 name,
                 compile_ms,
                 load_ms,
+                hydrate_ms,
                 speedup,
             }
         })
@@ -498,10 +517,12 @@ fn run_persist(config: &Config) {
     out.push_str("  \"cold_start\": [\n");
     for (i, c) in cold.iter().enumerate() {
         out.push_str(&format!(
-            "    {{\"name\": \"{}\", \"compile_ms\": {}, \"load_ms\": {}, \"speedup\": {}}}{}\n",
+            "    {{\"name\": \"{}\", \"compile_ms\": {}, \"load_ms\": {}, \"hydrate_ms\": {}, \
+             \"speedup\": {}}}{}\n",
             c.name,
             json_f(c.compile_ms),
             json_f(c.load_ms),
+            json_f(c.hydrate_ms),
             json_f(c.speedup),
             if i + 1 < cold.len() { "," } else { "" }
         ));
@@ -945,7 +966,11 @@ fn main() {
     let cache = Arc::new(FilterCache::new(64));
     for workload in &workloads {
         cache
-            .get_or_specialize(&workload.filter, &config.options)
+            .get_or_specialize(
+                CacheKey::new(&workload.filter, &config.options),
+                &workload.filter,
+                &config.options,
+            )
             .expect("pre-warm specialization");
     }
 

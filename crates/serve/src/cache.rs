@@ -286,7 +286,9 @@ pub type FilterCache = SpecializationCache<CompiledFilter>;
 impl FilterCache {
     /// Returns the artifact for `filter` specialized under `options`,
     /// building a one-shot harness session and running the generator if
-    /// (and only if) no other request has done so already.
+    /// (and only if) no other request has done so already. `key` is
+    /// `CacheKey::new(filter, options)`, which the caller has computed
+    /// already (a pool worker hashes each batch's filter once).
     ///
     /// # Errors
     ///
@@ -294,10 +296,11 @@ impl FilterCache {
     /// specialization fails; the failure is cached for 30 seconds.
     pub fn get_or_specialize(
         &self,
+        key: CacheKey,
         filter: &[Insn],
         options: &SessionOptions,
     ) -> Result<Arc<CompiledFilter>, String> {
-        let key = CacheKey::new(filter, options);
+        debug_assert_eq!(key, CacheKey::new(filter, options));
         self.get_or_init(key, || specialize(filter, options))
     }
 
@@ -315,11 +318,12 @@ impl FilterCache {
     /// incompatible artifact for the key, or if specialization fails.
     pub fn get_or_load_or_specialize(
         &self,
+        key: CacheKey,
         filter: &[Insn],
         options: &SessionOptions,
         store: &ArtifactStore,
     ) -> Result<Arc<CompiledFilter>, String> {
-        let key = CacheKey::new(filter, options);
+        debug_assert_eq!(key, CacheKey::new(filter, options));
         self.get_or_init(key, || {
             if let Some(artifact) = store.load(key.filter, options).map_err(|e| e.to_string())? {
                 return Ok(Arc::new(artifact));
@@ -342,6 +346,14 @@ fn specialize(filter: &[Insn], options: &SessionOptions) -> Result<Arc<CompiledF
 mod tests {
     use super::*;
     use mlbox_bpf::{port_filter, telnet_filter};
+
+    fn specialize_in(
+        cache: &FilterCache,
+        filter: &[Insn],
+        options: &SessionOptions,
+    ) -> Result<Arc<CompiledFilter>, String> {
+        cache.get_or_specialize(CacheKey::new(filter, options), filter, options)
+    }
 
     #[test]
     fn misses_count_distinct_keys_and_hits_the_rest() {
@@ -380,8 +392,8 @@ mod tests {
             CacheKey::new(&filter, &optimized)
         );
         let cache = FilterCache::new(16);
-        cache.get_or_specialize(&filter, &plain).unwrap();
-        cache.get_or_specialize(&filter, &optimized).unwrap();
+        specialize_in(&cache, &filter, &plain).unwrap();
+        specialize_in(&cache, &filter, &optimized).unwrap();
         assert_eq!(cache.stats().misses, 2, "one specialization per mode");
     }
 
@@ -403,8 +415,8 @@ mod tests {
             CacheKey::new(&filter, &fused)
         );
         let cache = FilterCache::new(16);
-        let a = cache.get_or_specialize(&filter, &plain).unwrap();
-        let b = cache.get_or_specialize(&filter, &fused).unwrap();
+        let a = specialize_in(&cache, &filter, &plain).unwrap();
+        let b = specialize_in(&cache, &filter, &fused).unwrap();
         assert_eq!(cache.stats().misses, 2, "one specialization per mode");
         assert_eq!(
             b.instructions(),
@@ -431,8 +443,8 @@ mod tests {
             CacheKey::new(&filter, &flat)
         );
         let cache = FilterCache::new(16);
-        cache.get_or_specialize(&filter, &plain).unwrap();
-        cache.get_or_specialize(&filter, &flat).unwrap();
+        specialize_in(&cache, &filter, &plain).unwrap();
+        specialize_in(&cache, &filter, &flat).unwrap();
         assert_eq!(cache.stats().misses, 2, "one specialization per mode");
     }
 
@@ -442,8 +454,8 @@ mod tests {
         let bad = vec![Insn::JeqK { k: 0, jt: 9, jf: 9 }];
         let cache = FilterCache::new(16);
         let opts = SessionOptions::default();
-        let e1 = cache.get_or_specialize(&bad, &opts).unwrap_err();
-        let e2 = cache.get_or_specialize(&bad, &opts).unwrap_err();
+        let e1 = specialize_in(&cache, &bad, &opts).unwrap_err();
+        let e2 = specialize_in(&cache, &bad, &opts).unwrap_err();
         assert_eq!(e1, e2);
         let stats = cache.stats();
         assert_eq!((stats.misses, stats.hits), (1, 1), "failure hits the cache");
@@ -567,8 +579,8 @@ mod tests {
         let cache = FilterCache::new(16);
         let opts = SessionOptions::default();
         let filter = port_filter(80);
-        let a = cache.get_or_specialize(&filter, &opts).unwrap();
-        let b = cache.get_or_specialize(&filter, &opts).unwrap();
+        let a = specialize_in(&cache, &filter, &opts).unwrap();
+        let b = specialize_in(&cache, &filter, &opts).unwrap();
         assert!(Arc::ptr_eq(&a, &b));
     }
 }

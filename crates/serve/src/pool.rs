@@ -232,9 +232,11 @@ pub struct ServePool {
     queue_depth: usize,
 }
 
-// Workers decode artifacts (`ccam::wire::decode`, recursive in value
-// nesting up to `MAX_DECODE_DEPTH`) and run the CCAM, which recurses on
-// the Rust stack too; give them room well beyond the 2 MiB default.
+// Workers validate artifacts they load from the store
+// (`ccam::wire::validate`) and decode each once on first sight
+// (`ccam::wire::decode`), both recursive in value nesting up to
+// `MAX_DECODE_DEPTH`, and run the CCAM, which recurses on the Rust stack
+// too; give them room well beyond the 2 MiB default.
 const WORKER_STACK: usize = 64 * 1024 * 1024;
 
 impl ServePool {
@@ -471,10 +473,12 @@ fn worker_loop(
         let queued_nanos =
             u64::try_from(request.submitted.elapsed().as_nanos()).unwrap_or(u64::MAX);
         let started = Instant::now();
+        let key = CacheKey::new(&request.filter, options);
         let result = run_batch(
             &mut machine,
             &app,
             cache,
+            key,
             options,
             store,
             &mut installed,
@@ -484,11 +488,10 @@ fn worker_loop(
         let service_nanos = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
         latency.record_nanos(queued_nanos.saturating_add(service_nanos));
         stats.batches += 1;
-        let fingerprint = mlbox_bpf::insn::fingerprint(&request.filter);
         // A dropped ticket is the caller's business, not an error here.
         let _ = request.reply.send(BatchResult {
             worker: index,
-            filter_fingerprint: fingerprint,
+            filter_fingerprint: key.filter,
             generation: request.generation,
             queued_nanos,
             service_nanos,
@@ -509,20 +512,20 @@ fn run_batch(
     machine: &mut Machine,
     app: &ccam::CodeRef,
     cache: &FilterCache,
+    key: CacheKey,
     options: &SessionOptions,
     store: Option<&ArtifactStore>,
     installed: &mut HashMap<CacheKey, Value>,
     request: &BatchRequest,
     stats: &mut WorkerStats,
 ) -> Result<BatchOutput, String> {
-    let key = CacheKey::new(&request.filter, options);
     // Every batch is one cache request — the hit/miss counters account
     // for batches, not workers. The shared lookup is cheap (a read lock
     // plus a `OnceLock` read); only the *hydration* of the artifact into
     // this worker's Rc heap is memoized locally.
     let artifact = match store {
-        Some(store) => cache.get_or_load_or_specialize(&request.filter, options, store)?,
-        None => cache.get_or_specialize(&request.filter, options)?,
+        Some(store) => cache.get_or_load_or_specialize(key, &request.filter, options, store)?,
+        None => cache.get_or_specialize(key, &request.filter, options)?,
     };
     let entry = match installed.get(&key) {
         Some(v) => v.clone(),

@@ -10,13 +10,17 @@
 //!   `load` sees either the complete artifact or nothing — never a
 //!   partial write. Double-saves of the same artifact are idempotent
 //!   (same content, same name).
-//! - **Session-free loads**: `load` goes file → bytes → decode →
-//!   [`CompiledFilter`] without ever constructing a `Session`; the
+//! - **Session-free loads**: `load` goes file → bytes → validate →
+//!   [`CompiledFilter`] without ever constructing a `Session`, or any
+//!   segment or value: the payload is checked by a walk that builds
+//!   nothing, and a pool worker decodes it once, on first sight. The
 //!   expensive generator pipeline only runs when the store misses.
 //! - **Verification on the way in**: the container's checksum, version,
-//!   and fingerprints are checked by the decoder, the decoded options
-//!   must hash to the fingerprint in the file name (a renamed file
-//!   cannot impersonate another key), and `load` refuses artifacts the
+//!   and fingerprints are checked by the container reader, the payload's
+//!   structure by every check the payload decoder makes (a structural
+//!   corruption under a valid checksum is still refused), the decoded
+//!   options must hash to the fingerprint in the file name (a renamed
+//!   file cannot impersonate another key), and `load` refuses artifacts the
 //!   consumer's options are incompatible with (the frame-bearing /
 //!   flat-env rule) — corruption surfaces as a typed error at load
 //!   time, not as a wrong verdict at serve time.
@@ -220,7 +224,8 @@ impl ArtifactStore {
         source_fingerprint: u64,
         options: &SessionOptions,
     ) -> Result<Option<CompiledFilter>, StoreError> {
-        let path = self.path_for(source_fingerprint, options);
+        let expected = (source_fingerprint, options.fingerprint());
+        let path = self.root.join(Self::file_name(expected.0, expected.1));
         let bytes = match fs::read(&path) {
             Ok(b) => b,
             Err(e) if e.kind() == io::ErrorKind::NotFound => {
@@ -230,7 +235,6 @@ impl ArtifactStore {
             Err(e) => return Err(e.into()),
         };
         let artifact = CompiledFilter::from_wire_bytes_for(&bytes, options)?;
-        let expected = (source_fingerprint, options.fingerprint());
         let found = (
             artifact.source_fingerprint(),
             artifact.options_fingerprint(),

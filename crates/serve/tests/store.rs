@@ -4,11 +4,14 @@
 //! never re-runs the generator for an artifact that is on disk, and one
 //! request sequence gives the same cache counters on every replay).
 
-use mlbox::SessionOptions;
+use ccam::wire::WireError as PayloadError;
+use mlbox::fingerprint::Fnv1a;
+use mlbox::wire::WireError;
+use mlbox::{Error, SessionOptions};
 use mlbox_bpf::harness::{expect_verdict, filter_arg};
 use mlbox_bpf::native::run_filter;
 use mlbox_bpf::{port_filter, telnet_filter, FilterHarness, PacketGen};
-use mlbox_serve::{ArtifactStore, FilterCache, PoolConfig, ServePool, StoreError};
+use mlbox_serve::{ArtifactStore, CacheKey, FilterCache, PoolConfig, ServePool, StoreError};
 use std::path::PathBuf;
 use std::sync::Arc;
 
@@ -139,6 +142,38 @@ fn corrupt_files_error_with_types_not_panics() {
 }
 
 #[test]
+fn resealed_structural_corruptions_are_refused_at_load() {
+    // A payload edit under a recomputed checksum passes every container
+    // check, so only the payload's own structural checks can refuse it:
+    // a load must never trust the checksum for structure.
+    let temp = TempStore::new("resealed");
+    let options = SessionOptions::default();
+    let filter = telnet_filter();
+    let fingerprint = mlbox_bpf::insn::fingerprint(&filter);
+    let path = temp.store.save(&compile(&filter, &options)).unwrap();
+    let mut bytes = std::fs::read(&path).unwrap();
+    // Header (32 bytes), options section, payload length; the payload
+    // opens with the block count and the first block's length.
+    let options_len = u32::from_le_bytes(bytes[28..32].try_into().unwrap()) as usize;
+    let payload = 32 + options_len + 4;
+    let first_len = u32::from_le_bytes(bytes[payload + 4..payload + 8].try_into().unwrap());
+    assert!(first_len > 0, "the first block has an instruction");
+    bytes[payload + 8] = 0xff; // no instruction has this opcode
+    let content = bytes.len() - 8;
+    let mut h = Fnv1a::new();
+    h.write(&bytes[..content]);
+    bytes[content..].copy_from_slice(&h.finish().to_le_bytes());
+    std::fs::write(&path, &bytes).unwrap();
+    match temp.store.load(fingerprint, &options) {
+        Err(StoreError::Artifact(Error::Wire(WireError::Payload(PayloadError::Corrupt(what))))) => {
+            assert_eq!(what, "unknown instruction opcode");
+        }
+        other => panic!("resealed corrupt file gave {other:?}"),
+    }
+    assert_eq!(temp.store.stats().loads, 0, "nothing was loaded");
+}
+
+#[test]
 fn renamed_files_cannot_impersonate_another_key() {
     let temp = TempStore::new("rename");
     let options = SessionOptions::default();
@@ -195,7 +230,12 @@ fn store_backed_cache_never_recompiles_persisted_artifacts() {
     let cache = FilterCache::new(1);
     for _ in 0..3 {
         let artifact = cache
-            .get_or_load_or_specialize(&filter, &options, &temp.store)
+            .get_or_load_or_specialize(
+                CacheKey::new(&filter, &options),
+                &filter,
+                &options,
+                &temp.store,
+            )
             .unwrap();
         assert_eq!(
             artifact.source_fingerprint(),
@@ -209,7 +249,12 @@ fn store_backed_cache_never_recompiles_persisted_artifacts() {
     // A filter that is NOT on disk is specialized once and saved.
     let fresh = port_filter(8080);
     cache
-        .get_or_load_or_specialize(&fresh, &options, &temp.store)
+        .get_or_load_or_specialize(
+            CacheKey::new(&fresh, &options),
+            &fresh,
+            &options,
+            &temp.store,
+        )
         .unwrap();
     let stats = temp.store.stats();
     assert_eq!(stats.saves, 2, "the miss was specialized and persisted");
