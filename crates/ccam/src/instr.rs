@@ -251,6 +251,20 @@ pub const OPCODE_NAMES: [&str; OPCODE_COUNT] = [
 ];
 
 impl Instr {
+    /// The value this instruction embeds as an immediate (`quote` and
+    /// its fused forms, looking through `emit`), if any.
+    #[inline]
+    pub(crate) fn quoted(&self) -> Option<&Value> {
+        let i = match self {
+            Instr::Emit(inner) => inner,
+            i => i,
+        };
+        match i {
+            Instr::Quote(v) | Instr::QuoteCons(v) | Instr::PushQuote(v) => Some(v),
+            _ => None,
+        }
+    }
+
     /// A dense opcode index in `0..OPCODE_COUNT` (operands elided), used
     /// to index the dispatch table and the opcode-pair profile.
     pub fn opcode(&self) -> usize {

@@ -72,6 +72,7 @@ pub mod opt;
 mod portable;
 pub mod relocate;
 pub mod seg;
+pub mod teardown;
 pub mod value;
 pub mod wire;
 

@@ -82,6 +82,13 @@ pub enum MachineError {
     /// `=` was applied to values without structural equality (closures,
     /// arenas).
     EqualityUndefined,
+    /// Code ran a block its segment no longer has: a value that escaped
+    /// the session (or decoded artifact) owning its segment was run after
+    /// the owner tore the segment down ([`CodeSeg::tear_down`]).
+    DanglingBlock {
+        /// The block's id.
+        block: u32,
+    },
 }
 
 impl fmt::Display for MachineError {
@@ -112,6 +119,10 @@ impl fmt::Display for MachineError {
             MachineError::EqualityUndefined => {
                 f.write_str("equality is not defined on functions or code")
             }
+            MachineError::DanglingBlock { block } => write!(
+                f,
+                "block L{block} was torn down with the session or artifact that owned it"
+            ),
         }
     }
 }
@@ -883,7 +894,9 @@ impl Machine {
                 Some(ad) => self.tier_activate(&seg, block, pc, ad),
                 None => (block, 0),
             };
-            let (start, len) = seg.block_bounds(block);
+            let Some((start, len)) = seg.block_bounds(block) else {
+                return Err(MachineError::DanglingBlock { block: block.0 });
+            };
             let instrs = seg.borrow_instrs();
             // Opcode-pair chain for the dynamic profile: adjacency is
             // only meaningful within one straight-line run, so the chain
@@ -969,6 +982,10 @@ impl Machine {
                     return (block, level as usize);
                 }
             }
+        }
+        if seg.block_bounds(block).is_none() {
+            // A block of a torn-down segment: `steps_loop` reports it.
+            return (block, 0);
         }
         // Promote: re-render the block's straight line with every fusion
         // rule enabled.

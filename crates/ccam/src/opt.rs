@@ -781,7 +781,7 @@ mod tests {
         let code = vec![Instr::Cur(seg.add_block(body))];
         let opt = peephole(&seg, &code);
         let Instr::Cur(b) = &opt[0] else { panic!() };
-        assert_eq!(seg.block_bounds(*b).1, 1);
+        assert_eq!(seg.block_bounds(*b).map(|(_, len)| len), Some(1));
     }
 
     #[test]

@@ -16,7 +16,8 @@ use crate::instr::Instr;
 use crate::seg::{CodeRef, CodeSeg};
 use crate::value::{Closure, Frame, RecGroup, Value};
 use std::cell::RefCell;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
+use std::hash::{BuildHasherDefault, Hasher};
 use std::rc::Rc;
 
 /// A segment copy in progress: the original, the copy, and the values
@@ -28,7 +29,7 @@ pub struct Relocation {
     /// Rebuilt values by original `Rc` address. A recursive group is
     /// stored as its member 0 and a constructor payload as a `Con` with
     /// the rebuilt payload; only the `Rc` inside is read back.
-    done: HashMap<usize, Value>,
+    done: HashMap<usize, Value, BuildHasherDefault<AddrHasher>>,
 }
 
 /// The rebuilt counterpart of `v` given the memo entry for its `Rc`:
@@ -45,8 +46,36 @@ fn same_shape(v: &Value, stored: &Value) -> Value {
     }
 }
 
-fn addr<T>(rc: &Rc<T>) -> usize {
+/// The address of an `Rc`'s allocation, the key of identity memo tables.
+pub(crate) fn addr<T>(rc: &Rc<T>) -> usize {
     Rc::as_ptr(rc) as *const () as usize
+}
+
+/// A set of `Rc` addresses ([`addr`]).
+pub(crate) type AddrSet = HashSet<usize, BuildHasherDefault<AddrHasher>>;
+
+/// The hasher of identity memo tables. Addresses are distinct and
+/// aligned, so a multiplicative hash with the high bits folded down
+/// spreads them; the default SipHash costs more than the rest of a
+/// visit.
+#[derive(Default)]
+pub(crate) struct AddrHasher(u64);
+
+impl Hasher for AddrHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_usize(usize::from(b));
+        }
+    }
+
+    fn write_usize(&mut self, n: usize) {
+        let x = (self.0 ^ n as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        self.0 = x ^ (x >> 32);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
 }
 
 impl Relocation {
@@ -57,7 +86,7 @@ impl Relocation {
         let mut r = Relocation {
             from: from.clone(),
             to: CodeSeg::new(),
-            done: HashMap::new(),
+            done: HashMap::default(),
         };
         let to = r.to.clone();
         to.fill_from(from, |i| r.instr(i));

@@ -125,12 +125,16 @@ impl CodeSeg {
             .collect();
     }
 
-    /// Empties the segment, dropping every instruction (and the values
-    /// they embed). Issued [`BlockId`]s become dangling.
-    pub(crate) fn clear(&self) {
-        let instrs = std::mem::take(&mut *self.0.instrs.borrow_mut());
-        self.0.blocks.borrow_mut().clear();
-        drop(instrs);
+    /// Empties the segment — instruction vector, block table, opt memo
+    /// and tier table, capacity included — and returns the instructions,
+    /// so the caller decides when the values they quote are dropped.
+    /// Every issued [`BlockId`] dangles afterwards (see
+    /// [`CodeSeg::block_bounds`]).
+    pub(crate) fn take_all(&self) -> Vec<Instr> {
+        self.0.blocks.take();
+        self.0.opt_memo.take();
+        self.0.tier.take();
+        self.0.instrs.take()
     }
 
     /// Appends `instrs` as a new block at the segment tail and returns
@@ -180,14 +184,19 @@ impl CodeSeg {
         self.0.instrs.borrow_mut().truncate(start);
     }
 
-    /// The `(start, len)` range of a block.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `b` was not issued by this segment.
-    pub fn block_bounds(&self, b: BlockId) -> (usize, usize) {
-        let blk = self.0.blocks.borrow()[b.0 as usize];
-        (blk.start as usize, blk.len as usize)
+    /// The `(start, len)` range of a block; `None` if `b` was not issued
+    /// by this segment or the segment was torn down
+    /// ([`CodeSeg::tear_down`]).
+    pub fn block_bounds(&self, b: BlockId) -> Option<(usize, usize)> {
+        let blocks = self.0.blocks.borrow();
+        let blk = blocks.get(b.0 as usize)?;
+        Some((blk.start as usize, blk.len as usize))
+    }
+
+    /// [`CodeSeg::block_bounds`] for a block the caller knows is live.
+    pub(crate) fn bounds_of_issued(&self, b: BlockId) -> (usize, usize) {
+        self.block_bounds(b)
+            .unwrap_or_else(|| panic!("block {b} is not in this segment"))
     }
 
     /// Borrows the whole instruction vector. Hold the guard across a
@@ -198,8 +207,13 @@ impl CodeSeg {
     }
 
     /// Copies one block's instructions out.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `b` was not issued by this segment or the segment was
+    /// torn down.
     pub fn block_to_vec(&self, b: BlockId) -> Vec<Instr> {
-        let (start, len) = self.block_bounds(b);
+        let (start, len) = self.bounds_of_issued(b);
         self.0.instrs.borrow()[start..start + len].to_vec()
     }
 
@@ -366,8 +380,12 @@ pub struct CodeRef {
 
 impl CodeRef {
     /// Number of instructions in the referenced block.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the segment was torn down.
     pub fn len(&self) -> usize {
-        self.seg.block_bounds(self.block).1
+        self.seg.bounds_of_issued(self.block).1
     }
 
     /// Whether the referenced block is empty.
@@ -461,11 +479,11 @@ mod tests {
         let seg = CodeSeg::new();
         let a = seg.add_block(vec![Instr::Id, Instr::Fst]);
         let b = seg.add_block(vec![Instr::Snd]);
-        assert_eq!(seg.block_bounds(a), (0, 2));
-        assert_eq!(seg.block_bounds(b), (2, 1));
+        assert_eq!(seg.block_bounds(a), Some((0, 2)));
+        assert_eq!(seg.block_bounds(b), Some((2, 1)));
         // Appending more blocks never moves earlier ones.
         let _c = seg.add_block(vec![Instr::Id; 10]);
-        assert_eq!(seg.block_bounds(a), (0, 2));
+        assert_eq!(seg.block_bounds(a), Some((0, 2)));
         assert_eq!(seg.num_blocks(), 3);
         assert_eq!(seg.len(), 13);
     }

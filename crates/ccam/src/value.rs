@@ -125,6 +125,12 @@ impl Arena {
         })
     }
 
+    /// Empties the staging buffer, returning what it held (see
+    /// [`CodeSeg::tear_down`]).
+    pub(crate) fn take_staging(&self) -> Vec<Instr> {
+        self.staging.take()
+    }
+
     /// Appends one instruction. Cached freezes of shorter contents stay
     /// valid as snapshots and are invalidated here only in the sense that
     /// the next freeze sees a longer arena and rebuilds.

@@ -389,7 +389,7 @@ impl Numbering {
         let n = u32::try_from(self.order.len()).expect("wire payload exceeds u32 blocks");
         self.number.insert(key, n);
         self.order.push((seg.clone(), b));
-        let (start, len) = seg.block_bounds(b);
+        let (start, len) = seg.bounds_of_issued(b);
         self.info.instructions += len;
         let instrs = seg.borrow_instrs();
         instrs[start..start + len]
@@ -616,7 +616,7 @@ pub fn encode(v: &Value) -> Result<(Vec<u8>, PayloadInfo), ExtractError> {
     };
     e.out.usize_u32(numbering.order.len());
     for (seg, b) in &numbering.order {
-        let (start, len) = seg.block_bounds(*b);
+        let (start, len) = seg.bounds_of_issued(*b);
         e.out.usize_u32(len);
         let instrs = seg.borrow_instrs();
         for i in &instrs[start..start + len] {
@@ -864,10 +864,11 @@ pub struct Decoded {
 }
 
 impl Decoded {
-    /// Drops the decoded graph, emptying the segment first so that no
-    /// `Rc` cycle through it survives; returns what the decode counted.
+    /// Drops the decoded graph, tearing the segment down first
+    /// ([`CodeSeg::tear_down`]) so that no `Rc` cycle through it
+    /// survives; returns what the decode counted.
     pub fn discard(self) -> PayloadInfo {
-        self.seg.clear();
+        self.seg.tear_down([self.value]);
         self.info
     }
 }

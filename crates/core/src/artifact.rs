@@ -21,7 +21,7 @@ use ccam::instr::Instr;
 use ccam::machine::{Machine, MachineError, Stats};
 use ccam::seg::{CodeRef, CodeSeg};
 use ccam::value::Value;
-use ccam::wire::PayloadInfo;
+use ccam::wire::{Decoded, PayloadInfo};
 use std::sync::Arc;
 
 /// A frozen, validated, thread-shareable compiled filter.
@@ -129,14 +129,29 @@ impl CompiledFilter {
     /// a consumer running under `consumer` options, first rejecting
     /// representation mismatches
     /// (see [`check_compatible`](CompiledFilter::check_compatible)).
-    /// Sharing inside the artifact is preserved.
+    /// Sharing inside the artifact is preserved. Dropping the result
+    /// tears the decoded segment down.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::Artifact`] on a representation mismatch.
+    pub fn hydrate_for(&self, consumer: &SessionOptions) -> Result<Hydrated, Error> {
+        self.check_compatible(consumer)?;
+        Ok(self.hydrate())
+    }
+
+    /// [`hydrate_for`](CompiledFilter::hydrate_for)'s entry point alone,
+    /// without the segment it was decoded into. Nothing tears that
+    /// segment down: an artifact whose code quotes a closure over its
+    /// own segment (a `lift`ed function) is never freed. Prefer
+    /// `hydrate_for`.
     ///
     /// # Errors
     ///
     /// Returns [`Error::Artifact`] on a representation mismatch.
     pub fn hydrate_entry_for(&self, consumer: &SessionOptions) -> Result<Value, Error> {
         self.check_compatible(consumer)?;
-        Ok(self.decode_entry())
+        Ok(self.decode().value)
     }
 
     /// A fresh single-threaded runner for this artifact: its own
@@ -146,15 +161,45 @@ impl CompiledFilter {
     pub fn instantiate(&self) -> FilterInstance {
         FilterInstance {
             machine: machine_for(&self.options),
-            entry: self.decode_entry(),
+            entry: self.hydrate(),
             app: app_code(),
         }
     }
 
-    fn decode_entry(&self) -> Value {
+    fn hydrate(&self) -> Hydrated {
+        let Decoded { seg, value, .. } = self.decode();
+        Hydrated { seg, entry: value }
+    }
+
+    fn decode(&self) -> Decoded {
         ccam::wire::decode(self.payload())
             .expect("an artifact's payload was validated when the artifact was built")
-            .value
+    }
+}
+
+/// A decoded entry point together with the segment it was decoded into
+/// ([`CompiledFilter::hydrate_for`]). Dropping it tears that segment
+/// down ([`CodeSeg::tear_down`]), so the `Rc` cycle of an artifact whose
+/// code quotes a closure over its own segment is freed with it.
+#[derive(Debug)]
+pub struct Hydrated {
+    seg: CodeSeg,
+    entry: Value,
+}
+
+impl Hydrated {
+    /// The entry point, valid while `self` lives: applying a function
+    /// taken out of it after the drop fails with
+    /// [`MachineError::DanglingBlock`].
+    pub fn entry(&self) -> &Value {
+        &self.entry
+    }
+}
+
+impl Drop for Hydrated {
+    fn drop(&mut self) {
+        let entry = std::mem::replace(&mut self.entry, Value::Unit);
+        self.seg.tear_down([entry]);
     }
 }
 
@@ -208,7 +253,7 @@ pub fn apply(
 #[derive(Debug)]
 pub struct FilterInstance {
     machine: Machine,
-    entry: Value,
+    entry: Hydrated,
     app: CodeRef,
 }
 
@@ -220,7 +265,7 @@ impl FilterInstance {
     ///
     /// Returns any CCAM run-time error from the application.
     pub fn run(&mut self, arg: Value) -> Result<(Value, Stats), MachineError> {
-        apply(&mut self.machine, &self.app, &self.entry, arg)
+        apply(&mut self.machine, &self.app, self.entry.entry(), arg)
     }
 
     /// Total statistics accumulated by this instance.
@@ -311,6 +356,36 @@ mod tests {
             let (v, _) = instance.run(Value::Int(n)).unwrap();
             assert_eq!(v.to_string(), oracle.to_string());
         }
+    }
+
+    #[test]
+    fn hydrated_entries_free_a_self_quoting_segment() {
+        // Lifting `f` into the generated code quotes a closure whose body
+        // is in the artifact: decoded, the segment holds itself.
+        let mut s = Session::new().unwrap();
+        s.run("val f = fn x => x + 1").unwrap();
+        let artifact = s
+            .compile_to_artifact("let cogen c = lift f in code (fn x => c x) end", 0)
+            .unwrap();
+        drop(s);
+        // Premise: the bare decode keeps its segment alive.
+        let decoded = artifact.decode();
+        let leaked = decoded.seg.downgrade();
+        drop(decoded);
+        let seg = leaked.upgrade().expect("premise: a self-quoting segment");
+        seg.tear_down([]);
+        drop(seg);
+        assert!(leaked.upgrade().is_none());
+        // A hydrated entry and an instance own their segments.
+        let hydrated = artifact.hydrate_for(&SessionOptions::default()).unwrap();
+        let weak = hydrated.seg.downgrade();
+        drop(hydrated);
+        assert!(weak.upgrade().is_none(), "hydrated entry freed");
+        let mut instance = artifact.instantiate();
+        assert_eq!(instance.run(Value::Int(4)).unwrap().0.to_string(), "5");
+        let weak = instance.entry.seg.downgrade();
+        drop(instance);
+        assert!(weak.upgrade().is_none(), "instance freed");
     }
 
     #[test]

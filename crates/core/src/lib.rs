@@ -60,7 +60,7 @@ pub mod render;
 pub mod session;
 pub mod wire;
 
-pub use artifact::{CompiledFilter, FilterInstance};
+pub use artifact::{CompiledFilter, FilterInstance, Hydrated};
 pub use ccam::machine::TierPolicy;
 pub use error::Error;
 pub use mlbox_compile::ctx::EnvMode;

@@ -118,7 +118,13 @@ pub struct Outcome {
     pub ty: String,
     /// Rendered value.
     pub value: String,
-    /// The raw machine value.
+    /// The raw machine value. It is session-scoped: it may share cells
+    /// and code with the session that produced it, and dropping that
+    /// session tears them down (a `ref` it reaches holds `()`, an array
+    /// is empty, and applying a function it holds fails with
+    /// [`MachineError::DanglingBlock`](ccam::machine::MachineError::DanglingBlock)).
+    /// Use it while the session lives; [`Outcome::value`] and
+    /// [`Session::compile_to_artifact`] are the forms that outlive it.
     pub raw: Value,
     /// Machine statistics for this declaration alone.
     pub stats: Stats,
@@ -499,6 +505,11 @@ impl Session {
     /// result and the statistics of the call alone. This is the benchmark
     /// harness's measurement primitive.
     ///
+    /// The argument and the result are session-scoped, as
+    /// [`Outcome::raw`] is: once `arg` is reachable from the session's
+    /// state (stored in a cell, or quoted into code the run generated),
+    /// dropping the session empties the cells it reaches.
+    ///
     /// # Errors
     ///
     /// Returns an error if `name` is not bound to a function, or the call
@@ -610,6 +621,17 @@ impl Session {
     /// Renders a machine value with this session's datatype names.
     pub fn render(&self, v: &Value) -> String {
         render_machine(v, &self.elab.data)
+    }
+}
+
+impl Drop for Session {
+    /// Frees everything the session allocated (DESIGN.md §16): tears its
+    /// segment down, emptying every mutable cell its environment and its
+    /// code reach, so the `Rc` cycles through them cannot outlive it.
+    /// Values that escaped the session die with it (see [`Outcome::raw`]).
+    fn drop(&mut self) {
+        let env = std::mem::replace(&mut self.env, Value::Unit);
+        self.seg.tear_down([env]);
     }
 }
 
@@ -790,6 +812,34 @@ mod tests {
                 let grown = s.code_segment().num_blocks() - blocks;
                 assert!(grown <= 2, "{name} {adaptive:?}: {grown} blocks");
             }
+        }
+    }
+
+    #[test]
+    fn values_that_escape_a_dropped_session_die_with_it() {
+        use crate::artifact::{app_code, apply};
+        use ccam::machine::MachineError;
+        let mut s = Session::new().unwrap();
+        s.run("val r = ref 41\nfun inc x = x + 1").unwrap();
+        let cell = s.eval_expr("r").unwrap().raw;
+        let inc = s.eval_expr("inc").unwrap().raw;
+        let adaptive = SessionOptions {
+            adaptive: Some(TierPolicy { promote_after: 0 }),
+            ..SessionOptions::default()
+        };
+        let mut machines = [SessionOptions::default(), adaptive].map(|o| machine_for(&o));
+        // While the session lives, its values are live.
+        for m in &mut machines {
+            let (v, _) = apply(m, &app_code(), &inc, Value::Int(1)).unwrap();
+            assert!(matches!(v, Value::Int(2)));
+        }
+        drop(s);
+        // Then its cells are empty and its code is gone: applying the
+        // function is a typed error on either tier, not a panic.
+        assert!(matches!(&cell, Value::Ref(c) if matches!(*c.borrow(), Value::Unit)));
+        for m in &mut machines {
+            let err = apply(m, &app_code(), &inc, Value::Int(1)).unwrap_err();
+            assert!(matches!(err, MachineError::DanglingBlock { .. }), "{err}");
         }
     }
 

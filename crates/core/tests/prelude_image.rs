@@ -244,6 +244,29 @@ fn sessions_share_nothing_with_each_other() {
 }
 
 #[test]
+fn dropping_a_session_spares_the_image_and_the_other_sessions() {
+    let memoized = "case lookup (specCode2, 5) of NONE => false | SOME _ => true";
+    let mut a = Session::new().unwrap();
+    let mut b = Session::new().unwrap();
+    assert!(!CodeSeg::ptr_eq(a.code_segment(), b.code_segment()));
+    for s in [&mut a, &mut b] {
+        s.run(MEMO_POWER2).unwrap();
+        assert_eq!(s.eval_expr("memoPower2 5 2").unwrap().value, "32");
+    }
+    let b_listing = listing(b.code_segment());
+    drop(a);
+    // `b`'s code and its memo table (a `ref` cell) are untouched.
+    assert_eq!(listing(b.code_segment()), b_listing);
+    assert_eq!(b.eval_expr(memoized).unwrap().value, "true");
+    assert_eq!(b.eval_expr("memoPower2 5 3").unwrap().value, "243");
+    // A new session starts from an intact image.
+    let mut c = Session::new().unwrap();
+    c.run(MEMO_POWER2).unwrap();
+    assert_eq!(c.eval_expr(memoized).unwrap().value, "false");
+    assert_eq!(c.eval_expr("memoPower2 5 2").unwrap().value, "32");
+}
+
+#[test]
 fn a_second_thread_builds_its_own_image() {
     let workload = |s: &mut Session| {
         let out = s.eval_expr("map (fn x => x * 2) [1, 2, 3]").unwrap();

@@ -17,12 +17,12 @@ use crate::hist::{LatencyHistogram, LatencySnapshot};
 use crate::store::ArtifactStore;
 use crate::swap::SwappableFilter;
 use ccam::machine::Machine;
-use ccam::value::Value;
 use mlbox::artifact::{app_code, apply, machine_for};
-use mlbox::SessionOptions;
+use mlbox::{Hydrated, SessionOptions};
 use mlbox_bpf::harness::{expect_verdict, filter_arg};
 use mlbox_bpf::insn::Insn;
 use mlbox_bpf::packet::Packet;
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -452,8 +452,9 @@ fn worker_loop(
     let app = app_code();
     // This worker's decoded entry points: the shared artifact is its
     // `Arc`ed wire bytes; each worker decodes them into a segment and
-    // `Rc` values in its own heap exactly once per filter.
-    let mut installed: HashMap<CacheKey, Value> = HashMap::new();
+    // `Rc` values in its own heap exactly once per filter. Each keeps its
+    // segment, which is torn down when the worker exits.
+    let mut installed: HashMap<CacheKey, Hydrated> = HashMap::new();
     let mut stats = WorkerStats {
         worker: index,
         batches: 0,
@@ -515,7 +516,7 @@ fn run_batch(
     key: CacheKey,
     options: &SessionOptions,
     store: Option<&ArtifactStore>,
-    installed: &mut HashMap<CacheKey, Value>,
+    installed: &mut HashMap<CacheKey, Hydrated>,
     request: &BatchRequest,
     stats: &mut WorkerStats,
 ) -> Result<BatchOutput, String> {
@@ -527,26 +528,24 @@ fn run_batch(
         Some(store) => cache.get_or_load_or_specialize(key, &request.filter, options, store)?,
         None => cache.get_or_specialize(key, &request.filter, options)?,
     };
-    let entry = match installed.get(&key) {
-        Some(v) => v.clone(),
-        None => {
+    let entry = match installed.entry(key) {
+        Entry::Occupied(slot) => slot.into_mut(),
+        Entry::Vacant(slot) => {
             // Checked decode: a frame-bearing (flat_env) artifact
             // must never install into a worker running another env
             // mode. The cache key already separates the modes, so this
             // only fires if an artifact was handed over out of band.
-            let entry = artifact
-                .hydrate_entry_for(options)
-                .map_err(|e| e.to_string())?;
+            let hydrated = artifact.hydrate_for(options).map_err(|e| e.to_string())?;
             stats.installs += 1;
-            installed.insert(key, entry.clone());
-            entry
+            slot.insert(hydrated)
         }
-    };
+    }
+    .entry();
     let mut verdicts = Vec::with_capacity(request.packets.len());
     let mut steps = Vec::with_capacity(request.packets.len());
     for pkt in &request.packets {
         let (value, delta) =
-            apply(machine, app, &entry, filter_arg(pkt)).map_err(|e| e.to_string())?;
+            apply(machine, app, entry, filter_arg(pkt)).map_err(|e| e.to_string())?;
         verdicts.push(expect_verdict(&value).map_err(|e| e.to_string())?);
         steps.push(delta.steps);
         stats.packets += 1;
