@@ -15,6 +15,7 @@
 //! table1 sweep-filter# filter-length sweep (E6)
 //! table1 crossover   # amortization break-even analysis (E6)
 //! table1 memo        # memoization measurements (E4)
+//! table1 optimize    # the §4.2 peephole in promoted code (E7)
 //! table1 deep-env    # pair-spine vs flat access on deep
 //!                    # environments (--json: the BENCH_deep_env rows)
 //! table1 all         # everything
@@ -212,58 +213,64 @@ fn deep_env(json: bool) {
     println!();
 }
 
-/// §4.2 ablation: the emission-time optimizer ("a more sophisticated
-/// specialization system might ... eliminate the instruction altogether
-/// if either \[operand\] is 0") on the Table 1 workloads.
+/// §4.2 ablation: the peephole ("a more sophisticated specialization
+/// system might ... eliminate the instruction altogether if either
+/// \[operand\] is 0") as part of promotion. Reports the instructions of
+/// cold code against its promoted renderings, at equal steps.
 fn optimize_ablation() {
-    use mlbox::{Session, SessionOptions};
-    let measure = |optimize: bool| {
+    use ccam::disasm::{census, promoted_census};
+    use mlbox::{Session, TierPolicy};
+    let run = |adaptive: Option<TierPolicy>| {
         let mut s = Session::with_options(SessionOptions {
-            optimize,
+            adaptive,
             ..Default::default()
         })
         .expect("session");
         s.run(mlbox::programs::EVAL_POLY).expect("evalPoly");
         s.run(mlbox::programs::COMP_POLY).expect("compPoly");
-        let gen = s.run("val f = eval (compPoly polyl)").expect("generate");
+        s.run("val f = eval (compPoly polyl)").expect("generate");
         let call = s.eval_expr("f 47").expect("call");
-        (
-            gen.last().expect("outcome").stats.steps,
-            call.stats.steps,
-            call.value.clone(),
-        )
+        let ccam::Value::Closure(c) = s.eval_expr("f").expect("f").raw else {
+            panic!("f is a closure");
+        };
+        let size = |c: std::collections::BTreeMap<&str, usize>| c.values().sum::<usize>();
+        let cold = size(census(&c.body.seg, c.body.block));
+        let promoted = size(promoted_census(&c.body.seg, c.body.block));
+        (call.value, call.stats.steps, cold, promoted)
     };
-    let (gen_plain, call_plain, v1) = measure(false);
-    let (gen_opt, call_opt, v2) = measure(true);
-    assert_eq!(v1, v2);
-    println!("Emission-time optimizer ablation (compPoly polyl; polyl has a 0 coefficient)");
-    println!("  plain:     generate {gen_plain:>5} steps, specialized call {call_plain:>4} steps");
-    println!("  optimized: generate {gen_opt:>5} steps, specialized call {call_opt:>4} steps");
-    println!(
-        "  per-call saving {:.0}% for {:.0}% extra generation work\n",
-        100.0 * (call_plain - call_opt) as f64 / call_plain as f64,
-        100.0 * (gen_opt as f64 - gen_plain as f64) / gen_plain as f64
-    );
+    let (v_paper, steps_paper, cold, _) = run(None);
+    let (v_hot, steps_hot, _, promoted) = run(Some(TierPolicy { promote_after: 0 }));
+    assert_eq!((v_paper, steps_paper), (v_hot, steps_hot));
+    println!("§4.2 peephole in promotion (compPoly polyl; polyl has a 0 coefficient)");
+    println!("  specialized f: cold {cold} instructions, promoted {promoted}, call {steps_paper} steps in both");
 
     let filter = mlbox_bpf::filters::telnet_filter();
-    let mut packets = PacketGen::new(2027);
-    let telnet = packets.telnet(16);
+    let telnet = PacketGen::new(2027).telnet(16);
     let mut plain = FilterHarness::new(&filter).expect("harness");
-    let mut opt = FilterHarness::with_options(
+    let mut hot = FilterHarness::with_options(
         &filter,
         SessionOptions {
-            optimize: true,
+            adaptive: Some(TierPolicy { promote_after: 0 }),
             ..Default::default()
         },
     )
     .expect("harness");
-    let gp = plain.specialize().expect("gen");
-    let go = opt.specialize().expect("gen");
+    plain.specialize().expect("gen");
+    hot.specialize().expect("gen");
     let (_, sp) = plain.specialized(&telnet).expect("run");
-    let (_, so) = opt.specialized(&telnet).expect("run");
+    let (_, sh) = hot.specialized(&telnet).expect("run");
+    assert_eq!(sp, sh);
+    let seg = hot.session_mut().code_segment().clone();
+    let (cold, promoted) = (0..seg.num_blocks() as u32)
+        .filter_map(|b| {
+            let to = seg.promoted(ccam::BlockId(b))?;
+            let len = |b| seg.block_bounds(b).map_or(0, |(_, len)| len);
+            Some((len(ccam::BlockId(b)), len(to)))
+        })
+        .fold((0, 0), |(c, p), (lc, lp)| (c + lc, p + lp));
     println!(
-        "Telnet filter: plain gen {} / call {}; optimized gen {} / call {}\n",
-        gp.steps, sp, go.steps, so
+        "  telnet filter session: promoted blocks hold {cold} cold instructions, \
+         their renderings {promoted}; specialized call {sp} steps in both\n"
     );
 }
 

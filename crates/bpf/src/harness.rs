@@ -30,8 +30,8 @@ impl FilterHarness {
         FilterHarness::with_options(filter, SessionOptions::default())
     }
 
-    /// Builds a harness with explicit session options (e.g. the §4.2
-    /// emission-time optimizer).
+    /// Builds a harness with explicit session options (e.g. the adaptive
+    /// tier controller, whose promoted code folds §4.2's `+ 0`).
     ///
     /// # Errors
     ///

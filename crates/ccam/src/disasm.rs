@@ -138,24 +138,37 @@ fn label(i: &Instr, labels: &mut Labels) -> String {
 /// e.g. that specialization eliminated all `switch` dispatch.
 pub fn census(seg: &CodeSeg, entry: BlockId) -> BTreeMap<&'static str, usize> {
     let mut out = BTreeMap::new();
-    visit_block(seg, entry, &mut out);
+    visit_block(seg, entry, false, &mut out);
     out
 }
 
-fn visit_block(seg: &CodeSeg, b: BlockId, out: &mut BTreeMap<&'static str, usize>) {
+/// [`census`] of the code the tier controller runs: every block the
+/// controller promoted counts as its promoted rendering.
+pub fn promoted_census(seg: &CodeSeg, entry: BlockId) -> BTreeMap<&'static str, usize> {
+    let mut out = BTreeMap::new();
+    visit_block(seg, entry, true, &mut out);
+    out
+}
+
+fn visit_block(seg: &CodeSeg, b: BlockId, promoted: bool, out: &mut BTreeMap<&'static str, usize>) {
+    let b = if promoted {
+        seg.promoted(b).unwrap_or(b)
+    } else {
+        b
+    };
     // Copy the block out so no segment borrow is held across recursion.
     for i in seg.block_to_vec(b) {
-        visit(seg, &i, out);
+        visit(seg, &i, promoted, out);
     }
 }
 
-fn visit(seg: &CodeSeg, i: &Instr, out: &mut BTreeMap<&'static str, usize>) {
+fn visit(seg: &CodeSeg, i: &Instr, promoted: bool, out: &mut BTreeMap<&'static str, usize>) {
     *out.entry(i.mnemonic()).or_insert(0) += 1;
     match i {
-        Instr::Emit(inner) => visit(seg, inner, out),
+        Instr::Emit(inner) => visit(seg, inner, promoted, out),
         _ => {
             for b in i.block_refs() {
-                visit_block(seg, b, out);
+                visit_block(seg, b, promoted, out);
             }
         }
     }

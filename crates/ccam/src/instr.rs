@@ -119,9 +119,8 @@ pub enum Instr {
     /// dispatch — walk `n` links down the left-nested pair spine (or load
     /// slot `n` of a flat frame), then take the second component. The
     /// compiler emits this for every variable access in flat environment
-    /// mode (`EnvMode::Flat` in `mlbox-compile`); the peephole optimizer
-    /// and superinstruction fusion also collapse residual `Fst..Fst; Snd`
-    /// chains into it over pair spines.
+    /// mode (`EnvMode::Flat` in `mlbox-compile`); tier promotion's fusion
+    /// also collapses residual `Fst..Fst; Snd` chains into it.
     Acc(usize),
     /// Duplicate the top of the stack.
     Push,
@@ -173,7 +172,7 @@ pub enum Instr {
     // ---- superinstructions (the fusion layer, DESIGN.md §11) ----
     /// Fused `Push; Acc(n)`: keep the top value and push its `n`th
     /// environment slot in one dispatch. `PushAcc(0)` also covers the
-    /// fused `Push; Snd`. Produced only by `opt::fuse_selected` (tier
+    /// fused `Push; Snd`. Produced only by `opt::render` (tier
     /// promotion); never emitted directly by the compiler.
     PushAcc(usize),
     /// Fused `Quote(v); ConsPair`: pop the top, pop `u`, push `(u, v)`.

@@ -31,10 +31,12 @@ pub(crate) mod transfer;
 mod tests;
 
 use crate::instr::{Instr, OPCODE_COUNT};
+use crate::opt::Charges;
 use crate::seg::{BlockId, CodeRef, CodeSeg, TierProbe};
 use crate::value::{Arena, Value};
 use state::MachineState;
 use std::fmt;
+use std::rc::Rc;
 
 /// Why execution stopped abnormally.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -166,7 +168,7 @@ pub struct Stats {
     /// `call` transfers into generated code.
     pub calls: u64,
     /// Arena freezes that materialized code (cache misses). Each miss
-    /// copies — and, under `set_optimize`, re-optimizes — the arena.
+    /// copies the arena into a new block.
     pub freezes: u64,
     /// Arena freezes served from the cached snapshot.
     pub freeze_hits: u64,
@@ -176,13 +178,13 @@ pub struct Stats {
     /// ([`Machine::set_tier_policy`]).
     pub promotions: u64,
     /// Freeze misses that re-rendered an arena which had already been
-    /// frozen under the same flavor (the arena grew in between). The old
+    /// frozen (the arena grew in between). The old
     /// snapshot — and any tier state attached to its block — stays
     /// valid; the new rendering starts cold.
     pub refreezes: u64,
-    /// Baseline reduction steps executed at each tier under an adaptive
-    /// policy (0 cold, 1 fused). Sums to `steps` when the controller is
-    /// enabled; all zero otherwise.
+    /// Paper reduction steps executed at each tier under an adaptive
+    /// policy (0 cold, 1 promoted). Sums to `steps` when the controller
+    /// is enabled; all zero otherwise.
     pub tier_steps: [u64; 2],
 }
 
@@ -250,10 +252,9 @@ pub struct Machine {
     state: MachineState,
     control: Vec<Frame>,
     trace: Option<Trace>,
-    optimize: bool,
-    /// The adaptive tier controller, when enabled by
+    /// The adaptive tier controller's policy, when enabled by
     /// [`Machine::set_tier_policy`].
-    adaptive: Option<Adaptive>,
+    adaptive: Option<TierPolicy>,
     /// Dynamic opcode-pair frequency profile, when enabled by
     /// [`Machine::set_profile_pairs`]. Boxed: the table is
     /// `OPCODE_COUNT²` counters, too large to live inline in every
@@ -263,8 +264,8 @@ pub struct Machine {
 
 /// The adaptive tier controller's policy (DESIGN.md §15): how many
 /// activations a block runs cold before promotion. A promoted block is
-/// re-rendered with every fusion rule enabled; the controller evaluates
-/// the policy per block, at run time.
+/// re-rendered by [`crate::opt::render`] (the §4.2 peephole, then
+/// fusion); the controller evaluates the policy per block, at run time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct TierPolicy {
     /// Activations a block runs cold before promotion (`0` promotes at
@@ -277,14 +278,6 @@ impl Default for TierPolicy {
     fn default() -> Self {
         TierPolicy { promote_after: 8 }
     }
-}
-
-/// Adaptive-mode configuration: the policy plus the baseline cost model
-/// steps are charged in (see [`Machine::set_tier_policy`]).
-#[derive(Debug, Clone, Copy)]
-struct Adaptive {
-    policy: TierPolicy,
-    spine_units: bool,
 }
 
 /// An opcode-pair frequency table: `counts[a][b]` is how many times
@@ -337,48 +330,6 @@ pub(crate) fn fuel_cost(i: &Instr) -> u64 {
         Instr::QuoteCons(_) | Instr::SwapCons | Instr::ConsApp | Instr::PushQuote(_) => 2,
         _ => 1,
     }
-}
-
-/// Steps one dispatch stands for against a flat-env baseline,
-/// where `acc` is itself a single compiled instruction: each fused pair
-/// dispatch counts two, everything else one. (Against the pair-spine
-/// baseline the charge is [`fuel_cost`] — there `acc n` stands for the
-/// `n + 1`-step `fst^n; snd` walk.)
-fn indexed_charge(opcode: usize) -> u64 {
-    // 24..=29: push_acc, quote_cons, swap_cons, cons_app, acc_app,
-    // push_quote — the six fused opcodes of the DISPATCH table.
-    if (24..=29).contains(&opcode) {
-        2
-    } else {
-        1
-    }
-}
-
-/// How many baseline steps the unfused rendering of one dispatch would
-/// have counted before exhausting a budget with `left` fuel units
-/// remaining — the aborting step included, matching `account`'s
-/// count-then-fail order. Fuel is always charged in pair-spine units, so
-/// against that baseline every constituent step costs one unit; against
-/// an indexed baseline a fused dispatch stands for two instructions
-/// whose individual fuel costs decide which of them aborts.
-fn abort_charge(mnemonic: &str, fuel_cost: u64, spine_units: bool, left: u64) -> u64 {
-    if spine_units {
-        return left + 1;
-    }
-    let parts: [u64; 2] = match mnemonic {
-        "push_acc" => [1, fuel_cost - 1],
-        "acc_app" => [fuel_cost - 1, 1],
-        "quote_cons" | "swap_cons" | "cons_app" | "push_quote" => [1, 1],
-        _ => return 1,
-    };
-    let mut spent = 0;
-    for (i, cost) in parts.iter().enumerate() {
-        spent += cost;
-        if spent > left {
-            return i as u64 + 1;
-        }
-    }
-    parts.len() as u64
 }
 
 /// A step function: one straight-line opcode over the shared state. The
@@ -598,7 +549,6 @@ impl Machine {
             state: MachineState::default(),
             control: Vec::new(),
             trace: None,
-            optimize: false,
             adaptive: None,
             pair_profile: None,
         }
@@ -612,50 +562,28 @@ impl Machine {
         m
     }
 
-    /// Enables emission-time peephole optimization (§4.2's "more
-    /// sophisticated specialization system"): arenas are optimized by
-    /// [`crate::opt::peephole`] when frozen by `call` and the merge
-    /// family — constant folding, `+ 0`/`* 1` elimination, `* 0`
-    /// absorption, constant-branch folding.
-    pub fn set_optimize(&mut self, on: bool) {
-        self.optimize = on;
-    }
-
-    /// Whether emission-time optimization is enabled.
-    pub fn optimize(&self) -> bool {
-        self.optimize
-    }
-
     /// Enables (`Some`) or disables (`None`) the adaptive tier
     /// controller. While enabled, every frame activation consults the
     /// executed block's per-segment counters: cold blocks run plainly,
     /// and a block whose activation count crosses
-    /// [`TierPolicy::promote_after`] is re-rendered through fusion — a
-    /// promotion that is invisible to every observable: verdicts, step
-    /// counts, fuel, and output are identical to the cold execution at
-    /// every promotion point.
-    ///
-    /// `spine_units` names the baseline cost model the running code was
-    /// compiled against: `true` for the paper's pair-spine environments
-    /// (an `acc n` stands for the `fst^n; snd` walk), `false` for
-    /// flat environments (an `acc` is itself one compiled
-    /// instruction). Steps under the controller are charged in baseline
-    /// units, which is what makes promotion step-transparent.
+    /// [`TierPolicy::promote_after`] is re-rendered by
+    /// [`crate::opt::render`] — a promotion that is invisible to every
+    /// observable: verdicts, step counts, fuel, and output are identical
+    /// to the cold execution at every promotion point. Each rendered
+    /// instruction charges the Paper steps of the cold instructions it
+    /// stands for, in either environment mode.
     ///
     /// Promotion is suppressed while a trace is recording
     /// ([`Machine::set_trace`]): a fused rendering has a different
     /// `(block, pc, mnemonic)` shape, and traces are defined to observe
     /// the cold rendering.
-    pub fn set_tier_policy(&mut self, policy: Option<TierPolicy>, spine_units: bool) {
-        self.adaptive = policy.map(|policy| Adaptive {
-            policy,
-            spine_units,
-        });
+    pub fn set_tier_policy(&mut self, policy: Option<TierPolicy>) {
+        self.adaptive = policy;
     }
 
     /// The adaptive tier policy, if the controller is enabled.
     pub fn tier_policy(&self) -> Option<TierPolicy> {
-        self.adaptive.map(|a| a.policy)
+        self.adaptive
     }
 
     /// Enables or disables dynamic opcode-pair profiling (surfaced
@@ -670,33 +598,21 @@ impl Machine {
         self.pair_profile.as_deref()
     }
 
-    /// Freezes an arena, applying the optimizer when enabled. Served from
-    /// the arena's snapshot cache whenever the arena has not grown since
-    /// the previous freeze of the same flavor, so specialize-once /
-    /// run-many programs pay for copying and optimization once.
+    /// Freezes an arena. Served from the arena's snapshot cache whenever
+    /// the arena has not grown since its previous freeze, so
+    /// specialize-once / run-many programs copy the code once.
     fn freeze(&mut self, arena: &Arena) -> CodeRef {
-        // One cache slot per optimize flavor, so machines with different
-        // flags sharing an arena never serve each other's rendering.
-        let optimize = self.optimize;
-        let stale = arena
-            .snapshot_len(optimize)
-            .is_some_and(|l| l != arena.len());
-        let (code, hit) = arena.freeze_via(optimize, |seg, instrs| {
-            if optimize {
-                crate::opt::peephole(seg, instrs)
-            } else {
-                instrs.to_vec()
-            }
-        });
+        let stale = arena.snapshot_len().is_some_and(|l| l != arena.len());
+        let (code, hit) = arena.freeze_cached();
         if hit {
             self.state.stats.freeze_hits += 1;
         } else {
             self.state.stats.freezes += 1;
             if stale {
-                // The arena grew since its last freeze of this flavor.
-                // The old snapshot block — and any tier state the
-                // adaptive controller attached to it — stays valid; the
-                // replacement is a fresh block that starts cold.
+                // The arena grew since its last freeze. The old snapshot
+                // block — and any tier state the adaptive controller
+                // attached to it — stays valid; the replacement is a
+                // fresh block that starts cold.
                 self.state.stats.refreezes += 1;
             }
         }
@@ -776,11 +692,12 @@ impl Machine {
     /// that exhausts the budget counted but not executed. Runs only when [`Machine::observed`]; otherwise the loop
     /// just calls [`count_step`](Machine::count_step).
     ///
-    /// `step_charge` is how many steps this dispatch counts as: 1
-    /// normally, its baseline-unit cost under an adaptive policy (so a
-    /// promoted block's fused dispatches report exactly the steps their
-    /// cold rendering would have). `tier` attributes the charge in
-    /// [`Stats::tier_steps`].
+    /// `costs` are the fuel costs of the Paper instructions this
+    /// dispatch stands for, one step each: a cold instruction's own, or
+    /// a promoted instruction's [`Charges`] record (so a folded or fused
+    /// dispatch reports exactly the steps of its cold instructions, and a
+    /// budget that runs out among them aborts at the same step). `tier`
+    /// attributes the charge in [`Stats::tier_steps`].
     ///
     /// Kept out of line: inlined into `steps_loop` it crowds
     /// the unobserved path, which every benchmark workload runs.
@@ -792,8 +709,7 @@ impl Machine {
         pc: usize,
         opcode: usize,
         mnemonic: &'static str,
-        fuel_cost: u64,
-        step_charge: u64,
+        costs: &[u64],
         tier: usize,
         prev_op: &mut Option<usize>,
     ) -> Result<(), MachineError> {
@@ -812,19 +728,22 @@ impl Machine {
                 });
             }
         }
-        let mut charge = step_charge;
+        let mut charge = costs.len() as u64;
         let mut exhausted = None;
         if let Some(fuel) = self.state.fuel {
             let left = fuel.saturating_sub(self.state.fuel_spent);
-            self.state.fuel_spent += fuel_cost;
+            self.state.fuel_spent += costs.iter().sum::<u64>();
             if self.state.fuel_spent > fuel {
-                if let Some(ad) = self.adaptive {
-                    // A fused dispatch can straddle the budget boundary;
-                    // count only the baseline steps the unfused column
-                    // would have counted (the aborting one included), so
-                    // exhaustion is observationally identical at every
-                    // tier.
-                    charge = abort_charge(mnemonic, fuel_cost, ad.spine_units, left);
+                // A promoted dispatch can straddle the budget boundary;
+                // count only the Paper steps up to the one that exhausts
+                // it (included), so exhaustion is observationally
+                // identical at every tier.
+                let mut spent = 0;
+                if let Some(i) = costs.iter().position(|c| {
+                    spent += c;
+                    spent > left
+                }) {
+                    charge = i as u64 + 1;
                 }
                 exhausted = Some(fuel);
             }
@@ -836,8 +755,8 @@ impl Machine {
         }
     }
 
-    /// Counts one dispatch: `charge` steps (1, or its baseline-unit cost
-    /// under an adaptive policy), attributed to `tier` when the tier
+    /// Counts one dispatch: `charge` steps (1, or its record's length
+    /// in a promoted rendering), attributed to `tier` when the tier
     /// controller is on.
     #[inline]
     fn count_step(&mut self, charge: u64, tier: usize) {
@@ -890,10 +809,11 @@ impl Machine {
             // or performs the block's promotion; a mid-frame
             // re-activation just recovers the tier the frame already
             // runs at.
-            let (block, tier) = match self.adaptive {
-                Some(ad) => self.tier_activate(&seg, block, pc, ad),
-                None => (block, 0),
+            let (block, charges) = match self.adaptive {
+                Some(policy) => self.tier_activate(&seg, block, pc, policy),
+                None => (block, None),
             };
+            let tier = usize::from(charges.is_some());
             let Some((start, len)) = seg.block_bounds(block) else {
                 return Err(MachineError::DanglingBlock { block: block.0 });
             };
@@ -902,30 +822,26 @@ impl Machine {
             // only meaningful within one straight-line run, so the chain
             // restarts at every frame activation.
             let mut prev_op: Option<usize> = None;
-            let charge_mode = self.adaptive.map(|a| a.spine_units);
             while pc < len {
                 let instr = &instrs[start + pc];
-                pc += 1;
                 let opcode = instr.opcode();
-                let charge = match charge_mode {
-                    None => 1,
-                    Some(true) => fuel_cost(instr),
-                    Some(false) => indexed_charge(opcode),
-                };
                 if observed {
+                    let own = [fuel_cost(instr)];
+                    let costs = charges.as_ref().map_or(&own[..], |c| c.costs(pc));
                     self.account(
                         block,
-                        pc - 1,
+                        pc,
                         opcode,
                         instr.mnemonic(),
-                        fuel_cost(instr),
-                        charge,
+                        costs,
                         tier,
                         &mut prev_op,
                     )?;
                 } else {
+                    let charge = charges.as_ref().map_or(1, |c| c.steps(pc));
                     self.count_step(charge, tier);
                 }
+                pc += 1;
                 match &DISPATCH[opcode] {
                     Dispatch::Step(step) => step(&mut self.state, &seg, instr)?,
                     Dispatch::Transfer(run) => {
@@ -949,7 +865,7 @@ impl Machine {
     /// activation of `block`, redirects to its promoted rendering if one
     /// exists, and performs the promotion itself when the block's own
     /// activation count crosses the policy threshold. Returns the block
-    /// to execute and its tier.
+    /// to execute and, for a promoted rendering, its record.
     ///
     /// Promotion happens only at `pc == 0` — return frames carry pcs
     /// into the rendering they started in, so a frame is never switched
@@ -961,55 +877,45 @@ impl Machine {
         seg: &CodeSeg,
         block: BlockId,
         pc: usize,
-        ad: Adaptive,
-    ) -> (BlockId, usize) {
+        policy: TierPolicy,
+    ) -> (BlockId, Option<Rc<Charges>>) {
         if self.trace.is_some() {
             // Traces observe the cold rendering; see `set_tier_policy`.
-            return (block, 0);
+            return (block, None);
         }
         if pc > 0 {
             // Mid-frame re-activation (a nested call returned): the
             // frame already runs the rendering its pc indexes into.
-            return (block, seg.tier_level(block) as usize);
+            return (block, seg.charges(block));
         }
         match seg.tier_probe(block) {
-            TierProbe::Promoted(promoted, level) => {
+            TierProbe::Promoted(promoted, charges) => {
                 self.redirect_frame(promoted);
-                return (promoted, level as usize);
+                return (promoted, charges);
             }
-            TierProbe::Cold(execs, level) => {
-                if execs < ad.policy.promote_after {
-                    return (block, level as usize);
+            TierProbe::Cold(execs, charges) => {
+                if execs < policy.promote_after {
+                    return (block, charges);
                 }
             }
         }
         if seg.block_bounds(block).is_none() {
             // A block of a torn-down segment: `steps_loop` reports it.
-            return (block, 0);
+            return (block, None);
         }
-        // Promote: re-render the block's straight line with every fusion
-        // rule enabled.
-        let instrs = seg.block_to_vec(block);
-        let mut sel = crate::opt::FuseSelection::all();
-        if !ad.spine_units {
-            // The flat-env baseline charges `acc n` as one step, so
-            // collapsing an access chain would make fewer steps than the
-            // baseline counted; pair fusion alone keeps the bijection
-            // between fused dispatches and baseline instruction pairs.
-            sel.disable_access();
-        }
-        let (fused, changed) = crate::opt::fuse_selected(&instrs, &sel);
-        let promoted = if changed { seg.add_block(fused) } else { block };
-        // With nothing to fuse the decision is still recorded (so it is
-        // not re-made every activation), but the block keeps running
-        // cold.
-        let level = u8::from(changed);
-        seg.tier_promote(block, promoted, level);
         self.state.stats.promotions += 1;
-        if promoted != block {
-            self.redirect_frame(promoted);
-        }
-        (promoted, level as usize)
+        let Some((code, charges)) = crate::opt::render(seg, &seg.block_to_vec(block)) else {
+            // With nothing to rewrite the decision is still recorded (so
+            // it is not re-made every activation), but the block keeps
+            // running cold.
+            seg.tier_promote(block, block, None);
+            return (block, None);
+        };
+        let promoted = seg.add_block(code);
+        let charges = Rc::new(charges);
+        seg.tier_promote(block, promoted, Some(charges.clone()));
+        self.redirect_frame(promoted);
+        (promoted, Some(charges))
     }
 
     /// Points the top frame — known to be at a fresh activation — at

@@ -1023,7 +1023,7 @@ fn promotion_fuses_frozen_generated_code() {
     let v1 = plain.run(prog.clone(), gen.clone()).unwrap();
 
     let mut tiered = Machine::new();
-    tiered.set_tier_policy(Some(TierPolicy { promote_after: 0 }), true);
+    tiered.set_tier_policy(Some(TierPolicy { promote_after: 0 }));
     let v2 = tiered.run(prog.clone(), gen.clone()).unwrap();
     assert_eq!(v1.to_string(), v2.to_string());
     assert_eq!(tiered.stats().steps, plain.stats().steps);
@@ -1125,7 +1125,7 @@ fn observers_do_not_change_what_a_run_reports() {
                 continue;
             }
             let mut m = Machine::new();
-            m.set_tier_policy(policy, true);
+            m.set_tier_policy(policy);
             enable(&mut m);
             assert_eq!(m.observed(), name != "none", "{name}");
             let out = m.run(observer_program(), Value::Unit).unwrap();
@@ -1180,7 +1180,7 @@ fn adaptive_promotion_is_invisible_in_steps_and_verdicts() {
     let (code, input) = apply_program();
     let mut plain = Machine::new();
     let mut tiered = Machine::new();
-    tiered.set_tier_policy(Some(TierPolicy { promote_after: 2 }), true);
+    tiered.set_tier_policy(Some(TierPolicy { promote_after: 2 }));
     for round in 0..6 {
         let before_p = plain.stats();
         let before_t = tiered.stats();
@@ -1210,7 +1210,7 @@ fn adaptive_promote_after_zero_promotes_before_first_execution() {
     let mut plain = Machine::new();
     let vp = plain.run(code.clone(), input.clone()).unwrap();
     let mut tiered = Machine::new();
-    tiered.set_tier_policy(Some(TierPolicy { promote_after: 0 }), true);
+    tiered.set_tier_policy(Some(TierPolicy { promote_after: 0 }));
     let vt = tiered.run(code.clone(), input.clone()).unwrap();
     assert_eq!(vp.to_string(), vt.to_string());
     assert_eq!(plain.stats().steps, tiered.stats().steps);
@@ -1237,7 +1237,7 @@ fn adaptive_fuel_exhaustion_matches_plain_at_every_budget() {
         let mut p = Machine::with_fuel(budget);
         let rp = p.run(code.clone(), input.clone());
         let mut t = Machine::with_fuel(budget);
-        t.set_tier_policy(Some(TierPolicy { promote_after: 0 }), true);
+        t.set_tier_policy(Some(TierPolicy { promote_after: 0 }));
         let rt = t.run(code.clone(), input.clone());
         assert_eq!(rp.is_err(), rt.is_err(), "budget {budget}");
         assert_eq!(
@@ -1255,7 +1255,7 @@ fn adaptive_fuel_exhaustion_matches_plain_at_every_budget() {
 fn adaptive_matches_an_indexed_baseline_too() {
     // Code as the flat-env compiler emits it: `acc` is itself one
     // compiled instruction, so fusing `push; acc` must charge 2 — not
-    // the pair-spine n + 2.
+    // the n + 2 fuel units it costs.
     let seg = CodeSeg::new();
     let code = seg.entry(vec![
         Instr::Push,
@@ -1269,7 +1269,7 @@ fn adaptive_matches_an_indexed_baseline_too() {
     let mut plain = Machine::new();
     let vp = plain.run(code.clone(), spine.clone()).unwrap();
     let mut tiered = Machine::new();
-    tiered.set_tier_policy(Some(TierPolicy { promote_after: 0 }), false);
+    tiered.set_tier_policy(Some(TierPolicy { promote_after: 0 }));
     let vt = tiered.run(code.clone(), spine.clone()).unwrap();
     assert_eq!(vp.to_string(), vt.to_string());
     assert_eq!(vp.to_string(), "7");
@@ -1281,7 +1281,7 @@ fn adaptive_matches_an_indexed_baseline_too() {
         let mut p = Machine::with_fuel(budget);
         let rp = p.run(code.clone(), spine.clone());
         let mut t = Machine::with_fuel(budget);
-        t.set_tier_policy(Some(TierPolicy { promote_after: 0 }), false);
+        t.set_tier_policy(Some(TierPolicy { promote_after: 0 }));
         let rt = t.run(code.clone(), spine.clone());
         assert_eq!(rp.is_err(), rt.is_err(), "budget {budget}");
         assert_eq!(p.stats().steps, t.stats().steps, "budget {budget}");
@@ -1296,7 +1296,7 @@ fn tracing_suppresses_promotion_and_observes_the_cold_rendering() {
     plain.run(code.clone(), input.clone()).unwrap();
     let want = plain.trace().unwrap().mnemonics();
     let mut tiered = Machine::new();
-    tiered.set_tier_policy(Some(TierPolicy { promote_after: 0 }), true);
+    tiered.set_tier_policy(Some(TierPolicy { promote_after: 0 }));
     tiered.set_trace(64);
     for _ in 0..3 {
         tiered.run(code.clone(), input.clone()).unwrap();
@@ -1319,7 +1319,7 @@ fn adaptive_promotes_generated_code_frozen_by_call() {
     let vp = plain.run(prog.clone(), Value::Unit).unwrap();
     let plain_steps = plain.stats().steps;
     let mut tiered = Machine::new();
-    tiered.set_tier_policy(Some(TierPolicy { promote_after: 1 }), true);
+    tiered.set_tier_policy(Some(TierPolicy { promote_after: 1 }));
     for round in 0..4 {
         let before = tiered.stats();
         let vt = tiered.run(prog.clone(), Value::Unit).unwrap();
@@ -1331,9 +1331,9 @@ fn adaptive_promotes_generated_code_frozen_by_call() {
         );
     }
     assert!(tiered.stats().promotions > 0);
-    // An adaptive machine freezes plainly (flavor 0): it shares the
-    // plain machine's snapshot slot, so every call here is a hit and
-    // the generated block earns its tier at run time instead.
+    // An arena has one snapshot, shared by every machine: every call
+    // here is a hit, and the generated block earns its tier at run time
+    // instead.
     assert_eq!(tiered.stats().freezes, 0);
     assert_eq!(tiered.stats().freeze_hits, 4);
 }

@@ -1,229 +1,199 @@
-//! Emission-time peephole optimization of generated code.
+//! The promotion renderer: what the adaptive tier controller
+//! (DESIGN.md §15) runs a hot block as.
 //!
-//! §4.2 of the paper: *"A more sophisticated specialization system might
-//! compile emit(add) to a series of instructions which would test the
-//! values of the operands of the add instruction at specialization time
-//! (if they are available) and eliminate the instruction altogether if
-//! either one is 0."* This module implements that idea as a post-pass
-//! applied when an arena is frozen (see [`crate::machine::Machine::set_optimize`]):
+//! Promotion rewrites one block's straight line in two passes, in this
+//! order:
 //!
-//! - **constant folding** — `⟨quote a, quote b⟩; prim op` → `quote (a op b)`;
-//! - **unary folding** — `quote v; prim neg/not` → `quote v'`;
-//! - **identity elimination** — `x + 0`, `0 + x`, `x * 1`, `1 * x`,
-//!   `x - 0` reduce to `x`; `x * 0` and `0 * x` reduce to `quote 0` when
-//!   `x`'s code is effect-free;
-//! - **branch folding** — `branch` on a constant boolean condition;
-//! - **dead `id` removal**;
-//! - **access fusion** — `fst^k; snd` chains (the CAM's O(depth)
-//!   environment walks) collapse into the single-dispatch `acc k`.
+//! 1. **The §4.2 peephole.** The paper: *"A more sophisticated
+//!    specialization system might compile emit(add) to a series of
+//!    instructions which would test the values of the operands of the add
+//!    instruction at specialization time (if they are available) and
+//!    eliminate the instruction altogether if either one is 0."* The
+//!    rules:
+//!    - **constant folding** — `⟨quote a, quote b⟩; prim op` →
+//!      `quote (a op b)`, and `quote v; prim neg/not` → `quote v'`;
+//!    - **identities** — `x + 0`, `0 + x`, `x - 0`, `x * 1`, `1 * x` and
+//!      `x div 1` reduce to `x`;
+//!    - **absorption** — `x * 0` and `0 * x` reduce to `quote 0` when
+//!      `x`'s code is pure;
+//!    - **branch folding** — `branch` on a constant boolean runs the
+//!      chosen arm inline;
+//!    - **dead `id` removal**.
 //!
-//! Code is flat: nested blocks are rewritten by [`optimize_block`], which
-//! appends the optimized rendering to the same segment and memoizes the
-//! mapping per segment, so shared blocks are optimized once no matter how
-//! many instructions reference them.
+//!    Nothing that can fail is folded: a zero divisor stays for the
+//!    runtime trap.
+//! 2. **Superinstruction fusion** (DESIGN.md §11) — `fst^k; snd` walks
+//!    collapse into `acc k`, and stereotyped adjacent pairs into single
+//!    fused dispatches. Fusion never changes the computation.
+//!
+//! Nested blocks are left alone: each earns its own promotion from its
+//! own activation count.
+//!
+//! Promotion is invisible to the paper's cost model because every
+//! rendered instruction carries a [`Charges`] record: the fuel cost of
+//! each cold instruction it stands for, in Paper order. The machine
+//! charges one step per record entry and finds a fuel abort's step in the
+//! record, so a folded or fused dispatch counts exactly the steps its cold
+//! instructions would have, and aborts where they would have. A removed
+//! instruction's cost rides on the next instruction kept. At the end of a
+//! block it rides on the last instruction kept when that one is pure, and
+//! otherwise on an `id` left in the removed code's place.
 //!
 //! The CAM pairing discipline makes operand boundaries recoverable: every
-//! `⟨A, B⟩ = push; A; swap; B; cons` is parenthesis-balanced in
-//! `push`/`cons`, so the extent of a compiled operand can be found by
-//! depth counting.
+//! `⟨A, B⟩ = push; A; swap; B; cons` is parenthesis-balanced in `push`
+//! against `cons`/`env_cons`, so the extent of a compiled operand can be
+//! found by depth counting.
 
-use crate::instr::{Instr, PrimOp, SwitchArm, SwitchTable};
-use crate::seg::{BlockId, CodeSeg};
+use crate::instr::{Instr, PrimOp};
+use crate::machine::fuel_cost;
+use crate::seg::CodeSeg;
 use crate::value::Value;
-use std::rc::Rc;
+use std::ops::Range;
 
-/// Optimizes a code sequence whose block references resolve in `seg`
-/// (recursively through nested blocks, which are rewritten in `seg`).
-/// The result computes the same values in the same order of effects.
-pub fn peephole(seg: &CodeSeg, code: &[Instr]) -> Vec<Instr> {
-    let mut cur: Vec<Instr> = code.iter().map(|i| optimize_nested(seg, i)).collect();
-    for _ in 0..4 {
-        // A pass can rewrite without shrinking (e.g. constant-folding a
-        // chosen branch arm of the same length), so convergence is
-        // detected by an explicit change flag, not by length.
-        let (next, changed) = pass(seg, &cur);
-        cur = next;
-        if !changed {
-            break;
+/// What each instruction of a promoted rendering stands for: the fuel
+/// costs of the cold instructions it replaces, in Paper order. One entry
+/// is one Paper step.
+#[derive(Debug, Default)]
+pub struct Charges {
+    /// Every cold instruction's fuel cost, in rendering order.
+    costs: Vec<u64>,
+    /// Rendered instruction `pc` stands for `costs[bounds[pc]..bounds[pc + 1]]`.
+    bounds: Vec<u32>,
+}
+
+impl Charges {
+    /// The Paper steps rendered instruction `pc` counts as.
+    #[inline]
+    pub fn steps(&self, pc: usize) -> u64 {
+        u64::from(self.bounds[pc + 1] - self.bounds[pc])
+    }
+
+    /// The fuel costs of the cold instructions rendered instruction `pc`
+    /// stands for, in Paper order.
+    pub fn costs(&self, pc: usize) -> &[u64] {
+        &self.costs[self.bounds[pc] as usize..self.bounds[pc + 1] as usize]
+    }
+}
+
+/// Renders a cold block for promotion — the peephole, then fusion —
+/// into the instructions to run and what each of them charges, or
+/// returns `None` when no rule fires. Block references in `code` resolve
+/// in `seg` (a folded branch's arm is read from it).
+pub fn render(seg: &CodeSeg, code: &[Instr]) -> Option<(Vec<Instr>, Charges)> {
+    let cold = code.iter().map(Item::cold).collect();
+    let (folded, peeped) = to_fixpoint(cold, |items| peephole_pass(seg, items));
+    let (items, fused) = to_fixpoint(folded, fuse_pass);
+    if !(peeped || fused) {
+        return None;
+    }
+    let mut charges = Charges {
+        costs: Vec::new(),
+        bounds: vec![0],
+    };
+    let mut out = Vec::with_capacity(items.len());
+    for item in items {
+        charges.costs.extend(item.costs);
+        let end = u32::try_from(charges.costs.len()).expect("rendering exceeds u32 charges");
+        charges.bounds.push(end);
+        out.push(item.instr);
+    }
+    Some((out, charges))
+}
+
+/// One instruction of a rendering under construction and the fuel costs
+/// of the cold instructions it stands for.
+#[derive(Debug, Clone)]
+struct Item {
+    instr: Instr,
+    costs: Vec<u64>,
+}
+
+impl Item {
+    /// A cold instruction, standing for itself.
+    fn cold(i: &Instr) -> Item {
+        Item {
+            instr: i.clone(),
+            costs: vec![fuel_cost(i)],
         }
     }
-    cur
 }
 
-/// Optimizes one block of `seg`, appending the optimized rendering as a
-/// new block of the same segment and returning its id. Memoized per
-/// segment: a block referenced by many instructions is optimized once,
-/// and re-optimizing an already-optimized block is the identity.
-pub fn optimize_block(seg: &CodeSeg, b: BlockId) -> BlockId {
-    if let Some(done) = seg.opt_memo_get(b) {
-        return done;
-    }
-    let optimized = peephole(seg, &seg.block_to_vec(b));
-    let nb = seg.add_block(optimized);
-    seg.opt_memo_put(b, nb);
-    seg.opt_memo_put(nb, nb);
-    nb
-}
-
-fn optimize_nested(seg: &CodeSeg, i: &Instr) -> Instr {
-    match i {
-        Instr::Cur(c) => Instr::Cur(optimize_block(seg, *c)),
-        Instr::Branch(a, b) => Instr::Branch(optimize_block(seg, *a), optimize_block(seg, *b)),
-        Instr::Switch(t) => Instr::Switch(Rc::new(SwitchTable {
-            arms: t
-                .arms
-                .iter()
-                .map(|arm| SwitchArm {
-                    tag: arm.tag,
-                    bind: arm.bind,
-                    code: optimize_block(seg, arm.code),
-                })
-                .collect(),
-            default: t.default.map(|d| optimize_block(seg, d)),
-        })),
-        Instr::RecClos(bodies) => Instr::RecClos(Rc::new(
-            bodies.iter().map(|b| optimize_block(seg, *b)).collect(),
-        )),
-        // Exhaustive on purpose: a new instruction carrying nested code
-        // must be added above, not silently left unoptimized.
-        Instr::Id
-        | Instr::Fst
-        | Instr::Snd
-        | Instr::Acc(_)
-        | Instr::Push
-        | Instr::Swap
-        | Instr::ConsPair
-        | Instr::App
-        | Instr::Quote(_)
-        | Instr::Emit(_)
-        | Instr::LiftV
-        | Instr::NewArena
-        | Instr::Merge
-        | Instr::Call
-        | Instr::Pack(_)
-        | Instr::Prim(_)
-        | Instr::Fail(_)
-        | Instr::MergeBranch
-        | Instr::MergeSwitch(_)
-        | Instr::MergeRec(_)
-        | Instr::PushAcc(_)
-        | Instr::QuoteCons(_)
-        | Instr::SwapCons
-        | Instr::ConsApp
-        | Instr::AccApp(_)
-        | Instr::PushQuote(_)
-        | Instr::EnvCons => i.clone(),
-    }
-}
-
-/// Which fusion rules a `fuse_pass` run may apply: every rule, or every
-/// rule but the `fst^k; snd → acc` access collapse (the adaptive tier
-/// controller's rendering for flat-env code; see
-/// [`FuseSelection::disable_access`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FuseSelection {
-    access: bool,
-}
-
-impl FuseSelection {
-    /// Every rule enabled — the pair-spine promotion rendering.
-    pub fn all() -> FuseSelection {
-        FuseSelection { access: true }
-    }
-
-    /// Disables the access-chain collapse. The flat-env baseline charges
-    /// every instruction — `acc n` included — as one step, so a
-    /// step-transparent rendering must not collapse a multi-instruction
-    /// `fst…; snd` chain into a single `acc`: with the collapse off,
-    /// every fused opcode stands for exactly two baseline instructions,
-    /// which is what the adaptive controller's indexed charge model
-    /// assumes.
-    pub fn disable_access(&mut self) {
-        self.access = false;
-    }
-}
-
-/// The superinstruction (if any) that fuses the adjacent pair `(a, b)`.
-fn fuse_pair(a: &Instr, b: &Instr) -> Option<Instr> {
-    Some(match (a, b) {
-        (Instr::Push, Instr::Acc(n)) => Instr::PushAcc(*n),
-        (Instr::Push, Instr::Snd) => Instr::PushAcc(0),
-        (Instr::Push, Instr::Quote(v)) => Instr::PushQuote(v.clone()),
-        (Instr::Quote(v), Instr::ConsPair) => Instr::QuoteCons(v.clone()),
-        (Instr::Swap, Instr::ConsPair) => Instr::SwapCons,
-        (Instr::ConsPair, Instr::App) => Instr::ConsApp,
-        (Instr::Acc(n), Instr::App) => Instr::AccApp(*n),
-        (Instr::Snd, Instr::App) => Instr::AccApp(0),
-        _ => return None,
-    })
-}
-
-/// Superinstruction fusion (DESIGN.md §11), the tier controller's
-/// promotion renderer: rewrites the stereotyped adjacent opcode pairs of
-/// one straight-line sequence into single fused dispatches under `sel`.
-/// Unlike [`peephole`] this pass never folds constants or changes the
-/// computation — every fused opcode performs exactly the work of the pair
-/// it replaces. The `fst^k; snd → acc` collapse is included (unless `sel`
-/// disables it) so `push; fst; fst; snd` becomes `push_acc 2` with or
-/// without the peephole.
-///
-/// Every nested block reference is left untouched: each block earns its
-/// own promotion from its own activation count, so nested bodies stay
-/// cold until their own counters cross the threshold. The flag reports
-/// whether any rule fired (so callers can skip registering an identical
-/// rendering).
-pub fn fuse_selected(code: &[Instr], sel: &FuseSelection) -> (Vec<Instr>, bool) {
-    let mut cur = code.to_vec();
+/// Runs `pass` until it stops rewriting (at most four times), reporting
+/// whether it rewrote anything.
+fn to_fixpoint(
+    mut items: Vec<Item>,
+    pass: impl Fn(&[Item]) -> Option<Vec<Item>>,
+) -> (Vec<Item>, bool) {
     let mut any = false;
     for _ in 0..4 {
-        let (next, changed) = fuse_pass(&cur, sel);
-        cur = next;
-        if !changed {
-            break;
+        // A pass can rewrite without shrinking (e.g. folding a constant
+        // branch into an arm of the same length), so convergence is an
+        // explicit signal, not a length comparison.
+        match pass(&items) {
+            Some(next) => {
+                items = next;
+                any = true;
+            }
+            None => break,
         }
-        any = true;
     }
-    (cur, any)
+    (items, any)
 }
 
-/// One greedy left-to-right fusion pass over a straight-line sequence,
-/// applying the rules `sel` enables.
-fn fuse_pass(code: &[Instr], sel: &FuseSelection) -> (Vec<Instr>, bool) {
-    let mut out: Vec<Instr> = Vec::with_capacity(code.len());
-    let mut changed = false;
-    let mut i = 0;
-    'outer: while i < code.len() {
-        // fst^k; snd / fst^k; acc m — same access collapse as the
-        // peephole, repeated here so fusion alone produces `acc`s for the
-        // pair rules below to consume.
-        if sel.access && matches!(code[i], Instr::Fst) {
-            let mut k = 1;
-            while matches!(code.get(i + k), Some(Instr::Fst)) {
-                k += 1;
-            }
-            let fused = match code.get(i + k) {
-                Some(Instr::Snd) => Some(k),
-                Some(Instr::Acc(m)) => Some(k + m),
-                _ => None,
-            };
-            if let Some(depth) = fused {
-                out.push(Instr::Acc(depth));
-                changed = true;
-                i += k + 1;
-                continue 'outer;
-            }
-        }
-        // Adjacent-pair superinstructions.
-        if let Some(f) = code.get(i + 1).and_then(|next| fuse_pair(&code[i], next)) {
-            out.push(f);
-            changed = true;
-            i += 2;
-            continue 'outer;
-        }
-        out.push(code[i].clone());
-        i += 1;
+/// The output of one pass. Removed instructions' costs wait in
+/// `pending` until the next instruction kept carries them.
+#[derive(Default)]
+struct Out {
+    items: Vec<Item>,
+    pending: Vec<u64>,
+    changed: bool,
+}
+
+impl Out {
+    fn keep(&mut self, item: &Item) {
+        self.push(item.instr.clone(), &item.costs);
     }
-    (out, changed)
+
+    fn keep_all(&mut self, items: &[Item]) {
+        for item in items {
+            self.keep(item);
+        }
+    }
+
+    fn push(&mut self, instr: Instr, costs: &[u64]) {
+        let mut all = std::mem::take(&mut self.pending);
+        all.extend_from_slice(costs);
+        self.items.push(Item { instr, costs: all });
+    }
+
+    /// Removes `items` from the rendering; the next instruction kept
+    /// charges for them.
+    fn remove(&mut self, items: &[Item]) {
+        for item in items {
+            self.pending.extend_from_slice(&item.costs);
+        }
+        self.changed = true;
+    }
+
+    /// Replaces `items` with the single instruction `instr`.
+    fn replace(&mut self, items: &[Item], instr: Instr) {
+        self.remove(items);
+        self.push(instr, &[]);
+    }
+
+    /// The rewritten block, if anything changed. Costs still pending at
+    /// the end are charged by the last instruction when it is pure — a
+    /// budget that runs out among them then skips only that
+    /// instruction's unobservable work — and by an `id` otherwise.
+    fn finish(mut self) -> Option<Vec<Item>> {
+        if !self.pending.is_empty() {
+            match self.items.last_mut() {
+                Some(last) if is_pure(&last.instr) => last.costs.append(&mut self.pending),
+                _ => self.push(Instr::Id, &[]),
+            }
+        }
+        self.changed.then_some(self.items)
+    }
 }
 
 /// Whether executing this instruction can have an observable effect
@@ -288,30 +258,8 @@ fn is_pure(i: &Instr) -> bool {
     }
 }
 
-fn all_pure(code: &[Instr]) -> bool {
-    code.iter().all(is_pure)
-}
-
-/// Finds the extent of the operand `B` in `push; A; swap; B; cons` given
-/// the index *after* `swap`: returns the index of the matching `cons`.
-/// Returns `None` if the sequence is not balanced within this block.
-fn find_matching_cons(code: &[Instr], start: usize) -> Option<usize> {
-    let mut depth = 0usize;
-    let mut i = start;
-    while i < code.len() {
-        match &code[i] {
-            Instr::Push => depth += 1,
-            Instr::ConsPair => {
-                if depth == 0 {
-                    return Some(i);
-                }
-                depth -= 1;
-            }
-            _ => {}
-        }
-        i += 1;
-    }
-    None
+fn all_pure(code: &[Item]) -> bool {
+    code.iter().all(|i| is_pure(&i.instr))
 }
 
 fn fold_binop(op: PrimOp, a: &Value, b: &Value) -> Option<Value> {
@@ -339,9 +287,7 @@ fn fold_binop(op: PrimOp, a: &Value, b: &Value) -> Option<Value> {
     Some(out)
 }
 
-/// `op` with constant *left* operand `k`: is the whole expression the
-/// right operand (`Some(false)`), the constant absorbing (`Some(true)`
-/// meaning the result is `absorb`), or neither?
+/// `op` with constant *left* operand `k`.
 fn left_identity(op: PrimOp, k: &Value) -> Identity {
     match (op, k) {
         (PrimOp::Add, Value::Int(0)) => Identity::Pass,
@@ -351,6 +297,7 @@ fn left_identity(op: PrimOp, k: &Value) -> Identity {
     }
 }
 
+/// `op` with constant *right* operand `k`.
 fn right_identity(op: PrimOp, k: &Value) -> Identity {
     match (op, k) {
         (PrimOp::Add, Value::Int(0)) => Identity::Pass,
@@ -371,174 +318,240 @@ enum Identity {
     No,
 }
 
-fn pass(seg: &CodeSeg, code: &[Instr]) -> (Vec<Instr>, bool) {
-    let mut out: Vec<Instr> = Vec::with_capacity(code.len());
-    let mut changed = false;
-    let mut i = 0;
-    'outer: while i < code.len() {
-        // Window: push; <A>; swap; <B>; cons; prim op
-        if matches!(code[i], Instr::Push) {
-            if let Some((a_code, b_code, cons_idx)) = split_pair(code, i) {
-                if let Some(Instr::Prim(op)) = code.get(cons_idx + 1) {
-                    let op = *op;
-                    let a_const = single_quote(a_code);
-                    let b_const = single_quote(b_code);
-                    // Full constant fold.
-                    if let (Some(a), Some(b)) = (a_const, b_const) {
-                        if let Some(v) = fold_binop(op, a, b) {
-                            out.push(Instr::Quote(v));
-                            changed = true;
-                            i = cons_idx + 2;
-                            continue 'outer;
-                        }
-                    }
-                    // Left identity: ⟨quote k, B⟩; op
-                    if let Some(k) = a_const {
-                        match left_identity(op, k) {
-                            Identity::Pass => {
-                                out.extend(b_code.iter().cloned());
-                                changed = true;
-                                i = cons_idx + 2;
-                                continue 'outer;
-                            }
-                            Identity::Absorb(v) if all_pure(b_code) => {
-                                out.push(Instr::Quote(v));
-                                changed = true;
-                                i = cons_idx + 2;
-                                continue 'outer;
-                            }
-                            _ => {}
-                        }
-                    }
-                    // Right identity: ⟨A, quote k⟩; op
-                    if let Some(k) = b_const {
-                        match right_identity(op, k) {
-                            Identity::Pass => {
-                                out.extend(a_code.iter().cloned());
-                                changed = true;
-                                i = cons_idx + 2;
-                                continue 'outer;
-                            }
-                            Identity::Absorb(v) if all_pure(a_code) => {
-                                out.push(Instr::Quote(v));
-                                changed = true;
-                                i = cons_idx + 2;
-                                continue 'outer;
-                            }
-                            _ => {}
-                        }
-                    }
-                }
-            }
-        }
-        // quote v; prim neg/not — unary folding.
-        if let Instr::Quote(v) = &code[i] {
-            if let Some(Instr::Prim(op)) = code.get(i + 1) {
-                let folded = match (op, v) {
-                    (PrimOp::Neg, Value::Int(n)) => Some(Value::Int(n.wrapping_neg())),
-                    (PrimOp::Not, Value::Bool(b)) => Some(Value::Bool(!b)),
-                    _ => None,
-                };
-                if let Some(v) = folded {
-                    out.push(Instr::Quote(v));
-                    changed = true;
-                    i += 2;
-                    continue 'outer;
-                }
-            }
-        }
-        // push; quote b; cons; branch — fold a constant conditional: the
-        // environment copy is consumed by the branch anyway. The chosen
-        // arm's instructions are inlined from its block (same segment, so
-        // any block references they carry stay valid).
-        if matches!(code[i], Instr::Push) {
-            if let (Some(Instr::Quote(Value::Bool(b))), Some(Instr::ConsPair)) =
-                (code.get(i + 1), code.get(i + 2))
-            {
-                if let Some(Instr::Branch(t, e)) = code.get(i + 3) {
-                    let chosen = if *b { *t } else { *e };
-                    out.extend(seg.block_to_vec(chosen));
-                    changed = true;
-                    i += 4;
-                    continue 'outer;
-                }
-            }
-        }
-        // fst^k; snd (k >= 1) — access fusion: an environment spine walk
-        // collapses into one `acc` dispatch. `fst^k; acc m` likewise
-        // deepens an already-fused access.
-        if matches!(code[i], Instr::Fst) {
-            let mut k = 1;
-            while matches!(code.get(i + k), Some(Instr::Fst)) {
-                k += 1;
-            }
-            let fused = match code.get(i + k) {
-                Some(Instr::Snd) => Some(k),
-                Some(Instr::Acc(m)) => Some(k + m),
-                _ => None,
-            };
-            if let Some(depth) = fused {
-                out.push(Instr::Acc(depth));
-                changed = true;
-                i += k + 1;
-                continue 'outer;
-            }
-        }
-        // Dead id.
-        if matches!(code[i], Instr::Id) && code.len() > 1 {
-            changed = true;
-            i += 1;
-            continue 'outer;
-        }
-        out.push(code[i].clone());
-        i += 1;
-    }
-    (out, changed)
-}
-
-/// For `code[push_idx] = push`, recovers the `A` and `B` operand slices of
-/// a `push; A; swap; B; cons` pairing, returning `(A, B, cons_index)`.
-fn split_pair(code: &[Instr], push_idx: usize) -> Option<(&[Instr], &[Instr], usize)> {
-    // Find the swap at depth 0 after push, then the cons matching it.
+/// For `code[push_idx] = push`, recovers the operand ranges of a
+/// `push; A; swap; B; cons` pairing: `(A, B, cons_index)`. `None` unless
+/// both operands are balanced within this block, each a computation on
+/// the top of the stack alone: no `swap` and no pair constructor
+/// (`cons`, `env_cons`) at its own depth. The rules that drop the
+/// pairing rely on exactly that.
+fn split_pair(code: &[Item], push_idx: usize) -> Option<(Range<usize>, Range<usize>, usize)> {
     let mut depth = 0usize;
     let mut j = push_idx + 1;
     let swap_idx = loop {
-        match code.get(j)? {
+        match &code.get(j)?.instr {
             Instr::Push => depth += 1,
-            Instr::ConsPair => {
-                if depth == 0 {
-                    return None; // malformed for our purposes
-                }
-                depth -= 1;
-            }
+            Instr::ConsPair | Instr::EnvCons if depth == 0 => return None,
+            Instr::ConsPair | Instr::EnvCons => depth -= 1,
             Instr::Swap if depth == 0 => break j,
             _ => {}
         }
         j += 1;
     };
-    let cons_idx = find_matching_cons(code, swap_idx + 1)?;
-    Some((
-        &code[push_idx + 1..swap_idx],
-        &code[swap_idx + 1..cons_idx],
-        cons_idx,
-    ))
+    let mut j = swap_idx + 1;
+    let cons_idx = loop {
+        match &code.get(j)?.instr {
+            Instr::Push => depth += 1,
+            Instr::ConsPair if depth == 0 => break j,
+            Instr::EnvCons | Instr::Swap if depth == 0 => return None,
+            Instr::ConsPair | Instr::EnvCons => depth -= 1,
+            _ => {}
+        }
+        j += 1;
+    };
+    Some((push_idx + 1..swap_idx, swap_idx + 1..cons_idx, cons_idx))
 }
 
-fn single_quote(code: &[Instr]) -> Option<&Value> {
+fn single_quote(code: &[Item]) -> Option<&Value> {
     match code {
-        [Instr::Quote(v)] => Some(v),
+        [Item {
+            instr: Instr::Quote(v),
+            ..
+        }] => Some(v),
         _ => None,
     }
+}
+
+/// Applies the binary-operator rules to the window
+/// `push; A; swap; B; cons; prim op` starting at `i`, returning the
+/// index after the window when a rule fired.
+fn binary_rule(code: &[Item], i: usize, out: &mut Out) -> Option<usize> {
+    let (a, b, cons_idx) = split_pair(code, i)?;
+    let Instr::Prim(op) = code.get(cons_idx + 1)?.instr else {
+        return None;
+    };
+    let end = cons_idx + 2;
+    let (a_const, b_const) = (
+        single_quote(&code[a.clone()]),
+        single_quote(&code[b.clone()]),
+    );
+    if let Some(v) = a_const.zip(b_const).and_then(|(x, y)| fold_binop(op, x, y)) {
+        out.replace(&code[i..end], Instr::Quote(v));
+        return Some(end);
+    }
+    // ⟨quote k, B⟩; op — B passes through, or a pure B is absorbed.
+    match a_const.map_or(Identity::No, |k| left_identity(op, k)) {
+        Identity::Pass => {
+            out.remove(&code[i..b.start]);
+            out.keep_all(&code[b]);
+            out.remove(&code[cons_idx..end]);
+            return Some(end);
+        }
+        Identity::Absorb(v) if all_pure(&code[b.clone()]) => {
+            out.replace(&code[i..end], Instr::Quote(v));
+            return Some(end);
+        }
+        _ => {}
+    }
+    // ⟨A, quote k⟩; op
+    match b_const.map_or(Identity::No, |k| right_identity(op, k)) {
+        Identity::Pass => {
+            out.remove(&code[i..a.start]);
+            out.keep_all(&code[a.clone()]);
+            out.remove(&code[a.end..end]);
+            Some(end)
+        }
+        Identity::Absorb(v) if all_pure(&code[a]) => {
+            out.replace(&code[i..end], Instr::Quote(v));
+            Some(end)
+        }
+        _ => None,
+    }
+}
+
+/// One left-to-right pass of the §4.2 rules; `None` if none fired.
+fn peephole_pass(seg: &CodeSeg, code: &[Item]) -> Option<Vec<Item>> {
+    let mut out = Out::default();
+    let mut i = 0;
+    while i < code.len() {
+        let next = code.get(i + 1).map(|it| &it.instr);
+        match &code[i].instr {
+            Instr::Push => {
+                if let Some(end) = binary_rule(code, i, &mut out) {
+                    i = end;
+                    continue;
+                }
+                // push; quote b; cons; branch — a constant conditional:
+                // the chosen arm runs inline on the environment copy the
+                // branch would have consumed.
+                if let (Some(Instr::Quote(Value::Bool(b))), Some(Instr::ConsPair)) =
+                    (next, code.get(i + 2).map(|it| &it.instr))
+                {
+                    if let Some(Instr::Branch(t, e)) = code.get(i + 3).map(|it| &it.instr) {
+                        let arm = seg.block_to_vec(if *b { *t } else { *e });
+                        out.remove(&code[i..i + 4]);
+                        for instr in &arm {
+                            out.keep(&Item::cold(instr));
+                        }
+                        i += 4;
+                        continue;
+                    }
+                }
+            }
+            // quote v; prim neg/not — unary folding.
+            Instr::Quote(v) => {
+                let folded = match (next, v) {
+                    (Some(Instr::Prim(PrimOp::Neg)), Value::Int(n)) => {
+                        Some(Value::Int(n.wrapping_neg()))
+                    }
+                    (Some(Instr::Prim(PrimOp::Not)), Value::Bool(b)) => Some(Value::Bool(!b)),
+                    _ => None,
+                };
+                if let Some(v) = folded {
+                    out.replace(&code[i..i + 2], Instr::Quote(v));
+                    i += 2;
+                    continue;
+                }
+            }
+            // A dead `id` goes unless it would only come back to carry
+            // the costs pending at the block's end.
+            Instr::Id if next.is_some() || out.items.last().is_some_and(|l| is_pure(&l.instr)) => {
+                out.remove(&code[i..=i]);
+                i += 1;
+                continue;
+            }
+            _ => {}
+        }
+        out.keep(&code[i]);
+        i += 1;
+    }
+    out.finish()
+}
+
+/// The superinstruction (if any) that fuses the adjacent pair `(a, b)`.
+fn fuse_pair(a: &Instr, b: &Instr) -> Option<Instr> {
+    Some(match (a, b) {
+        (Instr::Push, Instr::Acc(n)) => Instr::PushAcc(*n),
+        (Instr::Push, Instr::Snd) => Instr::PushAcc(0),
+        (Instr::Push, Instr::Quote(v)) => Instr::PushQuote(v.clone()),
+        (Instr::Quote(v), Instr::ConsPair) => Instr::QuoteCons(v.clone()),
+        (Instr::Swap, Instr::ConsPair) => Instr::SwapCons,
+        (Instr::ConsPair, Instr::App) => Instr::ConsApp,
+        (Instr::Acc(n), Instr::App) => Instr::AccApp(*n),
+        (Instr::Snd, Instr::App) => Instr::AccApp(0),
+        _ => return None,
+    })
+}
+
+/// One greedy left-to-right fusion pass; `None` if no rule fired. Every
+/// fused opcode performs exactly the work of the instructions it
+/// replaces.
+fn fuse_pass(code: &[Item]) -> Option<Vec<Item>> {
+    let mut out = Out::default();
+    let mut i = 0;
+    while i < code.len() {
+        // fst^k; snd / fst^k; acc m — the access collapse, so the pair
+        // rules below can consume the resulting `acc`.
+        if matches!(code[i].instr, Instr::Fst) {
+            let k = code[i..]
+                .iter()
+                .take_while(|it| matches!(it.instr, Instr::Fst))
+                .count();
+            let depth = match code.get(i + k).map(|it| &it.instr) {
+                Some(Instr::Snd) => Some(k),
+                Some(Instr::Acc(m)) => Some(k + m),
+                _ => None,
+            };
+            if let Some(depth) = depth {
+                out.replace(&code[i..=i + k], Instr::Acc(depth));
+                i += k + 1;
+                continue;
+            }
+        }
+        if let Some(f) = code
+            .get(i + 1)
+            .and_then(|next| fuse_pair(&code[i].instr, &next.instr))
+        {
+            out.replace(&code[i..i + 2], f);
+            i += 2;
+            continue;
+        }
+        out.keep(&code[i]);
+        i += 1;
+    }
+    out.finish()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::machine::Machine;
+    use crate::machine::{Machine, TierPolicy};
 
-    /// The every-rule fusion rendering of one straight-line sequence.
+    /// The promoted rendering of one straight line (the line itself when
+    /// no rule fires).
+    fn rendered(seg: &CodeSeg, code: &[Instr]) -> Vec<Instr> {
+        render(seg, code).map_or_else(|| code.to_vec(), |r| r.0)
+    }
+
+    /// The fusion pass alone.
     fn fuse(code: &[Instr]) -> Vec<Instr> {
-        fuse_selected(code, &FuseSelection::all()).0
+        let (items, _) = to_fixpoint(code.iter().map(Item::cold).collect(), fuse_pass);
+        items.into_iter().map(|it| it.instr).collect()
+    }
+
+    /// Runs `code` on `input` cold and promoted from its first
+    /// activation, asserts both give the same value in Paper's steps,
+    /// and returns the value.
+    fn agree(seg: &CodeSeg, code: Vec<Instr>, input: Value) -> String {
+        let entry = seg.entry(code);
+        let mut cold = Machine::new();
+        let a = cold.run(entry.clone(), input.clone()).unwrap();
+        let mut hot = Machine::new();
+        hot.set_tier_policy(Some(TierPolicy { promote_after: 0 }));
+        let b = hot.run(entry, input).unwrap();
+        assert_eq!(a.to_string(), b.to_string());
+        assert_eq!(cold.stats().steps, hot.stats().steps);
+        assert!(hot.stats().tier_steps[1] > 0, "the rendering ran");
+        a.to_string()
     }
 
     fn pair(a: Vec<Instr>, b: Vec<Instr>) -> Vec<Instr> {
@@ -558,9 +571,10 @@ mod tests {
             vec![Instr::Quote(Value::Int(3))],
         );
         code.push(Instr::Prim(PrimOp::Add));
-        let opt = peephole(&seg, &code);
-        assert_eq!(opt.len(), 1);
-        assert!(matches!(&opt[0], Instr::Quote(Value::Int(5))));
+        let (code, charges) = render(&seg, &code).unwrap();
+        assert!(matches!(&code[..], [Instr::Quote(Value::Int(5))]));
+        assert_eq!(charges.costs(0), [1; 6], "one step per cold instruction");
+        assert_eq!(charges.steps(0), 6);
     }
 
     #[test]
@@ -569,7 +583,7 @@ mod tests {
         let seg = CodeSeg::new();
         let mut code = pair(vec![Instr::Quote(Value::Int(0))], vec![Instr::Snd]);
         code.push(Instr::Prim(PrimOp::Add));
-        let opt = peephole(&seg, &code);
+        let opt = rendered(&seg, &code);
         assert!(matches!(&opt[..], [Instr::Snd]), "{opt:?}");
     }
 
@@ -578,7 +592,7 @@ mod tests {
         let seg = CodeSeg::new();
         let mut code = pair(vec![Instr::Snd], vec![Instr::Quote(Value::Int(1))]);
         code.push(Instr::Prim(PrimOp::Mul));
-        let opt = peephole(&seg, &code);
+        let opt = rendered(&seg, &code);
         assert!(matches!(&opt[..], [Instr::Snd]), "{opt:?}");
     }
 
@@ -588,7 +602,7 @@ mod tests {
         let seg = CodeSeg::new();
         let mut code = pair(vec![Instr::Snd], vec![Instr::Quote(Value::Int(0))]);
         code.push(Instr::Prim(PrimOp::Mul));
-        let opt = peephole(&seg, &code);
+        let opt = rendered(&seg, &code);
         assert!(matches!(&opt[..], [Instr::Quote(Value::Int(0))]));
         // print "x" * 0 must NOT be eliminated (effect!).
         let mut code = pair(
@@ -596,8 +610,11 @@ mod tests {
             vec![Instr::Quote(Value::Int(0))],
         );
         code.push(Instr::Prim(PrimOp::Mul));
-        let opt = peephole(&seg, &code);
-        assert!(opt.len() > 1, "effectful operand preserved: {opt:?}");
+        let opt = rendered(&seg, &code);
+        assert!(
+            opt.iter().any(|i| matches!(i, Instr::Prim(PrimOp::Print))),
+            "effectful operand preserved: {opt:?}"
+        );
     }
 
     #[test]
@@ -614,9 +631,12 @@ mod tests {
         };
         let mut code = pair(inner, vec![Instr::Snd]);
         code.push(Instr::Prim(PrimOp::Add));
-        let opt = peephole(&seg, &code);
-        // After folding: ⟨quote 3, snd⟩; add.
-        assert!(opt.iter().any(|i| matches!(i, Instr::Quote(Value::Int(3)))));
+        let opt = rendered(&seg, &code);
+        // After folding: ⟨quote 3, snd⟩; add, whose `push; quote 3` fuses.
+        assert!(opt.iter().any(|i| matches!(
+            i,
+            Instr::Quote(Value::Int(3)) | Instr::PushQuote(Value::Int(3))
+        )));
         assert!(opt.len() < code.len());
     }
 
@@ -631,8 +651,10 @@ mod tests {
             Instr::ConsPair,
             Instr::Branch(t, e),
         ];
-        let opt = peephole(&seg, &code);
-        assert!(matches!(&opt[..], [Instr::Quote(Value::Int(1))]));
+        let (hot, charges) = render(&seg, &code).unwrap();
+        assert!(matches!(&hot[..], [Instr::Quote(Value::Int(1))]));
+        assert_eq!(charges.steps(0), 5, "push, quote, cons, branch, the arm");
+        assert_eq!(agree(&seg, code, Value::Unit), "1");
     }
 
     #[test]
@@ -655,7 +677,7 @@ mod tests {
             Instr::ConsPair,
             Instr::Branch(arm, other),
         ];
-        let opt = peephole(&seg, &code);
+        let opt = rendered(&seg, &code);
         assert!(
             !opt.iter().any(|i| matches!(i, Instr::Branch(_, _))),
             "branch folded: {opt:?}"
@@ -678,7 +700,7 @@ mod tests {
                 vec![Instr::Quote(Value::Int(2))],
             );
             code.push(Instr::Prim(op));
-            let opt = peephole(&seg, &code);
+            let opt = rendered(&seg, &code);
             assert!(
                 matches!(&opt[..], [Instr::Quote(Value::Int(n))] if *n == want),
                 "{op:?}: {opt:?}"
@@ -690,7 +712,11 @@ mod tests {
             vec![Instr::Quote(Value::Int(0))],
         );
         code.push(Instr::Prim(PrimOp::Div));
-        assert_eq!(peephole(&seg, &code).len(), code.len(), "not folded");
+        let opt = rendered(&seg, &code);
+        assert!(
+            matches!(opt.last(), Some(Instr::Prim(PrimOp::Div))),
+            "not folded: {opt:?}"
+        );
     }
 
     #[test]
@@ -698,7 +724,7 @@ mod tests {
         let seg = CodeSeg::new();
         let mut code = pair(vec![Instr::Snd], vec![Instr::Quote(Value::Int(1))]);
         code.push(Instr::Prim(PrimOp::Div));
-        let opt = peephole(&seg, &code);
+        let opt = rendered(&seg, &code);
         assert!(matches!(&opt[..], [Instr::Snd]), "{opt:?}");
     }
 
@@ -721,35 +747,56 @@ mod tests {
         };
         let mut code = pair(mul, add0);
         code.push(Instr::Prim(PrimOp::Add));
-        let opt = peephole(&seg, &code);
-        assert!(opt.len() < code.len());
+        assert!(rendered(&seg, &code).len() < code.len());
         let input = Value::pair(Value::Unit, Value::Int(8));
-        let a = Machine::new().run(seg.entry(code), input.clone()).unwrap();
-        let b = Machine::new().run(seg.entry(opt), input).unwrap();
-        assert_eq!(a.to_string(), b.to_string());
-        assert_eq!(a.to_string(), "12");
+        assert_eq!(agree(&seg, code, input), "12");
+    }
+
+    #[test]
+    fn removed_costs_after_an_effect_ride_on_an_id() {
+        // 0 + (print "x"; …): the `cons; add` after the effect cannot be
+        // charged before it, so an `id` carries them.
+        let seg = CodeSeg::new();
+        let mut code = pair(
+            vec![Instr::Quote(Value::Int(0))],
+            vec![Instr::Quote(Value::str("x")), Instr::Prim(PrimOp::Print)],
+        );
+        code.push(Instr::Prim(PrimOp::Add));
+        let (code, charges) = render(&seg, &code).unwrap();
+        assert!(
+            matches!(
+                &code[..],
+                [Instr::Quote(_), Instr::Prim(PrimOp::Print), Instr::Id]
+            ),
+            "{:?}",
+            code
+        );
+        assert_eq!(
+            (0..3).map(|pc| charges.steps(pc)).collect::<Vec<_>>(),
+            [4, 1, 2]
+        );
     }
 
     #[test]
     fn fst_chains_fuse_into_acc() {
         let seg = CodeSeg::new();
         let code = vec![Instr::Fst, Instr::Fst, Instr::Fst, Instr::Snd];
-        let opt = peephole(&seg, &code);
-        assert!(matches!(&opt[..], [Instr::Acc(3)]), "{opt:?}");
+        let (code, charges) = render(&seg, &code).unwrap();
+        assert!(matches!(&code[..], [Instr::Acc(3)]), "{:?}", code);
+        assert_eq!(charges.steps(0), 4, "acc 3 counts the walk it replaces");
         // A bare snd (zero fsts) is left alone — same cost either way.
-        let code = vec![Instr::Snd];
-        assert!(matches!(&peephole(&seg, &code)[..], [Instr::Snd]));
+        assert!(render(&seg, &[Instr::Snd]).is_none());
         // Fsts not followed by snd are not an access path.
-        let code = vec![Instr::Fst, Instr::Fst];
-        assert_eq!(peephole(&seg, &code).len(), 2);
+        assert!(render(&seg, &[Instr::Fst, Instr::Fst]).is_none());
     }
 
     #[test]
     fn fst_before_acc_deepens_the_access() {
+        // A flat-env `acc 2` is one step costing 3 fuel units.
         let seg = CodeSeg::new();
-        let code = vec![Instr::Fst, Instr::Acc(2)];
-        let opt = peephole(&seg, &code);
-        assert!(matches!(&opt[..], [Instr::Acc(3)]), "{opt:?}");
+        let (code, charges) = render(&seg, &[Instr::Fst, Instr::Acc(2)]).unwrap();
+        assert!(matches!(&code[..], [Instr::Acc(3)]), "{:?}", code);
+        assert_eq!(charges.costs(0), [1, 3]);
     }
 
     #[test]
@@ -760,42 +807,7 @@ mod tests {
             Value::Int(7),
         );
         let code = vec![Instr::Fst, Instr::Fst, Instr::Snd];
-        let opt = peephole(&seg, &code);
-        let a = Machine::new().run(seg.entry(code), spine.clone()).unwrap();
-        let b = Machine::new().run(seg.entry(opt), spine).unwrap();
-        assert_eq!(a.to_string(), b.to_string());
-        assert_eq!(a.to_string(), "5");
-    }
-
-    #[test]
-    fn recurses_into_cur_bodies() {
-        let seg = CodeSeg::new();
-        let body = {
-            let mut c = pair(
-                vec![Instr::Quote(Value::Int(1))],
-                vec![Instr::Quote(Value::Int(2))],
-            );
-            c.push(Instr::Prim(PrimOp::Add));
-            c
-        };
-        let code = vec![Instr::Cur(seg.add_block(body))];
-        let opt = peephole(&seg, &code);
-        let Instr::Cur(b) = &opt[0] else { panic!() };
-        assert_eq!(seg.block_bounds(*b).map(|(_, len)| len), Some(1));
-    }
-
-    #[test]
-    fn shared_blocks_are_optimized_once() {
-        let seg = CodeSeg::new();
-        let body = seg.add_block(vec![Instr::Quote(Value::Int(1)), Instr::Prim(PrimOp::Neg)]);
-        let code = vec![Instr::Cur(body), Instr::Cur(body)];
-        let opt = peephole(&seg, &code);
-        let (Instr::Cur(a), Instr::Cur(b)) = (&opt[0], &opt[1]) else {
-            panic!("{opt:?}")
-        };
-        assert_eq!(a, b, "memoized: both references rewrite to one block");
-        // And re-optimizing the result is the identity.
-        assert_eq!(optimize_block(&seg, *a), *a);
+        assert_eq!(agree(&seg, code, spine), "5");
     }
 
     #[test]
@@ -863,51 +875,41 @@ mod tests {
 
     #[test]
     fn fused_code_computes_the_same_value() {
-        // ((4 * 1) + (0 + snd)) applied to (_, 8) — same program as the
-        // peephole agreement test, now fused instead of optimized.
+        // push; snd; swap; quote 3; cons; add on (_, 8) — no rule of the
+        // peephole applies, so this runs fusion alone.
         let seg = CodeSeg::new();
-        let mul = {
-            let mut c = pair(
-                vec![Instr::Quote(Value::Int(4))],
-                vec![Instr::Quote(Value::Int(1))],
-            );
-            c.push(Instr::Prim(PrimOp::Mul));
-            c
-        };
-        let add0 = {
-            let mut c = pair(vec![Instr::Quote(Value::Int(0))], vec![Instr::Snd]);
-            c.push(Instr::Prim(PrimOp::Add));
-            c
-        };
-        let mut code = pair(mul, add0);
+        let mut code = pair(vec![Instr::Snd], vec![Instr::Quote(Value::Int(3))]);
         code.push(Instr::Prim(PrimOp::Add));
         let fused = fuse(&code);
         assert!(fused.len() < code.len(), "{fused:?}");
         let input = Value::pair(Value::Unit, Value::Int(8));
-        let a = Machine::new().run(seg.entry(code), input.clone()).unwrap();
-        let b = Machine::new().run(seg.entry(fused), input).unwrap();
-        assert_eq!(a.to_string(), b.to_string());
-        assert_eq!(a.to_string(), "12");
+        assert_eq!(agree(&seg, code, input), "11");
     }
 
     #[test]
     fn selected_fusion_leaves_nested_blocks_alone() {
         let seg = CodeSeg::new();
-        let body = seg.add_block(vec![Instr::Push, Instr::Snd]);
+        // The body holds a foldable `1 + 2`: it is the body's own
+        // promotion that folds it, not its parent's.
+        let mut body = pair(
+            vec![Instr::Quote(Value::Int(1))],
+            vec![Instr::Quote(Value::Int(2))],
+        );
+        body.push(Instr::Prim(PrimOp::Add));
+        let body = seg.add_block(body);
         let code = vec![Instr::Cur(body), Instr::Push, Instr::Snd];
         let blocks_before = seg.num_blocks();
-        let (fused, _) = fuse_selected(&code, &FuseSelection::all());
+        let fused = rendered(&seg, &code);
         assert_eq!(
             seg.num_blocks(),
             blocks_before,
-            "promotion fuses one block at a time; nested bodies stay cold"
+            "promotion renders one block at a time; nested bodies stay cold"
         );
         assert!(
             matches!(&fused[..], [Instr::Cur(b), Instr::PushAcc(0)] if *b == body),
             "{fused:?}"
         );
-        // And re-fusing the result is the identity.
-        let (again, changed) = fuse_selected(&fused, &FuseSelection::all());
-        assert!(!changed, "{again:?}");
+        // And re-rendering the result is the identity.
+        assert!(render(&seg, &fused).is_none());
     }
 }

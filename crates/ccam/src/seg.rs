@@ -13,8 +13,8 @@
 //! the paper's arena model.
 
 use crate::instr::{Instr, SwitchArm, SwitchTable};
+use crate::opt::Charges;
 use std::cell::{Ref, RefCell};
-use std::collections::HashMap;
 use std::fmt;
 use std::rc::{Rc, Weak};
 
@@ -41,8 +41,6 @@ struct Block {
 struct SegInner {
     instrs: RefCell<Vec<Instr>>,
     blocks: RefCell<Vec<Block>>,
-    /// Peephole memo: source block → optimized block (see `opt`).
-    opt_memo: RefCell<HashMap<u32, u32>>,
     /// Adaptive tier controller state, indexed by block id (block ids
     /// are dense, so a flat table makes the per-activation lookup an
     /// index instead of a hash). Entries only ever gain information:
@@ -52,27 +50,27 @@ struct SegInner {
 }
 
 /// Tier-controller bookkeeping for one block.
-#[derive(Debug, Default, Clone, Copy)]
+#[derive(Debug, Default, Clone)]
 pub(crate) struct TierState {
     /// Activations observed before promotion.
     pub execs: u64,
     /// The block's promoted rendering, once the controller acted.
-    /// May be the block itself when fusion found nothing to rewrite.
+    /// May be the block itself when no rule rewrote it.
     pub promoted: Option<BlockId>,
-    /// The tier this block runs at when executed directly
-    /// (0 cold, 1 fused).
-    pub level: u8,
+    /// For a block that is a promoted rendering: what each of its
+    /// instructions charges. `None` for cold blocks (tier 0).
+    pub charges: Option<Rc<Charges>>,
 }
 
 /// What the tier controller learns from one frame activation — see
 /// [`CodeSeg::tier_probe`].
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone)]
 pub(crate) enum TierProbe {
-    /// The block has a promoted rendering: run it, at this level.
-    Promoted(BlockId, u8),
+    /// The block has a promoted rendering: run it, charging its record.
+    Promoted(BlockId, Option<Rc<Charges>>),
     /// Still cold: the activation count *before* this one, and the
-    /// block's own level.
-    Cold(u64, u8),
+    /// block's own record.
+    Cold(u64, Option<Rc<Charges>>),
 }
 
 /// A contiguous code segment. Cheap to clone (a reference-counted
@@ -125,14 +123,13 @@ impl CodeSeg {
             .collect();
     }
 
-    /// Empties the segment — instruction vector, block table, opt memo
-    /// and tier table, capacity included — and returns the instructions,
+    /// Empties the segment — instruction vector, block table and tier
+    /// table, capacity included — and returns the instructions,
     /// so the caller decides when the values they quote are dropped.
     /// Every issued [`BlockId`] dangles afterwards (see
     /// [`CodeSeg::block_bounds`]).
     pub(crate) fn take_all(&self) -> Vec<Instr> {
         self.0.blocks.take();
-        self.0.opt_memo.take();
         self.0.tier.take();
         self.0.instrs.take()
     }
@@ -282,38 +279,24 @@ impl CodeSeg {
 
     /// Fills this empty segment with a block-for-block copy of `from`:
     /// the instruction vector (each instruction passed through `instr`,
-    /// which re-points embedded values), the block table, and the
-    /// opt memo and tier tables, so every [`BlockId`] of `from` names
-    /// the same code here and the copy starts at the same tiers.
+    /// which re-points embedded values), the block table, and the tier
+    /// table, so every [`BlockId`] of `from` names the same code here and
+    /// the copy starts at the same tiers.
     pub(crate) fn fill_from(&self, from: &CodeSeg, instr: impl FnMut(&Instr) -> Instr) {
         debug_assert!(self.num_blocks() == 0, "fill_from targets an empty segment");
         let src = &from.0;
         *self.0.instrs.borrow_mut() = src.instrs.borrow().iter().map(instr).collect();
         self.0.blocks.borrow_mut().clone_from(&src.blocks.borrow());
-        self.0
-            .opt_memo
-            .borrow_mut()
-            .clone_from(&src.opt_memo.borrow());
         self.0.tier.borrow_mut().clone_from(&src.tier.borrow());
     }
 
-    /// The peephole memo (source block → optimized block), shared by all
-    /// handles to this segment.
-    pub(crate) fn opt_memo_get(&self, b: BlockId) -> Option<BlockId> {
-        self.0.opt_memo.borrow().get(&b.0).copied().map(BlockId)
-    }
-
-    pub(crate) fn opt_memo_put(&self, from: BlockId, to: BlockId) {
-        self.0.opt_memo.borrow_mut().insert(from.0, to.0);
-    }
-
     /// The tier controller's per-activation probe, everything in one
-    /// borrow: if `b` has a promoted rendering, report it and the level
-    /// that rendering runs at; otherwise count this activation and
-    /// report the count *before* it (so `promote_after = 0` promotes at
-    /// the very first activation) plus the block's own level. Promoted
-    /// blocks are *not* counted — their activations land on the
-    /// rendering, and the decision for the source block is already made.
+    /// borrow: if `b` has a promoted rendering, report it and its record;
+    /// otherwise count this activation and report the count *before* it
+    /// (so `promote_after = 0` promotes at the very first activation)
+    /// plus the block's own record. Promoted blocks are *not* counted —
+    /// their activations land on the rendering, and the decision for the
+    /// source block is already made.
     pub(crate) fn tier_probe(&self, b: BlockId) -> TierProbe {
         let mut tier = self.0.tier.borrow_mut();
         let i = b.0 as usize;
@@ -321,19 +304,22 @@ impl CodeSeg {
             tier.resize(i + 1, TierState::default());
         }
         if let Some(promoted) = tier[i].promoted {
-            let level = tier.get(promoted.0 as usize).map_or(0, |st| st.level);
-            return TierProbe::Promoted(promoted, level);
+            let charges = tier
+                .get(promoted.0 as usize)
+                .and_then(|st| st.charges.clone());
+            return TierProbe::Promoted(promoted, charges);
         }
         let st = &mut tier[i];
         let prior = st.execs;
         st.execs += 1;
-        TierProbe::Cold(prior, st.level)
+        TierProbe::Cold(prior, st.charges.clone())
     }
 
-    /// Publishes the promotion `b → to` at `level`. A block's tier only
+    /// Publishes the promotion `b → to`, with the record of the
+    /// rendering `to` when the controller made one. A block's tier only
     /// rises: a second publication for the same block is a programming
     /// error and panics in debug builds.
-    pub(crate) fn tier_promote(&self, b: BlockId, to: BlockId, level: u8) {
+    pub(crate) fn tier_promote(&self, b: BlockId, to: BlockId, charges: Option<Rc<Charges>>) {
         let mut tier = self.0.tier.borrow_mut();
         let top = b.0.max(to.0) as usize;
         if tier.len() <= top {
@@ -342,18 +328,27 @@ impl CodeSeg {
         let st = &mut tier[b.0 as usize];
         debug_assert!(st.promoted.is_none(), "block {b} promoted twice");
         st.promoted = Some(to);
-        let dest = &mut tier[to.0 as usize];
-        dest.level = dest.level.max(level);
+        if charges.is_some() {
+            tier[to.0 as usize].charges = charges;
+        }
     }
 
-    /// The tier `b` runs at when executed directly (0 for blocks the
-    /// controller never touched).
-    pub fn tier_level(&self, b: BlockId) -> u8 {
+    /// The record of `b` if it is a promoted rendering.
+    pub(crate) fn charges(&self, b: BlockId) -> Option<Rc<Charges>> {
         self.0
             .tier
             .borrow()
             .get(b.0 as usize)
-            .map_or(0, |st| st.level)
+            .and_then(|st| st.charges.clone())
+    }
+
+    /// The rendering the tier controller promoted `b` to, if it promoted
+    /// `b` and a rule rewrote it.
+    pub fn promoted(&self, b: BlockId) -> Option<BlockId> {
+        let tier = self.0.tier.borrow();
+        tier.get(b.0 as usize)
+            .and_then(|st| st.promoted)
+            .filter(|&to| to != b)
     }
 }
 

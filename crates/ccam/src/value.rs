@@ -2,7 +2,7 @@
 
 use crate::instr::Instr;
 use crate::seg::{BlockId, CodeRef, CodeSeg};
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::fmt;
 use std::rc::Rc;
 
@@ -65,17 +65,16 @@ pub struct Frame {
 /// implementation shares arenas by reference ([`Rc`]); the compiler
 /// threads each arena linearly, so the sharing is unobservable.
 ///
-/// Freezing is cached: the arena remembers the last frozen block (one
-/// slot per machine flavor: plain or optimized) together with the
-/// staging length it covered.
-/// Instructions are only ever appended, so a length match proves the
-/// cached block is still the current contents, and re-freezing a finished
-/// generator returns the same block without copying or re-optimizing.
+/// Freezing is cached: the arena remembers the last frozen block
+/// together with the staging length it covered. Instructions are only
+/// ever appended, so a length match proves the cached block is still the
+/// current contents, and re-freezing a finished generator returns the
+/// same block without copying.
 #[derive(Debug)]
 pub struct Arena {
     staging: RefCell<Vec<Instr>>,
     seg: CodeSeg,
-    cache: RefCell<[Option<(usize, BlockId)>; Self::FLAVOR_SLOTS]>,
+    cache: Cell<Option<(usize, BlockId)>>,
 }
 
 impl Default for Arena {
@@ -83,16 +82,12 @@ impl Default for Arena {
         Arena {
             staging: RefCell::new(Vec::new()),
             seg: CodeSeg::new(),
-            cache: RefCell::new([None; Self::FLAVOR_SLOTS]),
+            cache: Cell::new(None),
         }
     }
 }
 
 impl Arena {
-    /// One freeze-cache slot per machine flavor: plain (0) and
-    /// optimized (1).
-    pub const FLAVOR_SLOTS: usize = 2;
-
     /// A fresh empty arena freezing into its own new segment.
     pub fn new() -> Rc<Self> {
         Rc::new(Arena::default())
@@ -104,7 +99,7 @@ impl Arena {
         Rc::new(Arena {
             staging: RefCell::new(Vec::new()),
             seg: seg.clone(),
-            cache: RefCell::new([None; Self::FLAVOR_SLOTS]),
+            cache: Cell::new(None),
         })
     }
 
@@ -121,7 +116,7 @@ impl Arena {
         Rc::new(Arena {
             staging: RefCell::new(self.staging.borrow().iter().map(instr).collect()),
             seg,
-            cache: RefCell::new(*self.cache.borrow()),
+            cache: Cell::new(self.cache.get()),
         })
     }
 
@@ -143,12 +138,11 @@ impl Arena {
         self.staging.borrow().len()
     }
 
-    /// The staging length covered by the cached snapshot of the flavor
-    /// `optimized` picks, if one exists. A value different from
-    /// [`Arena::len`] means the next freeze of that flavor re-renders (a
-    /// *refreeze*).
-    pub fn snapshot_len(&self, optimized: bool) -> Option<usize> {
-        self.cache.borrow()[usize::from(optimized)].map(|(len, _)| len)
+    /// The staging length covered by the cached snapshot, if one exists.
+    /// A value different from [`Arena::len`] means the next freeze
+    /// re-renders (a *refreeze*).
+    pub fn snapshot_len(&self) -> Option<usize> {
+        self.cache.get().map(|(len, _)| len)
     }
 
     /// Whether nothing has been emitted yet.
@@ -160,42 +154,27 @@ impl Arena {
     /// segment tail (the arena may continue to grow afterwards; the
     /// frozen block is a snapshot).
     pub fn freeze(&self) -> CodeRef {
-        self.freeze_via(false, |_, instrs| instrs.to_vec()).0
+        self.freeze_cached().0
     }
 
-    /// Freezes through the cache slot picked by `optimized` (one per
-    /// machine flavor, so machines running with different flags never
-    /// serve each other's rendering of the same arena), building the
-    /// instruction vector with `build` (given the target segment, so the
-    /// optimizer can register rewritten blocks) on a miss. Returns the
-    /// code and whether it was served from the cache.
-    pub fn freeze_via(
-        &self,
-        optimized: bool,
-        build: impl FnOnce(&CodeSeg, &[Instr]) -> Vec<Instr>,
-    ) -> (CodeRef, bool) {
-        let slot = usize::from(optimized);
+    /// [`Arena::freeze`], also reporting whether the code was served
+    /// from the cached snapshot.
+    pub fn freeze_cached(&self) -> (CodeRef, bool) {
         let len = self.staging.borrow().len();
-        if let Some((cached_len, block)) = self.cache.borrow()[slot] {
-            if cached_len == len {
-                return (
-                    CodeRef {
-                        seg: self.seg.clone(),
-                        block,
-                    },
-                    true,
-                );
+        let (block, hit) = match self.cache.get() {
+            Some((cached_len, block)) if cached_len == len => (block, true),
+            _ => {
+                let block = self.seg.add_block(self.staging.borrow().clone());
+                self.cache.set(Some((len, block)));
+                (block, false)
             }
-        }
-        let built = build(&self.seg, &self.staging.borrow());
-        let block = self.seg.add_block(built);
-        self.cache.borrow_mut()[slot] = Some((len, block));
+        };
         (
             CodeRef {
                 seg: self.seg.clone(),
                 block,
             },
-            false,
+            hit,
         )
     }
 }
@@ -577,12 +556,9 @@ mod tests {
             "growth invalidates the cache"
         );
         assert_eq!(c3.len(), 2);
-        // The optimized slot is cached independently of the plain one.
-        let (o1, hit1) = a.freeze_via(true, |_, i| i.to_vec());
-        let (o2, hit2) = a.freeze_via(true, |_, i| i.to_vec());
-        assert!(!hit1);
-        assert!(hit2);
-        assert!(CodeRef::same_block(&o1, &o2));
+        let (c4, hit) = a.freeze_cached();
+        assert!(hit, "served from the snapshot");
+        assert!(CodeRef::same_block(&c3, &c4));
     }
 
     #[test]

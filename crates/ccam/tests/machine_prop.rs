@@ -4,7 +4,7 @@
 //! direct reference interpreter.
 
 use ccam::instr::{validate, Instr, PrimOp};
-use ccam::machine::Machine;
+use ccam::machine::{Machine, TierPolicy};
 use ccam::seg::CodeSeg;
 use ccam::value::Value;
 use proptest::prelude::*;
@@ -187,19 +187,32 @@ proptest! {
     }
 
     #[test]
-    fn flat_lowering_agrees_with_the_reference_interpreter(e in expr()) {
+    fn flat_lowering_agrees_with_the_reference_interpreter(e in expr(), fuel in 0u64..64) {
         let seg = CodeSeg::new();
         let mut code = Vec::new();
         lower(&e, &seg, &mut code);
         validate(&seg, &code).unwrap();
         let want = reference(&e);
         // Plain execution agrees…
-        let out = Machine::new().run(seg.entry(code.clone()), Value::Unit).unwrap();
+        let entry = seg.entry(code);
+        let mut plain = Machine::new();
+        let out = plain.run(entry.clone(), Value::Unit).unwrap();
         prop_assert!(matches!(out, Value::Int(x) if x == want), "got {out}, want {want}");
-        // …and so does the peephole-optimized rendering.
-        let opt = ccam::opt::peephole(&seg, &code);
-        let out = Machine::new().run(seg.entry(opt), Value::Unit).unwrap();
-        prop_assert!(matches!(out, Value::Int(x) if x == want), "optimized: got {out}, want {want}");
+        // …and so do the promoted renderings (folded by the peephole,
+        // then fused) of every block, in Paper's steps.
+        let mut promoted = Machine::new();
+        promoted.set_tier_policy(Some(TierPolicy { promote_after: 0 }));
+        let out = promoted.run(entry.clone(), Value::Unit).unwrap();
+        prop_assert!(matches!(out, Value::Int(x) if x == want), "promoted: got {out}, want {want}");
+        prop_assert_eq!(promoted.stats().steps, plain.stats().steps);
+        // A budget that runs out aborts both at the same step.
+        let mut plain = Machine::with_fuel(fuel);
+        let a = plain.run(entry.clone(), Value::Unit).map(|v| v.to_string());
+        let mut promoted = Machine::with_fuel(fuel);
+        promoted.set_tier_policy(Some(TierPolicy { promote_after: 0 }));
+        let b = promoted.run(entry, Value::Unit).map(|v| v.to_string());
+        prop_assert_eq!(a, b);
+        prop_assert_eq!(promoted.stats().steps, plain.stats().steps);
     }
 
     #[test]

@@ -1100,36 +1100,30 @@ f 20";
     ];
 
     /// Compiles and runs `src` in `mode`, returning its value and step
-    /// count. With `collapse`, the static program and every frozen arena
-    /// go through the peephole optimizer first, which renders each
-    /// `fst^k; snd` walk over the pair spine as one `acc k`.
+    /// count. With `collapse`, every block runs promoted from its first
+    /// activation, which renders each `fst^k; snd` walk over the pair
+    /// spine as one `acc k`.
     fn run_in_mode(src: &str, mode: EnvMode, collapse: bool) -> (String, u64) {
         let p = parse_program(src).unwrap();
         let decls = Elab::new().elab_program(&p).unwrap();
-        let mut code = compile_program_with(&decls, mode).unwrap();
-        if collapse {
-            code.block = ccam::opt::optimize_block(&code.seg, code.block);
-        }
+        let code = compile_program_with(&decls, mode).unwrap();
         validate(&code.seg, &code.to_vec()).unwrap();
         let mut m = Machine::new();
-        m.set_optimize(collapse);
+        m.set_tier_policy(collapse.then_some(ccam::machine::TierPolicy { promote_after: 0 }));
         let v = m.run(code, Value::Unit).unwrap();
         (v.to_string(), m.stats().steps)
     }
 
     #[test]
     fn indexed_mode_agrees_with_pair_spine() {
-        // Indexed access over the pair spine lives on as the optimizer's
+        // Indexed access over the pair spine lives on as promotion's
         // `fst^k; snd -> acc k` collapse: it must agree with the raw walk
-        // and never take more steps.
+        // and count the same steps.
         for src in MODE_PROGRAMS {
             let (v_spine, s_spine) = run_in_mode(src, EnvMode::PairSpine, false);
             let (v_idx, s_idx) = run_in_mode(src, EnvMode::PairSpine, true);
             assert_eq!(v_spine, v_idx, "mode disagreement on {src:?}");
-            assert!(
-                s_idx <= s_spine,
-                "indexed spine took more steps ({s_idx} > {s_spine}) on {src:?}"
-            );
+            assert_eq!(s_idx, s_spine, "promotion changed the steps on {src:?}");
         }
     }
 

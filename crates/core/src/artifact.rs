@@ -210,14 +210,7 @@ pub fn machine_for(options: &SessionOptions) -> Machine {
         Some(f) => Machine::with_fuel(f),
         None => Machine::new(),
     };
-    machine.set_optimize(options.optimize);
-    if let Some(policy) = options.adaptive {
-        // Step charges stay in the baseline cost model the compiler
-        // targets: pair-spine units unless accesses compile to flat
-        // `acc` paths.
-        let spine_units = !options.flat_env;
-        machine.set_tier_policy(Some(policy), spine_units);
-    }
+    machine.set_tier_policy(options.adaptive);
     machine
 }
 

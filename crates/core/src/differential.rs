@@ -63,9 +63,9 @@ pub fn run_both_with(src: &str, with_prelude: bool, mode: EnvMode) -> Result<Bot
 }
 
 /// [`run_both_with`] with the CCAM side optionally under the adaptive
-/// tier controller: with `adaptive`, hot blocks are promoted to fused
-/// renderings (every executed block, at `promote_after: 0`) and steps
-/// are charged in the baseline units of `mode`, exactly as an adaptive
+/// tier controller: with `adaptive`, hot blocks are promoted to folded
+/// and fused renderings (every executed block, at `promote_after: 0`)
+/// that charge Paper's steps, exactly as an adaptive
 /// [`Session`](crate::Session) would. Together with [`EnvMode`] this
 /// spans the 2×2 execution-mode matrix the differential suite checks.
 ///
@@ -110,7 +110,7 @@ pub fn run_both_full(
         src: full.clone(),
     })?;
     let mut machine = Machine::new();
-    machine.set_tier_policy(adaptive, matches!(mode, EnvMode::PairSpine));
+    machine.set_tier_policy(adaptive);
     let m_val = machine.run(code, Value::Unit)?;
     // Interpreter.
     let mut interp = Interp::new();
@@ -166,15 +166,13 @@ pub fn assert_adaptive_parity(
         diag,
         src: full.clone(),
     })?;
-    // Step charges follow the cost model the compiler targeted.
-    let spine_units = matches!(mode, EnvMode::PairSpine);
     let run = |fuel: Option<u64>, adaptive: bool| {
         let mut m = match fuel {
             Some(f) => Machine::with_fuel(f),
             None => Machine::new(),
         };
         if adaptive {
-            m.set_tier_policy(Some(policy), spine_units);
+            m.set_tier_policy(Some(policy));
         }
         let r = m.run(code.clone(), Value::Unit);
         let rendered = r.map(|v| render_machine(&v, &elab.data));
@@ -189,8 +187,8 @@ pub fn assert_adaptive_parity(
         "step count diverged on:\n{src}\n paper: {s_paper:?}\n adaptive: {s_ad:?}"
     );
     // Fuel sweep: every budget for short runs, a boundary-heavy sample
-    // for long ones (the interesting budgets are where a fused dispatch
-    // straddles the limit, which the dense head and tail cover; the
+    // for long ones (the interesting budgets are where a folded or fused
+    // dispatch straddles the limit, which the dense head and tail cover; the
     // strided middle keeps long preludes affordable).
     let total = s_paper.steps;
     let budgets: Vec<u64> = if total <= 256 {
@@ -319,6 +317,40 @@ eval (compPoly [1, 2, 3]) 10";
                    | a :: r => let cogen f = compPoly r cogen a' = lift a
                                in code (fn x => a' + (x * f x)) end;
                  eval (compPoly [1, 2, 3]) 10",
+                true,
+            ),
+            // Folded renderings: a zero coefficient and the final `x * 0`
+            // (identity and absorption), …
+            (
+                "fun compPoly p =
+                   case p of nil => code (fn x => 0)
+                   | a :: r => let cogen f = compPoly r cogen a' = lift a
+                               in code (fn x => a' + (x * f x)) end;
+                 eval (compPoly [2, 4, 0, 2333]) 47",
+                true,
+            ),
+            // … a `0 +` whose operand ends in a call that prints, …
+            (
+                "let cogen z = lift 0 in eval (code (fn x => z + (fn y => (print \"a\"; y)) x)) end 5",
+                true,
+            ),
+            // … a lifted constant deciding a branch, …
+            (
+                "let cogen b = lift (3 < 4) in eval (code (fn x => if b then x + 1 else x - 1)) end 9",
+                true,
+            ),
+            // … and lifted divisors: 1 passes the dividend through, 0 is
+            // not folded and traps at Paper's step.
+            (
+                "let cogen one = lift 1 in eval (code (fn x => (x div one, x mod one))) end 17",
+                true,
+            ),
+            (
+                "let cogen z = lift 0 cogen n = lift 7 in eval (code (fn x => x + n div z)) end 1",
+                true,
+            ),
+            (
+                "let cogen z = lift 0 in eval (code (fn x => x mod z)) end 5",
                 true,
             ),
         ];

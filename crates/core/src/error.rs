@@ -26,10 +26,6 @@ pub enum Error {
     /// A persisted artifact container failed to parse (truncated,
     /// corrupt, wrong version, …).
     Wire(crate::wire::WireError),
-    /// A [`SessionOptions`](crate::session::SessionOptions) combination
-    /// is invalid (e.g. an adaptive tier policy together with static
-    /// tiering flags).
-    Options(String),
 }
 
 impl Error {
@@ -50,7 +46,6 @@ impl fmt::Display for Error {
             Error::Eval(e) => write!(f, "evaluation error: {e}"),
             Error::Artifact(msg) => write!(f, "artifact error: {msg}"),
             Error::Wire(e) => write!(f, "artifact wire error: {e}"),
-            Error::Options(msg) => write!(f, "invalid session options: {msg}"),
         }
     }
 }
@@ -61,7 +56,7 @@ impl std::error::Error for Error {
             Error::Static { diag, .. } => Some(diag),
             Error::Machine(e) => Some(e),
             Error::Eval(e) => Some(e),
-            Error::Artifact(_) | Error::Options(_) => None,
+            Error::Artifact(_) => None,
             Error::Wire(e) => Some(e),
         }
     }

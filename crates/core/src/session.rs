@@ -29,10 +29,6 @@ pub struct SessionOptions {
     pub prelude: bool,
     /// Step budget for the machine (`None` = unlimited).
     pub fuel: Option<u64>,
-    /// Enable emission-time peephole optimization of generated code
-    /// (§4.2's envisioned "more sophisticated specialization system").
-    /// Default: false, matching the paper's measured system.
-    pub optimize: bool,
     /// Grow the environment as contiguous `Vec`-backed frames
     /// (`env_cons`) and compile each variable access as one `acc n`, an
     /// O(1) slot load, instead of the paper's `fst^n; snd` spine walk
@@ -41,13 +37,12 @@ pub struct SessionOptions {
     pub flat_env: bool,
     /// Run under the adaptive tier controller (DESIGN.md §15): compile
     /// and freeze everything plainly (the Paper tier), count per-block
-    /// activations at run time, and promote hot blocks to fused
-    /// superinstruction code (DESIGN.md §11) — the only way fused code
-    /// is made. Step counts, verdicts, traces, and fuel behave exactly as
-    /// under the Paper profile (`optimize` and `adaptive` both off) —
-    /// promotion changes wall clock only. Mutually exclusive with the
-    /// static `optimize` flag ([`Session::with_options`] rejects the
-    /// combination). Default: `None` (static behavior).
+    /// activations at run time, and promote hot blocks to renderings
+    /// folded by §4.2's peephole and fused into superinstructions
+    /// (DESIGN.md §11) — the only way folded or fused code is made. Step
+    /// counts, verdicts, traces, and fuel behave exactly as under the
+    /// Paper profile (`adaptive` off) — promotion changes wall clock
+    /// only. Default: `None` (static behavior).
     pub adaptive: Option<TierPolicy>,
 }
 
@@ -56,7 +51,6 @@ impl Default for SessionOptions {
         SessionOptions {
             prelude: true,
             fuel: None,
-            optimize: false,
             flat_env: false,
             adaptive: None,
         }
@@ -83,10 +77,10 @@ impl SessionOptions {
         // Removed options keep their slots, hashed at the one value they
         // had in use: the golden artifact's header and every store key
         // are fingerprints, so dropping a slot would change them all.
-        // Here: `typecheck` (always on).
+        // Here: `typecheck` (always on), then the removed static
+        // `optimize`, `count_opcodes` and `indexed_env` flags.
         h.write_bool(true);
-        h.write_bool(self.optimize);
-        // The removed `count_opcodes` and `indexed_env` flags.
+        h.write_bool(false);
         h.write_bool(false);
         h.write_bool(false);
         h.write_bool(self.flat_env);
@@ -207,13 +201,6 @@ impl Session {
     ///
     /// Returns an error if the prelude fails to load.
     pub fn with_options(options: SessionOptions) -> Result<Session, Error> {
-        if options.adaptive.is_some() && options.optimize {
-            return Err(Error::Options(
-                "adaptive tiering replaces the static optimize flag; \
-                 clear it or drop the tier policy"
-                    .to_string(),
-            ));
-        }
         if !options.prelude {
             return Ok(Session::bare(options));
         }
@@ -950,39 +937,24 @@ mod tests {
         let base = SessionOptions::default();
         let fp = |o: &SessionOptions| o.fingerprint();
         assert_eq!(fp(&base), fp(&base.clone()), "fingerprint is stable");
-        let mut optimize = base.clone();
-        optimize.optimize = true;
-        assert_ne!(fp(&base), fp(&optimize), "optimize must change the key");
         let mut flat = base.clone();
         flat.flat_env = true;
         assert_ne!(fp(&base), fp(&flat), "flat_env must change the key");
         let adaptive = adaptive_options(TierPolicy::default());
         assert_ne!(fp(&base), fp(&adaptive), "adaptive must change the key");
-        // The three non-default modes are also pairwise distinct.
-        let modes = [&optimize, &flat, &adaptive];
-        for (i, a) in modes.iter().enumerate() {
-            for b in &modes[i + 1..] {
-                assert_ne!(fp(a), fp(b));
-            }
-        }
+        // The two non-default modes are also distinct.
+        assert_ne!(fp(&flat), fp(&adaptive));
     }
 
     #[test]
     fn static_point_fingerprints_are_pinned() {
         // Store keys and the golden artifact header are these values; the
-        // removed `fuse` and `native` slots still hash as `false` so they
-        // did not move when the options went.
-        let pinned = [
-            (false, 0x17ec_a866_e1c9_0687_u64),
-            (true, 0x3b56_4433_f3d7_404e),
-        ];
-        for (optimize, want) in pinned {
-            let o = SessionOptions {
-                optimize,
-                ..SessionOptions::default()
-            };
-            assert_eq!(o.fingerprint(), want, "optimize {optimize}");
-        }
+        // removed `optimize`, `fuse` and `native` slots still hash as
+        // `false` so they did not move when the options went.
+        assert_eq!(
+            SessionOptions::default().fingerprint(),
+            0x17ec_a866_e1c9_0687_u64
+        );
     }
 
     #[test]
@@ -1021,14 +993,6 @@ mod tests {
             adaptive: Some(policy),
             ..SessionOptions::default()
         }
-    }
-
-    #[test]
-    fn adaptive_rejects_static_tier_flags() {
-        let mut o = adaptive_options(TierPolicy::default());
-        o.optimize = true;
-        let err = Session::with_options(o).unwrap_err();
-        assert!(matches!(err, Error::Options(_)), "{err}");
     }
 
     #[test]

@@ -178,10 +178,10 @@ fn encode_options(out: &mut Vec<u8>, o: &SessionOptions) {
         None => out.push(FUEL_NONE),
     }
     // Removed options keep their slots at the one value they had in
-    // use: `typecheck` on, `count_opcodes`, `indexed_env` and `fuse`
-    // off.
+    // use: `typecheck` on, `optimize`, `count_opcodes`, `indexed_env`
+    // and `fuse` off.
     out.push(1);
-    out.push(u8::from(o.optimize));
+    out.push(0);
     out.push(0);
     out.push(0);
     out.push(u8::from(o.flat_env));
@@ -254,13 +254,12 @@ fn decode_options(bytes: &[u8]) -> Result<SessionOptions, WireError> {
         _ => return Err(WireError::Corrupt("unknown fuel marker")),
     };
     fixed("typecheck", r.bool()?, true)?;
-    let optimize = r.bool()?;
+    fixed("optimize", r.bool()?, false)?;
     fixed("count_opcodes", r.bool()?, false)?;
     fixed("indexed_env", r.bool()?, false)?;
     let mut options = SessionOptions {
         prelude,
         fuel,
-        optimize,
         flat_env: r.bool()?,
         adaptive: None,
     };
@@ -277,13 +276,6 @@ fn decode_options(bytes: &[u8]) -> Result<SessionOptions, WireError> {
         });
         fixed("fuse_top_k", r.u64()?, FUSE_TOP_K)?;
         fixed("use_native", r.bool()?, false)?;
-        // `Session::with_options` refuses this combination; bytes must
-        // not smuggle it past that check into `machine_for`.
-        if options.optimize {
-            return Err(WireError::Corrupt(
-                "adaptive profile with static optimize flag",
-            ));
-        }
     }
     if r.pos != bytes.len() {
         return Err(WireError::Corrupt("options section has trailing bytes"));
@@ -624,7 +616,6 @@ mod tests {
             SessionOptions::default(),
             SessionOptions {
                 fuel: Some(123_456),
-                optimize: true,
                 ..SessionOptions::default()
             },
             SessionOptions {

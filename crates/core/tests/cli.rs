@@ -4,7 +4,7 @@
 //! Also pins that `mlbox check` type checks without running anything,
 //! and that `mlbox run`, `mlbox eval` and the REPL still print a
 //! program's output when it later fails (`mlbox run` and the REPL also
-//! the declarations that succeeded).
+//! the declarations that succeeded), and that types print as schemes.
 
 use std::io::Write;
 use std::process::{Command, Output, Stdio};
@@ -211,4 +211,30 @@ fn check_type_checks_without_running() {
             text(&out.stdout)
         );
     }
+}
+
+#[test]
+fn run_prints_generalized_types_as_schemes() {
+    // Type variables are lettered per declaration in order of first
+    // appearance: `'a` where the declaration generalized them, `'_a`
+    // where the value restriction kept them monomorphic. No internal
+    // unification-variable id is printed.
+    let out = run_file(
+        "cli_schemes.ml",
+        "fun h x = x\nfun k x y = (y, x)\nval r = ref nil\nfun f x = (r := [x]; x)\n",
+    );
+    assert_eq!(text(&out.stderr), "");
+    let types: Vec<&str> = text(&out.stdout)
+        .lines()
+        .map(|l| l.split(" = ").next().unwrap_or(l))
+        .collect();
+    assert_eq!(
+        types,
+        [
+            "val h : 'a -> 'a",
+            "val k : 'a -> 'b -> 'b * 'a",
+            "val r : '_a list ref",
+            "val f : '_a -> '_a",
+        ]
+    );
 }

@@ -15,18 +15,11 @@ use mlbox_bpf::filters::telnet_filter;
 use mlbox_bpf::mlsrc::{filter_decl, packet_value, BPF_ML};
 use mlbox_bpf::packet::PacketGen;
 
-/// Every tiering profile — Paper, static `optimize`, adaptive at three
-/// thresholds — crossed with the two environment modes, with the fuel
+/// Every tiering profile — Paper, adaptive at three thresholds — crossed with the two environment modes, with the fuel
 /// budget flipped between the two so each profile meets both of its
 /// values, paired with the env mode in an order that varies by profile.
 fn lattice() -> Vec<SessionOptions> {
-    let mut profiles = vec![
-        SessionOptions::default(),
-        SessionOptions {
-            optimize: true,
-            ..SessionOptions::default()
-        },
-    ];
+    let mut profiles = vec![SessionOptions::default()];
     for promote_after in [0, 1, 64] {
         profiles.push(SessionOptions {
             adaptive: Some(TierPolicy { promote_after }),
@@ -64,9 +57,10 @@ fn listing(seg: &CodeSeg) -> String {
         .collect()
 }
 
-fn tiers(seg: &CodeSeg) -> Vec<u8> {
+/// The rendering each block was promoted to, in id order.
+fn tiers(seg: &CodeSeg) -> Vec<Option<BlockId>> {
     (0..seg.num_blocks() as u32)
-        .map(|b| seg.tier_level(BlockId(b)))
+        .map(|b| seg.promoted(BlockId(b)))
         .collect()
 }
 

@@ -25,14 +25,14 @@
 //! `SessionOptions::flat_env`, so artifacts carry frame environments and
 //! the oracle checks flat-mode step counts.
 //! `--tiered` runs the adaptive-tiering comparison instead: a mixed
-//! hot/cold multi-tenant workload served once per static flavor point
-//! (plain and optimized) and once under the adaptive profile
-//! (`SessionOptions::adaptive`, the only producer of fused code), each
-//! against a fresh pool and cache so specialization cost is inside the
-//! measurement. Each rep is timed by process CPU time, so time the host
-//! withholds from the process does not count. Reps are interleaved
-//! round-robin and the comparison is paired per round: the adaptive
-//! point must beat every static point in a majority of rounds —
+//! hot/cold multi-tenant workload served once under the static plain
+//! profile and once under the adaptive profile
+//! (`SessionOptions::adaptive`, the only producer of folded and fused
+//! code), each against a fresh pool and cache so specialization cost is
+//! inside the measurement. Each rep is timed by process CPU time, so time
+//! the host withholds from the process does not count. Reps are
+//! interleaved round-robin and the comparison is paired per round: the
+//! adaptive point must beat the static point in a majority of rounds —
 //! asserted, not just reported — while its verdicts *and per-packet
 //! step counts* stay identical to the plain profile. Emits
 //! `BENCH_serve_tiered.json`.
@@ -576,10 +576,8 @@ fn run_persist(config: &Config) {
 }
 
 /// One distinct filter of the tiered workload, with its packets and the
-/// plain-profile oracle answers. Verdicts must hold under every flavor;
-/// step counts must hold under the adaptive profile (promotion is
-/// invisible in the cost model) but not under static optimize, which
-/// changes the step model by design.
+/// plain-profile oracle answers. Verdicts and step counts must hold
+/// under both profiles (promotion is invisible in the cost model).
 struct TieredFilter {
     filter: Arc<Vec<Insn>>,
     packets: Vec<Packet>,
@@ -732,13 +730,12 @@ fn build_tiered_filters(config: &Config) -> (Vec<TieredFilter>, Vec<TieredJob>) 
 }
 
 /// Serves the whole tiered schedule once through a fresh pool + cache
-/// under `options`, verifying every verdict (and, when `check_steps`,
-/// every per-packet step count) against the plain-profile oracle.
+/// under `options`, verifying every verdict and every per-packet step
+/// count against the plain-profile oracle.
 fn run_tiered_once(
     options: &SessionOptions,
     filters: &[TieredFilter],
     jobs: &[TieredJob],
-    check_steps: bool,
 ) -> TieredPoint {
     let started = process_cpu_secs();
     // One worker: the points compare dispatch quality per core, and
@@ -775,16 +772,14 @@ fn run_tiered_once(
                 job_ref.filter,
                 job_ref.start + i
             );
-            if check_steps {
-                assert_eq!(
-                    steps,
-                    expected_steps,
-                    "tiered filter {}: packet {} step count diverged from the plain \
-                     profile (promotion must be invisible in the cost model)",
-                    job_ref.filter,
-                    job_ref.start + i
-                );
-            }
+            assert_eq!(
+                steps,
+                expected_steps,
+                "tiered filter {}: packet {} step count diverged from the plain \
+                 profile (promotion must be invisible in the cost model)",
+                job_ref.filter,
+                job_ref.start + i
+            );
             packets += 1;
         }
     }
@@ -802,23 +797,17 @@ fn run_tiered_once(
     }
 }
 
-/// The `--tiered` benchmark: every static flavor point vs. the
-/// adaptive profile over the same mixed hot/cold workload, emitting
+/// The `--tiered` benchmark: the static plain profile vs. the adaptive
+/// profile over the same mixed hot/cold workload, emitting
 /// `BENCH_serve_tiered.json`.
 fn run_tiered(config: &Config) {
     eprintln!("serve-bench: building tiered workload and plain oracle...");
     let (filters, jobs) = build_tiered_filters(config);
     let reps = 7;
-    let flavor_points = [
+    let profiles = [
         ("static_plain", SessionOptions::default()),
-        (
-            "static+opt",
-            SessionOptions {
-                optimize: true,
-                ..SessionOptions::default()
-            },
-        ),
-        // The serving policy promotes hot blocks to the fused rendering.
+        // The serving policy promotes hot blocks to their folded and
+        // fused rendering.
         // The threshold sits above the activations a cold tenant's
         // 4-packet burst produces: promoting those blocks would spend
         // rendering time on code that is about to go idle.
@@ -836,11 +825,11 @@ fn run_tiered(config: &Config) {
     // host degrades at most one rep of each point instead of sinking
     // every rep of whichever point it happened to land on; best-of-N
     // per point then discards the degraded reps.
-    let mut best: Vec<Option<TieredPoint>> = flavor_points.iter().map(|_| None).collect();
-    let mut rounds: Vec<Vec<f64>> = flavor_points.iter().map(|_| Vec::new()).collect();
+    let mut best: Vec<Option<TieredPoint>> = profiles.iter().map(|_| None).collect();
+    let mut rounds: Vec<Vec<f64>> = profiles.iter().map(|_| Vec::new()).collect();
     for _ in 0..reps {
-        for (slot, (_, options)) in flavor_points.iter().enumerate() {
-            let point = run_tiered_once(options, &filters, &jobs, options.adaptive.is_some());
+        for (slot, (_, options)) in profiles.iter().enumerate() {
+            let point = run_tiered_once(options, &filters, &jobs);
             rounds[slot].push(point.cpu_secs);
             if best[slot]
                 .as_ref()
@@ -851,7 +840,7 @@ fn run_tiered(config: &Config) {
         }
     }
     let mut points: Vec<TieredPoint> = Vec::new();
-    for ((name, _), best) in flavor_points.iter().zip(best) {
+    for ((name, _), best) in profiles.iter().zip(best) {
         let mut point = best.expect("at least one rep");
         point.name = name.to_string();
         eprintln!(
@@ -916,13 +905,12 @@ fn run_tiered(config: &Config) {
             .filter(|(a, s)| a < s)
             .count();
         out.push_str(&format!(
-            "    {{\"name\": \"{}\", \"optimize\": {}, \
+            "    {{\"name\": \"{}\", \
              \"adaptive\": {}, \"packets\": {}, \"cpu_ms\": {}, \"packets_per_cpu_sec\": {}, \
              \"adaptive_round_wins\": {adaptive_wins}, \
              \"promotions\": {}, \"refreezes\": {}, \"tier_steps\": [{}, {}], \
              \"cache_misses\": {}}}{}\n",
             p.name,
-            p.options.optimize,
             p.options.adaptive.is_some(),
             p.packets,
             json_f(p.cpu_secs * 1e3),

@@ -383,17 +383,17 @@ mod tests {
     fn same_filter_different_options_do_not_alias() {
         let filter = telnet_filter();
         let plain = SessionOptions::default();
-        let optimized = SessionOptions {
-            optimize: true,
+        let flat = SessionOptions {
+            flat_env: true,
             ..SessionOptions::default()
         };
         assert_ne!(
             CacheKey::new(&filter, &plain),
-            CacheKey::new(&filter, &optimized)
+            CacheKey::new(&filter, &flat)
         );
         let cache = FilterCache::new(16);
         specialize_in(&cache, &filter, &plain).unwrap();
-        specialize_in(&cache, &filter, &optimized).unwrap();
+        specialize_in(&cache, &filter, &flat).unwrap();
         assert_eq!(cache.stats().misses, 2, "one specialization per mode");
     }
 

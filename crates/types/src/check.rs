@@ -6,7 +6,7 @@
 //! variables and variables bound inside `M` may occur — so a staging error
 //! is a type error, exactly as the paper advertises.
 
-use crate::ty::{generalize, instantiate, render, resolve, unify, Scheme, TvGen, Type};
+use crate::ty::{generalize, instantiate, unify, Scheme, TvGen, TyNames, Type};
 use mlbox_ir::core::{CExpr, CExprS, CoreDecl, Lit, Prim};
 use mlbox_ir::data::{ConId, DataEnv, CONS, LIST, NIL};
 use mlbox_ir::elab::TypeAbbrev;
@@ -61,6 +61,19 @@ impl Checker {
         Diagnostic::new(Phase::Type, msg, span)
     }
 
+    /// The scheme a binding of `t` gets under the value restriction:
+    /// generalized when the right-hand side is a syntactic value;
+    /// otherwise monomorphic, with its variables lowered to the current
+    /// level (unifying with a fresh variable of this level does that), so
+    /// that no later generalization at a deeper level quantifies them.
+    fn bind(&mut self, t: &Type, value: bool, data: &DataEnv) -> Scheme {
+        if value {
+            return generalize(t, self.gen.level());
+        }
+        unify(&self.gen.fresh(), t, data).expect("a fresh variable unifies with any type");
+        Scheme::mono(t.clone())
+    }
+
     fn unify_at(&self, a: &Type, b: &Type, span: Span, tcx: TypeCtx<'_>) -> Result<()> {
         unify(a, b, tcx.data).map_err(|e| {
             let msg = if e.occurs {
@@ -103,11 +116,7 @@ impl Checker {
                 self.gen.enter_level();
                 let t = self.infer(e, tcx)?;
                 self.gen.leave_level();
-                let scheme = if is_value(e) {
-                    generalize(&t, self.gen.level())
-                } else {
-                    Scheme::mono(t.clone())
-                };
+                let scheme = self.bind(&t, is_value(e), tcx.data);
                 self.gamma.push((n.clone(), scheme));
                 Ok(t)
             }
@@ -117,18 +126,21 @@ impl Checker {
                 let inner = self.gen.fresh();
                 self.unify_at(&t, &Type::Box(Rc::new(inner.clone())), span_of(e), tcx)?;
                 self.gen.leave_level();
-                let scheme = if is_value(e) {
-                    generalize(&inner, self.gen.level())
-                } else {
-                    Scheme::mono(inner.clone())
-                };
+                let scheme = self.bind(&inner, is_value(e), tcx.data);
                 self.delta.push((u.clone(), scheme));
                 Ok(t)
             }
             CoreDecl::Fun(defs) => self
                 .check_letrec(defs, tcx)
                 .map(|mut ts| ts.pop().unwrap_or(Type::Unit)),
-            CoreDecl::Expr(e) => self.infer(e, tcx),
+            CoreDecl::Expr(e) => {
+                // As `val it = e`: generalized when `e` is a value.
+                self.gen.enter_level();
+                let t = self.infer(e, tcx)?;
+                self.gen.leave_level();
+                self.bind(&t, is_value(e), tcx.data);
+                Ok(t)
+            }
         }
     }
 
@@ -241,11 +253,7 @@ impl Checker {
                 self.gen.enter_level();
                 let rhs_t = self.infer(rhs, tcx)?;
                 self.gen.leave_level();
-                let scheme = if is_value(rhs) {
-                    generalize(&rhs_t, self.gen.level())
-                } else {
-                    Scheme::mono(rhs_t)
-                };
+                let scheme = self.bind(&rhs_t, is_value(rhs), tcx.data);
                 let mark = self.gamma.len();
                 self.gamma.push((n.clone(), scheme));
                 let body_t = self.infer(body, tcx)?;
@@ -368,11 +376,7 @@ impl Checker {
                 let inner = self.gen.fresh();
                 self.unify_at(&m_t, &Type::Box(Rc::new(inner.clone())), span_of(m), tcx)?;
                 self.gen.leave_level();
-                let scheme = if is_value(m) {
-                    generalize(&inner, self.gen.level())
-                } else {
-                    Scheme::mono(inner)
-                };
+                let scheme = self.bind(&inner, is_value(m), tcx.data);
                 let mark = self.delta.len();
                 self.delta.push((u.clone(), scheme));
                 let n_t = self.infer(n, tcx)?;
@@ -615,9 +619,11 @@ impl Checker {
         }
     }
 
-    /// Renders a type for display, resolving links.
+    /// Renders a declaration's principal type for display: the
+    /// variables the declaration generalized print as `'a`, `'b`, …, the
+    /// others as `'_a`, lettered in order of first appearance.
     pub fn display_type(&self, t: &Type, data: &DataEnv) -> String {
-        render(&resolve(t), data)
+        TyNames::generalized_above(self.gen.level()).render(t, data)
     }
 }
 
@@ -699,6 +705,18 @@ mod tests {
         // `(fn x => x) (fn y => y)` is not a value; its type stays mono.
         let r = infer_str("let val id = (fn x => x) (fn y => y) in (id 1, id true) end");
         assert!(r.is_err());
+    }
+
+    #[test]
+    fn monomorphic_bindings_stay_monomorphic_in_later_declarations() {
+        // `f` stores its argument in the monomorphic `r`, so `f` must
+        // not be generalized either: `f 1` fixes the type for `f true`.
+        let src = "val r = ref nil\nfun f x = (r := [x]; x)\nval a = f 1\nval b = f true";
+        assert!(infer_program(src).is_err());
+        let src = "let val r = ref nil val f = fn x => (r := [x]; x) in (f 1, f true) end";
+        assert!(infer_str(src).is_err());
+        let src = "let val r = ref nil val f = fn x => (r := [x]; x) in (f 1, f 2) end";
+        assert_eq!(infer_str(src).unwrap(), "int * int");
     }
 
     #[test]

@@ -137,6 +137,19 @@ pub struct UnifyError {
     pub occurs: bool,
 }
 
+impl UnifyError {
+    /// Renders the two types with one lettering, so a variable they
+    /// share prints alike in both.
+    fn new(expected: &Type, found: &Type, data: &DataEnv, occurs: bool) -> UnifyError {
+        let mut names = TyNames::generalized_above(u32::MAX);
+        UnifyError {
+            expected: names.render(expected, data),
+            found: names.render(found, data),
+            occurs,
+        }
+    }
+}
+
 /// Follows `Link`s to the representative.
 pub fn resolve(t: &Type) -> Type {
     match t {
@@ -197,22 +210,14 @@ pub fn unify(a: &Type, b: &Type, data: &DataEnv) -> Result<(), UnifyError> {
         (Type::Var(x), Type::Var(y)) if Rc::ptr_eq(x, y) => Ok(()),
         (Type::Var(x), _) => {
             if occurs_adjust(x, &rb) {
-                return Err(UnifyError {
-                    expected: render(&ra, data),
-                    found: render(&rb, data),
-                    occurs: true,
-                });
+                return Err(UnifyError::new(&ra, &rb, data, true));
             }
             *x.borrow_mut() = TvState::Link(rb);
             Ok(())
         }
         (_, Type::Var(y)) => {
             if occurs_adjust(y, &ra) {
-                return Err(UnifyError {
-                    expected: render(&ra, data),
-                    found: render(&rb, data),
-                    occurs: true,
-                });
+                return Err(UnifyError::new(&ra, &rb, data, true));
             }
             *y.borrow_mut() = TvState::Link(ra);
             Ok(())
@@ -240,11 +245,7 @@ pub fn unify(a: &Type, b: &Type, data: &DataEnv) -> Result<(), UnifyError> {
             }
             Ok(())
         }
-        _ => Err(UnifyError {
-            expected: render(&ra, data),
-            found: render(&rb, data),
-            occurs: false,
-        }),
+        _ => Err(UnifyError::new(&ra, &rb, data, false)),
     }
 }
 
@@ -327,44 +328,74 @@ pub fn subst_params(t: &Type, args: &[Type]) -> Type {
 }
 
 /// Renders a type in the concrete syntax (`int list`, `(int -> int) $`,
-/// `'a * 'b`).
+/// `'_a * '_b`). Unification variables print as `'_a`, `'_b`, … in
+/// order of first appearance; no internal id is printed.
 pub fn render(t: &Type, data: &DataEnv) -> String {
-    fn atom(t: &Type, data: &DataEnv) -> String {
-        let s = go(t, data);
-        match resolve(t) {
-            Type::Arrow(_, _) | Type::Tuple(_) => format!("({s})"),
-            _ => s,
+    TyNames::generalized_above(u32::MAX).render(t, data)
+}
+
+/// The names of the type variables of one rendering: letters in order
+/// of first appearance. Variables deeper than `generalized_above` print
+/// as scheme variables (`'a`), all others as ungeneralized ones (`'_a`).
+#[derive(Debug)]
+pub struct TyNames {
+    seen: Vec<*const RefCell<TvState>>,
+    generalized_above: u32,
+}
+
+impl TyNames {
+    /// Names for a declaration's principal type: variables deeper than
+    /// `level` are the ones the declaration generalized.
+    pub fn generalized_above(level: u32) -> TyNames {
+        TyNames {
+            seen: Vec::new(),
+            generalized_above: level,
         }
     }
-    fn go(t: &Type, data: &DataEnv) -> String {
+
+    /// Renders `t`, naming its variables consistently with everything
+    /// this namer rendered before.
+    pub fn render(&mut self, t: &Type, data: &DataEnv) -> String {
         match &resolve(t) {
             Type::Int => "int".into(),
             Type::Bool => "bool".into(),
             Type::Str => "string".into(),
             Type::Unit => "unit".into(),
-            Type::Var(tv) => match &*tv.borrow() {
-                TvState::Unbound { id, .. } => format!("'_{id}"),
-                TvState::Link(_) => unreachable!("resolved"),
-            },
+            Type::Var(tv) => {
+                let TvState::Unbound { level, .. } = *tv.borrow() else {
+                    unreachable!("resolved")
+                };
+                let ptr = Rc::as_ptr(tv);
+                let i = self.seen.iter().position(|p| *p == ptr).unwrap_or_else(|| {
+                    self.seen.push(ptr);
+                    self.seen.len() - 1
+                });
+                let weak = if level > self.generalized_above {
+                    ""
+                } else {
+                    "_"
+                };
+                format!("'{weak}{}", param_name(i as u32))
+            }
             Type::Param(i) => format!("'{}", param_name(*i)),
-            Type::Arrow(a, b) => format!("{} -> {}", atom(a, data), go(b, data)),
+            Type::Arrow(a, b) => format!("{} -> {}", self.atom(a, data), self.render(b, data)),
             Type::Tuple(parts) => parts
                 .iter()
-                .map(|p| atom(p, data))
+                .map(|p| self.atom(p, data))
                 .collect::<Vec<_>>()
                 .join(" * "),
-            Type::Box(i) => format!("{} $", atom(i, data)),
-            Type::Ref(i) => format!("{} ref", atom(i, data)),
-            Type::Array(i) => format!("{} array", atom(i, data)),
+            Type::Box(i) => format!("{} $", self.atom(i, data)),
+            Type::Ref(i) => format!("{} ref", self.atom(i, data)),
+            Type::Array(i) => format!("{} array", self.atom(i, data)),
             Type::Data(d, args) => {
                 let name = &data.datatype(*d).name;
                 match args.len() {
                     0 => name.clone(),
-                    1 => format!("{} {}", atom(&args[0], data), name),
+                    1 => format!("{} {}", self.atom(&args[0], data), name),
                     _ => format!(
                         "({}) {}",
                         args.iter()
-                            .map(|a| go(a, data))
+                            .map(|a| self.render(a, data))
                             .collect::<Vec<_>>()
                             .join(", "),
                         name
@@ -373,7 +404,14 @@ pub fn render(t: &Type, data: &DataEnv) -> String {
             }
         }
     }
-    go(t, data)
+
+    fn atom(&mut self, t: &Type, data: &DataEnv) -> String {
+        let s = self.render(t, data);
+        match resolve(t) {
+            Type::Arrow(_, _) | Type::Tuple(_) => format!("({s})"),
+            _ => s,
+        }
+    }
 }
 
 fn param_name(i: u32) -> String {

@@ -60,14 +60,12 @@ fn assert_agree_both_modes(src: &str) -> String {
     baseline.unwrap().0
 }
 
-/// Options for one of the two code paths a session offers beyond Paper:
-/// the static §4.2 optimizer, or the tier controller promoting every
-/// block to fused code (the two are mutually exclusive).
-fn optimized_or_promoted(optimize: bool, flat_env: bool) -> mlbox::SessionOptions {
+/// Options under which every block runs promoted — folded by the §4.2
+/// peephole, then fused — from its first activation.
+fn promoted(flat_env: bool) -> mlbox::SessionOptions {
     mlbox::SessionOptions {
-        optimize,
         flat_env,
-        adaptive: (!optimize).then_some(PROMOTE_ALL),
+        adaptive: Some(PROMOTE_ALL),
         ..Default::default()
     }
 }
@@ -103,6 +101,9 @@ fn corpus_agrees() {
         "eval (lift (3 * 3))",
         "eval (code (fn x => x + 1)) 41",
         "let cogen k = lift 5 in eval (code (fn x => x * k)) end 9",
+        // A `let` (a flat-env `env_cons`) inside an operand of a
+        // foldable `0 - _`.
+        "let cogen z = lift 0 in eval (code (fn v => z - (let val w = v + 1 in w * 1 end))) end 16",
         "fun cp p = case p of nil => code (fn x => 0) | a :: r => let cogen f = cp r cogen a' = lift a in code (fn x => a' + (x * f x)) end;\neval (cp [3, 1, 4]) 10",
         // Multi-stage.
         "val g = code (fn a => let cogen a' = lift a in code (fn b => a' - b) end);\neval (eval g 50) 8",
@@ -323,8 +324,7 @@ proptest! {
         negate in proptest::bool::ANY,
     ) {
         // Machine vs oracle, and — with both operands lifted so the §4.2
-        // optimizer constant-folds the division — optimized and promoted
-        // fused code vs plain.
+        // peephole constant-folds the division — promoted code vs plain.
         let d = if negate { -b } else { b };
         let src = format!(
             "let cogen a' = lift {} cogen b' = lift {} in eval (code (fn u => (a' div b', a' mod b'))) end 0",
@@ -334,11 +334,9 @@ proptest! {
         let plain = assert_agree_both_modes(&src);
         use mlbox::Session;
         for flat_env in [false, true] {
-            for optimized in [true, false] {
-                let mut s = Session::with_options(optimized_or_promoted(optimized, flat_env)).unwrap();
-                let out = s.run(&src).unwrap();
-                prop_assert_eq!(&out.last().unwrap().value, &plain);
-            }
+            let mut s = Session::with_options(promoted(flat_env)).unwrap();
+            let out = s.run(&src).unwrap();
+            prop_assert_eq!(&out.last().unwrap().value, &plain);
         }
     }
 
@@ -347,8 +345,8 @@ proptest! {
         coeffs in proptest::collection::vec(0i64..5, 1..5),
         x in 0i64..10,
     ) {
-        // The §4.2 optimizer (small coefficients exercise the 0/1
-        // identity rules) and promoted fused code must preserve the
+        // Promoted code, folded by the §4.2 peephole (small coefficients
+        // exercise the 0/1 identity rules) and fused, must preserve the
         // interpreter's answers.
         use mlbox::Session;
         let list = coeffs
@@ -363,14 +361,12 @@ proptest! {
              (eval (compPoly [{list}]) {x}, evalPoly ({x}, [{list}]))"
         );
         for flat_env in [false, true] {
-            for optimized in [true, false] {
-                let mut s = Session::with_options(optimized_or_promoted(optimized, flat_env)).unwrap();
-                let out = s.run(&src).unwrap();
-                let v = &out.last().unwrap().value;
-                let inner = v.trim_start_matches('(').trim_end_matches(')');
-                let (a, b) = inner.split_once(", ").expect("pair");
-                prop_assert_eq!(a, b, "optimized/promoted staged vs interpreted");
-            }
+            let mut s = Session::with_options(promoted(flat_env)).unwrap();
+            let out = s.run(&src).unwrap();
+            let v = &out.last().unwrap().value;
+            let inner = v.trim_start_matches('(').trim_end_matches(')');
+            let (a, b) = inner.split_once(", ").expect("pair");
+            prop_assert_eq!(a, b, "promoted staged vs interpreted");
         }
     }
 }

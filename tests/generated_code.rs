@@ -4,7 +4,7 @@
 //! early values are embedded in the instruction stream as immediates
 //! (Fabius-style instruction-stream encoding, §4.1).
 
-use ccam::disasm::{census, disassemble};
+use ccam::disasm::{census, disassemble, promoted_census};
 use ccam::value::Value;
 use mlbox::{programs, Session};
 use mlbox_bpf::filters::telnet_filter;
@@ -141,35 +141,71 @@ fn generated_code_size_tracks_polynomial_degree() {
     assert_eq!(d12, 2 * d01, "sizes: {sizes:?}");
 }
 
+/// Every block reachable from `entry`, each once, in discovery order.
+fn reachable_blocks(seg: &ccam::CodeSeg, entry: ccam::BlockId) -> Vec<ccam::BlockId> {
+    let mut seen = vec![entry];
+    let mut next = 0;
+    while let Some(&b) = seen.get(next) {
+        for r in seg.block_to_vec(b).iter().flat_map(|i| i.block_refs()) {
+            if !seen.contains(&r) {
+                seen.push(r);
+            }
+        }
+        next += 1;
+    }
+    seen
+}
+
+fn quotes_zero(code: &[ccam::Instr]) -> bool {
+    use ccam::Instr::{PushQuote, Quote, QuoteCons};
+    let zero = |v: &Value| matches!(v, Value::Int(0));
+    code.iter()
+        .any(|i| matches!(i, Quote(v) | PushQuote(v) | QuoteCons(v) if zero(v)))
+}
+
 #[test]
 fn optimizer_eliminates_the_zero_coefficient() {
     // polyl = [2, 4, 0, 2333]: the x^2 term contributes `0 + (x * f x)`.
     // §4.2 envisions eliminating such instructions at specialization
-    // time; with the optimizing machine the addition of 0 disappears.
-    use mlbox::SessionOptions;
-    let run_with = |optimize: bool| {
-        let mut s = mlbox::Session::with_options(SessionOptions {
-            optimize,
+    // time; promotion does, and still charges Paper's steps.
+    use mlbox::{SessionOptions, TierPolicy};
+    let run_with = |adaptive: Option<TierPolicy>| {
+        let mut s = Session::with_options(SessionOptions {
+            adaptive,
             ..Default::default()
         })
         .unwrap();
         s.run(programs::EVAL_POLY).unwrap();
         s.run(programs::COMP_POLY).unwrap();
-        let steps = s.eval_expr("mlPolyFun 47").unwrap();
-        let f = s.eval_expr("mlPolyFun").unwrap().raw;
-        let size: usize = body_census(&closure_body(&f)).values().sum();
-        (steps.value.clone(), steps.stats.steps, size)
+        let out = s.eval_expr("mlPolyFun 47").unwrap();
+        let body = closure_body(&s.eval_expr("mlPolyFun").unwrap().raw);
+        (out.value, out.stats.steps, body, s)
     };
-    let (v_plain, steps_plain, size_plain) = run_with(false);
-    let (v_opt, steps_opt, size_opt) = run_with(true);
-    assert_eq!(v_plain, v_opt, "optimization must not change the value");
+    let (v_paper, steps_paper, _, _paper) = run_with(None);
+    let (v, steps, body, _session) = run_with(Some(TierPolicy { promote_after: 0 }));
+    assert_eq!(v, v_paper, "promotion must not change the value");
+    assert_eq!(steps, steps_paper, "promoted code takes Paper's steps");
+    // The zero coefficient's term is the one block that adds a quoted 0
+    // (the innermost `fn x => 0` returns one, which nothing removes).
+    let seg = &body.seg;
+    let zero_terms: Vec<_> = reachable_blocks(seg, body.block)
+        .into_iter()
+        .map(|b| (b, seg.block_to_vec(b)))
+        .filter(|(_, code)| code.len() > 1 && quotes_zero(code))
+        .collect();
+    let [(term, cold)] = &zero_terms[..] else {
+        panic!("one zero term in:\n{}", disassemble(seg, body.block))
+    };
+    let promoted = seg.block_to_vec(seg.promoted(*term).expect("the zero term was promoted"));
+    assert!(!quotes_zero(&promoted), "{promoted:?}");
     assert!(
-        size_opt < size_plain,
-        "optimized code smaller: {size_opt} < {size_plain}"
+        promoted.len() < cold.len(),
+        "smaller rendering: {promoted:?}"
     );
+    let size = |c: std::collections::BTreeMap<&str, usize>| c.values().sum::<usize>();
     assert!(
-        steps_opt < steps_plain,
-        "optimized code faster: {steps_opt} < {steps_plain}"
+        size(promoted_census(seg, body.block)) < size(census(seg, body.block)),
+        "the whole specialized function shrinks"
     );
 }
 
@@ -178,18 +214,23 @@ fn optimizer_preserves_packet_filter_semantics() {
     use mlbox_bpf::packet::PacketGen;
     let filter = telnet_filter();
     let mut plain = FilterHarness::new(&filter).unwrap();
-    let mut opt = FilterHarness::with_options(
+    let mut promoted = FilterHarness::with_options(
         &filter,
         mlbox::SessionOptions {
-            optimize: true,
+            adaptive: Some(mlbox::TierPolicy { promote_after: 0 }),
             ..Default::default()
         },
     )
     .unwrap();
     let mut g = PacketGen::new(99);
     for pkt in g.workload(10, 0.5) {
-        let (a, _) = plain.specialized(&pkt).unwrap();
-        let (b, _) = opt.specialized(&pkt).unwrap();
-        assert_eq!(a, b, "on {:?}", pkt.kind);
+        assert_eq!(
+            plain.specialized(&pkt).unwrap(),
+            promoted.specialized(&pkt).unwrap(),
+            "on {:?}",
+            pkt.kind
+        );
     }
+    let stats = promoted.machine_stats();
+    assert!(stats.promotions > 0 && stats.tier_steps[1] > 0, "{stats:?}");
 }
