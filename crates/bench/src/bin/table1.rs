@@ -6,9 +6,9 @@
 //! ```text
 //! table1             # the Table 1 reproduction
 //! table1 --json      # the same rows as JSON, plus flat-env steps (the
-//!                    # steps_indexed column), flat-env and tiered
-//!                    # sections (rows_flat_env, rows_tiered), and
-//!                    # freeze-cache counters
+//!                    # steps_indexed column and the rows_flat_env
+//!                    # section), tier-controller and freeze-cache
+//!                    # counters
 //! table1 --profile-pairs # dynamic opcode-pair histogram of the Table 1
 //!                    # workloads (the superinstruction selection data)
 //! table1 sweep-poly  # polynomial-degree sweep (E6)
@@ -215,52 +215,45 @@ fn deep_env(json: bool) {
 
 /// §4.2 ablation: the peephole ("a more sophisticated specialization
 /// system might ... eliminate the instruction altogether if either
-/// \[operand\] is 0") as part of promotion. Reports the instructions of
-/// cold code against its promoted renderings, at equal steps.
+/// \[operand\] is 0") as part of promotion. Runs each workload past the
+/// promotion threshold and reports the instructions of its cold code
+/// against its promoted renderings, at equal steps.
 fn optimize_ablation() {
     use ccam::disasm::{census, promoted_census};
-    use mlbox::{Session, TierPolicy};
-    let run = |adaptive: Option<TierPolicy>| {
-        let mut s = Session::with_options(SessionOptions {
-            adaptive,
-            ..Default::default()
-        })
-        .expect("session");
-        s.run(mlbox::programs::EVAL_POLY).expect("evalPoly");
-        s.run(mlbox::programs::COMP_POLY).expect("compPoly");
-        s.run("val f = eval (compPoly polyl)").expect("generate");
-        let call = s.eval_expr("f 47").expect("call");
-        let ccam::Value::Closure(c) = s.eval_expr("f").expect("f").raw else {
-            panic!("f is a closure");
-        };
-        let size = |c: std::collections::BTreeMap<&str, usize>| c.values().sum::<usize>();
-        let cold = size(census(&c.body.seg, c.body.block));
-        let promoted = size(promoted_census(&c.body.seg, c.body.block));
-        (call.value, call.stats.steps, cold, promoted)
+    use ccam::machine::PROMOTE_AFTER;
+    let mut s = mlbox::Session::new().expect("session");
+    s.run(mlbox::programs::EVAL_POLY).expect("evalPoly");
+    s.run(mlbox::programs::COMP_POLY).expect("compPoly");
+    s.run("val f = eval (compPoly polyl)").expect("generate");
+    let (v, first) = s.call("f", ccam::Value::Int(47)).expect("call");
+    for _ in 0..PROMOTE_AFTER {
+        let (again, stats) = s.call("f", ccam::Value::Int(47)).expect("call");
+        assert_eq!(
+            (again.to_string(), stats.steps),
+            (v.to_string(), first.steps)
+        );
+    }
+    let ccam::Value::Closure(c) = s.eval_expr("f").expect("f").raw else {
+        panic!("f is a closure");
     };
-    let (v_paper, steps_paper, cold, _) = run(None);
-    let (v_hot, steps_hot, _, promoted) = run(Some(TierPolicy { promote_after: 0 }));
-    assert_eq!((v_paper, steps_paper), (v_hot, steps_hot));
+    let size = |c: std::collections::BTreeMap<&str, usize>| c.values().sum::<usize>();
+    let cold = size(census(&c.body.seg, c.body.block));
+    let promoted = size(promoted_census(&c.body.seg, c.body.block));
     println!("§4.2 peephole in promotion (compPoly polyl; polyl has a 0 coefficient)");
-    println!("  specialized f: cold {cold} instructions, promoted {promoted}, call {steps_paper} steps in both");
+    println!(
+        "  specialized f: cold {cold} instructions, promoted {promoted}, call {} steps in both",
+        first.steps
+    );
 
     let filter = mlbox_bpf::filters::telnet_filter();
     let telnet = PacketGen::new(2027).telnet(16);
-    let mut plain = FilterHarness::new(&filter).expect("harness");
-    let mut hot = FilterHarness::with_options(
-        &filter,
-        SessionOptions {
-            adaptive: Some(TierPolicy { promote_after: 0 }),
-            ..Default::default()
-        },
-    )
-    .expect("harness");
-    plain.specialize().expect("gen");
-    hot.specialize().expect("gen");
-    let (_, sp) = plain.specialized(&telnet).expect("run");
-    let (_, sh) = hot.specialized(&telnet).expect("run");
-    assert_eq!(sp, sh);
-    let seg = hot.session_mut().code_segment().clone();
+    let mut h = FilterHarness::new(&filter).expect("harness");
+    h.specialize().expect("gen");
+    let (_, sp) = h.specialized(&telnet).expect("run");
+    for _ in 0..PROMOTE_AFTER {
+        assert_eq!(h.specialized(&telnet).expect("run").1, sp);
+    }
+    let seg = h.session_mut().code_segment().clone();
     let (cold, promoted) = (0..seg.num_blocks() as u32)
         .filter_map(|b| {
             let to = seg.promoted(ccam::BlockId(b))?;
@@ -277,8 +270,8 @@ fn optimize_ablation() {
 /// The Table 1 reproduction: packet-filter rows measured through the BPF
 /// harness, polynomial rows via the §3.1 programs. With `json`, the rows
 /// are emitted as a JSON object that additionally carries the flat-env
-/// steps (as the `steps_indexed` column and the `rows_flat_env` section),
-/// the tiered rows, and the harness session's freeze-cache counters.
+/// steps (as the `steps_indexed` column and the `rows_flat_env` section)
+/// and the harness session's tier-controller and freeze-cache counters.
 fn table1(json: bool) {
     let (rows, stats) = table1_rows(&SessionOptions::default());
 
@@ -287,8 +280,6 @@ fn table1(json: bool) {
             flat_env: true,
             ..SessionOptions::default()
         });
-        let (tiered_rows, tiered_stats) =
-            mlbox_bench::table1_rows_tiered(mlbox::TierPolicy::default());
         let dispatch = mlbox_bench::dispatch_throughput(2_000).expect("dispatch");
         println!(
             "{}",
@@ -296,9 +287,7 @@ fn table1(json: bool) {
                 "Table 1: Reduction steps on the CCAM for various functions in the text",
                 &rows,
                 &flat_rows,
-                &tiered_rows,
                 &stats,
-                Some(&tiered_stats),
                 &dispatch,
             )
         );

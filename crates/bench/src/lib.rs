@@ -5,7 +5,7 @@
 //! `dispatch` rows additionally report wall-clock time of the simulator,
 //! which tracks steps closely.
 
-use mlbox::{Error, Session, SessionOptions, TierPolicy};
+use mlbox::{Error, Session, SessionOptions};
 use mlbox_bpf::filters::telnet_filter;
 use mlbox_bpf::harness::FilterHarness;
 use mlbox_bpf::packet::PacketGen;
@@ -144,32 +144,6 @@ pub fn table1_rows(options: &SessionOptions) -> (Vec<Row>, ccam::machine::Stats)
     (rows, h.machine_stats())
 }
 
-/// Measures the Table 1 rows under the adaptive profile and asserts —
-/// in the binary, not just in a test — that every row counts *exactly*
-/// the plain profile's reduction steps while the tier controller
-/// actually promoted blocks along the way. This is the paper-fidelity
-/// contract of adaptive tiering: promotion changes how hot code is
-/// dispatched, never what the cost model observes.
-pub fn table1_rows_tiered(policy: TierPolicy) -> (Vec<Row>, ccam::machine::Stats) {
-    let (plain, _) = table1_rows(&SessionOptions::default());
-    let (rows, stats) = table1_rows(&SessionOptions {
-        adaptive: Some(policy),
-        ..SessionOptions::default()
-    });
-    assert!(
-        stats.promotions > 0,
-        "the tier controller never promoted a block over the Table 1 workloads"
-    );
-    for (tiered, plain) in rows.iter().zip(&plain) {
-        assert_eq!(
-            tiered.steps, plain.steps,
-            "adaptive row {:?} must count exactly the plain profile's steps",
-            tiered.label
-        );
-    }
-    (rows, stats)
-}
-
 /// Wall-clock dispatch throughput of one Table 1 filter workload.
 #[derive(Debug, Clone)]
 pub struct DispatchRow {
@@ -237,20 +211,17 @@ pub fn dispatch_throughput(iters: u64) -> Result<Vec<DispatchRow>, Error> {
 /// access steps — and also render as their own `rows_flat_env` array
 /// keyed `steps_flat_env`, whose lines deliberately do *not* carry
 /// `steps_indexed`, keeping the two lockfile greps line-disjoint.
-/// `tiered` rows (the same computations under the adaptive profile,
-/// which [`table1_rows_tiered`] asserts count plain-profile steps) render as
-/// `rows_tiered` keyed `steps_tiered`, with the controller's counters in
-/// a `tier_controller` object when `tiered_stats` is given. `dispatch`
-/// rows (wall clock, non-golden) are appended when non-empty.
+/// The tier controller's counters in `machine` render as the
+/// `tier_controller` object, on a line of its own that neither lockfile
+/// pins. `dispatch` rows (wall clock, non-golden) are appended when
+/// non-empty.
 ///
 /// [`Stats`]: ccam::machine::Stats
 pub fn render_json(
     title: &str,
     rows: &[Row],
     flat: &[Row],
-    tiered: &[Row],
     machine: &ccam::machine::Stats,
-    tiered_stats: Option<&ccam::machine::Stats>,
     dispatch: &[DispatchRow],
 ) -> String {
     fn esc(s: &str) -> String {
@@ -293,25 +264,10 @@ pub fn render_json(
         }
         out.push_str("  ]");
     }
-    if !tiered.is_empty() {
-        out.push_str(",\n  \"rows_tiered\": [\n");
-        for (i, r) in tiered.iter().enumerate() {
-            out.push_str(&format!(
-                "    {{\"label\": \"{}\", \"steps_tiered\": {}, \"emitted\": {}}}{}\n",
-                esc(&r.label),
-                r.steps,
-                r.emitted,
-                if i + 1 < tiered.len() { "," } else { "" }
-            ));
-        }
-        out.push_str("  ]");
-    }
-    if let Some(ts) = tiered_stats {
-        out.push_str(&format!(
-            ",\n  \"tier_controller\": {{\"promotions\": {}, \"refreezes\": {}, \"tier_steps\": [{}, {}]}}",
-            ts.promotions, ts.refreezes, ts.tier_steps[0], ts.tier_steps[1]
-        ));
-    }
+    out.push_str(&format!(
+        ",\n  \"tier_controller\": {{\"promotions\": {}, \"refreezes\": {}, \"tier_steps\": [{}, {}]}}",
+        machine.promotions, machine.refreezes, machine.tier_steps[0], machine.tier_steps[1]
+    ));
     out.push_str(&format!(
         ",\n  \"freeze_cache\": {{\"freezes\": {}, \"freeze_hits\": {}, \"calls\": {}, \"steps\": {}}}",
         machine.freezes, machine.freeze_hits, machine.calls, machine.steps
@@ -534,7 +490,7 @@ mod tests {
             steps: 123,
             ..Default::default()
         };
-        let j = render_json("Table 1", &rows, &[], &[], &stats, None, &[]);
+        let j = render_json("Table 1", &rows, &[], &stats, &[]);
         assert!(j.contains("\"freezes\": 3"), "{j}");
         assert!(j.contains("\"freeze_hits\": 7"), "{j}");
         assert!(j.contains("\"paper\": null"), "{j}");
@@ -546,7 +502,7 @@ mod tests {
             steps: 2_000,
             nanos: 1_000_000,
         };
-        let j = render_json("Table 1", &rows, &[], &[], &stats, None, &[d]);
+        let j = render_json("Table 1", &rows, &[], &stats, &[d]);
         assert!(j.contains("\"steps_per_sec\": 2000000"), "{j}");
     }
 
@@ -573,7 +529,7 @@ mod tests {
         let rows = vec![Row::with_paper("r", 100, 0, 90)];
         let flat = vec![Row::new("r", 60, 0)];
         let stats = ccam::machine::Stats::default();
-        let j = render_json("t", &rows, &flat, &[], &stats, None, &[]);
+        let j = render_json("t", &rows, &flat, &stats, &[]);
         assert!(j.contains("\"steps\": 100, \"steps_indexed\": 60"), "{j}");
     }
 
@@ -582,14 +538,13 @@ mod tests {
         // The CI golden diff greps `"steps_indexed"|"freeze_cache"` for
         // the default pin and `"steps_flat_env"` for the flat pin: the
         // line sets must be disjoint so each lockfile diff sees only its
-        // own column, and the tiered rows must stay out of both.
+        // own column, and the tier controller's counters must stay out
+        // of both.
         let rows = vec![Row::with_paper("r", 100, 0, 90)];
         let flat = vec![Row::new("r", 60, 0)];
-        let tiered = vec![Row::new("r", 100, 0)];
         let stats = ccam::machine::Stats::default();
-        let j = render_json("t", &rows, &flat, &tiered, &stats, Some(&stats), &[]);
+        let j = render_json("t", &rows, &flat, &stats, &[]);
         assert!(j.contains("\"rows_flat_env\""), "{j}");
-        assert!(j.contains("\"rows_tiered\""), "{j}");
         assert!(j.contains("\"tier_controller\""), "{j}");
         for line in j.lines() {
             if line.contains("\"steps_flat_env\"") {
@@ -600,14 +555,10 @@ mod tests {
                     "{\"label\": \"r\", \"steps_flat_env\": 60, \"emitted\": 0}"
                 );
             }
-            if line.contains("\"steps_tiered\"") {
+            if line.contains("\"tier_controller\"") {
                 assert!(!line.contains("\"steps_indexed\""), "{line}");
                 assert!(!line.contains("\"steps_flat_env\""), "{line}");
                 assert!(!line.contains("\"freeze_cache\""), "{line}");
-                assert_eq!(
-                    line.trim().trim_end_matches(','),
-                    "{\"label\": \"r\", \"steps_tiered\": 100, \"emitted\": 0}"
-                );
             }
         }
     }

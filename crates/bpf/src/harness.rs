@@ -30,8 +30,8 @@ impl FilterHarness {
         FilterHarness::with_options(filter, SessionOptions::default())
     }
 
-    /// Builds a harness with explicit session options (e.g. the adaptive
-    /// tier controller, whose promoted code folds §4.2's `+ 0`).
+    /// Builds a harness with explicit session options (e.g. flat
+    /// environments or a fuel budget).
     ///
     /// # Errors
     ///

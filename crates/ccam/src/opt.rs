@@ -1,4 +1,4 @@
-//! The promotion renderer: what the adaptive tier controller
+//! The promotion renderer: what the tier controller
 //! (DESIGN.md §15) runs a hot block as.
 //!
 //! Promotion rewrites one block's straight line in two passes, in this
@@ -524,7 +524,7 @@ fn fuse_pass(code: &[Item]) -> Option<Vec<Item>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::machine::{Machine, TierPolicy};
+    use crate::machine::Machine;
 
     /// The promoted rendering of one straight line (the line itself when
     /// no rule fires).
@@ -546,7 +546,7 @@ mod tests {
         let mut cold = Machine::new();
         let a = cold.run(entry.clone(), input.clone()).unwrap();
         let mut hot = Machine::new();
-        hot.set_tier_policy(Some(TierPolicy { promote_after: 0 }));
+        hot.set_promote_after(0);
         let b = hot.run(entry, input).unwrap();
         assert_eq!(a.to_string(), b.to_string());
         assert_eq!(cold.stats().steps, hot.stats().steps);

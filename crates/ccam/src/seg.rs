@@ -41,25 +41,64 @@ struct Block {
 struct SegInner {
     instrs: RefCell<Vec<Instr>>,
     blocks: RefCell<Vec<Block>>,
-    /// Adaptive tier controller state, indexed by block id (block ids
-    /// are dense, so a flat table makes the per-activation lookup an
-    /// index instead of a hash). Entries only ever gain information:
-    /// counters rise and `promoted` is written at most once, so a
-    /// block's tier is monotone.
-    tier: RefCell<Vec<TierState>>,
+    /// Tier controller state, indexed by block id (block ids are
+    /// dense, so a flat table makes the per-activation lookup an index
+    /// instead of a hash). Entries only ever gain information: counters
+    /// rise and a block is promoted at most once, so a block's tier is
+    /// monotone.
+    tier: RefCell<TierTable>,
 }
 
-/// Tier-controller bookkeeping for one block.
+/// The tier controller's per-segment state.
 #[derive(Debug, Default, Clone)]
-pub(crate) struct TierState {
-    /// Activations observed before promotion.
-    pub execs: u64,
-    /// The block's promoted rendering, once the controller acted.
-    /// May be the block itself when no rule rewrote it.
-    pub promoted: Option<BlockId>,
-    /// For a block that is a promoted rendering: what each of its
-    /// instructions charges. `None` for cold blocks (tier 0).
-    pub charges: Option<Rc<Charges>>,
+struct TierTable {
+    /// One entry per block activated so far (and per rendering).
+    states: Vec<TierState>,
+    /// The charge records of the promoted renderings, indexed by
+    /// [`TierState::Rendering`].
+    records: Vec<Rc<Charges>>,
+}
+
+/// Tier-controller bookkeeping for one block. Every block a machine
+/// activates gets one, so it is kept to 8 bytes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum TierState {
+    /// Not promoted yet: activations counted so far, saturating.
+    Cold(u32),
+    /// Promoted to this rendering (the block itself when no rule
+    /// rewrote it).
+    Promoted(BlockId),
+    /// A promoted rendering, charging the record at this index of
+    /// [`TierTable::records`].
+    Rendering(u32),
+}
+
+const _: () = assert!(std::mem::size_of::<TierState>() == 8);
+
+impl TierTable {
+    /// The entry of block `i`, growing the table to hold it.
+    fn entry(&mut self, i: usize) -> &mut TierState {
+        if self.states.len() <= i {
+            self.states.resize(i + 1, TierState::Cold(0));
+        }
+        &mut self.states[i]
+    }
+
+    /// The record of block `i` if it is a promoted rendering.
+    fn record(&self, i: usize) -> Option<Rc<Charges>> {
+        match self.states.get(i) {
+            Some(&TierState::Rendering(r)) => Some(self.records[r as usize].clone()),
+            _ => None,
+        }
+    }
+
+    /// The rendering block `i` was promoted to, if it was.
+    fn promoted(&self, i: usize) -> Option<BlockId> {
+        match self.states.get(i) {
+            Some(&TierState::Promoted(to)) => Some(to),
+            _ => None,
+        }
+    }
 }
 
 /// What the tier controller learns from one frame activation — see
@@ -68,9 +107,8 @@ pub(crate) struct TierState {
 pub(crate) enum TierProbe {
     /// The block has a promoted rendering: run it, charging its record.
     Promoted(BlockId, Option<Rc<Charges>>),
-    /// Still cold: the activation count *before* this one, and the
-    /// block's own record.
-    Cold(u64, Option<Rc<Charges>>),
+    /// Still cold: the activation count *before* this one.
+    Cold(u64),
 }
 
 /// A contiguous code segment. Cheap to clone (a reference-counted
@@ -170,14 +208,16 @@ impl CodeSeg {
         let mut tier = self.0.tier.borrow_mut();
         let mut blocks = self.0.blocks.borrow_mut();
         let i = b.0 as usize;
-        let promoted = tier.get(i).and_then(|st| st.promoted);
-        let owned = 1 + usize::from(promoted == Some(BlockId(b.0 + 1)));
+        let owned = 1 + usize::from(tier.promoted(i) == Some(BlockId(b.0 + 1)));
         if blocks.len() != i + owned {
             return;
         }
         let start = blocks[i].start as usize;
         blocks.truncate(i);
-        tier.truncate(i);
+        if let Some(&TierState::Rendering(r)) = tier.states.get(i + 1) {
+            tier.records.truncate(r as usize);
+        }
+        tier.states.truncate(i);
         self.0.instrs.borrow_mut().truncate(start);
     }
 
@@ -293,26 +333,23 @@ impl CodeSeg {
     /// The tier controller's per-activation probe, everything in one
     /// borrow: if `b` has a promoted rendering, report it and its record;
     /// otherwise count this activation and report the count *before* it
-    /// (so `promote_after = 0` promotes at the very first activation)
-    /// plus the block's own record. Promoted blocks are *not* counted —
-    /// their activations land on the rendering, and the decision for the
-    /// source block is already made.
+    /// (so `promote_after = 0` promotes at the very first activation).
+    /// Promoted blocks are *not* counted — their activations land on the
+    /// rendering, and the decision for the source block is already made.
     pub(crate) fn tier_probe(&self, b: BlockId) -> TierProbe {
         let mut tier = self.0.tier.borrow_mut();
-        let i = b.0 as usize;
-        if tier.len() <= i {
-            tier.resize(i + 1, TierState::default());
+        match tier.entry(b.0 as usize) {
+            TierState::Cold(execs) => {
+                let prior = *execs;
+                *execs = prior.saturating_add(1);
+                TierProbe::Cold(u64::from(prior))
+            }
+            &mut TierState::Promoted(to) => TierProbe::Promoted(to, tier.record(to.0 as usize)),
+            // A rendering runs as itself, charging its record.
+            &mut TierState::Rendering(r) => {
+                TierProbe::Promoted(b, Some(tier.records[r as usize].clone()))
+            }
         }
-        if let Some(promoted) = tier[i].promoted {
-            let charges = tier
-                .get(promoted.0 as usize)
-                .and_then(|st| st.charges.clone());
-            return TierProbe::Promoted(promoted, charges);
-        }
-        let st = &mut tier[i];
-        let prior = st.execs;
-        st.execs += 1;
-        TierProbe::Cold(prior, st.charges.clone())
     }
 
     /// Publishes the promotion `b → to`, with the record of the
@@ -321,33 +358,28 @@ impl CodeSeg {
     /// error and panics in debug builds.
     pub(crate) fn tier_promote(&self, b: BlockId, to: BlockId, charges: Option<Rc<Charges>>) {
         let mut tier = self.0.tier.borrow_mut();
-        let top = b.0.max(to.0) as usize;
-        if tier.len() <= top {
-            tier.resize(top + 1, TierState::default());
-        }
-        let st = &mut tier[b.0 as usize];
-        debug_assert!(st.promoted.is_none(), "block {b} promoted twice");
-        st.promoted = Some(to);
-        if charges.is_some() {
-            tier[to.0 as usize].charges = charges;
+        let st = tier.entry(b.0 as usize);
+        debug_assert!(matches!(st, TierState::Cold(_)), "block {b} promoted twice");
+        *st = TierState::Promoted(to);
+        if let Some(charges) = charges {
+            let r = u32::try_from(tier.records.len()).expect("segment exceeds u32 renderings");
+            tier.records.push(charges);
+            *tier.entry(to.0 as usize) = TierState::Rendering(r);
         }
     }
 
     /// The record of `b` if it is a promoted rendering.
     pub(crate) fn charges(&self, b: BlockId) -> Option<Rc<Charges>> {
-        self.0
-            .tier
-            .borrow()
-            .get(b.0 as usize)
-            .and_then(|st| st.charges.clone())
+        self.0.tier.borrow().record(b.0 as usize)
     }
 
     /// The rendering the tier controller promoted `b` to, if it promoted
     /// `b` and a rule rewrote it.
     pub fn promoted(&self, b: BlockId) -> Option<BlockId> {
-        let tier = self.0.tier.borrow();
-        tier.get(b.0 as usize)
-            .and_then(|st| st.promoted)
+        self.0
+            .tier
+            .borrow()
+            .promoted(b.0 as usize)
             .filter(|&to| to != b)
     }
 }

@@ -1109,7 +1109,7 @@ f 20";
         let code = compile_program_with(&decls, mode).unwrap();
         validate(&code.seg, &code.to_vec()).unwrap();
         let mut m = Machine::new();
-        m.set_tier_policy(collapse.then_some(ccam::machine::TierPolicy { promote_after: 0 }));
+        m.set_promote_after(if collapse { 0 } else { u64::MAX });
         let v = m.run(code, Value::Unit).unwrap();
         (v.to_string(), m.stats().steps)
     }

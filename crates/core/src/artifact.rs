@@ -206,12 +206,10 @@ impl Drop for Hydrated {
 /// Builds a machine configured exactly as a [`Session`](crate::Session)
 /// with these options would configure its own.
 pub fn machine_for(options: &SessionOptions) -> Machine {
-    let mut machine = match options.fuel {
+    match options.fuel {
         Some(f) => Machine::with_fuel(f),
         None => Machine::new(),
-    };
-    machine.set_tier_policy(options.adaptive);
-    machine
+    }
 }
 
 /// The single-instruction application program used by every artifact

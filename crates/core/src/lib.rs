@@ -61,7 +61,6 @@ pub mod session;
 pub mod wire;
 
 pub use artifact::{CompiledFilter, FilterInstance, Hydrated};
-pub use ccam::machine::TierPolicy;
 pub use error::Error;
 pub use mlbox_compile::ctx::EnvMode;
 pub use render::{render_eval, render_machine};

@@ -44,7 +44,6 @@ use crate::artifact::CompiledFilter;
 use crate::error::Error;
 use crate::fingerprint::Fnv1a;
 use crate::session::SessionOptions;
-use ccam::machine::TierPolicy;
 use std::fmt;
 use std::sync::Arc;
 
@@ -155,16 +154,13 @@ impl From<ccam::wire::WireError> for WireError {
 const FUEL_NONE: u8 = 0;
 /// Fuel-present marker, followed by the u64 budget.
 const FUEL_SOME: u8 = 1;
-/// Adaptive-profile marker opening the optional trailer: followed by
-/// `promote_after` (u64 LE), the removed `fuse_top_k` (u64 LE, always
-/// [`FUSE_TOP_K`]), and the byte of the removed `use_native` policy
-/// flag. Static-profile artifacts write nothing after the nine original
-/// fields, so every pre-adaptive container stays byte-identical.
+/// Marker of the removed adaptive profile's trailer, which followed the
+/// nine fields: the marker, `promote_after` and `fuse_top_k` (u64 LE
+/// each), and the byte of the `use_native` policy flag. Since promotion
+/// runs at a constant threshold in every session nothing writes it; a
+/// container that carries it decodes to
+/// `WireError::RemovedOption("adaptive")`.
 const PROFILE_ADAPTIVE: u8 = 1;
-
-/// The fixed value of the removed `fuse_top_k` slot: the per-block rule
-/// ranking's only value in use, which enabled all seven fusion rules.
-pub(crate) const FUSE_TOP_K: u64 = 7;
 
 fn encode_options(out: &mut Vec<u8>, o: &SessionOptions) {
     // Field order matches SessionOptions::fingerprint exactly, so the
@@ -188,13 +184,6 @@ fn encode_options(out: &mut Vec<u8>, o: &SessionOptions) {
     out.push(0);
     // The removed thread-coded tier's `native` flag: always off.
     out.push(0);
-    if let Some(policy) = o.adaptive {
-        out.push(PROFILE_ADAPTIVE);
-        out.extend_from_slice(&policy.promote_after.to_le_bytes());
-        out.extend_from_slice(&FUSE_TOP_K.to_le_bytes());
-        // The removed `use_native` policy flag: always off.
-        out.push(0);
-    }
 }
 
 struct OptionsReader<'a> {
@@ -257,25 +246,23 @@ fn decode_options(bytes: &[u8]) -> Result<SessionOptions, WireError> {
     fixed("optimize", r.bool()?, false)?;
     fixed("count_opcodes", r.bool()?, false)?;
     fixed("indexed_env", r.bool()?, false)?;
-    let mut options = SessionOptions {
+    let options = SessionOptions {
         prelude,
         fuel,
         flat_env: r.bool()?,
-        adaptive: None,
     };
     fixed("fuse", r.bool()?, false)?;
     fixed("native", r.bool()?, false)?;
-    // Optional adaptive-profile trailer: absent in every artifact
-    // written before (or without) the tier controller.
     if r.pos != bytes.len() {
         if r.u8()? != PROFILE_ADAPTIVE {
             return Err(WireError::Corrupt("unknown execution-profile marker"));
         }
-        options.adaptive = Some(TierPolicy {
-            promote_after: r.u64()?,
-        });
-        fixed("fuse_top_k", r.u64()?, FUSE_TOP_K)?;
-        fixed("use_native", r.bool()?, false)?;
+        r.u64()?;
+        r.u64()?;
+        r.bool()?;
+        if r.pos == bytes.len() {
+            return Err(WireError::RemovedOption("adaptive"));
+        }
     }
     if r.pos != bytes.len() {
         return Err(WireError::Corrupt("options section has trailing bytes"));
@@ -623,89 +610,71 @@ mod tests {
                 prelude: false,
                 ..SessionOptions::default()
             },
-            SessionOptions {
-                adaptive: Some(TierPolicy::default()),
-                ..SessionOptions::default()
-            },
-            SessionOptions {
-                adaptive: Some(TierPolicy { promote_after: 0 }),
-                flat_env: true,
-                fuel: Some(7),
-                ..SessionOptions::default()
-            },
         ] {
             let mut bytes = Vec::new();
             encode_options(&mut bytes, &options);
             let back = decode_options(&bytes).unwrap();
+            assert_eq!(back, options);
             assert_eq!(back.fingerprint(), options.fingerprint());
-            assert_eq!(back.adaptive, options.adaptive);
         }
     }
 
     #[test]
     fn adaptive_trailer_is_a_pure_extension() {
-        // A static-profile encoding gains no bytes from the profile
-        // refactor, and the adaptive trailer is rejected when malformed.
+        // The removed adaptive profile appended a trailer to the static
+        // encoding: its marker, `promote_after` 8, `fuse_top_k` 7 and
+        // `use_native` off. A whole trailer names the removed option; a
+        // malformed one is corrupt.
         let mut static_bytes = Vec::new();
         encode_options(&mut static_bytes, &SessionOptions::default());
-        let mut adaptive_bytes = Vec::new();
-        encode_options(
-            &mut adaptive_bytes,
-            &SessionOptions {
-                adaptive: Some(TierPolicy::default()),
-                ..SessionOptions::default()
-            },
-        );
+        let mut adaptive_bytes = static_bytes.clone();
+        adaptive_bytes.push(PROFILE_ADAPTIVE);
+        adaptive_bytes.extend_from_slice(&8u64.to_le_bytes());
+        adaptive_bytes.extend_from_slice(&7u64.to_le_bytes());
+        adaptive_bytes.push(0);
         assert_eq!(
-            &adaptive_bytes[..static_bytes.len()],
-            &static_bytes[..],
-            "the trailer extends the static encoding in place"
+            decode_options(&adaptive_bytes),
+            Err(WireError::RemovedOption("adaptive"))
         );
         // Unknown profile marker.
         let mut bad = static_bytes.clone();
         bad.push(9);
-        assert!(decode_options(&bad).is_err());
-        // Truncated policy.
+        assert!(matches!(decode_options(&bad), Err(WireError::Corrupt(_))));
+        // Truncated trailer, and bytes after a whole one.
         for len in static_bytes.len() + 1..adaptive_bytes.len() {
             assert!(
-                decode_options(&adaptive_bytes[..len]).is_err(),
-                "trailer prefix of {len} bytes decoded"
+                matches!(
+                    decode_options(&adaptive_bytes[..len]),
+                    Err(WireError::Corrupt(_))
+                ),
+                "trailer prefix of {len} bytes"
             );
         }
+        adaptive_bytes.push(0);
+        assert!(matches!(
+            decode_options(&adaptive_bytes),
+            Err(WireError::Corrupt(_))
+        ));
     }
 
     #[test]
     fn adaptive_artifact_roundtrips_and_promotes() {
-        let mut s = Session::with_options(SessionOptions {
-            adaptive: Some(TierPolicy { promote_after: 1 }),
-            ..SessionOptions::default()
-        })
-        .unwrap();
-        s.run(
-            "fun codePower e = if e = 0 then code (fn b => 1)
-                               else let cogen p = codePower (e - 1)
-                                    in code (fn b => b * (p b)) end",
-        )
-        .unwrap();
-        let artifact = s.compile_to_artifact("codePower 3", 0xc0de).unwrap();
-        let bytes = artifact.to_wire_bytes();
+        // Every artifact runs under the tier controller: a rehydrated
+        // instance promotes its hot block past the threshold and still
+        // reports the first run's value and steps on every run.
+        let bytes = power_artifact().to_wire_bytes();
         let back = CompiledFilter::from_wire_bytes(&bytes).unwrap();
-        assert_eq!(
-            back.options().adaptive,
-            artifact.options().adaptive,
-            "the tier policy survives the disk"
-        );
-        // The rehydrated instance promotes its hot block and still
-        // matches a Paper-profile oracle step for step.
-        let oracle = power_artifact();
-        let mut o = oracle.instantiate();
+        assert_eq!(back.to_wire_bytes(), bytes);
         let mut b = back.instantiate();
-        for _ in 0..4 {
-            let (vo, so) = o.run(Value::Int(6)).unwrap();
-            let (vb, sb) = b.run(Value::Int(6)).unwrap();
-            assert_eq!(vo.to_string(), vb.to_string());
-            assert_eq!(so.steps, sb.steps);
+        let (v0, s0) = b.run(Value::Int(6)).unwrap();
+        assert_eq!(v0.to_string(), "216");
+        for _ in 0..ccam::machine::PROMOTE_AFTER + 1 {
+            let (v, s) = b.run(Value::Int(6)).unwrap();
+            assert_eq!(v.to_string(), v0.to_string());
+            assert_eq!(s.steps, s0.steps);
         }
-        assert!(b.stats().promotions > 0, "{:?}", b.stats());
+        let stats = b.stats();
+        assert!(stats.promotions > 0, "{stats:?}");
+        assert!(stats.tier_steps[1] > 0, "{stats:?}");
     }
 }

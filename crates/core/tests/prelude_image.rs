@@ -10,29 +10,20 @@ use mlbox::prelude::PRELUDE;
 use mlbox::programs::{
     CLIENT, CODE_POWER, COMPOSE_GEN, COMP_POLY, EVAL_POLY, MEMO_POWER1, MEMO_POWER2, SPEC_POLY,
 };
-use mlbox::{Session, SessionOptions, TierPolicy};
+use mlbox::{Session, SessionOptions};
 use mlbox_bpf::filters::telnet_filter;
 use mlbox_bpf::mlsrc::{filter_decl, packet_value, BPF_ML};
 use mlbox_bpf::packet::PacketGen;
 
-/// Every tiering profile — Paper, adaptive at three thresholds — crossed with the two environment modes, with the fuel
-/// budget flipped between the two so each profile meets both of its
-/// values, paired with the env mode in an order that varies by profile.
+/// Both environment modes, each with and without a fuel budget.
 fn lattice() -> Vec<SessionOptions> {
-    let mut profiles = vec![SessionOptions::default()];
-    for promote_after in [0, 1, 64] {
-        profiles.push(SessionOptions {
-            adaptive: Some(TierPolicy { promote_after }),
-            ..SessionOptions::default()
-        });
-    }
     let mut out = Vec::new();
-    for (p, profile) in profiles.into_iter().enumerate() {
-        for flat_env in [false, true] {
+    for flat_env in [false, true] {
+        for fuel in [None, Some(1_000_000_000)] {
             out.push(SessionOptions {
                 flat_env,
-                fuel: (flat_env != (p % 2 == 1)).then_some(1_000_000_000),
-                ..profile.clone()
+                fuel,
+                ..SessionOptions::default()
             });
         }
     }
@@ -111,8 +102,9 @@ fn drive(s: &mut Session) -> Vec<String> {
         "eval (composeGen (code (fn x => x * 2), code (fn x => x + 1))) 5",
         "val stage1 = eval client",
         "stage1 2 10",
-        // A hot prelude loop, so adaptive sessions promote prelude blocks.
-        "listLength (map (fn x => x + 1) (tabulate (100, fn i => i)))",
+        // A prelude loop past the promotion threshold, so sessions
+        // promote prelude blocks.
+        "listLength (map (fn x => x + 1) (tabulate (2000, fn i => i)))",
         "print (itos (nth ([4, 5, 6], 2)))",
         "nth (nil, 0)",
     ] {
@@ -206,11 +198,8 @@ fn a_budget_too_small_for_the_prelude_fails_as_before() {
 
 #[test]
 fn sessions_share_nothing_with_each_other() {
-    let options = SessionOptions {
-        adaptive: Some(TierPolicy { promote_after: 1 }),
-        ..SessionOptions::default()
-    };
-    let hot_loop = "listLength (map (fn x => x + 1) (tabulate (100, fn i => i)))";
+    let options = SessionOptions::default();
+    let hot_loop = "listLength (map (fn x => x + 1) (tabulate (2000, fn i => i)))";
     let mut before = Session::with_options(options.clone()).unwrap();
     let before_listing = listing(before.code_segment());
     let before_tiers = tiers(before.code_segment());
@@ -231,7 +220,7 @@ fn sessions_share_nothing_with_each_other() {
     assert_eq!(after.take_output(), "");
     for s in [&mut before, &mut after] {
         let out = s.eval_expr(hot_loop).unwrap();
-        assert_eq!(out.value, "100");
+        assert_eq!(out.value, "2000");
         assert_eq!(out.stats, first.stats, "the loop starts cold again");
     }
     assert_eq!(tiers(after.code_segment()), tiers(before.code_segment()));

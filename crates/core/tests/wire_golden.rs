@@ -17,11 +17,12 @@
 //! compute 6² with the same reduction-step count. The slots of removed
 //! options stay in the format at the one value each had in use; an
 //! artifact holding any other value there decodes to a typed error
-//! naming the option.
+//! naming the option. So does a container of the removed adaptive
+//! profile, which appended a trailer to the options section.
 
 use mlbox::fingerprint::Fnv1a;
 use mlbox::wire::WireError;
-use mlbox::{CompiledFilter, Error, Session, SessionOptions, TierPolicy};
+use mlbox::{CompiledFilter, Error, Session};
 
 const GOLDEN_HEX: &str = include_str!("../../../tests/golden/artifact_wire.hex");
 
@@ -111,7 +112,7 @@ fn set_option_byte(mut bytes: Vec<u8>, from_end: usize, from: u8, to: u8) -> Vec
 
 /// Options-section positions, counted from the section's end: a static
 /// encoding ends `.., typecheck, optimize, count_opcodes, indexed_env,
-/// flat_env, fuse, native`; an adaptive one appends an 18-byte trailer
+/// flat_env, fuse, native`; an adaptive one appended an 18-byte trailer
 /// (the profile marker, `promote_after` and `fuse_top_k` as `u64` LE,
 /// and `use_native`).
 const STATIC_NATIVE: usize = 1;
@@ -126,43 +127,39 @@ const ADAPTIVE_FUSE_TOP_K: usize = 9;
 const ADAPTIVE_FUSE: usize = STATIC_FUSE + 18;
 const ADAPTIVE_OPTIMIZE: usize = STATIC_OPTIMIZE + 18;
 
-/// The trailer `TierPolicy::default()` encodes to: the profile marker,
-/// `promote_after` 8, `fuse_top_k` at its fixed 7, `use_native` off.
+/// The trailer the removed `TierPolicy::default()` encoded to: the
+/// profile marker, `promote_after` 8, `fuse_top_k` at its fixed 7,
+/// `use_native` off.
 const ADAPTIVE_DEFAULT_TRAILER: [u8; 18] = [1, 8, 0, 0, 0, 0, 0, 0, 0, 7, 0, 0, 0, 0, 0, 0, 0, 0];
-/// The options fingerprint of `TierPolicy::default()`'s options.
+/// The options fingerprint the removed profile gave those options.
 const ADAPTIVE_DEFAULT_OPTIONS_FINGERPRINT: u64 = 0x7949_25d3_eec1_e0c7;
 
-/// The golden program's artifact under the adaptive profile.
+/// The golden program's artifact as builds with the adaptive profile
+/// wrote it: the golden bytes with the adaptive options fingerprint, the
+/// trailer after the options section, and the checksum over both.
 fn adaptive_golden_bytes() -> Vec<u8> {
-    let mut session = Session::with_options(SessionOptions {
-        adaptive: Some(TierPolicy::default()),
-        ..SessionOptions::default()
-    })
-    .unwrap();
-    session.run(GOLDEN_PROGRAM).unwrap();
-    let bytes = session
-        .compile_to_artifact("codePower 2", 0x1998)
-        .unwrap()
-        .to_wire_bytes();
-    CompiledFilter::from_wire_bytes(&bytes).unwrap();
-    bytes
+    let golden = golden_bytes();
+    let options_end = 32 + options_len(&golden);
+    let mut bytes = golden[..options_end].to_vec();
+    bytes[20..28].copy_from_slice(&ADAPTIVE_DEFAULT_OPTIONS_FINGERPRINT.to_le_bytes());
+    let len = u32::try_from(options_len(&golden) + ADAPTIVE_DEFAULT_TRAILER.len()).unwrap();
+    bytes[28..32].copy_from_slice(&len.to_le_bytes());
+    bytes.extend_from_slice(&ADAPTIVE_DEFAULT_TRAILER);
+    bytes.extend_from_slice(&golden[options_end..]);
+    reseal(bytes)
 }
 
 #[test]
 fn adaptive_artifacts_are_the_golden_bytes_plus_the_trailer() {
-    // Adaptive compiles plainly, so only the options differ from the
-    // golden artifact: their fingerprint, the section length, and the
-    // trailer.
-    let golden = golden_bytes();
-    let options_end = 32 + options_len(&golden);
-    let mut want = golden[..options_end].to_vec();
-    want[20..28].copy_from_slice(&ADAPTIVE_DEFAULT_OPTIONS_FINGERPRINT.to_le_bytes());
-    let len = u32::try_from(options_len(&golden) + ADAPTIVE_DEFAULT_TRAILER.len()).unwrap();
-    want[28..32].copy_from_slice(&len.to_le_bytes());
-    want.extend_from_slice(&ADAPTIVE_DEFAULT_TRAILER);
-    want.extend_from_slice(&golden[options_end..]);
-    let got = adaptive_golden_bytes();
-    assert_eq!(hex_lines(&got), hex_lines(&reseal(want)));
+    // Promotion is not an option any more: the golden program encodes
+    // to the golden bytes with no trailer, and a container that carries
+    // one names the removed option.
+    assert_eq!(golden_artifact().to_wire_bytes(), golden_bytes());
+    let err = CompiledFilter::from_wire_bytes(&adaptive_golden_bytes()).unwrap_err();
+    assert!(
+        matches!(err, Error::Wire(WireError::RemovedOption("adaptive"))),
+        "{err}"
+    );
 }
 
 #[test]
@@ -177,8 +174,9 @@ fn artifacts_with_a_removed_option_on_decode_to_a_typed_error() {
         (&golden, STATIC_INDEXED_ENV, 0, 1, "indexed_env"),
         (&golden, STATIC_COUNT_OPCODES, 0, 1, "count_opcodes"),
         (&golden, STATIC_TYPECHECK, 1, 0, "typecheck"),
-        (&adaptive, ADAPTIVE_USE_NATIVE, 0, 1, "use_native"),
-        (&adaptive, ADAPTIVE_FUSE_TOP_K, 7, 3, "fuse_top_k"),
+        // The trailer's own slots are not read apart from it.
+        (&adaptive, ADAPTIVE_USE_NATIVE, 0, 1, "adaptive"),
+        (&adaptive, ADAPTIVE_FUSE_TOP_K, 7, 3, "adaptive"),
     ];
     for (bytes, from_end, from, to, name) in inputs {
         let bytes = set_option_byte(bytes.clone(), from_end, from, to);
@@ -192,9 +190,9 @@ fn artifacts_with_a_removed_option_on_decode_to_a_typed_error() {
 
 #[test]
 fn adaptive_artifacts_with_static_flags_are_corrupt() {
-    // The static tier slots of an adaptive artifact hold booleans: a
-    // byte that is neither 0 nor 1 is corrupt, and a set flag names the
-    // option this build no longer has.
+    // The static tier slots of an adaptive artifact are read before its
+    // trailer and hold booleans: a byte that is neither 0 nor 1 is
+    // corrupt, and a set flag names that option rather than `adaptive`.
     for (from_end, name) in [(ADAPTIVE_OPTIMIZE, "optimize"), (ADAPTIVE_FUSE, "fuse")] {
         let bytes = set_option_byte(adaptive_golden_bytes(), from_end, 0, 2);
         let err = CompiledFilter::from_wire_bytes(&bytes).unwrap_err();

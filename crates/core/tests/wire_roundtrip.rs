@@ -1,15 +1,13 @@
 //! Wire round-trips across the whole mode lattice.
 //!
-//! Every combination of environment representation (pair spine /
-//! flat frames) × tiering (static / adaptive, whose runners promote
-//! blocks to fused code) must
+//! Both environment representations (pair spine / flat frames) must
 //! round-trip an artifact through the wire format and serve identically:
 //! same value, same reduction-step count, byte-identical re-encode. The
 //! frame-bearing / flat-env compatibility rule is checked at both ends
 //! (a flat artifact refuses a default consumer; every artifact accepts a
 //! consumer with its own options).
 
-use mlbox::{CompiledFilter, Session, SessionOptions, TierPolicy};
+use mlbox::{CompiledFilter, Session, SessionOptions};
 
 /// A staged program whose artifact exercises closures, recursion in the
 /// generator, and arithmetic — small enough to compile in every mode.
@@ -18,17 +16,12 @@ const PROGRAM: &str = "fun codePower e = if e = 0 then code (fn b => 1)
                             in code (fn b => b * (p b)) end";
 
 fn mode_lattice() -> Vec<SessionOptions> {
-    let mut lattice = Vec::new();
-    for flat_env in [false, true] {
-        for adaptive in [None, Some(TierPolicy { promote_after: 0 })] {
-            lattice.push(SessionOptions {
-                flat_env,
-                adaptive,
-                ..SessionOptions::default()
-            });
-        }
-    }
-    lattice
+    [false, true]
+        .map(|flat_env| SessionOptions {
+            flat_env,
+            ..SessionOptions::default()
+        })
+        .to_vec()
 }
 
 fn artifact_under(options: &SessionOptions) -> CompiledFilter {

@@ -398,34 +398,6 @@ mod tests {
     }
 
     #[test]
-    fn fused_and_unfused_artifacts_never_alias() {
-        // Fused code comes only from adaptive promotion: an adaptive
-        // artifact carries the plain instruction stream, but its runners
-        // promote hot blocks to fused renderings. Serving it from the
-        // static slot (or vice versa) would silently switch the tiering
-        // policy mid-flight, so the two live in separate entries.
-        let filter = telnet_filter();
-        let plain = SessionOptions::default();
-        let fused = SessionOptions {
-            adaptive: Some(mlbox::TierPolicy::default()),
-            ..SessionOptions::default()
-        };
-        assert_ne!(
-            CacheKey::new(&filter, &plain),
-            CacheKey::new(&filter, &fused)
-        );
-        let cache = FilterCache::new(16);
-        let a = specialize_in(&cache, &filter, &plain).unwrap();
-        let b = specialize_in(&cache, &filter, &fused).unwrap();
-        assert_eq!(cache.stats().misses, 2, "one specialization per mode");
-        assert_eq!(
-            b.instructions(),
-            a.instructions(),
-            "promotion happens at run time, never in the artifact"
-        );
-    }
-
-    #[test]
     fn flat_env_and_default_artifacts_never_alias() {
         // A flat-env artifact compiles `acc n`/`env_cons` streams and
         // may carry frame-backed values; serving it from the pair-spine

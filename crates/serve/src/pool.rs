@@ -161,15 +161,14 @@ pub struct WorkerStats {
     pub steps: u64,
     /// Artifact hydrations (local installs of cached artifacts).
     pub installs: u64,
-    /// Blocks the worker's machine promoted under an adaptive tier
-    /// policy ([`SessionOptions::adaptive`]); zero for static profiles.
+    /// Blocks the worker's machine promoted: each block activated more
+    /// than [`ccam::machine::PROMOTE_AFTER`] times.
     pub promotions: u64,
     /// Freeze misses that re-rendered an already-frozen arena (the
     /// arena grew between runs).
     pub refreezes: u64,
     /// Baseline reduction steps the worker's machine executed at each
-    /// tier (0 cold, 1 fused). Sums to `steps` under an adaptive
-    /// policy; all zero under static profiles.
+    /// tier (0 cold, 1 promoted). Sums to `steps`.
     pub tier_steps: [u64; 2],
 }
 
@@ -197,7 +196,7 @@ impl PoolReport {
         self.workers.iter().map(|w| w.steps).sum()
     }
 
-    /// Tier promotions across all workers (adaptive profiles only).
+    /// Tier promotions across all workers.
     pub fn total_promotions(&self) -> u64 {
         self.workers.iter().map(|w| w.promotions).sum()
     }
@@ -662,37 +661,36 @@ mod tests {
 
     #[test]
     fn adaptive_pool_promotes_and_matches_the_plain_oracle() {
-        // A pool serving under an adaptive profile must return exactly
-        // the verdicts and step counts of the plain (Paper) profile —
-        // promotion changes the rendering, never the observable cost —
-        // while the report shows the tier controller actually working.
-        let policy = mlbox::TierPolicy { promote_after: 1 };
-        let options = SessionOptions {
-            adaptive: Some(policy),
-            ..SessionOptions::default()
-        };
+        // A pool serving more packets than the promotion threshold must
+        // return exactly the verdicts and step counts of a machine that
+        // never promotes — promotion changes the rendering, never the
+        // observable cost — while the report shows the tier controller
+        // actually working.
         let filter = port_filter(80);
         let mut g = PacketGen::new(35);
-        let packets = g.workload(8, 0.4);
-        let mut oracle = FilterHarness::new(&filter).unwrap();
-        let mut instance = oracle.compile_artifact().unwrap().instantiate();
+        let packets = g.workload(160, 0.4);
+        let artifact = FilterHarness::new(&filter)
+            .unwrap()
+            .compile_artifact()
+            .unwrap();
+        let entry = artifact.hydrate_for(&SessionOptions::default()).unwrap();
+        let mut oracle = machine_for(&SessionOptions::default());
+        oracle.set_promote_after(u64::MAX);
+        let app = app_code();
         let pool = ServePool::new(PoolConfig {
             workers: 1,
-            options,
             ..PoolConfig::default()
         });
-        // Several batches so blocks cross the promotion threshold.
-        let outputs: Vec<BatchOutput> = (0..4)
-            .map(|_| {
-                pool.submit(Arc::new(filter.clone()), packets.clone())
-                    .wait()
-                    .outcome
-                    .expect("adaptive batch runs")
-            })
-            .collect();
-        for out in &outputs {
+        // Enough batches that the filter's blocks cross the threshold.
+        let batches = ccam::machine::PROMOTE_AFTER as usize / packets.len() + 2;
+        for _ in 0..batches {
+            let out = pool
+                .submit(Arc::new(filter.clone()), packets.clone())
+                .wait()
+                .outcome
+                .expect("batch runs");
             for (i, pkt) in packets.iter().enumerate() {
-                let (v, s) = instance.run(filter_arg(pkt)).unwrap();
+                let (v, s) = apply(&mut oracle, &app, entry.entry(), filter_arg(pkt)).unwrap();
                 assert_eq!(out.verdicts[i], expect_verdict(&v).unwrap());
                 assert_eq!(out.steps[i], s.steps, "packet {i} step count");
             }

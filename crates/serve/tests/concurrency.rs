@@ -130,13 +130,13 @@ fn modes_keep_separate_cache_entries_end_to_end() {
     // twice — options are half of the cache key.
     let filter = Arc::new(telnet_filter());
     let packets = PacketGen::new(53).workload(4, 0.5);
-    let promoted = SessionOptions {
-        adaptive: Some(mlbox::TierPolicy { promote_after: 0 }),
+    let flat = SessionOptions {
+        flat_env: true,
         ..SessionOptions::default()
     };
     assert_ne!(
         CacheKey::new(&filter, &SessionOptions::default()),
-        CacheKey::new(&filter, &promoted),
+        CacheKey::new(&filter, &flat),
         "one cache entry per mode"
     );
 
@@ -155,8 +155,10 @@ fn modes_keep_separate_cache_entries_end_to_end() {
         out
     };
     let plain = run_mode(SessionOptions::default());
-    let fast = run_mode(promoted);
+    let fast = run_mode(flat);
     assert_eq!(plain.verdicts, fast.verdicts, "modes agree on verdicts");
-    // Promoted code runs in Paper's steps.
-    assert_eq!(plain.steps, fast.steps);
+    // Flat frames load each variable in one step.
+    for (f, p) in fast.steps.iter().zip(&plain.steps) {
+        assert!(f <= p, "flat {f} > pair spine {p}");
+    }
 }

@@ -167,24 +167,21 @@ fn quotes_zero(code: &[ccam::Instr]) -> bool {
 fn optimizer_eliminates_the_zero_coefficient() {
     // polyl = [2, 4, 0, 2333]: the x^2 term contributes `0 + (x * f x)`.
     // §4.2 envisions eliminating such instructions at specialization
-    // time; promotion does, and still charges Paper's steps.
-    use mlbox::{SessionOptions, TierPolicy};
-    let run_with = |adaptive: Option<TierPolicy>| {
-        let mut s = Session::with_options(SessionOptions {
-            adaptive,
-            ..Default::default()
-        })
-        .unwrap();
-        s.run(programs::EVAL_POLY).unwrap();
-        s.run(programs::COMP_POLY).unwrap();
-        let out = s.eval_expr("mlPolyFun 47").unwrap();
-        let body = closure_body(&s.eval_expr("mlPolyFun").unwrap().raw);
-        (out.value, out.stats.steps, body, s)
-    };
-    let (v_paper, steps_paper, _, _paper) = run_with(None);
-    let (v, steps, body, _session) = run_with(Some(TierPolicy { promote_after: 0 }));
-    assert_eq!(v, v_paper, "promotion must not change the value");
-    assert_eq!(steps, steps_paper, "promoted code takes Paper's steps");
+    // time; promotion does once the function is hot, and still charges
+    // Paper's steps.
+    let mut s = Session::new().unwrap();
+    s.run(programs::EVAL_POLY).unwrap();
+    s.run(programs::COMP_POLY).unwrap();
+    let (v_cold, cold_stats) = s.call("mlPolyFun", Value::Int(47)).unwrap();
+    for _ in 0..ccam::machine::PROMOTE_AFTER {
+        let (v, stats) = s.call("mlPolyFun", Value::Int(47)).unwrap();
+        assert_eq!(s.render(&v), s.render(&v_cold), "promotion keeps the value");
+        assert_eq!(
+            stats.steps, cold_stats.steps,
+            "promoted code takes Paper's steps"
+        );
+    }
+    let body = closure_body(&s.eval_expr("mlPolyFun").unwrap().raw);
     // The zero coefficient's term is the one block that adds a quoted 0
     // (the innermost `fn x => 0` returns one, which nothing removes).
     let seg = &body.seg;
@@ -212,25 +209,16 @@ fn optimizer_eliminates_the_zero_coefficient() {
 #[test]
 fn optimizer_preserves_packet_filter_semantics() {
     use mlbox_bpf::packet::PacketGen;
+    // Rounds past the promotion threshold give the first (cold) round's
+    // verdicts and steps.
     let filter = telnet_filter();
-    let mut plain = FilterHarness::new(&filter).unwrap();
-    let mut promoted = FilterHarness::with_options(
-        &filter,
-        mlbox::SessionOptions {
-            adaptive: Some(mlbox::TierPolicy { promote_after: 0 }),
-            ..Default::default()
-        },
-    )
-    .unwrap();
-    let mut g = PacketGen::new(99);
-    for pkt in g.workload(10, 0.5) {
-        assert_eq!(
-            plain.specialized(&pkt).unwrap(),
-            promoted.specialized(&pkt).unwrap(),
-            "on {:?}",
-            pkt.kind
-        );
+    let mut h = FilterHarness::new(&filter).unwrap();
+    let packets = PacketGen::new(99).workload(10, 0.5);
+    let mut round = || -> Vec<_> { packets.iter().map(|p| h.specialized(p).unwrap()).collect() };
+    let cold = round();
+    for _ in 0..ccam::machine::PROMOTE_AFTER as usize / packets.len() + 1 {
+        assert_eq!(round(), cold);
     }
-    let stats = promoted.machine_stats();
+    let stats = h.machine_stats();
     assert!(stats.promotions > 0 && stats.tier_steps[1] > 0, "{stats:?}");
 }
