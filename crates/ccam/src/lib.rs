@@ -68,8 +68,6 @@ pub mod disasm;
 pub mod instr;
 pub mod machine;
 pub mod opt;
-#[cfg(test)]
-mod portable;
 pub mod relocate;
 pub mod seg;
 pub mod teardown;

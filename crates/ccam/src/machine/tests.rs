@@ -37,7 +37,7 @@ fn dispatch_table_covers_every_opcode() {
             default: None,
         })),
         Instr::Prim(PrimOp::Add),
-        Instr::Fail(Rc::from("x")),
+        Instr::Fail(Rc::new("x".into())),
         Instr::MergeBranch,
         Instr::MergeSwitch(Rc::new(crate::instr::MergeSwitchSpec {
             arms: vec![],
@@ -46,11 +46,11 @@ fn dispatch_table_covers_every_opcode() {
         Instr::MergeRec(0),
         Instr::Acc(0),
         Instr::PushAcc(0),
-        Instr::QuoteCons(Value::Unit),
+        Instr::QuoteCons(Rc::new(Value::Unit)),
         Instr::SwapCons,
         Instr::ConsApp,
         Instr::AccApp(0),
-        Instr::PushQuote(Value::Unit),
+        Instr::PushQuote(Rc::new(Value::Unit)),
         Instr::EnvCons,
     ];
     assert_eq!(exemplars.len(), OPCODE_COUNT);
@@ -916,7 +916,11 @@ fn fused_opcodes_agree_with_their_pairs_and_count_as_fused() {
                 Instr::Quote(Value::Int(9)),
                 Instr::ConsPair,
             ],
-            vec![Instr::Push, Instr::Swap, Instr::QuoteCons(Value::Int(9))],
+            vec![
+                Instr::Push,
+                Instr::Swap,
+                Instr::QuoteCons(Rc::new(Value::Int(9))),
+            ],
             spine.clone(),
         ),
         (
@@ -932,7 +936,7 @@ fn fused_opcodes_agree_with_their_pairs_and_count_as_fused() {
         ),
         (
             vec![Instr::Push, Instr::Quote(Value::Int(4)), Instr::ConsPair],
-            vec![Instr::PushQuote(Value::Int(4)), Instr::ConsPair],
+            vec![Instr::PushQuote(Rc::new(Value::Int(4))), Instr::ConsPair],
             spine.clone(),
         ),
     ];
@@ -1086,7 +1090,7 @@ fn observer_program() -> CodeRef {
     let mut code = vec![
         Instr::Quote(Value::str("go")),
         Instr::Prim(PrimOp::Print),
-        Instr::PushQuote(Value::Int(4)),
+        Instr::PushQuote(Rc::new(Value::Int(4))),
         Instr::ConsPair,
         Instr::Quote(Value::Int(7)),
         Instr::Push,

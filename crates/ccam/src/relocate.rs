@@ -186,8 +186,8 @@ impl Relocation {
     fn instr(&mut self, i: &Instr) -> Instr {
         match i {
             Instr::Quote(v) => Instr::Quote(self.value(v)),
-            Instr::QuoteCons(v) => Instr::QuoteCons(self.value(v)),
-            Instr::PushQuote(v) => Instr::PushQuote(self.value(v)),
+            Instr::QuoteCons(v) => Instr::QuoteCons(Rc::new(self.value(v))),
+            Instr::PushQuote(v) => Instr::PushQuote(Rc::new(self.value(v))),
             Instr::Emit(inner) => Instr::Emit(Box::new(self.instr(inner))),
             other => other.clone(),
         }

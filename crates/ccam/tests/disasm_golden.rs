@@ -54,7 +54,7 @@ fn full_instruction_set() -> (CodeSeg, BlockId) {
             default: Some(switch_default),
         })),
         Instr::Prim(PrimOp::Add),
-        Instr::Fail("boom".into()),
+        Instr::Fail(Rc::new("boom".into())),
         Instr::MergeBranch,
         Instr::MergeSwitch(Rc::new(MergeSwitchSpec {
             arms: vec![(0, false), (1, true)],
@@ -62,11 +62,11 @@ fn full_instruction_set() -> (CodeSeg, BlockId) {
         })),
         Instr::MergeRec(2),
         Instr::PushAcc(1),
-        Instr::QuoteCons(Value::Int(8)),
+        Instr::QuoteCons(Rc::new(Value::Int(8))),
         Instr::SwapCons,
         Instr::ConsApp,
         Instr::AccApp(0),
-        Instr::PushQuote(Value::Bool(true)),
+        Instr::PushQuote(Rc::new(Value::Bool(true))),
         Instr::EnvCons,
     ]);
     (seg, entry)

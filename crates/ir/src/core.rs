@@ -178,7 +178,7 @@ pub enum CExpr {
     /// `let cogen u = M in N` — bind the code variable `u`.
     LetCogen(Name, Box<CExprS>, Box<CExprS>),
     /// Run-time failure with a message (produced for inexhaustive matches).
-    Fail(Rc<str>),
+    Fail(Rc<String>),
     /// Type ascription `e : ty` (checked by the type checker, erased by
     /// the compiler and interpreter).
     Ascribe(Box<CExprS>, mlbox_syntax::ast::TyS),

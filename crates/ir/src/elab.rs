@@ -813,7 +813,7 @@ impl Elab {
         let occ = CExpr::Var(root.clone()).at(span);
 
         // Build from the last arm backwards, threading failure continuations.
-        let mut acc = CExpr::Fail(Rc::from(fail_msg)).at(span);
+        let mut acc = CExpr::Fail(Rc::new(fail_msg.to_owned())).at(span);
         for (pat, rhs) in arms.iter().rev() {
             let k = self.fresh("$k");
             let fail = CExpr::App(
@@ -859,7 +859,7 @@ impl Elab {
             }
         };
         let occ = CExpr::Var(root.clone()).at(span);
-        let fail = CExpr::Fail(Rc::from(fail_msg)).at(span);
+        let fail = CExpr::Fail(Rc::new(fail_msg.to_owned())).at(span);
         let pat = &pats[0];
         let body = self.pat_test(occ, pat, &fail, &mut |this| rhs(this))?;
         Ok(match wrap {

@@ -159,8 +159,11 @@ fn reachable_blocks(seg: &ccam::CodeSeg, entry: ccam::BlockId) -> Vec<ccam::Bloc
 fn quotes_zero(code: &[ccam::Instr]) -> bool {
     use ccam::Instr::{PushQuote, Quote, QuoteCons};
     let zero = |v: &Value| matches!(v, Value::Int(0));
-    code.iter()
-        .any(|i| matches!(i, Quote(v) | PushQuote(v) | QuoteCons(v) if zero(v)))
+    code.iter().any(|i| match i {
+        Quote(v) => zero(v),
+        PushQuote(v) | QuoteCons(v) => zero(v),
+        _ => false,
+    })
 }
 
 #[test]
