@@ -18,8 +18,8 @@
 //! constants, staging, primitives), `env` (environment projections and
 //! `env_cons`), `fused` (straight-line superinstructions), and
 //! `transfer` (control transfers over the whole machine). The
-//! interpreter is a table-driven dispatcher over those functions
-//! (`DISPATCH`, indexed by [`Instr::opcode`]).
+//! interpreter is one exhaustive `match` on [`Instr`] that calls those
+//! functions directly.
 
 pub(crate) mod core;
 pub(crate) mod env;
@@ -322,210 +322,6 @@ pub(crate) fn fuel_cost(i: &Instr) -> u64 {
     }
 }
 
-/// A step function: one straight-line opcode over the shared state. The
-/// wrapper decodes the operands from the instruction and calls the typed
-/// template in [`core`]/[`env`]/[`fused`].
-type StepFn = fn(&mut MachineState, &CodeSeg, &Instr) -> Result<(), MachineError>;
-
-/// A transfer function: one control-transfer or segment-mutating opcode
-/// over the whole machine. Runs with the instruction borrow released.
-type TransferFn = fn(&mut Machine, &CodeSeg, &Instr) -> Result<(), MachineError>;
-
-/// How the dispatcher executes one opcode.
-enum Dispatch {
-    /// Straight-line: runs inline under the block's instruction borrow.
-    /// None of these appends to a segment's instruction vector
-    /// (`emit`/`lift` push to the arena's *staging* buffer) or touches
-    /// the control stack, so the borrow stays valid.
-    Step(StepFn),
-    /// Control transfer or segment mutator: these push frames or freeze
-    /// arena contents into a segment, so the loop clones the single
-    /// instruction, releases the borrow, saves the pc (or pops the frame
-    /// when the transfer ends its block), and re-resolves the top frame
-    /// after.
-    Transfer(TransferFn),
-}
-
-fn s_id(st: &mut MachineState, _seg: &CodeSeg, _i: &Instr) -> Result<(), MachineError> {
-    core::id(st)
-}
-fn s_fst(st: &mut MachineState, _seg: &CodeSeg, _i: &Instr) -> Result<(), MachineError> {
-    env::fst(st)
-}
-fn s_snd(st: &mut MachineState, _seg: &CodeSeg, _i: &Instr) -> Result<(), MachineError> {
-    env::snd(st)
-}
-fn s_push(st: &mut MachineState, _seg: &CodeSeg, _i: &Instr) -> Result<(), MachineError> {
-    core::push(st)
-}
-fn s_swap(st: &mut MachineState, _seg: &CodeSeg, _i: &Instr) -> Result<(), MachineError> {
-    core::swap(st)
-}
-fn s_cons(st: &mut MachineState, _seg: &CodeSeg, _i: &Instr) -> Result<(), MachineError> {
-    core::cons_pair(st)
-}
-fn s_quote(st: &mut MachineState, _seg: &CodeSeg, i: &Instr) -> Result<(), MachineError> {
-    match i {
-        Instr::Quote(v) => core::quote(st, v),
-        _ => unreachable!("quote dispatched on {i:?}"),
-    }
-}
-fn s_cur(st: &mut MachineState, seg: &CodeSeg, i: &Instr) -> Result<(), MachineError> {
-    match i {
-        Instr::Cur(body) => core::cur(st, seg, *body),
-        _ => unreachable!("cur dispatched on {i:?}"),
-    }
-}
-fn s_emit(st: &mut MachineState, seg: &CodeSeg, i: &Instr) -> Result<(), MachineError> {
-    match i {
-        Instr::Emit(inner) => core::emit(st, seg, inner),
-        _ => unreachable!("emit dispatched on {i:?}"),
-    }
-}
-fn s_lift(st: &mut MachineState, _seg: &CodeSeg, _i: &Instr) -> Result<(), MachineError> {
-    core::lift(st)
-}
-fn s_arena(st: &mut MachineState, seg: &CodeSeg, _i: &Instr) -> Result<(), MachineError> {
-    core::new_arena(st, seg)
-}
-fn s_recclos(st: &mut MachineState, seg: &CodeSeg, i: &Instr) -> Result<(), MachineError> {
-    match i {
-        Instr::RecClos(bodies) => core::rec_clos(st, seg, bodies),
-        _ => unreachable!("recclos dispatched on {i:?}"),
-    }
-}
-fn s_pack(st: &mut MachineState, _seg: &CodeSeg, i: &Instr) -> Result<(), MachineError> {
-    match i {
-        Instr::Pack(tag) => core::pack(st, *tag),
-        _ => unreachable!("pack dispatched on {i:?}"),
-    }
-}
-fn s_prim(st: &mut MachineState, _seg: &CodeSeg, i: &Instr) -> Result<(), MachineError> {
-    match i {
-        Instr::Prim(op) => core::prim(st, *op),
-        _ => unreachable!("prim dispatched on {i:?}"),
-    }
-}
-fn s_fail(_st: &mut MachineState, _seg: &CodeSeg, i: &Instr) -> Result<(), MachineError> {
-    match i {
-        Instr::Fail(msg) => core::fail(msg),
-        _ => unreachable!("fail dispatched on {i:?}"),
-    }
-}
-fn s_acc(st: &mut MachineState, _seg: &CodeSeg, i: &Instr) -> Result<(), MachineError> {
-    match i {
-        Instr::Acc(n) => env::acc(st, *n),
-        _ => unreachable!("acc dispatched on {i:?}"),
-    }
-}
-fn s_push_acc(st: &mut MachineState, _seg: &CodeSeg, i: &Instr) -> Result<(), MachineError> {
-    match i {
-        Instr::PushAcc(n) => fused::push_acc(st, *n),
-        _ => unreachable!("push_acc dispatched on {i:?}"),
-    }
-}
-fn s_quote_cons(st: &mut MachineState, _seg: &CodeSeg, i: &Instr) -> Result<(), MachineError> {
-    match i {
-        Instr::QuoteCons(v) => fused::quote_cons(st, v),
-        _ => unreachable!("quote_cons dispatched on {i:?}"),
-    }
-}
-fn s_swap_cons(st: &mut MachineState, _seg: &CodeSeg, _i: &Instr) -> Result<(), MachineError> {
-    fused::swap_cons(st)
-}
-fn s_push_quote(st: &mut MachineState, _seg: &CodeSeg, i: &Instr) -> Result<(), MachineError> {
-    match i {
-        Instr::PushQuote(v) => fused::push_quote(st, v),
-        _ => unreachable!("push_quote dispatched on {i:?}"),
-    }
-}
-fn s_env_cons(st: &mut MachineState, _seg: &CodeSeg, _i: &Instr) -> Result<(), MachineError> {
-    env::env_cons(st)
-}
-
-fn t_app(m: &mut Machine, _seg: &CodeSeg, _i: &Instr) -> Result<(), MachineError> {
-    transfer::app(m)
-}
-fn t_merge(m: &mut Machine, _seg: &CodeSeg, _i: &Instr) -> Result<(), MachineError> {
-    transfer::merge(m)
-}
-fn t_call(m: &mut Machine, _seg: &CodeSeg, _i: &Instr) -> Result<(), MachineError> {
-    transfer::call(m)
-}
-fn t_branch(m: &mut Machine, seg: &CodeSeg, i: &Instr) -> Result<(), MachineError> {
-    match i {
-        Instr::Branch(t, e) => transfer::branch(m, seg, *t, *e),
-        _ => unreachable!("branch dispatched on {i:?}"),
-    }
-}
-fn t_switch(m: &mut Machine, seg: &CodeSeg, i: &Instr) -> Result<(), MachineError> {
-    match i {
-        Instr::Switch(table) => transfer::switch(m, seg, table),
-        _ => unreachable!("switch dispatched on {i:?}"),
-    }
-}
-fn t_merge_branch(m: &mut Machine, _seg: &CodeSeg, _i: &Instr) -> Result<(), MachineError> {
-    transfer::merge_branch(m)
-}
-fn t_merge_switch(m: &mut Machine, _seg: &CodeSeg, i: &Instr) -> Result<(), MachineError> {
-    match i {
-        Instr::MergeSwitch(spec) => transfer::merge_switch(m, spec),
-        _ => unreachable!("merge_switch dispatched on {i:?}"),
-    }
-}
-fn t_merge_rec(m: &mut Machine, _seg: &CodeSeg, i: &Instr) -> Result<(), MachineError> {
-    match i {
-        Instr::MergeRec(n) => transfer::merge_rec(m, *n),
-        _ => unreachable!("merge_rec dispatched on {i:?}"),
-    }
-}
-fn t_cons_app(m: &mut Machine, _seg: &CodeSeg, _i: &Instr) -> Result<(), MachineError> {
-    transfer::cons_app(m)
-}
-fn t_acc_app(m: &mut Machine, _seg: &CodeSeg, i: &Instr) -> Result<(), MachineError> {
-    match i {
-        Instr::AccApp(n) => transfer::acc_app(m, *n),
-        _ => unreachable!("acc_app dispatched on {i:?}"),
-    }
-}
-
-/// The dispatch table, indexed by [`Instr::opcode`]. Order must match the
-/// opcode numbering exactly; `dispatch_table_covers_every_opcode` in the
-/// test module pins it.
-static DISPATCH: [Dispatch; OPCODE_COUNT] = [
-    Dispatch::Step(s_id),               // 0  id
-    Dispatch::Step(s_fst),              // 1  fst
-    Dispatch::Step(s_snd),              // 2  snd
-    Dispatch::Step(s_push),             // 3  push
-    Dispatch::Step(s_swap),             // 4  swap
-    Dispatch::Step(s_cons),             // 5  cons
-    Dispatch::Transfer(t_app),          // 6  app
-    Dispatch::Step(s_quote),            // 7  quote
-    Dispatch::Step(s_cur),              // 8  cur
-    Dispatch::Step(s_emit),             // 9  emit
-    Dispatch::Step(s_lift),             // 10 lift
-    Dispatch::Step(s_arena),            // 11 arena
-    Dispatch::Transfer(t_merge),        // 12 merge
-    Dispatch::Transfer(t_call),         // 13 call
-    Dispatch::Transfer(t_branch),       // 14 branch
-    Dispatch::Step(s_recclos),          // 15 recclos
-    Dispatch::Step(s_pack),             // 16 pack
-    Dispatch::Transfer(t_switch),       // 17 switch
-    Dispatch::Step(s_prim),             // 18 prim
-    Dispatch::Step(s_fail),             // 19 fail
-    Dispatch::Transfer(t_merge_branch), // 20 merge_branch
-    Dispatch::Transfer(t_merge_switch), // 21 merge_switch
-    Dispatch::Transfer(t_merge_rec),    // 22 merge_rec
-    Dispatch::Step(s_acc),              // 23 acc
-    Dispatch::Step(s_push_acc),         // 24 push_acc
-    Dispatch::Step(s_quote_cons),       // 25 quote_cons
-    Dispatch::Step(s_swap_cons),        // 26 swap_cons
-    Dispatch::Transfer(t_cons_app),     // 27 cons_app
-    Dispatch::Transfer(t_acc_app),      // 28 acc_app
-    Dispatch::Step(s_push_quote),       // 29 push_quote
-    Dispatch::Step(s_env_cons),         // 30 env_cons
-];
-
 impl Default for Machine {
     fn default() -> Self {
         Self::new()
@@ -679,8 +475,9 @@ impl Machine {
 
     /// Per-instruction accounting: the opcode-pair profile chain, the
     /// bounded trace, the step counter, and the fuel check — with a step
-    /// that exhausts the budget counted but not executed. Runs only when [`Machine::observed`]; otherwise the loop
-    /// just calls [`count_step`](Machine::count_step).
+    /// that exhausts the budget counted but not executed. Runs only when
+    /// [`Machine::observed`]; otherwise the loop counts each
+    /// straight-line run once, with [`Machine::count_run`].
     ///
     /// `costs` are the fuel costs of the Paper instructions this
     /// dispatch stands for, one step each: a cold instruction's own, or
@@ -745,18 +542,39 @@ impl Machine {
         }
     }
 
-    /// Counts one dispatch: `charge` steps (1, or its record's length
-    /// in a promoted rendering), attributed to `tier`.
+    /// Counts `charge` Paper steps, attributed to `tier`.
     #[inline]
     fn count_step(&mut self, charge: u64, tier: usize) {
         self.state.stats.steps += charge;
         self.state.stats.tier_steps[tier] += charge;
     }
 
+    /// Counts the unobserved straight-line run from `from` up to (not
+    /// including) `to` in one charge: `to - from` steps in a cold block,
+    /// or what the run's instructions stand for in a promoted rendering
+    /// (`charges`). Does nothing when [`Machine::observed`]:
+    /// [`Machine::account`] has already counted every step.
+    #[inline]
+    fn count_run(
+        &mut self,
+        observed: bool,
+        charges: Option<&Charges>,
+        from: usize,
+        to: usize,
+        tier: usize,
+    ) {
+        if !observed {
+            let steps = charges.map_or((to - from) as u64, |c| c.steps_between(from, to));
+            self.count_step(steps, tier);
+        }
+    }
+
     /// Whether anything observes individual steps: a trace, the pair
-    /// profile, or a fuel budget. When nothing does, counting the step is
-    /// all [`Machine::account`] would do, so the loop skips it. No step or transfer function touches this
-    /// configuration, so it is decided once per run (DESIGN.md §13.6).
+    /// profile, or a fuel budget. When nothing does, counting the steps is
+    /// all [`Machine::account`] would do, so the loop counts each
+    /// straight-line run once instead. No step or transfer function
+    /// touches this configuration, so it is decided once per run
+    /// (DESIGN.md §13.6).
     fn observed(&self) -> bool {
         self.trace.is_some() || self.pair_profile.is_some() || self.state.fuel.is_some()
     }
@@ -796,51 +614,145 @@ impl Machine {
             // performs the block's promotion; a mid-frame re-activation
             // just recovers the tier the frame already runs at.
             let (block, charges) = self.tier_activate(&seg, block, pc);
+            let charges = charges.as_deref();
             let tier = usize::from(charges.is_some());
             let Some((start, len)) = seg.block_bounds(block) else {
                 return Err(MachineError::DanglingBlock { block: block.0 });
             };
             let instrs = seg.borrow_instrs();
+            // An unobserved run is counted once, from where it starts to
+            // where it stops: before a transfer, before a step's error is
+            // returned, or at the block's end. `pc` moves past an
+            // instruction before it runs, so a failing step is counted.
+            let from = pc;
             // Opcode-pair chain for the dynamic profile: adjacency is
             // only meaningful within one straight-line run, so the chain
             // restarts at every frame activation.
             let mut prev_op: Option<usize> = None;
-            while pc < len {
-                let instr = &instrs[start + pc];
-                let opcode = instr.opcode();
-                if observed {
-                    let own = [fuel_cost(instr)];
-                    let costs = charges.as_ref().map_or(&own[..], |c| c.costs(pc));
-                    self.account(
-                        block,
-                        pc,
-                        opcode,
-                        instr.mnemonic(),
-                        costs,
-                        tier,
-                        &mut prev_op,
-                    )?;
-                } else {
-                    let charge = charges.as_ref().map_or(1, |c| c.steps(pc));
-                    self.count_step(charge, tier);
-                }
-                pc += 1;
-                match &DISPATCH[opcode] {
-                    Dispatch::Step(step) => step(&mut self.state, &seg, instr)?,
-                    Dispatch::Transfer(run) => {
-                        let owned = instr.clone();
-                        drop(instrs);
-                        self.leave_for_transfer(pc, len);
-                        run(self, &seg, &owned)?;
-                        self.state.note_stack_depth();
-                        continue 'frames;
+            let transferred = 'run: {
+                while pc < len {
+                    let instr = &instrs[start + pc];
+                    if observed {
+                        let own = [fuel_cost(instr)];
+                        let costs = charges.map_or(&own[..], |c| c.costs(pc));
+                        self.account(
+                            block,
+                            pc,
+                            instr.opcode(),
+                            instr.mnemonic(),
+                            costs,
+                            tier,
+                            &mut prev_op,
+                        )?;
                     }
+                    pc += 1;
+                    let st = &mut self.state;
+                    let done = match instr {
+                        Instr::Id => core::id(st),
+                        Instr::Fst => env::fst(st),
+                        Instr::Snd => env::snd(st),
+                        Instr::Acc(n) => env::acc(st, *n),
+                        Instr::Push => core::push(st),
+                        Instr::Swap => core::swap(st),
+                        Instr::ConsPair => core::cons_pair(st),
+                        Instr::Quote(v) => core::quote(st, v),
+                        Instr::Cur(body) => core::cur(st, &seg, *body),
+                        Instr::Emit(inner) => core::emit(st, &seg, inner),
+                        Instr::LiftV => core::lift(st),
+                        Instr::NewArena => core::new_arena(st, &seg),
+                        Instr::RecClos(bodies) => core::rec_clos(st, &seg, bodies),
+                        Instr::Pack(tag) => core::pack(st, *tag),
+                        Instr::Prim(op) => core::prim(st, *op),
+                        Instr::Fail(msg) => core::fail(msg),
+                        Instr::PushAcc(n) => fused::push_acc(st, *n),
+                        Instr::QuoteCons(v) => fused::quote_cons(st, v),
+                        Instr::SwapCons => fused::swap_cons(st),
+                        Instr::PushQuote(v) => fused::push_quote(st, v),
+                        Instr::EnvCons => env::env_cons(st),
+                        // Transfers push frames or freeze arenas into a
+                        // segment: each takes its operands out of the
+                        // block, releases the borrow, counts the run,
+                        // and saves the pc (or pops the frame) first.
+                        Instr::App => {
+                            drop(instrs);
+                            self.count_run(observed, charges, from, pc, tier);
+                            self.leave_for_transfer(pc, len);
+                            break 'run transfer::app(self);
+                        }
+                        Instr::ConsApp => {
+                            drop(instrs);
+                            self.count_run(observed, charges, from, pc, tier);
+                            self.leave_for_transfer(pc, len);
+                            break 'run transfer::cons_app(self);
+                        }
+                        Instr::AccApp(n) => {
+                            let n = *n;
+                            drop(instrs);
+                            self.count_run(observed, charges, from, pc, tier);
+                            self.leave_for_transfer(pc, len);
+                            break 'run transfer::acc_app(self, n);
+                        }
+                        Instr::Call => {
+                            drop(instrs);
+                            self.count_run(observed, charges, from, pc, tier);
+                            self.leave_for_transfer(pc, len);
+                            break 'run transfer::call(self);
+                        }
+                        Instr::Branch(then_b, else_b) => {
+                            let (then_b, else_b) = (*then_b, *else_b);
+                            drop(instrs);
+                            self.count_run(observed, charges, from, pc, tier);
+                            self.leave_for_transfer(pc, len);
+                            break 'run transfer::branch(self, &seg, then_b, else_b);
+                        }
+                        Instr::Switch(table) => {
+                            let table = table.clone();
+                            drop(instrs);
+                            self.count_run(observed, charges, from, pc, tier);
+                            self.leave_for_transfer(pc, len);
+                            break 'run transfer::switch(self, &seg, &table);
+                        }
+                        Instr::Merge => {
+                            drop(instrs);
+                            self.count_run(observed, charges, from, pc, tier);
+                            self.leave_for_transfer(pc, len);
+                            break 'run transfer::merge(self);
+                        }
+                        Instr::MergeBranch => {
+                            drop(instrs);
+                            self.count_run(observed, charges, from, pc, tier);
+                            self.leave_for_transfer(pc, len);
+                            break 'run transfer::merge_branch(self);
+                        }
+                        Instr::MergeSwitch(spec) => {
+                            let spec = spec.clone();
+                            drop(instrs);
+                            self.count_run(observed, charges, from, pc, tier);
+                            self.leave_for_transfer(pc, len);
+                            break 'run transfer::merge_switch(self, &spec);
+                        }
+                        Instr::MergeRec(n) => {
+                            let n = *n;
+                            drop(instrs);
+                            self.count_run(observed, charges, from, pc, tier);
+                            self.leave_for_transfer(pc, len);
+                            break 'run transfer::merge_rec(self, n);
+                        }
+                    };
+                    if let Err(e) = done {
+                        self.count_run(observed, charges, from, pc, tier);
+                        return Err(e);
+                    }
+                    self.state.note_stack_depth();
                 }
-                self.state.note_stack_depth();
-            }
-            // Block exhausted: return to the caller's frame.
-            drop(instrs);
-            self.control.pop();
+                // Block exhausted: return to the caller's frame.
+                drop(instrs);
+                self.count_run(observed, charges, from, pc, tier);
+                self.control.pop();
+                continue 'frames;
+            };
+            transferred?;
+            self.state.note_stack_depth();
         }
     }
 

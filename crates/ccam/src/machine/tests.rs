@@ -11,9 +11,10 @@ fn run(instrs: Vec<Instr>, input: Value) -> Value {
 }
 
 #[test]
-fn dispatch_table_covers_every_opcode() {
-    // One exemplar per opcode, in numbering order; the table is indexed
-    // by `Instr::opcode`, so any drift between the two breaks here.
+fn opcode_numbering_matches_the_exemplars() {
+    // One exemplar per opcode, in numbering order. The wire format and
+    // the pair profile are indexed by `Instr::opcode`, so any drift
+    // between the two breaks here.
     let exemplars = vec![
         Instr::Id,
         Instr::Fst,
@@ -56,25 +57,6 @@ fn dispatch_table_covers_every_opcode() {
     assert_eq!(exemplars.len(), OPCODE_COUNT);
     for (want, i) in exemplars.iter().enumerate() {
         assert_eq!(i.opcode(), want, "{}", i.mnemonic());
-        let transfers = matches!(
-            i,
-            Instr::App
-                | Instr::Branch(_, _)
-                | Instr::Switch(_)
-                | Instr::Call
-                | Instr::Merge
-                | Instr::MergeBranch
-                | Instr::MergeSwitch(_)
-                | Instr::MergeRec(_)
-                | Instr::ConsApp
-                | Instr::AccApp(_)
-        );
-        assert_eq!(
-            matches!(DISPATCH[i.opcode()], Dispatch::Transfer(_)),
-            transfers,
-            "{} dispatch kind",
-            i.mnemonic()
-        );
     }
 }
 
@@ -1150,6 +1132,68 @@ fn observers_do_not_change_what_a_run_reports() {
         assert_eq!(stats.tier_steps.iter().sum::<u64>(), stats.steps);
         for (name, o, p, st) in &reports[1..] {
             assert_eq!((o, p, st), (out, output, stats), "{name}, {label}");
+        }
+    }
+}
+
+/// A block that folds and fuses under promotion, enters a closure and
+/// comes back, then runs `tail` on the pair `(5, 0)`: the failing runs
+/// below stop mid-block, after a resumption, with a rendering whose
+/// instructions stand for more than one step each.
+fn failing_program(tail: Vec<Instr>) -> CodeRef {
+    let seg = CodeSeg::new();
+    let body = seg.add_block(vec![Instr::Snd]);
+    let mut code = vec![
+        Instr::Id,
+        Instr::Push,
+        Instr::Quote(Value::Int(2)),
+        Instr::Swap,
+        Instr::Quote(Value::Int(3)),
+        Instr::ConsPair,
+        Instr::Prim(PrimOp::Add),
+        Instr::Push,
+        Instr::Cur(body),
+        Instr::Swap,
+        Instr::ConsPair,
+        Instr::App,
+        Instr::Push,
+        Instr::Quote(Value::Int(0)),
+        Instr::ConsPair,
+    ];
+    code.extend(tail);
+    seg.entry(code)
+}
+
+#[test]
+fn a_failing_run_counts_the_same_steps_observed_or_not() {
+    // (what fails, its tail, the cold steps up to and including the
+    // failing one: 15 in the prefix, 1 in the closure body, the tail's).
+    let cases = [
+        ("fail", vec![Instr::Fail(Rc::new("boom".into())), Instr::Id], 17),
+        ("div by zero", vec![Instr::Prim(PrimOp::Div), Instr::Id], 17),
+        ("fst on an int", vec![Instr::Snd, Instr::Fst, Instr::Id], 18),
+        ("app on a non-closure", vec![Instr::App, Instr::Id], 17),
+    ];
+    for (what, tail, steps) in cases {
+        for promote_after in [u64::MAX, 0] {
+            let label = format!("{what}, promote_after {promote_after}");
+            let report = |fuel: Option<u64>| {
+                let mut m = Machine::new();
+                m.set_promote_after(promote_after);
+                m.state.fuel = fuel;
+                let err = m
+                    .run(failing_program(tail.clone()), Value::Unit)
+                    .unwrap_err();
+                (err, m.stats())
+            };
+            let (err, stats) = report(None);
+            assert_eq!(stats.tier_steps.iter().sum::<u64>(), stats.steps, "{label}");
+            if promote_after == 0 {
+                assert!(stats.tier_steps[1] > 0, "{label}: promoted code ran");
+            } else {
+                assert_eq!(stats.steps, steps, "{label}: {err}");
+            }
+            assert_eq!(report(Some(u64::MAX)), (err, stats), "{label}");
         }
     }
 }

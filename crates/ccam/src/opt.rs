@@ -64,9 +64,15 @@ pub struct Charges {
 
 impl Charges {
     /// The Paper steps rendered instruction `pc` counts as.
-    #[inline]
     pub fn steps(&self, pc: usize) -> u64 {
-        u64::from(self.bounds[pc + 1] - self.bounds[pc])
+        self.steps_between(pc, pc + 1)
+    }
+
+    /// The Paper steps rendered instructions `from..to` count as
+    /// together: one straight-line run's charge.
+    #[inline]
+    pub fn steps_between(&self, from: usize, to: usize) -> u64 {
+        u64::from(self.bounds[to] - self.bounds[from])
     }
 
     /// The fuel costs of the cold instructions rendered instruction `pc`
