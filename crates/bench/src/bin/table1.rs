@@ -21,10 +21,11 @@
 //! table1 all         # everything
 //! ```
 //!
-//! Absolute numbers differ from the paper (our CCAM's extension
-//! instruction inventory is a reconstruction — DESIGN.md §3.1); the
-//! *shape* of the results is asserted in `tests/` and recorded in
-//! EXPERIMENTS.md.
+//! Every measurement runs the Paper profile ([`SessionOptions::paper`]:
+//! pair-spine environments) unless it names flat frames. Absolute
+//! numbers differ from the paper (our CCAM's extension instruction
+//! inventory is a reconstruction — DESIGN.md §3.1); the *shape* of the
+//! results is asserted in `tests/` and recorded in EXPERIMENTS.md.
 
 use mlbox::SessionOptions;
 use mlbox_bench::{
@@ -33,6 +34,16 @@ use mlbox_bench::{
 use mlbox_bpf::filters::{chain_filter, telnet_filter};
 use mlbox_bpf::harness::FilterHarness;
 use mlbox_bpf::packet::PacketGen;
+
+/// A session in the Paper profile.
+fn paper_session() -> mlbox::Session {
+    mlbox::Session::with_options(SessionOptions::paper()).expect("session")
+}
+
+/// A filter harness in the Paper profile.
+fn paper_harness(filter: &[mlbox_bpf::insn::Insn]) -> FilterHarness {
+    FilterHarness::with_options(filter, SessionOptions::paper()).expect("harness")
+}
 
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
@@ -84,7 +95,7 @@ fn main() {
 /// `(block, pc, mnemonic)` triples — the machine's bounded execution
 /// trace over the flat code segment.
 fn trace(limit: usize) {
-    let mut s = mlbox::Session::new().expect("session");
+    let mut s = paper_session();
     s.run(mlbox::programs::EVAL_POLY).expect("evalPoly");
     s.run(mlbox::programs::COMP_POLY).expect("compPoly");
     s.set_trace(limit);
@@ -120,7 +131,7 @@ fn profile_pairs() {
     };
 
     // Polynomial workloads: interpret, generate, run staged.
-    let mut s = mlbox::Session::new().expect("session");
+    let mut s = paper_session();
     s.set_profile_pairs(true);
     s.run(mlbox::programs::EVAL_POLY).expect("evalPoly");
     s.run(mlbox::programs::COMP_POLY).expect("compPoly");
@@ -130,7 +141,7 @@ fn profile_pairs() {
     merge(s.pair_profile());
 
     // Telnet filter workloads: interpret, specialize, run specialized.
-    let mut h = FilterHarness::new(&telnet_filter()).expect("harness");
+    let mut h = paper_harness(&telnet_filter());
     h.session_mut().set_profile_pairs(true);
     let telnet = PacketGen::new(1998).telnet(32);
     h.interp(&telnet).expect("interp");
@@ -221,7 +232,7 @@ fn deep_env(json: bool) {
 fn optimize_ablation() {
     use ccam::disasm::{census, promoted_census};
     use ccam::machine::PROMOTE_AFTER;
-    let mut s = mlbox::Session::new().expect("session");
+    let mut s = paper_session();
     s.run(mlbox::programs::EVAL_POLY).expect("evalPoly");
     s.run(mlbox::programs::COMP_POLY).expect("compPoly");
     s.run("val f = eval (compPoly polyl)").expect("generate");
@@ -247,7 +258,7 @@ fn optimize_ablation() {
 
     let filter = mlbox_bpf::filters::telnet_filter();
     let telnet = PacketGen::new(2027).telnet(16);
-    let mut h = FilterHarness::new(&filter).expect("harness");
+    let mut h = paper_harness(&filter);
     h.specialize().expect("gen");
     let (_, sp) = h.specialized(&telnet).expect("run");
     for _ in 0..PROMOTE_AFTER {
@@ -273,13 +284,10 @@ fn optimize_ablation() {
 /// steps (as the `steps_indexed` column and the `rows_flat_env` section)
 /// and the harness session's tier-controller and freeze-cache counters.
 fn table1(json: bool) {
-    let (rows, stats) = table1_rows(&SessionOptions::default());
+    let (rows, stats) = table1_rows(&SessionOptions::paper());
 
     if json {
-        let (flat_rows, _) = table1_rows(&SessionOptions {
-            flat_env: true,
-            ..SessionOptions::default()
-        });
+        let (flat_rows, _) = table1_rows(&SessionOptions::default());
         let dispatch = mlbox_bench::dispatch_throughput(2_000).expect("dispatch");
         println!(
             "{}",
@@ -354,7 +362,7 @@ fn sweep_filter() {
     );
     for n in [0usize, 2, 4, 8, 16, 32, 64] {
         let filter = chain_filter(n);
-        let mut h = FilterHarness::new(&filter).expect("harness");
+        let mut h = paper_harness(&filter);
         let pkt = mlbox_bpf::packet::Packet {
             bytes: vec![42, 0, 0, 0],
             kind: mlbox_bpf::packet::PacketKind::Arp,
@@ -382,7 +390,7 @@ fn sweep_filter() {
 /// n times.
 fn crossover() {
     let filter = telnet_filter();
-    let mut h = FilterHarness::new(&filter).expect("harness");
+    let mut h = paper_harness(&filter);
     let mut packets = PacketGen::new(2026);
     let telnet = packets.telnet(32);
     let (_, interp) = h.interp(&telnet).expect("interp");
@@ -417,7 +425,7 @@ fn crossover() {
 /// Memoization (E4): memoPower1 hit/miss, memoPower2 sharing, and the
 /// memoizing staged packet-filter generator.
 fn memo() {
-    let mut s = mlbox::Session::new().expect("session");
+    let mut s = paper_session();
     s.run(mlbox::programs::CODE_POWER).expect("codePower");
     s.run(mlbox::programs::MEMO_POWER1).expect("memoPower1");
     let miss = s.eval_expr("memoPower1 16 2").expect("miss");
@@ -427,11 +435,11 @@ fn memo() {
         miss.stats.steps, miss.stats.emitted, hit.stats.steps, hit.stats.emitted
     );
 
-    let mut s2 = mlbox::Session::new().expect("session");
+    let mut s2 = paper_session();
     s2.run(mlbox::programs::MEMO_POWER2).expect("memoPower2");
     let first = s2.eval_expr("memoPower2 60 2").expect("60");
     let shared = s2.eval_expr("memoPower2 34 2").expect("34");
-    let mut s3 = mlbox::Session::new().expect("session");
+    let mut s3 = paper_session();
     s3.run(mlbox::programs::MEMO_POWER2).expect("memoPower2");
     let cold = s3.eval_expr("memoPower2 34 2").expect("34 cold");
     println!(
@@ -440,9 +448,9 @@ fn memo() {
     );
 
     let filter = telnet_filter();
-    let mut h1 = FilterHarness::new(&filter).expect("harness");
+    let mut h1 = paper_harness(&filter);
     let plain = h1.specialize().expect("plain");
-    let mut h2 = FilterHarness::new(&filter).expect("harness");
+    let mut h2 = paper_harness(&filter);
     let memo = h2.specialize_memo().expect("memo");
     println!(
         "bevalpf generation: plain {} steps / {} emitted; per-pc memoized {} steps / {} emitted\n",

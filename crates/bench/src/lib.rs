@@ -163,7 +163,8 @@ impl DispatchRow {
 }
 
 /// Measures dispatch throughput (steps/sec) of the interpretive and
-/// specialized telnet filter over `iters` packets each — the wall-clock
+/// specialized telnet filter over `iters` packets each, in the Paper
+/// profile — the wall-clock
 /// counterpart of the Table 1 step counts, reported in
 /// `BENCH_table1.json`. Wall-clock numbers vary run to run; only the
 /// step counts are golden.
@@ -174,7 +175,7 @@ impl DispatchRow {
 pub fn dispatch_throughput(iters: u64) -> Result<Vec<DispatchRow>, Error> {
     /// One filter run: returns (verdict, reduction steps).
     type FilterRun<'a> = &'a mut dyn FnMut(&mut FilterHarness) -> Result<(i64, u64), Error>;
-    let mut h = FilterHarness::with_options(&telnet_filter(), SessionOptions::default())?;
+    let mut h = FilterHarness::with_options(&telnet_filter(), SessionOptions::paper())?;
     let mut packets = PacketGen::new(1998);
     let telnet = packets.telnet(32);
     h.specialize()?;
@@ -337,13 +338,14 @@ pub struct PolyCosts {
     pub staged_per_call: u64,
 }
 
-/// Measures all six §3.1 computations for one polynomial.
+/// Measures all six §3.1 computations for one polynomial, in the Paper
+/// profile.
 ///
 /// # Errors
 ///
 /// Propagates any pipeline error.
 pub fn poly_costs(poly: &str, base: i64) -> Result<PolyCosts, Error> {
-    poly_costs_with(poly, base, SessionOptions::default())
+    poly_costs_with(poly, base, SessionOptions::paper())
 }
 
 /// [`poly_costs`] with explicit session options (e.g. `flat_env`).
@@ -410,17 +412,17 @@ pub fn deep_env_steps(depth: usize, options: &SessionOptions) -> Result<u64, Err
 /// as `(column label, options)` pairs: the paper's pair spine and flat
 /// `Vec`-backed frames.
 pub fn deep_env_modes() -> [(&'static str, SessionOptions); 2] {
-    let base = SessionOptions {
+    let paper = SessionOptions {
         prelude: false,
-        ..SessionOptions::default()
+        ..SessionOptions::paper()
     };
     [
-        ("spine", base.clone()),
+        ("spine", paper.clone()),
         (
             "flat",
             SessionOptions {
                 flat_env: true,
-                ..base
+                ..paper
             },
         ),
     ]

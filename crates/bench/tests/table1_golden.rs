@@ -1,8 +1,8 @@
 //! Golden lockfile for the paper's Table 1: the step counts produced by
 //! `table1 all --json` are pinned, field by field, in
 //! `tests/golden/table1_steps.json` — in **both** environment modes
-//! (default pair-spine `steps`, and `flat_env` in the `steps_indexed`
-//! column, named for its single-`acc` access paths).
+//! (the Paper profile's pair-spine `steps`, and `flat_env` in the
+//! `steps_indexed` column, named for its single-`acc` access paths).
 //!
 //! Any change to the compiler, machine, or freeze path that shifts a
 //! reduction count fails here with the exact row. If a shift is
@@ -57,7 +57,7 @@ fn table1_step_counts_match_the_golden_lockfile() {
     let golden = golden_rows();
     assert_eq!(golden.len(), 10, "Table 1 has ten rows");
 
-    let (rows, stats) = table1_rows(&SessionOptions::default());
+    let (rows, stats) = table1_rows(&SessionOptions::paper());
     let (flat_rows, _) = table1_rows(&SessionOptions {
         flat_env: true,
         ..SessionOptions::default()

@@ -1169,7 +1169,11 @@ fn a_failing_run_counts_the_same_steps_observed_or_not() {
     // (what fails, its tail, the cold steps up to and including the
     // failing one: 15 in the prefix, 1 in the closure body, the tail's).
     let cases = [
-        ("fail", vec![Instr::Fail(Rc::new("boom".into())), Instr::Id], 17),
+        (
+            "fail",
+            vec![Instr::Fail(Rc::new("boom".into())), Instr::Id],
+            17,
+        ),
         ("div by zero", vec![Instr::Prim(PrimOp::Div), Instr::Id], 17),
         ("fst on an int", vec![Instr::Snd, Instr::Fst, Instr::Id], 18),
         ("app on a non-closure", vec![Instr::App, Instr::Id], 17),

@@ -413,7 +413,7 @@ mod tests {
         // ...and a pair-spine consumer is refused rather than silently
         // mis-measured.
         let err = artifact
-            .hydrate_entry_for(&SessionOptions::default())
+            .hydrate_entry_for(&SessionOptions::paper())
             .unwrap_err();
         assert!(err.to_string().contains("flat-env"), "{err}");
     }

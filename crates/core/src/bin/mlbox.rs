@@ -6,6 +6,9 @@
 //! mlbox eval 'EXPR'       # evaluate one expression (prelude loaded)
 //! mlbox repl              # interactive read-eval-print loop
 //! ```
+//!
+//! Every command runs the Paper profile ([`SessionOptions::paper`]), so
+//! the step counts it prints are the paper's.
 
 use mlbox::{Session, SessionOptions};
 use std::io::{BufRead, Write};
@@ -43,7 +46,7 @@ fn read_source(path: Option<&String>) -> Result<String, Box<dyn std::error::Erro
 
 fn check_file(path: Option<&String>) -> Result<(), Box<dyn std::error::Error>> {
     let src = read_source(path)?;
-    let checked = Session::new()?.check(&src)?;
+    let checked = Session::with_options(SessionOptions::paper())?.check(&src)?;
     for w in &checked.warnings {
         eprintln!("{}", w.render(&src));
     }
@@ -57,7 +60,7 @@ fn check_file(path: Option<&String>) -> Result<(), Box<dyn std::error::Error>> {
 
 fn run_file(path: Option<&String>) -> Result<(), Box<dyn std::error::Error>> {
     let src = read_source(path)?;
-    let mut session = Session::new()?;
+    let mut session = Session::with_options(SessionOptions::paper())?;
     // Declarations before a failing one are bound: report them too.
     let mut outcomes = Vec::new();
     let result = session.run_each(&src, |o| outcomes.push(o));
@@ -95,7 +98,7 @@ fn eval_expr(expr: Option<&String>) -> Result<(), Box<dyn std::error::Error>> {
         usage();
         std::process::exit(2);
     };
-    let mut session = Session::new()?;
+    let mut session = Session::with_options(SessionOptions::paper())?;
     let result = session.eval_expr(expr);
     if let Ok(o) = &result {
         println!("- : {} = {}   ({} steps)", o.ty, o.value, o.stats.steps);
@@ -111,7 +114,7 @@ fn repl() -> Result<(), Box<dyn std::error::Error>> {
     println!("type declarations or expressions; :q quits, :stats shows totals");
     let mut session = Session::with_options(SessionOptions {
         fuel: Some(500_000_000),
-        ..SessionOptions::default()
+        ..SessionOptions::paper()
     })?;
     let stdin = std::io::stdin();
     let mut line = String::new();

@@ -1,7 +1,8 @@
 //! `wire-dump` — hex dump of the canonical wire-format artifact.
 //!
 //! Builds the golden artifact (the paper's §3.4 staged power function,
-//! specialized at exponent 2, default [`SessionOptions`], source
+//! specialized at exponent 2, the Paper profile
+//! ([`SessionOptions::paper`]), source
 //! fingerprint `0x1998`), encodes it with
 //! [`CompiledFilter::to_wire_bytes`], and prints the bytes as lowercase
 //! hex, 32 bytes per line. The output is pinned byte-for-byte in
@@ -10,10 +11,10 @@
 //! deliberate lockfile update (see `crates/core/tests/wire_golden.rs`
 //! and the CI diff step).
 //!
-//! [`SessionOptions`]: mlbox::SessionOptions
+//! [`SessionOptions::paper`]: mlbox::SessionOptions::paper
 //! [`CompiledFilter::to_wire_bytes`]: mlbox::CompiledFilter::to_wire_bytes
 
-use mlbox::Session;
+use mlbox::{Session, SessionOptions};
 
 /// The program behind the golden artifact. Stable on purpose: it uses a
 /// recursive generator, `lift`-free quoting, and a multiplication chain,
@@ -47,7 +48,7 @@ pub fn hex_lines(bytes: &[u8]) -> String {
 /// Panics if the golden program fails to compile — the program is fixed
 /// and known-good, so a failure means the pipeline itself regressed.
 pub fn golden_wire_bytes() -> Vec<u8> {
-    let mut session = Session::new().expect("session builds");
+    let mut session = Session::with_options(SessionOptions::paper()).expect("session builds");
     session
         .run(GOLDEN_PROGRAM)
         .expect("golden program compiles");

@@ -32,8 +32,9 @@ pub struct SessionOptions {
     /// Grow the environment as contiguous `Vec`-backed frames
     /// (`env_cons`) and compile each variable access as one `acc n`, an
     /// O(1) slot load, instead of the paper's `fst^n; snd` spine walk
-    /// (DESIGN.md §12). Default: false, keeping the paper's pair-spine
-    /// representation and Table 1's exact cost model.
+    /// (DESIGN.md §12). Default: true. [`SessionOptions::paper`] turns
+    /// it off, keeping the paper's pair-spine representation and
+    /// Table 1's exact cost model.
     pub flat_env: bool,
 }
 
@@ -42,12 +43,21 @@ impl Default for SessionOptions {
         SessionOptions {
             prelude: true,
             fuel: None,
-            flat_env: false,
+            flat_env: true,
         }
     }
 }
 
 impl SessionOptions {
+    /// The Paper profile: the default options with the paper's
+    /// pair-spine environments, whose step counts are Table 1's.
+    pub fn paper() -> Self {
+        SessionOptions {
+            flat_env: false,
+            ..SessionOptions::default()
+        }
+    }
+
     /// A stable fingerprint of every option that affects compiled code
     /// or its measured cost. Two sessions whose options fingerprint
     /// equally produce byte-identical code and step counts for the same
@@ -158,7 +168,8 @@ thread_local! {
 
 impl Session {
     /// A session with the default options (prelude loaded, no fuel
-    /// limit).
+    /// limit, flat frame environments). Sessions that report the
+    /// paper's step counts use [`SessionOptions::paper`] instead.
     ///
     /// # Errors
     ///
@@ -909,7 +920,7 @@ mod tests {
 
     #[test]
     fn options_fingerprint_separates_every_mode() {
-        let base = SessionOptions::default();
+        let base = SessionOptions::paper();
         let fp = |o: &SessionOptions| o.fingerprint();
         assert_eq!(fp(&base), fp(&base.clone()), "fingerprint is stable");
         let mut flat = base.clone();
@@ -927,7 +938,7 @@ mod tests {
         // removed `optimize`, `fuse` and `native` slots still hash as
         // `false` so they did not move when the options went.
         assert_eq!(
-            SessionOptions::default().fingerprint(),
+            SessionOptions::paper().fingerprint(),
             0x17ec_a866_e1c9_0687_u64
         );
     }

@@ -592,7 +592,7 @@ mod tests {
         // the frame flag that drives the refusal was recomputed from the
         // payload, not read from a forgeable field.
         let err =
-            CompiledFilter::from_wire_bytes_for(&bytes, &SessionOptions::default()).unwrap_err();
+            CompiledFilter::from_wire_bytes_for(&bytes, &SessionOptions::paper()).unwrap_err();
         assert!(matches!(err, Error::Artifact(_)), "{err}");
         assert!(err.to_string().contains("flat-env"), "{err}");
     }

@@ -1,7 +1,7 @@
 //! Pins the artifact wire format byte-for-byte.
 //!
 //! The canonical artifact — the §3.4 staged power function specialized
-//! at exponent 2, default options, source fingerprint `0x1998`, exactly
+//! at exponent 2, the Paper profile, source fingerprint `0x1998`, exactly
 //! what the `wire-dump` binary emits — must encode to the hex in
 //! `tests/golden/artifact_wire.hex`. Any drift is a wire format change:
 //! artifacts persisted by earlier builds would stop (or worse, subtly
@@ -22,7 +22,7 @@
 
 use mlbox::fingerprint::Fnv1a;
 use mlbox::wire::WireError;
-use mlbox::{CompiledFilter, Error, Session};
+use mlbox::{CompiledFilter, Error, Session, SessionOptions};
 
 const GOLDEN_HEX: &str = include_str!("../../../tests/golden/artifact_wire.hex");
 
@@ -31,7 +31,7 @@ const GOLDEN_PROGRAM: &str = "fun codePower e = if e = 0 then code (fn b => 1)
                         in code (fn b => b * (p b)) end";
 
 fn golden_artifact() -> CompiledFilter {
-    let mut session = Session::new().unwrap();
+    let mut session = Session::with_options(SessionOptions::paper()).unwrap();
     session.run(GOLDEN_PROGRAM).unwrap();
     session.compile_to_artifact("codePower 2", 0x1998).unwrap()
 }

@@ -4,7 +4,7 @@
 //! round-trip an artifact through the wire format and serve identically:
 //! same value, same reduction-step count, byte-identical re-encode. The
 //! frame-bearing / flat-env compatibility rule is checked at both ends
-//! (a flat artifact refuses a default consumer; every artifact accepts a
+//! (a flat artifact refuses a pair-spine consumer; every artifact accepts a
 //! consumer with its own options).
 
 use mlbox::{CompiledFilter, Session, SessionOptions};
@@ -79,7 +79,7 @@ fn frame_bearing_artifacts_refuse_incompatible_consumers() {
     // The artifact's own mode loads it...
     CompiledFilter::from_wire_bytes_for(&bytes, &flat).unwrap();
     // ...a pair-spine consumer must be refused at load, not at run time.
-    let err = CompiledFilter::from_wire_bytes_for(&bytes, &SessionOptions::default())
+    let err = CompiledFilter::from_wire_bytes_for(&bytes, &SessionOptions::paper())
         .unwrap_err()
         .to_string();
     assert!(
@@ -91,9 +91,9 @@ fn frame_bearing_artifacts_refuse_incompatible_consumers() {
 #[test]
 fn cross_mode_loads_are_allowed_when_values_carry_no_frames() {
     // Frame-freedom, not the producer's mode bit, is what gates loading:
-    // a *default-mode* artifact (no frames anywhere) may be loaded by
+    // a pair-spine artifact (no frames anywhere) may be loaded by
     // any consumer, including a flat-env one.
-    let bytes = artifact_under(&SessionOptions::default()).to_wire_bytes();
+    let bytes = artifact_under(&SessionOptions::paper()).to_wire_bytes();
     for options in mode_lattice() {
         CompiledFilter::from_wire_bytes_for(&bytes, &options)
             .unwrap_or_else(|e| panic!("{options:?}: frame-free artifact refused: {e}"));

@@ -9,7 +9,7 @@
 //! Usage:
 //!
 //! ```text
-//! serve-bench [--smoke] [--flat-env] [--persist]
+//! serve-bench [--smoke] [--paper] [--persist]
 //!             [--workers 1,2,4] [--batches 8,32] [--rounds N] [--tenants N]
 //! ```
 //!
@@ -24,9 +24,11 @@
 //! population — evicted artifacts must come back from the store, not
 //! the generator — and emits `BENCH_serve_persist.json` instead of
 //! `BENCH_serve.json`. `--tenants N` overrides the sweep's tenant count.
-//! `--flat-env` runs the whole sweep (oracle included) under
-//! `SessionOptions::flat_env`, so artifacts carry frame environments and
-//! the oracle checks flat-mode step counts.
+//! The sweep runs the default options (flat frame environments), so
+//! artifacts carry frame environments and the oracle checks flat-mode
+//! step counts. `--paper` runs it (oracle included) under
+//! [`SessionOptions::paper`] instead: pair-spine artifacts and the
+//! paper's step counts.
 
 use ccam::machine::PROMOTE_AFTER;
 use mlbox::SessionOptions;
@@ -62,9 +64,10 @@ struct Config {
 fn parse_args() -> Config {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let smoke = args.iter().any(|a| a == "--smoke");
-    let options = SessionOptions {
-        flat_env: args.iter().any(|a| a == "--flat-env"),
-        ..SessionOptions::default()
+    let options = if args.iter().any(|a| a == "--paper") {
+        SessionOptions::paper()
+    } else {
+        SessionOptions::default()
     };
     let list = |flag: &str, default: Vec<usize>| -> Vec<usize> {
         args.iter()

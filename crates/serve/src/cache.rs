@@ -382,7 +382,7 @@ mod tests {
     #[test]
     fn same_filter_different_options_do_not_alias() {
         let filter = telnet_filter();
-        let plain = SessionOptions::default();
+        let plain = SessionOptions::paper();
         let flat = SessionOptions {
             flat_env: true,
             ..SessionOptions::default()
@@ -405,7 +405,7 @@ mod tests {
         // and the step accounting. The options fingerprint must keep the
         // two modes in separate cache entries.
         let filter = telnet_filter();
-        let plain = SessionOptions::default();
+        let plain = SessionOptions::paper();
         let flat = SessionOptions {
             flat_env: true,
             ..SessionOptions::default()

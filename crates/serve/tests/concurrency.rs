@@ -135,7 +135,7 @@ fn modes_keep_separate_cache_entries_end_to_end() {
         ..SessionOptions::default()
     };
     assert_ne!(
-        CacheKey::new(&filter, &SessionOptions::default()),
+        CacheKey::new(&filter, &SessionOptions::paper()),
         CacheKey::new(&filter, &flat),
         "one cache entry per mode"
     );
@@ -154,7 +154,7 @@ fn modes_keep_separate_cache_entries_end_to_end() {
         pool.shutdown();
         out
     };
-    let plain = run_mode(SessionOptions::default());
+    let plain = run_mode(SessionOptions::paper());
     let fast = run_mode(flat);
     assert_eq!(plain.verdicts, fast.verdicts, "modes agree on verdicts");
     // Flat frames load each variable in one step.

@@ -196,14 +196,14 @@ fn renamed_files_cannot_impersonate_another_key() {
 
 #[test]
 fn incompatible_consumers_are_refused_at_load() {
-    // An artifact saved under flat_env is refused by a default-mode
+    // An artifact saved under flat_env is refused by a pair-spine
     // consumer *if it carries frames*; either way, the load path must
     // only ever hand back artifacts the consumer can hydrate. Exercise
     // the cheap half: a flat-env consumer asking for a key saved under
     // different options simply misses (different file name), it never
     // gets the wrong artifact.
     let temp = TempStore::new("modes");
-    let plain = SessionOptions::default();
+    let plain = SessionOptions::paper();
     let flat = SessionOptions {
         flat_env: true,
         ..SessionOptions::default()

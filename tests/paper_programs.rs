@@ -1,7 +1,7 @@
 //! End-to-end tests of every program in the paper's §3, plus assertions
 //! that the *shape* of Table 1 holds on our CCAM (DESIGN.md §4).
 
-use mlbox::{programs, Session};
+use mlbox::{programs, Session, SessionOptions};
 use mlbox_bpf::filters::telnet_filter;
 use mlbox_bpf::harness::FilterHarness;
 use mlbox_bpf::packet::PacketGen;
@@ -46,7 +46,7 @@ fn section_3_1_comp_poly_types() {
 #[test]
 fn table1_polynomial_shape() {
     // The orderings of Table 1 rows 5-10.
-    let mut s = Session::new().unwrap();
+    let mut s = Session::with_options(SessionOptions::paper()).unwrap();
     s.run(programs::EVAL_POLY).unwrap();
     s.run(programs::SPEC_POLY).unwrap();
     let eval_poly = s.eval_expr("evalPoly (47, polyl)").unwrap().stats.steps;
