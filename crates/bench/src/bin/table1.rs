@@ -201,8 +201,8 @@ fn profile_pairs() {
 }
 
 /// Environment-representation comparison: reduction steps for a deep
-/// `let` nest under the default pair-spine accesses and `flat_env`
-/// frames. With `json`, emits the `BENCH_deep_env.json`
+/// `let` nest under the Paper profile's pair-spine accesses and
+/// `flat_env` frames. With `json`, emits the `BENCH_deep_env.json`
 /// artifact shape instead.
 fn deep_env(json: bool) {
     const DEPTHS: [usize; 6] = [4, 8, 16, 32, 64, 128];

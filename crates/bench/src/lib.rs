@@ -15,8 +15,8 @@ use mlbox_bpf::packet::PacketGen;
 pub struct Row {
     /// What was measured (the paper's "Computation" column).
     pub label: String,
-    /// CCAM reduction steps (default pair-spine environment mode — the
-    /// paper's cost model).
+    /// CCAM reduction steps (the Paper profile's pair-spine
+    /// environments — the paper's cost model).
     pub steps: u64,
     /// Instructions emitted into arenas during the computation.
     pub emitted: u64,

@@ -72,7 +72,7 @@ fn table1_step_counts_match_the_golden_lockfile() {
         assert_eq!(row.label, glabel);
         assert_eq!(
             row.steps, gsteps,
-            "`{glabel}`: default-mode steps drifted from the lockfile"
+            "`{glabel}`: Paper-profile steps drifted from the lockfile"
         );
         assert_eq!(
             frow.steps, gindexed,

@@ -270,6 +270,20 @@ pub struct Machine {
 /// rose by a tenth), higher ones leave hot code cold for longer.
 pub const PROMOTE_AFTER: u64 = 1024;
 
+/// One straight-line dispatch run: a frame activation's instructions up
+/// to where it stops, at a transfer, an error or the block's end.
+struct Run<'a> {
+    /// Whether [`Machine::account`] counts each step (see
+    /// [`Machine::observed`]); if not, the run is counted once.
+    observed: bool,
+    /// The instruction the run started at.
+    from: usize,
+    /// The promoted rendering's charges, or `None` for a cold block.
+    charges: Option<&'a Charges>,
+    /// The tier the run's steps are attributed to.
+    tier: usize,
+}
+
 /// An opcode-pair frequency table: `counts[a][b]` is how many times
 /// opcode `b` executed immediately after opcode `a` within one
 /// straight-line dispatch run (control transfers reset the chain). This
@@ -549,23 +563,18 @@ impl Machine {
         self.state.stats.tier_steps[tier] += charge;
     }
 
-    /// Counts the unobserved straight-line run from `from` up to (not
-    /// including) `to` in one charge: `to - from` steps in a cold block,
-    /// or what the run's instructions stand for in a promoted rendering
-    /// (`charges`). Does nothing when [`Machine::observed`]:
-    /// [`Machine::account`] has already counted every step.
+    /// Counts `run` up to (not including) instruction `to` in one
+    /// charge: `to - run.from` steps in a cold block, or what the run's
+    /// instructions stand for in a promoted rendering. Does nothing on an
+    /// observed run: [`Machine::account`] has counted every step.
     #[inline]
-    fn count_run(
-        &mut self,
-        observed: bool,
-        charges: Option<&Charges>,
-        from: usize,
-        to: usize,
-        tier: usize,
-    ) {
-        if !observed {
-            let steps = charges.map_or((to - from) as u64, |c| c.steps_between(from, to));
-            self.count_step(steps, tier);
+    fn count_run(&mut self, run: &Run<'_>, to: usize) {
+        if !run.observed {
+            let from = run.from;
+            let steps = run
+                .charges
+                .map_or((to - from) as u64, |c| c.steps_between(from, to));
+            self.count_step(steps, run.tier);
         }
     }
 
@@ -579,12 +588,14 @@ impl Machine {
         self.trace.is_some() || self.pair_profile.is_some() || self.state.fuel.is_some()
     }
 
-    /// Saves the running frame's `pc` before a transfer leaves its block,
-    /// or pops the frame when the transfer is the block's last
-    /// instruction (`pc == len`): a tail transfer's frame has nothing
-    /// left to run, and keeping it until the callee returns would grow
-    /// the control stack on every iteration of a tail-recursive loop.
-    fn leave_for_transfer(&mut self, pc: usize, len: usize) {
+    /// Ends `run` at a transfer: counts it, then saves the running
+    /// frame's `pc`, or pops the frame when the transfer is the block's
+    /// last instruction (`pc == len`): a tail transfer's frame has
+    /// nothing left to run, and keeping it until the callee returns would
+    /// grow the control stack on every iteration of a tail-recursive
+    /// loop.
+    fn leave_for_transfer(&mut self, run: &Run<'_>, pc: usize, len: usize) {
+        self.count_run(run, pc);
         if pc == len {
             self.control.pop();
         } else {
@@ -624,7 +635,12 @@ impl Machine {
             // where it stops: before a transfer, before a step's error is
             // returned, or at the block's end. `pc` moves past an
             // instruction before it runs, so a failing step is counted.
-            let from = pc;
+            let run = Run {
+                observed,
+                from: pc,
+                charges,
+                tier,
+            };
             // Opcode-pair chain for the dynamic profile: adjacency is
             // only meaningful within one straight-line run, so the chain
             // restarts at every frame activation.
@@ -675,79 +691,69 @@ impl Machine {
                         // and saves the pc (or pops the frame) first.
                         Instr::App => {
                             drop(instrs);
-                            self.count_run(observed, charges, from, pc, tier);
-                            self.leave_for_transfer(pc, len);
+                            self.leave_for_transfer(&run, pc, len);
                             break 'run transfer::app(self);
                         }
                         Instr::ConsApp => {
                             drop(instrs);
-                            self.count_run(observed, charges, from, pc, tier);
-                            self.leave_for_transfer(pc, len);
+                            self.leave_for_transfer(&run, pc, len);
                             break 'run transfer::cons_app(self);
                         }
                         Instr::AccApp(n) => {
                             let n = *n;
                             drop(instrs);
-                            self.count_run(observed, charges, from, pc, tier);
-                            self.leave_for_transfer(pc, len);
+                            self.leave_for_transfer(&run, pc, len);
                             break 'run transfer::acc_app(self, n);
                         }
                         Instr::Call => {
                             drop(instrs);
-                            self.count_run(observed, charges, from, pc, tier);
-                            self.leave_for_transfer(pc, len);
+                            self.leave_for_transfer(&run, pc, len);
                             break 'run transfer::call(self);
                         }
                         Instr::Branch(then_b, else_b) => {
                             let (then_b, else_b) = (*then_b, *else_b);
                             drop(instrs);
-                            self.count_run(observed, charges, from, pc, tier);
-                            self.leave_for_transfer(pc, len);
+                            self.leave_for_transfer(&run, pc, len);
                             break 'run transfer::branch(self, &seg, then_b, else_b);
                         }
                         Instr::Switch(table) => {
                             let table = table.clone();
                             drop(instrs);
-                            self.count_run(observed, charges, from, pc, tier);
-                            self.leave_for_transfer(pc, len);
+                            self.leave_for_transfer(&run, pc, len);
                             break 'run transfer::switch(self, &seg, &table);
                         }
                         Instr::Merge => {
                             drop(instrs);
-                            self.count_run(observed, charges, from, pc, tier);
-                            self.leave_for_transfer(pc, len);
+                            self.leave_for_transfer(&run, pc, len);
                             break 'run transfer::merge(self);
                         }
                         Instr::MergeBranch => {
                             drop(instrs);
-                            self.count_run(observed, charges, from, pc, tier);
-                            self.leave_for_transfer(pc, len);
+                            self.leave_for_transfer(&run, pc, len);
                             break 'run transfer::merge_branch(self);
                         }
                         Instr::MergeSwitch(spec) => {
                             let spec = spec.clone();
                             drop(instrs);
-                            self.count_run(observed, charges, from, pc, tier);
-                            self.leave_for_transfer(pc, len);
+                            self.leave_for_transfer(&run, pc, len);
                             break 'run transfer::merge_switch(self, &spec);
                         }
                         Instr::MergeRec(n) => {
                             let n = *n;
                             drop(instrs);
-                            self.count_run(observed, charges, from, pc, tier);
-                            self.leave_for_transfer(pc, len);
+                            self.leave_for_transfer(&run, pc, len);
                             break 'run transfer::merge_rec(self, n);
                         }
                     };
                     if let Err(e) = done {
-                        self.count_run(observed, charges, from, pc, tier);
+                        self.count_run(&run, pc);
                         return Err(e);
                     }
                     self.state.note_stack_depth();
                 }
                 // Block exhausted: return to the caller's frame.
                 drop(instrs);
-                self.count_run(observed, charges, from, pc, tier);
+                self.count_run(&run, pc);
                 self.control.pop();
                 continue 'frames;
             };
