@@ -164,10 +164,9 @@ impl DispatchRow {
 
 /// Measures dispatch throughput (steps/sec) of the interpretive and
 /// specialized telnet filter over `iters` packets each, in the Paper
-/// profile — the wall-clock
-/// counterpart of the Table 1 step counts, reported in
-/// `BENCH_table1.json`. Wall-clock numbers vary run to run; only the
-/// step counts are golden.
+/// profile — the wall-clock counterpart of the Table 1 step counts,
+/// reported in `BENCH_table1.json`. Wall-clock numbers vary run to run;
+/// only the step counts are golden.
 ///
 /// # Errors
 ///

@@ -279,8 +279,8 @@ impl Instr {
         }
     }
 
-    /// A dense opcode index in `0..OPCODE_COUNT` (operands elided), used
-    /// to index the dispatch table and the opcode-pair profile.
+    /// A dense opcode index in `0..OPCODE_COUNT` (operands elided): the
+    /// wire format's opcode byte and the opcode-pair profile's index.
     pub fn opcode(&self) -> usize {
         match self {
             Instr::Id => 0,

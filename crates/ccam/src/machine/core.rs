@@ -5,7 +5,7 @@
 //! and the primitives.
 //!
 //! Every function takes the operands **already decoded** from the
-//! instruction; the dispatch table's wrappers decode them. None of
+//! instruction; the interpreter's dispatch `match` decodes them. None of
 //! these appends to a segment's instruction vector or touches the
 //! control stack, so the interpreter may run them under its block
 //! borrow.

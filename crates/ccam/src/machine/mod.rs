@@ -626,7 +626,6 @@ impl Machine {
             // just recovers the tier the frame already runs at.
             let (block, charges) = self.tier_activate(&seg, block, pc);
             let charges = charges.as_deref();
-            let tier = usize::from(charges.is_some());
             let Some((start, len)) = seg.block_bounds(block) else {
                 return Err(MachineError::DanglingBlock { block: block.0 });
             };
@@ -639,7 +638,7 @@ impl Machine {
                 observed,
                 from: pc,
                 charges,
-                tier,
+                tier: usize::from(charges.is_some()),
             };
             // Opcode-pair chain for the dynamic profile: adjacency is
             // only meaningful within one straight-line run, so the chain
@@ -657,11 +656,15 @@ impl Machine {
                             instr.opcode(),
                             instr.mnemonic(),
                             costs,
-                            tier,
+                            run.tier,
                             &mut prev_op,
                         )?;
                     }
                     pc += 1;
+                    // A straight-line step appends to no segment's
+                    // instruction vector (`emit` and `lift` push to an
+                    // arena's staging buffer) and touches no frame, so it
+                    // runs under the block's borrow.
                     let st = &mut self.state;
                     let done = match instr {
                         Instr::Id => core::id(st),

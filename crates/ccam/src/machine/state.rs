@@ -9,7 +9,7 @@ use std::rc::Rc;
 /// output buffer. Control (the frame stack) and the dispatch-policy flags
 /// stay on [`super::Machine`] — no straight-line opcode touches them — so
 /// the per-opcode step functions in [`super::core`], [`super::env`], and
-/// [`super::fused`] can be called from the interpreter's dispatch table
+/// [`super::fused`] can be called from the interpreter's dispatch `match`
 /// without borrowing the whole machine.
 #[derive(Debug, Default)]
 pub(crate) struct MachineState {

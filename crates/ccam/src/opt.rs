@@ -63,11 +63,6 @@ pub struct Charges {
 }
 
 impl Charges {
-    /// The Paper steps rendered instruction `pc` counts as.
-    pub fn steps(&self, pc: usize) -> u64 {
-        self.steps_between(pc, pc + 1)
-    }
-
     /// The Paper steps rendered instructions `from..to` count as
     /// together: one straight-line run's charge.
     #[inline]
@@ -581,7 +576,7 @@ mod tests {
         let (code, charges) = render(&seg, &code).unwrap();
         assert!(matches!(&code[..], [Instr::Quote(Value::Int(5))]));
         assert_eq!(charges.costs(0), [1; 6], "one step per cold instruction");
-        assert_eq!(charges.steps(0), 6);
+        assert_eq!(charges.steps_between(0, 1), 6);
     }
 
     #[test]
@@ -661,7 +656,11 @@ mod tests {
         ];
         let (hot, charges) = render(&seg, &code).unwrap();
         assert!(matches!(&hot[..], [Instr::Quote(Value::Int(1))]));
-        assert_eq!(charges.steps(0), 5, "push, quote, cons, branch, the arm");
+        assert_eq!(
+            charges.steps_between(0, 1),
+            5,
+            "push, quote, cons, branch, the arm"
+        );
         assert_eq!(agree(&seg, code, Value::Unit), "1");
     }
 
@@ -780,7 +779,9 @@ mod tests {
             code
         );
         assert_eq!(
-            (0..3).map(|pc| charges.steps(pc)).collect::<Vec<_>>(),
+            (0..3)
+                .map(|pc| charges.steps_between(pc, pc + 1))
+                .collect::<Vec<_>>(),
             [4, 1, 2]
         );
     }
@@ -791,7 +792,11 @@ mod tests {
         let code = vec![Instr::Fst, Instr::Fst, Instr::Fst, Instr::Snd];
         let (code, charges) = render(&seg, &code).unwrap();
         assert!(matches!(&code[..], [Instr::Acc(3)]), "{:?}", code);
-        assert_eq!(charges.steps(0), 4, "acc 3 counts the walk it replaces");
+        assert_eq!(
+            charges.steps_between(0, 1),
+            4,
+            "acc 3 counts the walk it replaces"
+        );
         // A bare snd (zero fsts) is left alone — same cost either way.
         assert!(render(&seg, &[Instr::Snd]).is_none());
         // Fsts not followed by snd are not an access path.
