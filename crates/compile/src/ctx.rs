@@ -35,8 +35,10 @@ pub enum Kind {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum EnvMode {
     /// The paper's access sequences: `fst^k; snd` chains, one reduction
-    /// step per link. This is the default — Table 1's reduction-step
-    /// counts are measured in this mode.
+    /// step per link. This is the compile layer's default and the mode of
+    /// `mlbox`'s Paper profile (`SessionOptions::paper()`) — Table 1's
+    /// reduction-step counts are measured in it. `mlbox` sessions
+    /// default to [`Flat`](EnvMode::Flat).
     #[default]
     PairSpine,
     /// Flat frames: each walk compiles to a single [`Instr::Acc`]

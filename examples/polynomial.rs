@@ -2,12 +2,15 @@
 //! interpreted (`evalPoly`), specialized to closures (`specPoly`), and
 //! specialized to *generated CCAM code* (`compPoly`).
 //!
+//! It runs the Paper profile, so its step counts are comparable with
+//! Table 1's.
+//!
 //! Run with: `cargo run --example polynomial`
 
-use mlbox::{programs, Session};
+use mlbox::{programs, Session, SessionOptions};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let mut s = Session::new()?;
+    let mut s = Session::with_options(SessionOptions::paper())?;
     s.run(programs::EVAL_POLY)?;
     s.run(programs::SPEC_POLY)?;
     s.run(programs::COMP_POLY)?;
@@ -42,7 +45,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // The one-time costs.
-    let mut s2 = Session::new()?;
+    let mut s2 = Session::with_options(SessionOptions::paper())?;
     s2.run(programs::EVAL_POLY)?;
     s2.run(programs::SPEC_POLY)?;
     let outs = s2.run(programs::COMP_POLY)?;
