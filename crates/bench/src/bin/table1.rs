@@ -9,8 +9,9 @@
 //!                    # steps_indexed column and the rows_flat_env
 //!                    # section), tier-controller and freeze-cache
 //!                    # counters
-//! table1 --profile-pairs # dynamic opcode-pair histogram of the Table 1
-//!                    # workloads (the superinstruction selection data)
+//! table1 --profile-pairs # dynamic opcode-pair histograms of the Table 1
+//!                    # workloads, Paper profile then flat frames (the
+//!                    # superinstruction selection data)
 //! table1 sweep-poly  # polynomial-degree sweep (E6)
 //! table1 sweep-filter# filter-length sweep (E6)
 //! table1 crossover   # amortization break-even analysis (E6)
@@ -117,9 +118,23 @@ fn trace(limit: usize) {
 /// filter) with the machine's dynamic opcode-pair histogram enabled and
 /// prints the hottest adjacent pairs — the measurement behind the fused
 /// superinstruction selection (DESIGN.md §11, EXPERIMENTS.md). Pairs a
-/// fused opcode already covers are annotated with its mnemonic.
+/// fused opcode already covers are annotated with its mnemonic. Two
+/// tables: the Paper profile's pair-spine code, then the default
+/// flat-frame code that every served workload runs.
 fn profile_pairs() {
-    use ccam::instr::{OPCODE_COUNT, OPCODE_NAMES};
+    for (title, options) in [
+        ("Paper profile, pair spines", SessionOptions::paper()),
+        ("default options, flat frames", SessionOptions::default()),
+    ] {
+        print_pair_profile(title, &pair_profile(options));
+    }
+}
+
+/// The merged opcode-pair histogram of the Table 1 workloads run under
+/// `options`: interpret, generate and run the staged polynomial, then
+/// interpret, specialize and run the specialized telnet filter.
+fn pair_profile(options: SessionOptions) -> Vec<[u64; ccam::instr::OPCODE_COUNT]> {
+    use ccam::instr::OPCODE_COUNT;
     let mut hist = vec![[0u64; OPCODE_COUNT]; OPCODE_COUNT];
     let mut merge = |p: Option<&ccam::machine::PairCounts>| {
         let p = p.expect("profiling enabled");
@@ -130,8 +145,7 @@ fn profile_pairs() {
         }
     };
 
-    // Polynomial workloads: interpret, generate, run staged.
-    let mut s = paper_session();
+    let mut s = mlbox::Session::with_options(options.clone()).expect("session");
     s.set_profile_pairs(true);
     s.run(mlbox::programs::EVAL_POLY).expect("evalPoly");
     s.run(mlbox::programs::COMP_POLY).expect("compPoly");
@@ -140,29 +154,39 @@ fn profile_pairs() {
     s.eval_expr("f 47").expect("staged call");
     merge(s.pair_profile());
 
-    // Telnet filter workloads: interpret, specialize, run specialized.
-    let mut h = paper_harness(&telnet_filter());
+    let mut h = FilterHarness::with_options(&telnet_filter(), options).expect("harness");
     h.session_mut().set_profile_pairs(true);
     let telnet = PacketGen::new(1998).telnet(32);
     h.interp(&telnet).expect("interp");
     h.specialize().expect("specialize");
     h.specialized(&telnet).expect("specialized");
     merge(h.session_mut().pair_profile());
+    hist
+}
 
-    /// The fused opcode that covers an adjacent pair, if one exists.
-    fn fused_as(a: &str, b: &str) -> Option<&'static str> {
-        match (a, b) {
-            ("push", "acc" | "snd") => Some("push_acc"),
-            ("push", "quote") => Some("push_quote"),
-            ("quote", "cons") => Some("quote_cons"),
-            ("swap", "cons") => Some("swap_cons"),
-            ("cons", "app") => Some("cons_app"),
-            ("acc" | "snd", "app") => Some("acc_app"),
-            ("fst", "fst" | "snd" | "acc") => Some("acc (chain collapse)"),
-            _ => None,
-        }
+/// The fused opcode that covers an adjacent pair, if one exists. A pair
+/// inside a window a promotion-only form rewrites is annotated with the
+/// form: `prim_int` takes a constant int operand, `enter` a closure
+/// applied where it is built.
+fn fused_as(a: &str, b: &str) -> Option<&'static str> {
+    match (a, b) {
+        ("push", "acc" | "snd") => Some("push_acc"),
+        ("push", "quote") => Some("push_quote"),
+        ("quote", "cons") => Some("quote_cons"),
+        ("swap", "cons") => Some("swap_cons"),
+        ("cons", "app") => Some("cons_app"),
+        ("acc" | "snd", "app") => Some("acc_app"),
+        ("cons", "prim") => Some("cons_prim (binary ops)"),
+        ("cons", "branch") => Some("cons_branch"),
+        ("swap", "quote") => Some("prim_int (int constant window)"),
+        ("cur", "swap") => Some("enter (known closure window)"),
+        ("fst", "fst" | "snd" | "acc") => Some("acc (chain collapse)"),
+        _ => None,
     }
+}
 
+fn print_pair_profile(title: &str, hist: &[[u64; ccam::instr::OPCODE_COUNT]]) {
+    use ccam::instr::OPCODE_NAMES;
     let total: u64 = hist.iter().flatten().sum();
     let mut pairs: Vec<(u64, usize, usize)> = Vec::new();
     for (a, row) in hist.iter().enumerate() {
@@ -173,7 +197,9 @@ fn profile_pairs() {
         }
     }
     pairs.sort_by_key(|p| std::cmp::Reverse(p.0));
-    println!("Dynamic opcode-pair frequency over the Table 1 workloads ({total} adjacent pairs)");
+    println!(
+        "Dynamic opcode-pair frequency over the Table 1 workloads, {title} ({total} adjacent pairs)"
+    );
     println!(
         "{:>4}  {:>7}  {:>5}  {:22}  fused as",
         "rank", "count", "share", "pair"

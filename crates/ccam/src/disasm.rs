@@ -72,11 +72,14 @@ fn label(i: &Instr, labels: &mut Labels) -> String {
         Instr::Pack(tag) => format!("pack {tag}"),
         Instr::Fail(m) => format!("fail {m:?}"),
         Instr::Cur(c) => format!("cur {}", labels.name(*c)),
-        Instr::Branch(t, e) => {
+        Instr::Branch(t, e) | Instr::ConsBranch(t, e) => {
             let t = labels.name(*t);
             let e = labels.name(*e);
-            format!("branch {t} else {e}")
+            format!("{} {t} else {e}", i.mnemonic())
         }
+        Instr::Enter(b) => format!("enter {}", labels.name(*b)),
+        Instr::ConsPrim(op) => format!("cons_prim {op:?}"),
+        Instr::PrimInt(op, k) => format!("prim_int {op:?} {k}"),
         Instr::Switch(table) => {
             let mut s = String::from("switch {");
             for (k, arm) in table.arms.iter().enumerate() {

@@ -105,6 +105,19 @@ pub enum PrimOp {
     ArrLen,
 }
 
+impl PrimOp {
+    /// Whether the operation takes its operands as a pair `(a, b)`:
+    /// every operation but the unary ones and `ArrUpdate`, whose operand
+    /// nests a second pair.
+    pub fn is_binary(self) -> bool {
+        use PrimOp::*;
+        !matches!(
+            self,
+            Neg | Not | StrSize | IntToString | Print | Ref | Deref | ArrLen | ArrUpdate
+        )
+    }
+}
+
 /// A CCAM instruction.
 ///
 /// Instructions are deliberately **two words** (16 bytes), like
@@ -212,6 +225,23 @@ pub enum Instr {
     /// Emitted only by the flat-mode compiler at `let`/declaration
     /// extension sites.
     EnvCons,
+    /// Fused `ConsPair; Prim(op)` for a binary `op`: pop `b`, pop `a`,
+    /// push `a op b`, without building the operand pair.
+    ConsPrim(PrimOp),
+    /// `Prim(op)` with the constant int `k` as its right operand: replace
+    /// the top `a` with `a op k`. The peephole's rendering of
+    /// `⟨A, quote k⟩; prim op` (and of `⟨quote k, B⟩; prim op` with the
+    /// operands swapped, see `opt`). `k` is an `i32` so that the
+    /// instruction stays two words.
+    PrimInt(PrimOp, i32),
+    /// Fused `ConsPair; Branch(t, e)`: pop the bool, leave the
+    /// environment beneath it on top, and run the chosen block.
+    ConsBranch(BlockId, BlockId),
+    /// Enters block `L` of the containing segment with the top
+    /// `(env, arg)` pair, as `app` enters a closure `[env : L]`: the
+    /// rendering of `push; cur L; swap; B; cons; app` as
+    /// `push; B; cons; enter L`, which builds no closure.
+    Enter(BlockId),
 
     // ---- the merge family (specialized control inside arenas) ----
     /// Top is `(((v,{P}), {A_then}), {A_else})`; append
@@ -226,7 +256,7 @@ pub enum Instr {
 }
 
 /// Number of distinct opcodes, for [`Instr::opcode`]-indexed tables.
-pub const OPCODE_COUNT: usize = 31;
+pub const OPCODE_COUNT: usize = 35;
 
 /// Mnemonics indexed by [`Instr::opcode`].
 pub const OPCODE_NAMES: [&str; OPCODE_COUNT] = [
@@ -261,6 +291,10 @@ pub const OPCODE_NAMES: [&str; OPCODE_COUNT] = [
     "acc_app",
     "push_quote",
     "env_cons",
+    "cons_prim",
+    "prim_int",
+    "cons_branch",
+    "enter",
 ];
 
 impl Instr {
@@ -314,6 +348,10 @@ impl Instr {
             Instr::AccApp(_) => 28,
             Instr::PushQuote(_) => 29,
             Instr::EnvCons => 30,
+            Instr::ConsPrim(_) => 31,
+            Instr::PrimInt(_, _) => 32,
+            Instr::ConsBranch(_, _) => 33,
+            Instr::Enter(_) => 34,
         }
     }
 
@@ -327,8 +365,8 @@ impl Instr {
     /// default. Looks through `emit` to the emitted instruction.
     pub fn block_refs(&self) -> Vec<BlockId> {
         match self {
-            Instr::Cur(b) => vec![*b],
-            Instr::Branch(t, e) => vec![*t, *e],
+            Instr::Cur(b) | Instr::Enter(b) => vec![*b],
+            Instr::Branch(t, e) | Instr::ConsBranch(t, e) => vec![*t, *e],
             Instr::Switch(table) => table
                 .arms
                 .iter()
@@ -364,7 +402,9 @@ impl Instr {
             | Instr::ConsApp
             | Instr::AccApp(_)
             | Instr::PushQuote(_)
-            | Instr::EnvCons => Vec::new(),
+            | Instr::EnvCons
+            | Instr::ConsPrim(_)
+            | Instr::PrimInt(_, _) => Vec::new(),
         }
     }
 }

@@ -147,26 +147,13 @@ pub(crate) fn fail(msg: &str) -> Result<(), MachineError> {
 pub(crate) fn prim(st: &mut MachineState, op: PrimOp) -> Result<(), MachineError> {
     use PrimOp::*;
     let instr = "prim";
+    if op.is_binary() {
+        let (a, b) = st.pop_pair(instr)?;
+        let out = binary(op, &a, &b)?;
+        st.stack.push(out);
+        return Ok(());
+    }
     match op {
-        Neg | Not | StrSize | IntToString | Print | Ref | Deref | ArrLen => {
-            let v = st.pop(instr)?;
-            let out = match (op, v) {
-                (Neg, Value::Int(n)) => Value::Int(n.wrapping_neg()),
-                (Not, Value::Bool(b)) => Value::Bool(!b),
-                (StrSize, Value::Str(s)) => Value::Int(s.len() as i64),
-                (IntToString, Value::Int(n)) => Value::str(n.to_string()),
-                (Print, Value::Str(s)) => {
-                    st.output.push_str(&s);
-                    Value::Unit
-                }
-                (Ref, v) => Value::Ref(Rc::new(RefCell::new(v))),
-                (Deref, Value::Ref(r)) => r.borrow().clone(),
-                (ArrLen, Value::Array(a)) => Value::Int(a.borrow().len() as i64),
-                (_, v) => return Err(mismatch(instr, "a valid operand", &v)),
-            };
-            st.stack.push(out);
-            Ok(())
-        }
         ArrUpdate => {
             // (a, (i, v))
             let (a, rest) = st.pop_pair(instr)?;
@@ -188,69 +175,111 @@ pub(crate) fn prim(st: &mut MachineState, op: PrimOp) -> Result<(), MachineError
             Ok(())
         }
         _ => {
-            // Binary.
-            let (a, b) = st.pop_pair(instr)?;
-            let out = match (op, &a, &b) {
-                (Add, Value::Int(x), Value::Int(y)) => Value::Int(x.wrapping_add(*y)),
-                (Sub, Value::Int(x), Value::Int(y)) => Value::Int(x.wrapping_sub(*y)),
-                (Mul, Value::Int(x), Value::Int(y)) => Value::Int(x.wrapping_mul(*y)),
-                (Div, Value::Int(x), Value::Int(y)) => {
-                    if *y == 0 {
-                        return Err(MachineError::DivideByZero);
-                    }
-                    Value::Int(floor_div(*x, *y))
-                }
-                (Mod, Value::Int(x), Value::Int(y)) => {
-                    if *y == 0 {
-                        return Err(MachineError::DivideByZero);
-                    }
-                    Value::Int(floor_mod(*x, *y))
-                }
-                (Eq, a, b) => {
-                    Value::Bool(a.structural_eq(b).ok_or(MachineError::EqualityUndefined)?)
-                }
-                (Ne, a, b) => {
-                    Value::Bool(!a.structural_eq(b).ok_or(MachineError::EqualityUndefined)?)
-                }
-                (Lt, Value::Int(x), Value::Int(y)) => Value::Bool(x < y),
-                (Le, Value::Int(x), Value::Int(y)) => Value::Bool(x <= y),
-                (Gt, Value::Int(x), Value::Int(y)) => Value::Bool(x > y),
-                (Ge, Value::Int(x), Value::Int(y)) => Value::Bool(x >= y),
-                (Lt, Value::Str(x), Value::Str(y)) => Value::Bool(x < y),
-                (Le, Value::Str(x), Value::Str(y)) => Value::Bool(x <= y),
-                (Gt, Value::Str(x), Value::Str(y)) => Value::Bool(x > y),
-                (Ge, Value::Str(x), Value::Str(y)) => Value::Bool(x >= y),
-                (BitAnd, Value::Int(x), Value::Int(y)) => Value::Int(x & y),
-                (Concat, Value::Str(x), Value::Str(y)) => {
-                    let mut s = x.to_string();
-                    s.push_str(y);
-                    Value::str(s)
-                }
-                (Assign, Value::Ref(r), v) => {
-                    *r.borrow_mut() = v.clone();
+            let v = st.pop(instr)?;
+            let out = match (op, v) {
+                (Neg, Value::Int(n)) => Value::Int(n.wrapping_neg()),
+                (Not, Value::Bool(b)) => Value::Bool(!b),
+                (StrSize, Value::Str(s)) => Value::Int(s.len() as i64),
+                (IntToString, Value::Int(n)) => Value::str(n.to_string()),
+                (Print, Value::Str(s)) => {
+                    st.output.push_str(&s);
                     Value::Unit
                 }
-                (MkArray, Value::Int(n), init) => {
-                    let size = MachineError::ArraySize { len: *n };
-                    let len = usize::try_from(*n).map_err(|_| size.clone())?;
-                    let mut elems = Vec::new();
-                    elems.try_reserve_exact(len).map_err(|_| size)?;
-                    elems.resize(len, init.clone());
-                    Value::Array(Rc::new(RefCell::new(elems)))
-                }
-                (ArrSub, Value::Array(arr), Value::Int(i)) => {
-                    let borrow = arr.borrow();
-                    let len = borrow.len();
-                    let idx = usize::try_from(*i)
-                        .ok()
-                        .filter(|&u| u < len)
-                        .ok_or(MachineError::IndexOutOfBounds { index: *i, len })?;
-                    borrow[idx].clone()
-                }
-                _ => return Err(mismatch(instr, "valid binary operands", &a)),
+                (Ref, v) => Value::Ref(Rc::new(RefCell::new(v))),
+                (Deref, Value::Ref(r)) => r.borrow().clone(),
+                (ArrLen, Value::Array(a)) => Value::Int(a.borrow().len() as i64),
+                (_, v) => return Err(mismatch(instr, "a valid operand", &v)),
             };
             st.stack.push(out);
             Ok(())
         }
     }
+}
+
+/// `cons_prim op`: `cons; prim op` for a binary `op` — pop `b`, pop `a`,
+/// push `a op b`, with no pair built in between.
+pub(crate) fn cons_prim(st: &mut MachineState, op: PrimOp) -> Result<(), MachineError> {
+    let b = st.pop("cons")?;
+    let a = st.pop("cons")?;
+    let out = binary(op, &a, &b)?;
+    st.stack.push(out);
+    Ok(())
+}
+
+/// `prim_int op k`: replace the top `a` with `a op k`.
+pub(crate) fn prim_int(st: &mut MachineState, op: PrimOp, k: i32) -> Result<(), MachineError> {
+    let a = st.pop("prim_int")?;
+    let out = binary(op, &a, &Value::Int(i64::from(k)))?;
+    st.stack.push(out);
+    Ok(())
+}
+
+/// The binary primitive `a op b`, shared by `prim`, `cons_prim` and
+/// `prim_int` so that every rendering of one operation fails alike. A
+/// mismatch names the operand that is not an int when the other is (so
+/// a promoted `prim_int` with its operands swapped reports what the cold
+/// `prim` does), and `a` otherwise.
+fn binary(op: PrimOp, a: &Value, b: &Value) -> Result<Value, MachineError> {
+    use PrimOp::*;
+    Ok(match (op, a, b) {
+        (Add, Value::Int(x), Value::Int(y)) => Value::Int(x.wrapping_add(*y)),
+        (Sub, Value::Int(x), Value::Int(y)) => Value::Int(x.wrapping_sub(*y)),
+        (Mul, Value::Int(x), Value::Int(y)) => Value::Int(x.wrapping_mul(*y)),
+        (Div, Value::Int(x), Value::Int(y)) => {
+            if *y == 0 {
+                return Err(MachineError::DivideByZero);
+            }
+            Value::Int(floor_div(*x, *y))
+        }
+        (Mod, Value::Int(x), Value::Int(y)) => {
+            if *y == 0 {
+                return Err(MachineError::DivideByZero);
+            }
+            Value::Int(floor_mod(*x, *y))
+        }
+        (Eq, a, b) => Value::Bool(a.structural_eq(b).ok_or(MachineError::EqualityUndefined)?),
+        (Ne, a, b) => Value::Bool(!a.structural_eq(b).ok_or(MachineError::EqualityUndefined)?),
+        (Lt, Value::Int(x), Value::Int(y)) => Value::Bool(x < y),
+        (Le, Value::Int(x), Value::Int(y)) => Value::Bool(x <= y),
+        (Gt, Value::Int(x), Value::Int(y)) => Value::Bool(x > y),
+        (Ge, Value::Int(x), Value::Int(y)) => Value::Bool(x >= y),
+        (Lt, Value::Str(x), Value::Str(y)) => Value::Bool(x < y),
+        (Le, Value::Str(x), Value::Str(y)) => Value::Bool(x <= y),
+        (Gt, Value::Str(x), Value::Str(y)) => Value::Bool(x > y),
+        (Ge, Value::Str(x), Value::Str(y)) => Value::Bool(x >= y),
+        (BitAnd, Value::Int(x), Value::Int(y)) => Value::Int(x & y),
+        (Concat, Value::Str(x), Value::Str(y)) => {
+            let mut s = x.to_string();
+            s.push_str(y);
+            Value::str(s)
+        }
+        (Assign, Value::Ref(r), v) => {
+            *r.borrow_mut() = v.clone();
+            Value::Unit
+        }
+        (MkArray, Value::Int(n), init) => {
+            let size = MachineError::ArraySize { len: *n };
+            let len = usize::try_from(*n).map_err(|_| size.clone())?;
+            let mut elems = Vec::new();
+            elems.try_reserve_exact(len).map_err(|_| size)?;
+            elems.resize(len, init.clone());
+            Value::Array(Rc::new(RefCell::new(elems)))
+        }
+        (ArrSub, Value::Array(arr), Value::Int(i)) => {
+            let borrow = arr.borrow();
+            let len = borrow.len();
+            let idx = usize::try_from(*i)
+                .ok()
+                .filter(|&u| u < len)
+                .ok_or(MachineError::IndexOutOfBounds { index: *i, len })?;
+            borrow[idx].clone()
+        }
+        _ => {
+            let found = match (a, b) {
+                (Value::Int(_), b) if !matches!(b, Value::Int(_)) => b,
+                _ => a,
+            };
+            return Err(mismatch("prim", "valid binary operands", found));
+        }
+    })
 }

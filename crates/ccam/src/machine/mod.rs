@@ -17,9 +17,11 @@
 //! `state::MachineState`, grouped by family: `core` (CAM ops,
 //! constants, staging, primitives), `env` (environment projections and
 //! `env_cons`), `fused` (straight-line superinstructions), and
-//! `transfer` (control transfers over the whole machine). The
-//! interpreter is one exhaustive `match` on [`Instr`] that calls those
-//! functions directly.
+//! `transfer` (control transfers over the whole machine). The forms
+//! only promotion makes that take a binary primitive's operands apart
+//! (`cons_prim`, `prim_int`) sit in `core` beside `prim`, whose
+//! arithmetic they share. The interpreter is one exhaustive `match` on
+//! [`Instr`] that calls those functions directly.
 
 pub(crate) mod core;
 pub(crate) mod env;
@@ -327,11 +329,22 @@ impl Trace {
 /// budget exhaust at the same point in every execution mode — the cost
 /// model the budget was set against is the paper's, not whichever
 /// dispatch encoding happens to run.
+///
+/// Promoted code charges its [`Charges`] record instead, so the forms
+/// only promotion makes count here only when run as cold code: `prim_int
+/// op k` as `push; quote k; cons; prim op`, and `enter L` as the `app`
+/// it ends with.
 pub(crate) fn fuel_cost(i: &Instr) -> u64 {
     match i {
         Instr::Acc(n) => *n as u64 + 1,
         Instr::PushAcc(n) | Instr::AccApp(n) => *n as u64 + 2,
-        Instr::QuoteCons(_) | Instr::SwapCons | Instr::ConsApp | Instr::PushQuote(_) => 2,
+        Instr::QuoteCons(_)
+        | Instr::SwapCons
+        | Instr::ConsApp
+        | Instr::PushQuote(_)
+        | Instr::ConsPrim(_)
+        | Instr::ConsBranch(_, _) => 2,
+        Instr::PrimInt(_, _) => 4,
         _ => 1,
     }
 }
@@ -688,6 +701,8 @@ impl Machine {
                         Instr::SwapCons => fused::swap_cons(st),
                         Instr::PushQuote(v) => fused::push_quote(st, v),
                         Instr::EnvCons => env::env_cons(st),
+                        Instr::ConsPrim(op) => core::cons_prim(st, *op),
+                        Instr::PrimInt(op, k) => core::prim_int(st, *op, *k),
                         // Transfers push frames or freeze arenas into a
                         // segment: each takes its operands out of the
                         // block, releases the borrow, counts the run,
@@ -718,6 +733,18 @@ impl Machine {
                             drop(instrs);
                             self.leave_for_transfer(&run, pc, len);
                             break 'run transfer::branch(self, &seg, then_b, else_b);
+                        }
+                        Instr::ConsBranch(then_b, else_b) => {
+                            let (then_b, else_b) = (*then_b, *else_b);
+                            drop(instrs);
+                            self.leave_for_transfer(&run, pc, len);
+                            break 'run transfer::cons_branch(self, &seg, then_b, else_b);
+                        }
+                        Instr::Enter(body) => {
+                            let body = *body;
+                            drop(instrs);
+                            self.leave_for_transfer(&run, pc, len);
+                            break 'run transfer::enter(self, &seg, body);
                         }
                         Instr::Switch(table) => {
                             let table = table.clone();

@@ -53,6 +53,10 @@ fn opcode_numbering_matches_the_exemplars() {
         Instr::AccApp(0),
         Instr::PushQuote(Rc::new(Value::Unit)),
         Instr::EnvCons,
+        Instr::ConsPrim(PrimOp::Add),
+        Instr::PrimInt(PrimOp::Add, 0),
+        Instr::ConsBranch(BlockId(0), BlockId(0)),
+        Instr::Enter(BlockId(0)),
     ];
     assert_eq!(exemplars.len(), OPCODE_COUNT);
     for (want, i) in exemplars.iter().enumerate() {
@@ -973,13 +977,17 @@ fn fused_application_transfers_like_cons_app() {
 
 /// How many fused superinstructions a machine's trace recorded.
 fn fused_dispatches(m: &Machine) -> usize {
-    const FUSED: [&str; 6] = [
+    const FUSED: [&str; 10] = [
         "push_acc",
         "quote_cons",
         "swap_cons",
         "cons_app",
         "acc_app",
         "push_quote",
+        "cons_prim",
+        "prim_int",
+        "cons_branch",
+        "enter",
     ];
     m.trace()
         .expect("trace enabled")
@@ -1177,8 +1185,37 @@ fn a_failing_run_counts_the_same_steps_observed_or_not() {
         ("div by zero", vec![Instr::Prim(PrimOp::Div), Instr::Id], 17),
         ("fst on an int", vec![Instr::Snd, Instr::Fst, Instr::Id], 18),
         ("app on a non-closure", vec![Instr::App, Instr::Id], 17),
+        // ⟨fst, quote 0⟩; div — a promoted `prim_int div 0`.
+        (
+            "prim_int div 0",
+            vec![
+                Instr::Push,
+                Instr::Fst,
+                Instr::Swap,
+                Instr::Quote(Value::Int(0)),
+                Instr::ConsPair,
+                Instr::Prim(PrimOp::Div),
+                Instr::Id,
+            ],
+            22,
+        ),
+        // ⟨cur, cur⟩; eq — a promoted `cons_prim eq` on closures.
+        (
+            "cons_prim eq on closures",
+            vec![
+                Instr::Push,
+                Instr::Cur(BlockId(0)),
+                Instr::Swap,
+                Instr::Cur(BlockId(0)),
+                Instr::ConsPair,
+                Instr::Prim(PrimOp::Eq),
+                Instr::Id,
+            ],
+            22,
+        ),
     ];
     for (what, tail, steps) in cases {
+        let mut errs = Vec::new();
         for promote_after in [u64::MAX, 0] {
             let label = format!("{what}, promote_after {promote_after}");
             let report = |fuel: Option<u64>| {
@@ -1194,11 +1231,14 @@ fn a_failing_run_counts_the_same_steps_observed_or_not() {
             assert_eq!(stats.tier_steps.iter().sum::<u64>(), stats.steps, "{label}");
             if promote_after == 0 {
                 assert!(stats.tier_steps[1] > 0, "{label}: promoted code ran");
-            } else {
-                assert_eq!(stats.steps, steps, "{label}: {err}");
             }
-            assert_eq!(report(Some(u64::MAX)), (err, stats), "{label}");
+            // Promoted code counts the cold steps: none past the failing
+            // instruction.
+            assert_eq!(stats.steps, steps, "{label}: {err}");
+            assert_eq!(report(Some(u64::MAX)), (err.clone(), stats), "{label}");
+            errs.push(err);
         }
+        assert_eq!(errs[0], errs[1], "{what}: the same error at every tier");
     }
 }
 

@@ -101,6 +101,39 @@ pub(crate) fn branch(
     Ok(())
 }
 
+/// Fused `cons; branch L1 L2`: pop the bool, leave the environment
+/// beneath it, enter the chosen block — no `(env, bool)` pair is built.
+pub(crate) fn cons_branch(
+    m: &mut Machine,
+    seg: &CodeSeg,
+    then_b: BlockId,
+    else_b: BlockId,
+) -> Result<(), MachineError> {
+    // The errors of the `cons` and `branch` this stands for.
+    let b = m.state.pop("cons")?;
+    if m.state.stack.is_empty() {
+        return Err(MachineError::StackUnderflow { instr: "cons" });
+    }
+    let Value::Bool(b) = b else {
+        return Err(mismatch("branch", "(env, bool)", &b));
+    };
+    m.enter(CodeRef {
+        seg: seg.clone(),
+        block: if b { then_b } else { else_b },
+    });
+    Ok(())
+}
+
+/// `enter L`: run block `L` on the `(env, arg)` pair on top, as `app`
+/// runs a closure `[env : L]` — the closure itself is never built.
+pub(crate) fn enter(m: &mut Machine, seg: &CodeSeg, body: BlockId) -> Result<(), MachineError> {
+    m.enter(CodeRef {
+        seg: seg.clone(),
+        block: body,
+    });
+    Ok(())
+}
+
 /// `switch`: pop `(env, constructor)`, dispatch on the tag, optionally
 /// binding the payload.
 pub(crate) fn switch(

@@ -156,12 +156,6 @@ impl Out {
         self.push(item.instr.clone(), &item.costs);
     }
 
-    fn keep_all(&mut self, items: &[Item]) {
-        for item in items {
-            self.keep(item);
-        }
-    }
-
     fn push(&mut self, instr: Instr, costs: &[u64]) {
         let mut all = std::mem::take(&mut self.pending);
         all.extend_from_slice(costs);
@@ -184,15 +178,12 @@ impl Out {
     }
 
     /// The rewritten block, if anything changed. Costs still pending at
-    /// the end are charged by the last instruction when it is pure — a
-    /// budget that runs out among them then skips only that
-    /// instruction's unobservable work — and by an `id` otherwise.
+    /// the end are charged by an `id` left in the removed code's place:
+    /// on the last instruction kept they would be counted even when that
+    /// instruction fails, and a cold run never reaches them then.
     fn finish(mut self) -> Option<Vec<Item>> {
         if !self.pending.is_empty() {
-            match self.items.last_mut() {
-                Some(last) if is_pure(&last.instr) => last.costs.append(&mut self.pending),
-                _ => self.push(Instr::Id, &[]),
-            }
+            self.push(Instr::Id, &[]);
         }
         self.changed.then_some(self.items)
     }
@@ -219,7 +210,7 @@ fn is_pure(i: &Instr) -> bool {
         // Extends the environment spine as a frame slot — an allocation,
         // like `ConsPair`, with no observable effect.
         | Instr::EnvCons => true,
-        Instr::Prim(op) => matches!(
+        Instr::Prim(op) | Instr::ConsPrim(op) | Instr::PrimInt(op, _) => matches!(
             op,
             PrimOp::Add
                 | PrimOp::Sub
@@ -256,7 +247,9 @@ fn is_pure(i: &Instr) -> bool {
         | Instr::MergeSwitch(_)
         | Instr::MergeRec(_)
         | Instr::ConsApp
-        | Instr::AccApp(_) => false,
+        | Instr::AccApp(_)
+        | Instr::ConsBranch(_, _)
+        | Instr::Enter(_) => false,
     }
 }
 
@@ -320,13 +313,21 @@ enum Identity {
     No,
 }
 
+/// One `push; A; swap; B; cons` pairing: the operands' ranges and the
+/// `cons`'s index.
+struct Window {
+    a: Range<usize>,
+    b: Range<usize>,
+    cons: usize,
+}
+
 /// For `code[push_idx] = push`, recovers the operand ranges of a
-/// `push; A; swap; B; cons` pairing: `(A, B, cons_index)`. `None` unless
+/// `push; A; swap; B; cons` pairing. `None` unless
 /// both operands are balanced within this block, each a computation on
 /// the top of the stack alone: no `swap` and no pair constructor
 /// (`cons`, `env_cons`) at its own depth. The rules that drop the
 /// pairing rely on exactly that.
-fn split_pair(code: &[Item], push_idx: usize) -> Option<(Range<usize>, Range<usize>, usize)> {
+fn split_pair(code: &[Item], push_idx: usize) -> Option<Window> {
     let mut depth = 0usize;
     let mut j = push_idx + 1;
     let swap_idx = loop {
@@ -350,7 +351,11 @@ fn split_pair(code: &[Item], push_idx: usize) -> Option<(Range<usize>, Range<usi
         }
         j += 1;
     };
-    Some((push_idx + 1..swap_idx, swap_idx + 1..cons_idx, cons_idx))
+    Some(Window {
+        a: push_idx + 1..swap_idx,
+        b: swap_idx + 1..cons_idx,
+        cons: cons_idx,
+    })
 }
 
 fn single_quote(code: &[Item]) -> Option<&Value> {
@@ -363,15 +368,39 @@ fn single_quote(code: &[Item]) -> Option<&Value> {
     }
 }
 
-/// Applies the binary-operator rules to the window
-/// `push; A; swap; B; cons; prim op` starting at `i`, returning the
-/// index after the window when a rule fired.
-fn binary_rule(code: &[Item], i: usize, out: &mut Out) -> Option<usize> {
-    let (a, b, cons_idx) = split_pair(code, i)?;
-    let Instr::Prim(op) = code.get(cons_idx + 1)?.instr else {
-        return None;
-    };
-    let end = cons_idx + 2;
+/// The operand of a `prim_int`: an int constant that fits an `i32`.
+fn small_int(v: Option<&Value>) -> Option<i32> {
+    match v {
+        Some(Value::Int(k)) => i32::try_from(*k).ok(),
+        _ => None,
+    }
+}
+
+/// `op'` with `k op x = x op' k`, for the operations that have one.
+fn swapped(op: PrimOp) -> Option<PrimOp> {
+    Some(match op {
+        PrimOp::Add | PrimOp::Mul | PrimOp::Eq | PrimOp::Ne | PrimOp::BitAnd => op,
+        PrimOp::Lt => PrimOp::Gt,
+        PrimOp::Gt => PrimOp::Lt,
+        PrimOp::Le => PrimOp::Ge,
+        PrimOp::Ge => PrimOp::Le,
+        _ => return None,
+    })
+}
+
+/// Applies the binary-operator rules to the window `w; prim op` opened
+/// at `i`, returning the index after it when a rule fired. The operands
+/// a rule keeps are rewritten too, by [`peephole`].
+fn binary_rule(
+    seg: &CodeSeg,
+    code: &[Item],
+    i: usize,
+    w: Window,
+    op: PrimOp,
+    out: &mut Out,
+) -> Option<usize> {
+    let Window { a, b, cons } = w;
+    let end = cons + 2;
     let (a_const, b_const) = (
         single_quote(&code[a.clone()]),
         single_quote(&code[b.clone()]),
@@ -384,8 +413,8 @@ fn binary_rule(code: &[Item], i: usize, out: &mut Out) -> Option<usize> {
     match a_const.map_or(Identity::No, |k| left_identity(op, k)) {
         Identity::Pass => {
             out.remove(&code[i..b.start]);
-            out.keep_all(&code[b]);
-            out.remove(&code[cons_idx..end]);
+            peephole(seg, code, b, out);
+            out.remove(&code[cons..end]);
             return Some(end);
         }
         Identity::Absorb(v) if all_pure(&code[b.clone()]) => {
@@ -398,29 +427,80 @@ fn binary_rule(code: &[Item], i: usize, out: &mut Out) -> Option<usize> {
     match b_const.map_or(Identity::No, |k| right_identity(op, k)) {
         Identity::Pass => {
             out.remove(&code[i..a.start]);
-            out.keep_all(&code[a.clone()]);
+            peephole(seg, code, a.clone(), out);
             out.remove(&code[a.end..end]);
-            Some(end)
+            return Some(end);
         }
-        Identity::Absorb(v) if all_pure(&code[a]) => {
+        Identity::Absorb(v) if all_pure(&code[a.clone()]) => {
             out.replace(&code[i..end], Instr::Quote(v));
-            Some(end)
+            return Some(end);
         }
-        _ => None,
+        _ => {}
     }
+    if !op.is_binary() {
+        return None;
+    }
+    // ⟨A, quote k⟩; op — `A; prim_int op k`.
+    if let Some(k) = small_int(b_const) {
+        out.remove(&code[i..a.start]);
+        peephole(seg, code, a.clone(), out);
+        out.replace(&code[a.end..end], Instr::PrimInt(op, k));
+        return Some(end);
+    }
+    // ⟨quote k, B⟩; op — `B; prim_int op' k`.
+    let (k, op) = small_int(a_const).zip(swapped(op))?;
+    out.remove(&code[i..b.start]);
+    peephole(seg, code, b, out);
+    out.replace(&code[cons..end], Instr::PrimInt(op, k));
+    Some(end)
+}
+
+/// The known-closure rule on the window `push; cur L; swap; B; cons; app`
+/// opened at `i`: `push; B; cons; enter L` hands `L` the `(env, arg)`
+/// pair that applying the closure would, and builds no closure.
+fn enter_rule(seg: &CodeSeg, code: &[Item], i: usize, w: Window, out: &mut Out) -> Option<usize> {
+    let [Item {
+        instr: Instr::Cur(body),
+        ..
+    }] = &code[w.a.clone()]
+    else {
+        return None;
+    };
+    out.keep(&code[i]);
+    out.remove(&code[w.a.start..w.b.start]);
+    peephole(seg, code, w.b, out);
+    out.keep(&code[w.cons]);
+    out.replace(&code[w.cons + 1..w.cons + 2], Instr::Enter(*body));
+    Some(w.cons + 2)
 }
 
 /// One left-to-right pass of the §4.2 rules; `None` if none fired.
 fn peephole_pass(seg: &CodeSeg, code: &[Item]) -> Option<Vec<Item>> {
     let mut out = Out::default();
-    let mut i = 0;
-    while i < code.len() {
+    peephole(seg, code, 0..code.len(), &mut out);
+    out.finish()
+}
+
+/// Rewrites `code[range]` into `out`: the whole block, or an operand a
+/// rule keeps. An operand is balanced, so every window opened inside it
+/// closes inside it, and it is always followed by its window's `swap` or
+/// `cons`: the look-ahead below never matches past it.
+fn peephole(seg: &CodeSeg, code: &[Item], range: Range<usize>, out: &mut Out) {
+    let mut i = range.start;
+    while i < range.end {
         let next = code.get(i + 1).map(|it| &it.instr);
         match &code[i].instr {
             Instr::Push => {
-                if let Some(end) = binary_rule(code, i, &mut out) {
-                    i = end;
-                    continue;
+                if let Some(w) = split_pair(code, i) {
+                    let fired = match code.get(w.cons + 1).map(|it| &it.instr) {
+                        Some(Instr::Prim(op)) => binary_rule(seg, code, i, w, *op, out),
+                        Some(Instr::App) => enter_rule(seg, code, i, w, out),
+                        _ => None,
+                    };
+                    if let Some(end) = fired {
+                        i = end;
+                        continue;
+                    }
                 }
                 // push; quote b; cons; branch — a constant conditional:
                 // the chosen arm runs inline on the environment copy the
@@ -454,9 +534,9 @@ fn peephole_pass(seg: &CodeSeg, code: &[Item]) -> Option<Vec<Item>> {
                     continue;
                 }
             }
-            // A dead `id` goes unless it would only come back to carry
-            // the costs pending at the block's end.
-            Instr::Id if next.is_some() || out.items.last().is_some_and(|l| is_pure(&l.instr)) => {
+            // A dead `id` goes; at the block's end it stays, to carry the
+            // costs that would otherwise bring it back.
+            Instr::Id if next.is_some() => {
                 out.remove(&code[i..=i]);
                 i += 1;
                 continue;
@@ -466,7 +546,6 @@ fn peephole_pass(seg: &CodeSeg, code: &[Item]) -> Option<Vec<Item>> {
         out.keep(&code[i]);
         i += 1;
     }
-    out.finish()
 }
 
 /// The superinstruction (if any) that fuses the adjacent pair `(a, b)`.
@@ -478,6 +557,8 @@ fn fuse_pair(a: &Instr, b: &Instr) -> Option<Instr> {
         (Instr::Quote(v), Instr::ConsPair) => Instr::QuoteCons(Rc::new(v.clone())),
         (Instr::Swap, Instr::ConsPair) => Instr::SwapCons,
         (Instr::ConsPair, Instr::App) => Instr::ConsApp,
+        (Instr::ConsPair, Instr::Prim(op)) if op.is_binary() => Instr::ConsPrim(*op),
+        (Instr::ConsPair, Instr::Branch(t, e)) => Instr::ConsBranch(*t, *e),
         (Instr::Acc(n), Instr::App) => Instr::AccApp(*n),
         (Instr::Snd, Instr::App) => Instr::AccApp(0),
         _ => return None,
@@ -581,12 +662,12 @@ mod tests {
 
     #[test]
     fn add_zero_left_eliminates() {
-        // 0 + snd  →  snd
+        // 0 + snd  →  snd, and an `id` carries the `cons; add` after it.
         let seg = CodeSeg::new();
         let mut code = pair(vec![Instr::Quote(Value::Int(0))], vec![Instr::Snd]);
         code.push(Instr::Prim(PrimOp::Add));
         let opt = rendered(&seg, &code);
-        assert!(matches!(&opt[..], [Instr::Snd]), "{opt:?}");
+        assert!(matches!(&opt[..], [Instr::Snd, Instr::Id]), "{opt:?}");
     }
 
     #[test]
@@ -595,7 +676,7 @@ mod tests {
         let mut code = pair(vec![Instr::Snd], vec![Instr::Quote(Value::Int(1))]);
         code.push(Instr::Prim(PrimOp::Mul));
         let opt = rendered(&seg, &code);
-        assert!(matches!(&opt[..], [Instr::Snd]), "{opt:?}");
+        assert!(matches!(&opt[..], [Instr::Snd, Instr::Id]), "{opt:?}");
     }
 
     #[test]
@@ -634,13 +715,12 @@ mod tests {
         let mut code = pair(inner, vec![Instr::Snd]);
         code.push(Instr::Prim(PrimOp::Add));
         let opt = rendered(&seg, &code);
-        // After folding: ⟨quote 3, snd⟩; add, whose `push; quote 3` fuses.
-        assert!(opt.iter().any(|i| match i {
-            Instr::Quote(v) => matches!(v, Value::Int(3)),
-            Instr::PushQuote(v) => matches!(**v, Value::Int(3)),
-            _ => false,
-        }));
-        assert!(opt.len() < code.len());
+        // After folding: ⟨quote 3, snd⟩; add, whose constant left
+        // operand becomes a `prim_int`.
+        assert!(
+            matches!(&opt[..], [Instr::Snd, Instr::PrimInt(PrimOp::Add, 3)]),
+            "{opt:?}"
+        );
     }
 
     #[test]
@@ -713,7 +793,8 @@ mod tests {
                 "{op:?}: {opt:?}"
             );
         }
-        // A zero divisor is left for the runtime trap.
+        // A zero divisor is left for the runtime trap: a `prim_int`, not
+        // a folded constant.
         let mut code = pair(
             vec![Instr::Quote(Value::Int(1))],
             vec![Instr::Quote(Value::Int(0))],
@@ -721,7 +802,7 @@ mod tests {
         code.push(Instr::Prim(PrimOp::Div));
         let opt = rendered(&seg, &code);
         assert!(
-            matches!(opt.last(), Some(Instr::Prim(PrimOp::Div))),
+            matches!(opt.last(), Some(Instr::PrimInt(PrimOp::Div, 0))),
             "not folded: {opt:?}"
         );
     }
@@ -732,7 +813,7 @@ mod tests {
         let mut code = pair(vec![Instr::Snd], vec![Instr::Quote(Value::Int(1))]);
         code.push(Instr::Prim(PrimOp::Div));
         let opt = rendered(&seg, &code);
-        assert!(matches!(&opt[..], [Instr::Snd]), "{opt:?}");
+        assert!(matches!(&opt[..], [Instr::Snd, Instr::Id]), "{opt:?}");
     }
 
     #[test]
@@ -920,5 +1001,238 @@ mod tests {
         );
         // And re-rendering the result is the identity.
         assert!(render(&seg, &fused).is_none());
+    }
+
+    /// `⟨A, B⟩; prim op`.
+    fn binop(a: Vec<Instr>, b: Vec<Instr>, op: PrimOp) -> Vec<Instr> {
+        let mut code = pair(a, b);
+        code.push(Instr::Prim(op));
+        code
+    }
+
+    #[test]
+    fn cons_prim_fuses_binary_operations_only() {
+        let fused = fuse(&[Instr::ConsPair, Instr::Prim(PrimOp::Lt)]);
+        assert!(
+            matches!(&fused[..], [Instr::ConsPrim(PrimOp::Lt)]),
+            "{fused:?}"
+        );
+        // Unary operations and `ArrUpdate` take the pair itself.
+        for op in [PrimOp::Neg, PrimOp::Deref, PrimOp::ArrUpdate] {
+            let fused = fuse(&[Instr::ConsPair, Instr::Prim(op)]);
+            assert!(
+                matches!(&fused[..], [Instr::ConsPair, Instr::Prim(_)]),
+                "{fused:?}"
+            );
+        }
+        // ⟨snd, fst⟩; sub on (3, 10): the peephole leaves it, fusion
+        // takes the pair apart.
+        let seg = CodeSeg::new();
+        let code = binop(vec![Instr::Snd], vec![Instr::Fst], PrimOp::Sub);
+        let hot = rendered(&seg, &code);
+        assert!(
+            matches!(hot.last(), Some(Instr::ConsPrim(PrimOp::Sub))),
+            "{hot:?}"
+        );
+        let input = Value::pair(Value::Int(3), Value::Int(10));
+        assert_eq!(agree(&seg, code, input), "7");
+    }
+
+    #[test]
+    fn prim_int_takes_a_constant_right_operand() {
+        // ⟨snd, quote 3⟩; sub  →  snd; prim_int sub 3
+        let seg = CodeSeg::new();
+        let code = binop(
+            vec![Instr::Snd],
+            vec![Instr::Quote(Value::Int(3))],
+            PrimOp::Sub,
+        );
+        let (hot, charges) = render(&seg, &code).unwrap();
+        assert!(
+            matches!(&hot[..], [Instr::Snd, Instr::PrimInt(PrimOp::Sub, 3)]),
+            "{hot:?}"
+        );
+        assert_eq!(charges.costs(0), [1, 1], "push; snd");
+        assert_eq!(charges.costs(1), [1, 1, 1, 1], "swap; quote 3; cons; sub");
+        let input = Value::pair(Value::Unit, Value::Int(10));
+        assert_eq!(agree(&seg, code, input), "7");
+    }
+
+    #[test]
+    fn prim_int_takes_a_constant_left_operand_with_the_operands_swapped() {
+        let mirrored = [
+            (PrimOp::Add, PrimOp::Add),
+            (PrimOp::Mul, PrimOp::Mul),
+            (PrimOp::Eq, PrimOp::Eq),
+            (PrimOp::Ne, PrimOp::Ne),
+            (PrimOp::BitAnd, PrimOp::BitAnd),
+            (PrimOp::Lt, PrimOp::Gt),
+            (PrimOp::Gt, PrimOp::Lt),
+            (PrimOp::Le, PrimOp::Ge),
+            (PrimOp::Ge, PrimOp::Le),
+        ];
+        let seg = CodeSeg::new();
+        for (op, swapped) in mirrored {
+            // ⟨quote 3, snd⟩; op  →  snd; prim_int op' 3
+            let code = binop(vec![Instr::Quote(Value::Int(3))], vec![Instr::Snd], op);
+            let hot = rendered(&seg, &code);
+            assert!(
+                matches!(&hot[..], [Instr::Snd, Instr::PrimInt(o, 3)] if *o == swapped),
+                "{op:?}: {hot:?}"
+            );
+            // Below, at and above the constant.
+            for x in [2, 3, 6] {
+                agree(&seg, code.clone(), Value::pair(Value::Unit, Value::Int(x)));
+            }
+        }
+    }
+
+    #[test]
+    fn prim_int_leaves_what_it_cannot_hold() {
+        let seg = CodeSeg::new();
+        let not_rewritten = |code: Vec<Instr>| {
+            let hot = rendered(&seg, &code);
+            assert!(
+                !hot.iter().any(|i| matches!(i, Instr::PrimInt(..))),
+                "{hot:?}"
+            );
+        };
+        // A constant outside `i32`, on either side.
+        let big = Value::Int(i64::from(i32::MAX) + 1);
+        not_rewritten(binop(
+            vec![Instr::Snd],
+            vec![Instr::Quote(big.clone())],
+            PrimOp::Add,
+        ));
+        not_rewritten(binop(
+            vec![Instr::Quote(big)],
+            vec![Instr::Snd],
+            PrimOp::Add,
+        ));
+        // A left constant of an operation without a mirror.
+        for op in [PrimOp::Sub, PrimOp::Div, PrimOp::Mod] {
+            not_rewritten(binop(
+                vec![Instr::Quote(Value::Int(7))],
+                vec![Instr::Snd],
+                op,
+            ));
+        }
+        // Operations that do not take their operands as a pair.
+        for op in [PrimOp::Neg, PrimOp::IntToString, PrimOp::ArrUpdate] {
+            not_rewritten(binop(
+                vec![Instr::Snd],
+                vec![Instr::Quote(Value::Int(2))],
+                op,
+            ));
+        }
+        // `7 - x` still takes its pair apart, with `cons_prim`.
+        let code = binop(
+            vec![Instr::Quote(Value::Int(7))],
+            vec![Instr::Snd],
+            PrimOp::Sub,
+        );
+        assert_eq!(
+            agree(&seg, code, Value::pair(Value::Unit, Value::Int(10))),
+            "-3"
+        );
+    }
+
+    #[test]
+    fn cons_branch_fuses_a_computed_condition() {
+        // if snd < 5 then 1 else 2 on (_, x).
+        let seg = CodeSeg::new();
+        let t = seg.add_block(vec![Instr::Quote(Value::Int(1))]);
+        let e = seg.add_block(vec![Instr::Quote(Value::Int(2))]);
+        let mut code = vec![Instr::Push];
+        code.extend(binop(
+            vec![Instr::Snd],
+            vec![Instr::Quote(Value::Int(5))],
+            PrimOp::Lt,
+        ));
+        code.extend([Instr::ConsPair, Instr::Branch(t, e)]);
+        let hot = rendered(&seg, &code);
+        assert!(
+            matches!(
+                &hot[..],
+                [Instr::PushAcc(0), Instr::PrimInt(PrimOp::Lt, 5), Instr::ConsBranch(a, b)]
+                    if (*a, *b) == (t, e)
+            ),
+            "{hot:?}"
+        );
+        for (x, want) in [(4, "1"), (5, "2")] {
+            assert_eq!(
+                agree(&seg, code.clone(), Value::pair(Value::Unit, Value::Int(x))),
+                want
+            );
+        }
+    }
+
+    #[test]
+    fn enter_replaces_a_known_closure() {
+        // (fn x => snd x + 1) (snd - 3) on (_, 10): the argument's
+        // window is rewritten in the same pass.
+        let seg = CodeSeg::new();
+        let body = seg.add_block(binop(
+            vec![Instr::Snd],
+            vec![Instr::Quote(Value::Int(1))],
+            PrimOp::Add,
+        ));
+        let arg = binop(
+            vec![Instr::Snd],
+            vec![Instr::Quote(Value::Int(3))],
+            PrimOp::Sub,
+        );
+        let mut code = pair(vec![Instr::Cur(body)], arg);
+        code.push(Instr::App);
+        let (hot, charges) = render(&seg, &code).unwrap();
+        assert!(
+            matches!(
+                &hot[..],
+                [Instr::PushAcc(0), Instr::PrimInt(PrimOp::Sub, 3), Instr::ConsPair, Instr::Enter(b)]
+                    if *b == body
+            ),
+            "{hot:?}"
+        );
+        assert_eq!(
+            charges.costs(0),
+            [1, 1, 1, 1, 1],
+            "push; cur; swap; then push; snd of the argument"
+        );
+        assert_eq!(charges.costs(3), [1], "app");
+        assert_eq!(
+            agree(&seg, code, Value::pair(Value::Unit, Value::Int(10))),
+            "8"
+        );
+        // A closure that is not built right there is applied as before.
+        let code = vec![
+            Instr::Push,
+            Instr::Snd,
+            Instr::Swap,
+            Instr::Fst,
+            Instr::ConsPair,
+            Instr::App,
+        ];
+        assert!(!rendered(&seg, &code)
+            .iter()
+            .any(|i| matches!(i, Instr::Enter(_))));
+    }
+
+    #[test]
+    fn trailing_costs_ride_on_an_id_not_on_the_last_instruction() {
+        // ⟨fst, quote 0⟩; add — `fst` fails on an int, and must count
+        // only the steps a cold run reaches.
+        let seg = CodeSeg::new();
+        let code = binop(
+            vec![Instr::Fst],
+            vec![Instr::Quote(Value::Int(0))],
+            PrimOp::Add,
+        );
+        let (hot, charges) = render(&seg, &code).unwrap();
+        assert!(matches!(&hot[..], [Instr::Fst, Instr::Id]), "{hot:?}");
+        assert_eq!(charges.costs(0), [1, 1], "push; fst");
+        assert_eq!(charges.costs(1), [1, 1, 1, 1], "swap; quote 0; cons; add");
+        // And a block that already ends in an `id` keeps it.
+        let code = vec![Instr::Snd, Instr::Id];
+        assert!(render(&seg, &code).is_none());
     }
 }

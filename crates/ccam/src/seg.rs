@@ -293,8 +293,12 @@ impl CodeSeg {
         }
         match i {
             Instr::Cur(b) => Instr::Cur(self.import_block(from, *b)),
+            Instr::Enter(b) => Instr::Enter(self.import_block(from, *b)),
             Instr::Branch(t, e) => {
                 Instr::Branch(self.import_block(from, *t), self.import_block(from, *e))
+            }
+            Instr::ConsBranch(t, e) => {
+                Instr::ConsBranch(self.import_block(from, *t), self.import_block(from, *e))
             }
             Instr::Switch(table) => {
                 let arms = table

@@ -542,9 +542,9 @@ impl Encode<'_> {
         match i {
             Instr::Quote(v) => self.value(v),
             Instr::QuoteCons(v) | Instr::PushQuote(v) => self.value(v),
-            Instr::Cur(b) => self.block_ref(seg, *b),
+            Instr::Cur(b) | Instr::Enter(b) => self.block_ref(seg, *b),
             Instr::Emit(inner) => self.instr(seg, inner),
-            Instr::Branch(t, e) => {
+            Instr::Branch(t, e) | Instr::ConsBranch(t, e) => {
                 self.block_ref(seg, *t);
                 self.block_ref(seg, *e);
             }
@@ -567,7 +567,11 @@ impl Encode<'_> {
                     self.block_ref(seg, d);
                 }
             }
-            Instr::Prim(op) => self.out.u8(prim_to_byte(*op)),
+            Instr::Prim(op) | Instr::ConsPrim(op) => self.out.u8(prim_to_byte(*op)),
+            Instr::PrimInt(op, k) => {
+                self.out.u8(prim_to_byte(*op));
+                self.out.u32(k.cast_unsigned());
+            }
             Instr::Fail(msg) => self.out.str(msg),
             Instr::MergeSwitch(spec) => {
                 self.out.usize_u32(spec.arms.len());
@@ -841,6 +845,13 @@ impl Decode<'_> {
             28 => Instr::AccApp(self.input.u32()? as usize),
             29 => Instr::PushQuote(Rc::new(self.value(depth + 1)?)),
             30 => Instr::EnvCons,
+            31 => Instr::ConsPrim(prim_from_byte(self.input.u8()?)?),
+            32 => Instr::PrimInt(
+                prim_from_byte(self.input.u8()?)?,
+                self.input.u32()?.cast_signed(),
+            ),
+            33 => Instr::ConsBranch(self.block_ref()?, self.block_ref()?),
+            34 => Instr::Enter(self.block_ref()?),
             _ => return Err(WireError::Corrupt(BAD_OPCODE)),
         })
     }
@@ -1046,13 +1057,13 @@ impl Validate<'_> {
         match op {
             0..=6 | 10..=13 | 20 | 26 | 27 | 30 => {}
             7 | 25 | 29 => self.value(depth + 1)?,
-            8 => self.block_ref()?,
+            8 | 34 => self.block_ref()?,
             OP_EMIT => {
                 if self.instr(depth + 1)? == OP_EMIT {
                     return Err(WireError::Corrupt(NESTED_EMIT));
                 }
             }
-            14 => {
+            14 | 33 => {
                 self.block_ref()?;
                 self.block_ref()?;
             }
@@ -1074,8 +1085,12 @@ impl Validate<'_> {
                     _ => return Err(WireError::Corrupt(BAD_DEFAULT_MARKER)),
                 }
             }
-            18 => {
+            18 | 31 => {
                 prim_from_byte(self.input.u8()?)?;
+            }
+            32 => {
+                prim_from_byte(self.input.u8()?)?;
+                self.input.u32()?;
             }
             19 => {
                 self.input.str()?;
@@ -1457,29 +1472,42 @@ mod tests {
 
     /// The forms only promotion and the compiler's inexhaustive-match
     /// path make, which no cold-compiled artifact holds: `fail` with its
-    /// message, the fused constants `quote_cons`/`push_quote`, and a
-    /// `quote` inside an `emit`. Their bytes are pinned so that a change
-    /// to how the instruction holds its operand cannot change the format.
+    /// message, the fused constants `quote_cons`/`push_quote`, a `quote`
+    /// inside an `emit`, and the forms that take a pair apart at once:
+    /// `cons_prim`, `prim_int` (its `i32` little-endian), `cons_branch`
+    /// and `enter` (block references, here to block 1). Their bytes are
+    /// pinned so that a change to how the instruction holds its operand
+    /// cannot change the format.
     const FUSED_HEX: &str = "\
-        01000000 04000000 \
+        02000000 08000000 \
         13 08000000 6e6f206d61746368 \
         19 04 01 0100000000000000 03 01000000 6b \
         1d 02 00 \
         09 07 00 \
+        1f 08 \
+        20 01 fdffffff \
+        21 01000000 01000000 \
+        22 01000000 \
+        01000000 00 \
         06 00 00000000";
 
     #[test]
     fn fused_forms_are_pinned() {
         let seg = CodeSeg::new();
+        let arm = seg.add_block(vec![Instr::Id]);
         let body = seg.add_block(vec![
             Instr::Fail(Rc::new("no match".into())),
             Instr::QuoteCons(Rc::new(Value::pair(Value::Int(1), Value::str("k")))),
             Instr::PushQuote(Rc::new(Value::Bool(false))),
             Instr::Emit(Box::new(Instr::Quote(Value::Unit))),
+            Instr::ConsPrim(PrimOp::Lt),
+            Instr::PrimInt(PrimOp::Sub, -3),
+            Instr::ConsBranch(arm, arm),
+            Instr::Enter(arm),
         ]);
         let (back, bytes) = roundtrip(&closure_at(Value::Unit, &seg, body));
         assert_eq!(bytes, unhex(FUSED_HEX));
-        assert_eq!(back.info.instructions, 4);
+        assert_eq!(back.info.instructions, 9);
     }
 
     #[test]

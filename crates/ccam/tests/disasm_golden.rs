@@ -25,6 +25,12 @@ fn full_instruction_set() -> (CodeSeg, BlockId) {
     let rec_body = seg.add_block(vec![Instr::Snd]);
     let switch_arm = seg.add_block(vec![Instr::Snd]);
     let switch_default = seg.add_block(vec![Instr::Id]);
+    // `import_block` copies a block per reference, so each reference
+    // gets its own block and the listing survives
+    // `listing_is_independent_of_block_layout`.
+    let fused_then = seg.add_block(vec![Instr::Id]);
+    let fused_else = seg.add_block(vec![Instr::Fst]);
+    let entered = seg.add_block(vec![Instr::Snd]);
     let entry = seg.add_block(vec![
         Instr::Id,
         Instr::Fst,
@@ -68,6 +74,10 @@ fn full_instruction_set() -> (CodeSeg, BlockId) {
         Instr::AccApp(0),
         Instr::PushQuote(Rc::new(Value::Bool(true))),
         Instr::EnvCons,
+        Instr::ConsPrim(PrimOp::Lt),
+        Instr::PrimInt(PrimOp::Sub, -3),
+        Instr::ConsBranch(fused_then, fused_else),
+        Instr::Enter(entered),
     ]);
     (seg, entry)
 }
@@ -108,6 +118,10 @@ L0:
   acc_app 0
   push_quote true
   env_cons
+  cons_prim Lt
+  prim_int Sub -3
+  cons_branch L8 else L9
+  enter L10
 
 L1:
   snd
@@ -129,6 +143,15 @@ L6:
 
 L7:
   id
+
+L8:
+  id
+
+L9:
+  fst
+
+L10:
+  snd
 ";
     let (seg, entry) = full_instruction_set();
     assert_eq!(disassemble(&seg, entry), expected);

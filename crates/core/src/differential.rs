@@ -352,6 +352,25 @@ eval (compPoly [1, 2, 3]) 10";
                 "let cogen z = lift 0 in eval (code (fn x => x mod z)) end 5",
                 true,
             ),
+            // The forms that take a pair apart at once, each short
+            // enough that the fuel sweep tries every budget across it:
+            // `prim_int` with the constant on the right, `cons_prim`
+            // for a left constant `sub` has no mirror, `prim_int gt`
+            // for `3 < x`, …
+            ("let val x = 10 in x - 3 end", false),
+            ("let val x = 10 in 7 - x end", false),
+            ("let val x = 10 in 3 < x end", false),
+            // … a lifted zero divisor, a `prim_int div 0` that traps, …
+            (
+                "let cogen z = lift 0 in eval (code (fn x => x div z)) end 5",
+                true,
+            ),
+            // … `cons_branch` on a computed bool, `enter` for a `fn`
+            // applied where it is built, and a `cons_prim eq` that fails
+            // on closures.
+            ("let val x = 4 in if x < 5 then x + 1 else x - 1 end", false),
+            ("(fn x => x * 2) 21", false),
+            ("fun f y = (y = y) val c = f (fn x => x + 1)", false),
             // The staged power function whose minimal fuel budget
             // `fuel_exhaustion_parity_across_all_modes` bisects.
             (
